@@ -14,10 +14,14 @@ A plain script (not a pytest benchmark) with three scenarios:
   back to the per-fault path; that ladder is exercised by the shipped
   smoke list and pinned in ``tests/test_fault_ppsfp.py``.)
 * **short_session** -- the pattern axis: an 8-fault session (far below
-  the 64-lane budget) under 64 stimulus patterns.  The pattern-serial
-  baseline (``patterns_per_pass=1``) burns one bitpar pass per pattern
-  with 55 of 64 lanes idle; auto pattern packing tiles 7 pattern
-  groups per pass and must reach >= 2x the baseline faults/sec.
+  the 64-lane budget) under 64 stimulus patterns.  Half the faults are
+  detected in their lanes (OVL-checker stuck-ats), half end silent
+  (datapath stuck-ats), so the gain covers the detection path too.
+  The pattern-serial baseline (``patterns_per_pass=1``) burns one
+  bitpar pass per pattern with 55 of 64 lanes idle; auto pattern
+  packing tiles 7 pattern groups per pass and must reach >= 2x the
+  baseline faults/sec.  Every point starts cold (elaboration and
+  codegen included), as in a fresh process.
 * **stim** -- lane-encoded stimulus faults: a population of protocol
   stimulus mutations (``STIM_KINDS`` x banks x occurrences) run
   lane-encoded at lanes=64 against the per-fault lanes=1 path, gated
@@ -43,6 +47,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.fault import campaign as campaign_mod  # noqa: E402
 from repro.fault.campaign import CampaignConfig, FaultCampaign  # noqa: E402
 from repro.fault.models import STIM_KINDS, RtlStuckAt, StimulusMutation  # noqa: E402
 
@@ -89,6 +94,30 @@ def datapath_fault_list(banks: int, scale: int = 1):
     return faults
 
 
+def short_session_fault_list(banks: int, count: int):
+    """``count`` faults that stay in the lanes, half of them detected.
+
+    Even slots take datapath stuck-ats, which end ``silent``: parity is
+    recomputed from the corrupted word.  Odd slots take a stuck-at-1 on
+    a pipeline bit of one of the OVL checkers loaded into the design,
+    cycling through checkers and banks.  That checker then fires
+    spuriously, so the fault is ``detected`` by it, and the DUT's status
+    nets never diverge.  Stuck-ats on the DUT's own read-pipeline
+    stages are detected too, but they change the polled status, so
+    their lanes fall back to the per-fault path and would turn this
+    scenario into a per-fault benchmark.
+    """
+    datapath = datapath_fault_list(banks)
+    checkers = [
+        RtlStuckAt(f"la1_top.ovl_{checker}_{bank}.pipe", bit, 1)
+        for bank in range(banks)
+        for checker, bit in (("read_latency", 0), ("fetch_to_beat", 0),
+                             ("second_beat", 0), ("read_latency", 1))
+    ]
+    return [datapath[i // 2] if i % 2 == 0 else checkers[i // 2]
+            for i in range(count)]
+
+
 def stim_fault_list(banks: int, occurrences: int = 3):
     """Lane-encodable stimulus mutations: every kind on every bank at
     ``occurrences`` different points of the transaction stream."""
@@ -116,6 +145,10 @@ def run_point(banks: int, traffic: int, faults, lanes: int,
               rtl_cycles: int = 160) -> dict:
     config = CampaignConfig(banks=banks, traffic=traffic,
                             rtl_cycles=rtl_cycles, patterns=patterns)
+    # every point starts cold, as in a fresh process: campaigns share
+    # the memoised design and its compiled kernels, which would let a
+    # later shape skip the elaboration and codegen an earlier one paid
+    campaign_mod._LA1_DESIGNS.clear()
     start = time.perf_counter()
     report = FaultCampaign(config).run(
         faults=list(faults), lanes=lanes,
@@ -175,7 +208,7 @@ def short_session_scenario(smoke: bool) -> dict:
     traffic = 24 if smoke else 96
     rtl_cycles = 160 if smoke else 640
     patterns = 4 if smoke else 64
-    faults = datapath_fault_list(banks, scale=1)[:12 if smoke else 8]
+    faults = short_session_fault_list(banks, 12 if smoke else 8)
 
     points = []
     for label, lanes, ppp in (
@@ -195,13 +228,15 @@ def short_session_scenario(smoke: bool) -> dict:
         points.append(point)
 
     serial, packed = points[1], points[2]
+    detected = points[0]["counts"]["detected"]
     return {
         "banks": banks,
         "traffic": traffic,
         "rtl_cycles": rtl_cycles,
         "patterns": patterns,
-        "fault_list": "short-session datapath stuck-ats",
+        "fault_list": "short-session datapath + OVL-checker stuck-ats",
         "faults": len(faults),
+        "detected": detected,
         "deterministic": len({p["signature"] for p in points}) == 1,
         "packed_speedup": round(
             packed["faults_per_s"] / serial["faults_per_s"], 3),
@@ -256,6 +291,7 @@ def main(argv=None) -> int:
                      and stim["deterministic"])
     gates = {
         "deterministic": deterministic,
+        "short_session_detected": short["detected"],
         "sweep_speedup": sweep["speedup"],
         "sweep_gate": None if args.smoke else SPEEDUP_GATE,
         "packed_speedup": short["packed_speedup"],
@@ -279,6 +315,10 @@ def main(argv=None) -> int:
 
     if not deterministic:
         print("FAIL: execution shapes disagree on a campaign signature",
+              file=sys.stderr)
+        return 1
+    if not short["detected"]:
+        print("FAIL: the short session detects none of its faults",
               file=sys.stderr)
         return 1
     if not args.smoke:

@@ -39,7 +39,7 @@ import os
 import time
 import traceback
 import warnings
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..asm import AsmModelChecker, ExplorationConfig
 from ..core.asm_model import La1AsmConfig
@@ -50,7 +50,7 @@ from ..core.rtl_testbench import RtlHost
 from ..core.spec import La1Config
 from ..core.sysc_model import build_la1_system
 from ..psl.monitor import Verdict
-from ..rtl import RtlSimulator, elaborate
+from ..rtl import FlatDesign, RtlSimulator, design_kernel, elaborate
 from .asm_perturb import build_perturbed_la1_asm
 from .models import (
     PROTOCOL_KINDS,
@@ -70,6 +70,7 @@ __all__ = [
     "CampaignReport",
     "FaultCampaign",
     "default_fault_list",
+    "la1_design",
     "merge_pattern_verdicts",
 ]
 
@@ -496,6 +497,34 @@ def default_fault_list(banks: int = 2, include_gap_probes: bool = True,
 
 
 # ----------------------------------------------------------------------
+# the shared LA-1 netlist
+# ----------------------------------------------------------------------
+#: how many LA-1 shapes :func:`la1_design` keeps (serve specs may carry
+#: any bank count, so the memo is bounded; the oldest entry goes first)
+LA1_DESIGN_MEMO = 4
+
+_LA1_DESIGNS: Dict[La1Config, FlatDesign] = {}
+
+
+def la1_design(la1: La1Config) -> FlatDesign:
+    """The elaborated LA-1-with-OVL netlist of ``la1``, cached per
+    process like the zoo's :func:`repro.dsl.zoo.build_elaborated`.
+    Designs are immutable after elaboration, so every campaign of one
+    shape -- and every shard worker forked after it -- shares the object
+    and the simulator kernels compiled for it."""
+    design = _LA1_DESIGNS.get(la1)
+    if design is None:
+        design = elaborate(build_la1_top_with_ovl(la1))
+        # list() snapshots the keys in one step, so a concurrent serve
+        # job that evicts too cannot break the iteration
+        excess = len(_LA1_DESIGNS) + 1 - LA1_DESIGN_MEMO
+        for stale in list(_LA1_DESIGNS)[:max(0, excess)]:
+            _LA1_DESIGNS.pop(stale, None)
+        _LA1_DESIGNS[la1] = design
+    return design
+
+
+# ----------------------------------------------------------------------
 # the runner
 # ----------------------------------------------------------------------
 class FaultCampaign:
@@ -592,7 +621,9 @@ class FaultCampaign:
     # -- RTL layer -----------------------------------------------------
     def _design(self):
         """The flattened LA-1-with-OVL netlist every RTL engine of this
-        campaign shares (elaborated once; backends compile lazily)."""
+        campaign shares.  Both sources are per-process caches, so every
+        campaign of one shape shares one design object -- and with it
+        the simulator kernels compiled for that design."""
         if self._flat_design is None:
             if self.config.design:
                 from ..dsl.zoo import build_elaborated
@@ -600,8 +631,7 @@ class FaultCampaign:
                 self._flat_design = build_elaborated(
                     self.config.design).flat
             else:
-                self._flat_design = elaborate(
-                    build_la1_top_with_ovl(self.config.la1()))
+                self._flat_design = la1_design(self.config.la1())
         return self._flat_design
 
     def _zoo_stimulus(self):
@@ -998,6 +1028,29 @@ class FaultCampaign:
     #: clock), so spreading them across shards is what makes jobs=N scale
     LAYER_WEIGHTS = {"asm": 60.0, "sysc": 2.0, "rtl": 1.0, "stim": 1.0}
 
+    def _warm_kernels(self, faults: List[Fault], lanes: int) -> None:
+        """Elaborate the design and compile the simulator kernels the
+        shards of ``faults`` will run on, before the pool forks: every
+        worker then inherits them instead of compiling its own copy.
+        That is the ``config.backend`` kernel for any RTL-level fault,
+        plus bitpar at ``lanes`` when a fault can ride the lanes.  A
+        failure here is left to the workers, which contain it as
+        per-fault ``error`` verdicts."""
+        rtl = [f for f in faults
+               if isinstance(f, (RtlStuckAt, RtlBitFlip, StimulusMutation))]
+        if not rtl:
+            return
+        try:
+            design = self._design()
+            design_kernel(design, self.config.backend)
+            if lanes > 1:
+                from .ppsfp import ppsfp_compatible
+
+                if any(ppsfp_compatible(design, f) for f in rtl):
+                    design_kernel(design, "bitpar", lanes=lanes)
+        except Exception:  # noqa: BLE001 - an optimisation, not a verdict
+            pass
+
     def _run_parallel(self, pending: List[Fault], completed: dict,
                       on_verdict, jobs: int, start: float,
                       lanes: int = 1,
@@ -1053,6 +1106,7 @@ class FaultCampaign:
         # journals (and the default) keep their fingerprint
         if patterns_per_pass is not None:
             journal_fingerprint["patterns_per_pass"] = patterns_per_pass
+        self._warm_kernels(pending, lanes)
         try:
             results, stats = run_supervised(
                 campaign_shard,
@@ -1139,7 +1193,9 @@ class FaultCampaign:
 
         ``jobs > 1`` shards the pending faults across a process pool
         (:mod:`repro.par`): one deterministic weight-balanced shard per
-        worker, each worker building its models and golden runs once.
+        worker, each worker building its models and golden runs once
+        over the design and simulator kernels the coordinator compiled
+        before forking.
         ``lanes > 1`` additionally batches the PPSFP-compatible RTL
         faults into lane-parallel bitpar passes inside each worker (and
         inline when ``jobs == 1``), multiplying with the process fan-out.

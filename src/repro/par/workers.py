@@ -185,7 +185,8 @@ def _campaign(config):
 
 def campaign_init(config) -> None:
     """Warm-start one worker: build the campaign (its simulators and
-    golden runs materialize lazily on the first fault of each layer)."""
+    golden runs materialize lazily on the first fault of each layer,
+    over the design and kernels inherited from the coordinator)."""
     _campaign(config)
 
 

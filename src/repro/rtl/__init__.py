@@ -30,7 +30,12 @@ from .hdl import (
 from .netlist import FlatDesign, FlatMonitor, FlatNet, elaborate
 from .compile import CompiledDesign, compile_design, mangle_edge
 from .bitsim import BitparDesign, compile_bitpar
-from .simulator import AssertionFailure, MonitorRecord, RtlSimulator
+from .simulator import (
+    AssertionFailure,
+    MonitorRecord,
+    RtlSimulator,
+    design_kernel,
+)
 from .verilog_emit import emit_expr, emit_verilog
 from .trace import RtlTracer
 
@@ -63,6 +68,7 @@ __all__ = [
     "BitparDesign",
     "compile_bitpar",
     "RtlSimulator",
+    "design_kernel",
     "AssertionFailure",
     "MonitorRecord",
     "emit_verilog",

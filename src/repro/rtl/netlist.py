@@ -93,9 +93,21 @@ class FlatMonitor:
 
 
 class FlatDesign:
-    """The flattened design: inputs, combinational nets (topo order), regs."""
+    """The flattened design: inputs, combinational nets (topo order), regs.
+
+    A design is immutable once :func:`elaborate` returns it: simulators
+    share the compiled kernels cached in :attr:`kernels`, so a later
+    edit to a net (``next_expr``, ``expr``, drivers) would be invisible
+    to every simulator built from the same object.  Netlist surgery
+    belongs on a freshly elaborated design, before any simulator sees
+    it.
+    """
 
     def __init__(self) -> None:
+        #: compiled simulator kernels of this design, keyed by
+        #: ``(backend, detect_bus_conflicts, lanes)``
+        #: (:func:`repro.rtl.simulator.design_kernel`)
+        self.kernels: dict = {}
         self.nets: dict[str, FlatNet] = {}
         self.inputs: list[FlatNet] = []
         self.comb_order: list[FlatNet] = []

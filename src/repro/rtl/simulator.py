@@ -23,6 +23,11 @@ Three backends share the flat slot-array state representation:
   ``tests/test_rtl_bitpar.py``; the other lanes carry faulty machines
   or alternative stimulus walks.
 
+The generated kernels are cached on the :class:`FlatDesign`
+(:func:`design_kernel`), so simulators of one elaborated design compile
+it once per backend; :func:`~repro.rtl.compile.compile_design` and
+:func:`~repro.rtl.bitsim.compile_bitpar` themselves stay uncached.
+
 The simulator steps at half-cycle granularity.  With the LA-1 clock pair,
 edge ``"K"`` is the rising edge of the K master clock and edge ``"K#"``
 the rising edge of its complement; :meth:`RtlSimulator.cycle` performs one
@@ -38,7 +43,33 @@ from .compile import compile_design
 from .hdl import HdlError, RtlModule
 from .netlist import FlatDesign, FlatMonitor, FlatNet, elaborate
 
-__all__ = ["AssertionFailure", "MonitorRecord", "RtlSimulator"]
+__all__ = ["AssertionFailure", "MonitorRecord", "RtlSimulator",
+           "design_kernel"]
+
+
+def design_kernel(design: FlatDesign, backend: str,
+                  detect_bus_conflicts: bool = True, lanes: int = 64):
+    """The compiled kernel ``backend`` runs ``design`` on: a
+    :class:`~repro.rtl.compile.CompiledDesign` or a
+    :class:`~repro.rtl.bitsim.BitparDesign` (``None`` for ``"interp"``).
+
+    Kernels are pure functions of the netlist, so every simulator of one
+    design shares them through ``design.kernels``: codegen and ``exec``
+    run once per design and process, and processes forked afterwards
+    inherit the kernels.  Two threads may race and both compile; the
+    entry is stored only once complete, so neither sees half a kernel.
+    """
+    if backend == "interp":
+        return None
+    key = (backend, detect_bus_conflicts, lanes if backend == "bitpar" else 0)
+    kernel = design.kernels.get(key)
+    if kernel is None:
+        if backend == "bitpar":
+            kernel = compile_bitpar(design, detect_bus_conflicts, lanes)
+        else:
+            kernel = compile_design(design, detect_bus_conflicts)
+        design.kernels[key] = kernel
+    return kernel
 
 
 class AssertionFailure(Exception):
@@ -155,16 +186,10 @@ class RtlSimulator:
         self.backend = backend
         self.stop_on_failure = stop_on_failure
         self.detect_bus_conflicts = detect_bus_conflicts
-        self._compiled = (
-            compile_design(self.design, detect_bus_conflicts)
-            if backend == "compiled"
-            else None
-        )
-        self._bitpar = (
-            compile_bitpar(self.design, detect_bus_conflicts, lanes)
-            if backend == "bitpar"
-            else None
-        )
+        kernel = design_kernel(self.design, backend, detect_bus_conflicts,
+                               lanes)
+        self._compiled = kernel if backend == "compiled" else None
+        self._bitpar = kernel if backend == "bitpar" else None
         self.lanes = lanes if backend == "bitpar" else 0
         self.lane_mask = self._bitpar.lane_mask if self._bitpar else 0
         self._slots: dict[str, int] = {

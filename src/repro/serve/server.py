@@ -28,6 +28,12 @@ write-ahead journal, so a crashed-and-restarted server knows which jobs
 were interrupted -- their per-key checkpoints and shard journals under
 the spool directory make resubmission resume instead of recompute.
 
+Requests are bounded: a body longer than :data:`MAX_BODY_BYTES` is
+refused with 413 before any of it is read, a malformed
+``Content-Length`` gets 400, and an unexpected failure answers 500
+naming only the exception type -- no message or stack frame reaches
+the client.
+
 Deduplication is content-addressed: submissions with equal ``(kind,
 fingerprint)`` share one computation while in flight (the second
 submitter receives the first one's job id) and one stored result
@@ -54,6 +60,17 @@ __all__ = ["JobRecord", "VerificationServer", "serve_in_thread"]
 #: terminal job states (event streams end when these are reached)
 _TERMINAL = ("done", "cached", "error")
 
+#: the largest request body the server reads (job specs are small JSON)
+MAX_BODY_BYTES = 1 << 20
+
+
+class _RequestError(Exception):
+    """A request answered with a 4xx ``status`` before it is routed."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
 
 class JobRecord:
     """The server-side life of one submitted job."""
@@ -70,10 +87,34 @@ class JobRecord:
         self.error: Optional[str] = None
         self.submitted_at = time.time()
         self.finished_at: Optional[float] = None
+        #: woken (then replaced) when an event lands or the job ends;
+        #: created by the first waiting stream
+        self._wakeup: Optional[asyncio.Event] = None
 
     @property
     def terminal(self) -> bool:
         return self.status in _TERMINAL
+
+    def publish(self, event: dict) -> None:
+        """Append one event and wake the streams waiting on this job
+        (event-loop thread only)."""
+        self.events.append(event)
+        self.notify()
+
+    def notify(self) -> None:
+        """Wake every stream waiting on this job (event-loop thread
+        only; called on each event and on the terminal status)."""
+        wakeup, self._wakeup = self._wakeup, None
+        if wakeup is not None:
+            wakeup.set()
+
+    async def changed(self) -> None:
+        """Wait for the next :meth:`notify`.  Check the record before
+        calling: nothing runs between that check and this wait, so no
+        wakeup is lost."""
+        if self._wakeup is None:
+            self._wakeup = asyncio.Event()
+        await self._wakeup.wait()
 
     def to_dict(self, with_result: bool = False) -> dict:
         out = {
@@ -177,7 +218,7 @@ class VerificationServer:
 
         def emit(event: dict) -> None:
             # called from the worker thread: hand the event to the loop
-            loop.call_soon_threadsafe(record.events.append, event)
+            loop.call_soon_threadsafe(record.publish, event)
 
         async with self._semaphore:
             record.status = "running"
@@ -196,6 +237,7 @@ class VerificationServer:
                 "type": "finish", "id": record.job_id, "key": record.key,
                 "status": record.status,
             })
+            record.notify()
 
     # -- HTTP plumbing -------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
@@ -207,10 +249,15 @@ class VerificationServer:
             await self._route(writer, method, path, body)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away: its problem, not the service's
-        except Exception:  # noqa: BLE001 - the server must not die
+        except Exception as exc:  # noqa: BLE001 - the server must not die
+            # a 500 names the exception type only: no message, no stack
+            # frames reach the client
+            status, error = ((exc.status, str(exc))
+                             if isinstance(exc, _RequestError)
+                             else (500, f"internal error "
+                                        f"({type(exc).__name__})"))
             try:
-                await self._respond(writer, 500, {
-                    "error": traceback.format_exc(limit=3)})
+                await self._respond(writer, status, {"error": error})
             except Exception:
                 pass
         finally:
@@ -239,7 +286,15 @@ class VerificationServer:
                 try:
                     content_length = int(value.strip())
                 except ValueError:
-                    content_length = 0
+                    content_length = -1
+                if content_length < 0:
+                    raise _RequestError(
+                        400, f"bad Content-Length {value.strip()!r}")
+                if content_length > MAX_BODY_BYTES:
+                    # answered before a byte of the body is read
+                    raise _RequestError(
+                        413, f"request body of {content_length} bytes "
+                             f"exceeds the {MAX_BODY_BYTES}-byte limit")
         body = b""
         if content_length:
             body = await reader.readexactly(content_length)
@@ -249,7 +304,7 @@ class VerificationServer:
     async def _respond(writer, status: int, payload: dict) -> None:
         body = json.dumps(payload, sort_keys=True).encode()
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  405: "Method Not Allowed",
+                  405: "Method Not Allowed", 413: "Payload Too Large",
                   500: "Internal Server Error"}.get(status, "OK")
         writer.write(
             f"HTTP/1.1 {status} {reason}\r\n"
@@ -320,7 +375,9 @@ class VerificationServer:
 
     async def _stream_events(self, writer, record: JobRecord) -> None:
         """NDJSON event stream: incremental verdicts the moment their
-        shard lands, then a terminal ``done`` line.  Sent with
+        shard lands, then a terminal ``done`` line.  Pushed, not
+        polled: the stream sleeps on the record's wakeup, which fires on
+        every published event and on the terminal status.  Sent with
         ``Connection: close`` framing, so any HTTP/1.x client that reads
         to EOF consumes it."""
         writer.write(
@@ -338,7 +395,8 @@ class VerificationServer:
             await writer.drain()
             if record.terminal or record.status == "interrupted":
                 break
-            await asyncio.sleep(0.05)
+            if sent == len(record.events):
+                await record.changed()
         writer.write(json.dumps({
             "type": "done", "status": record.status, "events": sent,
             "key": record.key,

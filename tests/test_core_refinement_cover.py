@@ -35,16 +35,17 @@ class TestAsmRtlRefinement:
     def test_sabotaged_rtl_is_caught(self):
         config = La1AsmConfig(banks=1)
         impl = La1RtlImplementation(config)
-        # break the RTL: kill the fetch->out0 advance
+        # break the RTL: kill the fetch->out0 advance.  Designs are
+        # immutable once a simulator is built from them (simulators
+        # share compiled kernels), so sabotage a fresh elaboration
+        from repro.core.rtl_model import build_la1_top_rtl
+        from repro.rtl import RtlSimulator, elaborate
         from repro.rtl.hdl import Const
 
-        flat = impl.sim.design.net("la1_top.bank0.read_port.st_out0")
+        design = elaborate(build_la1_top_rtl(impl.la1_config))
+        flat = design.net("la1_top.bank0.read_port.st_out0")
         flat.next_expr = Const(0, 1)
-        # the compiled backend snapshots the netlist at construction, so
-        # rebuild the simulator for the sabotage to take effect
-        from repro.rtl import RtlSimulator
-
-        impl.sim = RtlSimulator(impl.sim.design)
+        impl.sim = RtlSimulator(design)
         from repro.asm.conformance import check_conformance
         from repro.core import build_la1_asm, observables_for
 

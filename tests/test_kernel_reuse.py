@@ -1,0 +1,145 @@
+"""Compiled simulator kernels are built once per elaborated design.
+
+``RtlSimulator`` takes its compiled/bitpar kernel from the cache on the
+:class:`FlatDesign`; ``FaultCampaign`` shares one LA-1 elaboration per
+shape through the bounded :func:`la1_design` memo; and a parallel
+campaign compiles before its pool forks, so shard workers inherit the
+kernels instead of compiling their own.  None of it may change a
+verdict.
+"""
+
+import os
+
+import pytest
+
+from repro.core import La1Config, build_la1_top_with_ovl
+from repro.fault import campaign as campaign_mod
+from repro.fault.campaign import CampaignConfig, FaultCampaign, la1_design
+from repro.fault.models import ProtocolMutation, RtlStuckAt, StimulusMutation
+from repro.rtl import RtlSimulator, compile_bitpar, compile_design, elaborate
+from repro.rtl import simulator as simulator_mod
+
+CONFIG = dict(banks=1, traffic=8, rtl_cycles=80)
+
+
+def _faults():
+    top = "la1_top.bank0"
+    return [
+        RtlStuckAt(f"{top}.read_port.st_out0", 0, 0),
+        RtlStuckAt(f"{top}.read_port.st_fetch", 0, 0),
+        RtlStuckAt(f"{top}.read_port.word_reg", 3, 1),
+        RtlStuckAt(f"{top}.sram.mem", 67, 1),
+        StimulusMutation("corrupt_write_data", 0, 1),
+        ProtocolMutation("drop_beat1", 0),
+    ]
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty design memo, so this test's campaigns elaborate (and
+    compile) from scratch whatever ran before."""
+    monkeypatch.setattr(campaign_mod, "_LA1_DESIGNS", {})
+
+
+def _count_compiles(monkeypatch, log=None):
+    """Wrap the simulator's compile entry points; returns the backends
+    compiled in this process, in call order.  With ``log``, every call
+    -- from a forked worker too -- is also appended to that file with
+    the caller's pid."""
+    calls = []
+    for name, backend in (("compile_design", "compiled"),
+                          ("compile_bitpar", "bitpar")):
+        original = getattr(simulator_mod, name)
+
+        def wrapper(*args, _original=original, _backend=backend,
+                    **kwargs):
+            calls.append(_backend)
+            if log is not None:
+                with open(log, "a") as fh:
+                    fh.write(f"{_backend} {os.getpid()}\n")
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(simulator_mod, name, wrapper)
+    return calls
+
+
+class TestDesignKernel:
+    def test_simulators_of_one_design_share_kernels(self, monkeypatch):
+        design = elaborate(build_la1_top_with_ovl(
+            La1Config(banks=1, beat_bits=8, addr_bits=2)))
+        calls = _count_compiles(monkeypatch)
+        first = RtlSimulator(design, backend="bitpar", lanes=8)
+        second = RtlSimulator(design, backend="bitpar", lanes=8)
+        assert first._bitpar is second._bitpar
+        # the lane count is part of the key, and so is the backend
+        assert RtlSimulator(design, backend="bitpar",
+                            lanes=4)._bitpar is not first._bitpar
+        compiled = RtlSimulator(design)
+        assert RtlSimulator(design)._compiled is compiled._compiled
+        assert RtlSimulator(design, detect_bus_conflicts=False)._compiled \
+            is not compiled._compiled
+        assert calls == ["bitpar", "bitpar", "compiled", "compiled"]
+        # interp has no kernel to cache
+        assert RtlSimulator(design, backend="interp")._compiled is None
+
+    def test_compile_functions_stay_uncached(self):
+        design = elaborate(build_la1_top_with_ovl(
+            La1Config(banks=1, beat_bits=8, addr_bits=2)))
+        RtlSimulator(design)
+        RtlSimulator(design, backend="bitpar", lanes=2)
+        assert compile_design(design) is not compile_design(design)
+        assert compile_bitpar(design, lanes=2) is not compile_bitpar(
+            design, lanes=2)
+
+
+class TestCampaignReuse:
+    def test_campaigns_of_one_shape_compile_bitpar_once(
+            self, monkeypatch, fresh_memo):
+        calls = _count_compiles(monkeypatch)
+        first = FaultCampaign(CampaignConfig(**CONFIG)).run(
+            faults=_faults(), lanes=64)
+        second = FaultCampaign(CampaignConfig(**CONFIG)).run(
+            faults=_faults(), lanes=64)
+        assert sorted(calls) == ["bitpar", "compiled"]
+        assert first.signature() == second.signature()
+
+    def test_forked_workers_never_compile(self, monkeypatch, fresh_memo,
+                                          tmp_path):
+        log = tmp_path / "compiles.log"
+        _count_compiles(monkeypatch, log=str(log))
+        parallel = FaultCampaign(CampaignConfig(**CONFIG)).run(
+            faults=_faults(), jobs=2, lanes=64)
+        assert parallel.engine_stats["par"]["mode"] == "pool"
+        coordinator = str(os.getpid())
+        lines = log.read_text().splitlines()
+        assert sorted(line.split()[0] for line in lines) == [
+            "bitpar", "compiled"]
+        assert [line for line in lines
+                if line.split()[1] != coordinator] == []
+        serial = FaultCampaign(CampaignConfig(**CONFIG)).run(
+            faults=_faults(), jobs=1, lanes=1)
+        assert parallel.signature() == serial.signature()
+
+
+class TestDesignMemo:
+    def test_one_design_object_per_shape(self, fresh_memo):
+        la1 = La1Config(banks=1, beat_bits=8, addr_bits=2)
+        assert la1_design(la1) is la1_design(La1Config(
+            banks=1, beat_bits=8, addr_bits=2))
+        campaign = FaultCampaign(CampaignConfig(**CONFIG))
+        assert campaign._design() is FaultCampaign(
+            CampaignConfig(**CONFIG))._design()
+
+    def test_memo_evicts_the_oldest_at_its_bound(self, monkeypatch,
+                                                 fresh_memo):
+        monkeypatch.setattr(campaign_mod, "LA1_DESIGN_MEMO", 2)
+        shapes = [La1Config(banks=b, beat_bits=8, addr_bits=2)
+                  for b in (1, 2, 3)]
+        first = la1_design(shapes[0])
+        la1_design(shapes[1])
+        assert list(campaign_mod._LA1_DESIGNS) == shapes[:2]
+        la1_design(shapes[2])
+        assert list(campaign_mod._LA1_DESIGNS) == shapes[1:]
+        # an evicted shape elaborates again, into a new object
+        assert la1_design(shapes[0]) is not first
+        assert len(campaign_mod._LA1_DESIGNS) == 2

@@ -1,14 +1,23 @@
 """End-to-end tests of the HTTP front-end: real sockets, real JSON,
 a real event stream -- plus the server's own crash recovery."""
 
+import asyncio
 import json
+import socket
+import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.serve import jobs as jobs_mod
 from repro.serve.journal import Journal
-from repro.serve.server import VerificationServer, serve_in_thread
+from repro.serve.server import (
+    MAX_BODY_BYTES,
+    VerificationServer,
+    serve_in_thread,
+)
 
 CAMPAIGN = {"banks": 1, "traffic": 6, "rtl_cycles": 100, "max_faults": 4}
 
@@ -111,6 +120,116 @@ class TestHTTP:
         assert record["status"] == "error"
         assert "banks must be >= 1" in record["error"]
         assert _http("GET", f"{base}/healthz")["ok"] is True
+
+
+def _raw(port, request: bytes) -> tuple[int, dict]:
+    """Send raw request bytes; returns (status, JSON body)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(request)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    head, __, body = data.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+class TestRequestBounds:
+    def test_oversized_body_is_refused_unread(self, server):
+        srv, __, ___ = server
+        status, body = _raw(srv.port, (
+            f"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n").encode())
+        # no body was sent: a server that tried to read it would hang
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in body["error"]
+
+    @pytest.mark.parametrize("length", ["abc", "-5", ""])
+    def test_malformed_length_is_400(self, server, length):
+        srv, __, ___ = server
+        status, body = _raw(srv.port, (
+            f"POST /jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+            "{}").encode())
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_body_at_the_limit_is_read(self, server):
+        srv, __, ___ = server
+        payload = json.dumps({"kind": "nope", "spec": {}}).encode()
+        payload += b" " * (MAX_BODY_BYTES - len(payload))
+        status, body = _raw(srv.port, (
+            f"POST /jobs HTTP/1.1\r\nContent-Length: {len(payload)}"
+            "\r\n\r\n").encode() + payload)
+        # routed: the unknown kind is the 400, not the size
+        assert status == 400 and "unknown job kind" in body["error"]
+
+    def test_500_names_only_the_exception_type(self, server, monkeypatch):
+        srv, base, ___ = server
+
+        async def boom(*args):
+            raise RuntimeError("secret detail from deep inside")
+
+        monkeypatch.setattr(srv, "_route", boom)
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            _http("GET", f"{base}/healthz")
+        assert exc.value.code == 500
+        assert json.loads(exc.value.read()) == {
+            "error": "internal error (RuntimeError)"}
+
+
+class _GatedJob(jobs_mod.Job):
+    """Emits one event, blocks on ``GATE``, then emits three more."""
+
+    kind = "gated"
+    GATE = threading.Event()
+
+    def fingerprint(self) -> dict:
+        return {"n": self.spec.get("n")}
+
+    def run(self, emit, workdir=None) -> dict:
+        emit({"type": "tick", "n": 0})
+        assert self.GATE.wait(timeout=60)
+        for n in range(1, 4):
+            emit({"type": "tick", "n": n})
+        return {"ticks": 4}
+
+
+class TestPushedEvents:
+    def test_stream_is_pushed_not_polled(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(jobs_mod.JOB_KINDS, "gated", _GatedJob)
+        _GatedJob.GATE.clear()
+        server, stop = serve_in_thread(str(tmp_path))
+        base = f"http://127.0.0.1:{server.port}"
+        lines: list = []
+        try:
+            with monkeypatch.context() as patch:
+                # a stream that polled would hit this and never send done
+                async def no_polling(*args, **kwargs):
+                    raise AssertionError("event stream polled")
+
+                patch.setattr(asyncio, "sleep", no_polling)
+                job_id = _http("POST", f"{base}/jobs", {
+                    "kind": "gated", "spec": {"n": 1}})["id"]
+                reader = threading.Thread(target=lambda: lines.extend(
+                    urllib.request.urlopen(
+                        f"{base}/jobs/{job_id}/events",
+                        timeout=60).read().decode().splitlines()))
+                reader.start()
+                record = server.records[job_id]
+                deadline = time.monotonic() + 30
+                # wait until the stream is parked on the record's wakeup
+                while record._wakeup is None:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                assert not record.terminal
+                _GatedJob.GATE.set()
+                reader.join(timeout=60)
+        finally:
+            _GatedJob.GATE.set()
+            stop()
+        events = [json.loads(line) for line in lines]
+        assert [e["n"] for e in events[:-1]] == [0, 1, 2, 3]
+        assert events[-1] == {"type": "done", "status": "done",
+                              "events": 4, "key": record.key}
 
 
 class TestRecovery:
