@@ -8,7 +8,7 @@ Part 2 quantifies what the cone-of-influence reduction buys the Table-2
 model-checking run: the 2-bank full-datapath Read-Mode check with
 ``coi=True`` (the default everywhere outside the Table-2 baseline)
 against the full-netlist encoding RuleBase-era flows used.  The full
-baseline needs ~13 CPU-minutes of pure-Python BDD time, so by default it
+baseline needs ~5 CPU-minutes of pure-Python BDD time, so by default it
 runs under a wall-clock deadline that truncates reachability early --
 the peak BDD count it records by then is already orders of magnitude
 above the COI run's, which is the comparison that matters.  Set
@@ -144,7 +144,7 @@ def test_coi_mc_ablation(benchmark):
         "COI ablation: Table 2 read mode, 2 banks",
         f"peak-node reduction: {factor:,.0f}x"
         + ("" if FULL else "  (baseline truncated; LA1_BENCH_FULL=1 for"
-           " the complete ~13-minute run)"),
+           " the complete ~5-minute run)"),
     )
     record_bench("BENCH_lint.json", "coi_ablation[banks=2]", {
         "with_coi": _mc_metrics(with_coi),

@@ -7,12 +7,13 @@ accounting:
 
 * a unique table guaranteeing canonicity (equal functions are the same
   node id), so equivalence checks are pointer comparisons;
-* an ``ite``-based apply with a computed-table cache -- bounded by
-  ``cache_limit`` (clear-on-overflow) with hit/miss/clear counters
-  surfaced through :meth:`BddManager.stats`;
-* existential/universal quantification, variable substitution (for
-  next-state renaming in image computation), restriction and satisfying-
-  assignment extraction;
+* ``ite`` plus dedicated two-operand ``and_``/``or_`` applies sharing a
+  computed-table cache -- bounded by ``cache_limit`` (clear-on-overflow)
+  with hit/miss/clear counters surfaced through :meth:`BddManager.stats`;
+* existential/universal quantification, the fused relational product
+  :meth:`BddManager.and_exists` (the image-step kernel), variable
+  substitution (for next-state renaming in image computation),
+  restriction and satisfying-assignment extraction;
 * a configurable **node budget**: exceeding it raises
   :class:`BddBudgetExceeded`, which the symbolic model checker reports as
   *state explosion* -- the genuine resource exhaustion behind Table 2's
@@ -61,7 +62,6 @@ class BddManager:
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_clears = 0
-        self.peak_nodes = 2
 
     # ------------------------------------------------------------------
     # variables
@@ -93,6 +93,10 @@ class BddManager:
         """Total nodes ever allocated (including both terminals)."""
         return len(self._level)
 
+    #: nodes are never freed in place (collection copies the live roots
+    #: into a fresh manager), so the peak is the allocation count
+    peak_nodes = num_nodes
+
     # ------------------------------------------------------------------
     # core construction
     # ------------------------------------------------------------------
@@ -110,8 +114,6 @@ class BddManager:
         self._low.append(low)
         self._high.append(high)
         self._unique[key] = node
-        if node + 1 > self.peak_nodes:
-            self.peak_nodes = node + 1
         return node
 
     def _cache_put(self, key: tuple, result: int) -> None:
@@ -159,6 +161,16 @@ class BddManager:
             return node, node
         return self._low[node], self._high[node]
 
+    def _split(self, f: int, g: int) -> tuple[int, int, int, int, int]:
+        """Top level of two decision nodes and both nodes' cofactors there."""
+        lf = self._level[f]
+        lg = self._level[g]
+        if lf == lg:
+            return lf, self._low[f], self._high[f], self._low[g], self._high[g]
+        if lf < lg:
+            return lf, self._low[f], self._high[f], g, g
+        return lg, f, f, self._low[g], self._high[g]
+
     # ------------------------------------------------------------------
     # boolean operations
     # ------------------------------------------------------------------
@@ -167,12 +179,44 @@ class BddManager:
         return self.ite(f, self.FALSE, self.TRUE)
 
     def and_(self, f: int, g: int) -> int:
-        """Conjunction."""
-        return self.ite(f, g, self.FALSE)
+        """Conjunction: a two-operand apply, cached under the ordered pair
+        so ``and_(f, g)`` and ``and_(g, f)`` share one entry."""
+        if f > g:
+            f, g = g, f
+        # terminals sort first: FALSE annihilates, TRUE is the identity
+        if f == self.FALSE or f == g:
+            return f
+        if f == self.TRUE:
+            return g
+        key = ("and", f, g)
+        cached = self._cache.get(key)
+        if cached is not None:
+            self.cache_hits += 1
+            return cached
+        self.cache_misses += 1
+        level, f0, f1, g0, g1 = self._split(f, g)
+        result = self._mk(level, self.and_(f0, g0), self.and_(f1, g1))
+        self._cache_put(key, result)
+        return result
 
     def or_(self, f: int, g: int) -> int:
-        """Disjunction."""
-        return self.ite(f, self.TRUE, g)
+        """Disjunction (the dual of :meth:`and_`)."""
+        if f > g:
+            f, g = g, f
+        if f == self.TRUE or f == g:
+            return f
+        if f == self.FALSE:
+            return g
+        key = ("or", f, g)
+        cached = self._cache.get(key)
+        if cached is not None:
+            self.cache_hits += 1
+            return cached
+        self.cache_misses += 1
+        level, f0, f1, g0, g1 = self._split(f, g)
+        result = self._mk(level, self.or_(f0, g0), self.or_(f1, g1))
+        self._cache_put(key, result)
+        return result
 
     def xor(self, f: int, g: int) -> int:
         """Exclusive or."""
@@ -233,6 +277,49 @@ class BddManager:
             result = self.and_(low, high) if conj else self.or_(low, high)
         else:
             result = self._mk(level, low, high)
+        self._cache_put(key, result)
+        return result
+
+    def and_exists(self, f: int, g: int, names: Sequence[str]) -> int:
+        """Relational product ``exists names . f & g`` in one pass.
+
+        Equal to ``exists(names, and_(f, g))`` but never builds the full
+        conjunction: each quantified variable is eliminated as the
+        recursion passes its level (Burch, Clarke and Long's AndExists).
+        This is the image-step kernel of symbolic reachability.
+        """
+        if not names:
+            return self.and_(f, g)
+        levels = frozenset(self._var_index[n] for n in names)
+        return self._and_exists(f, g, levels, max(levels))
+
+    def _and_exists(self, f: int, g: int, levels: frozenset,
+                    deepest: int) -> int:
+        if f > g:
+            f, g = g, f
+        if f == self.FALSE:
+            return f
+        if f == self.TRUE or f == g:
+            return self._quant(g, levels, conj=False)
+        if self._level[f] > deepest and self._level[g] > deepest:
+            # nothing left to quantify below here
+            return self.and_(f, g)
+        key = ("and_exists", f, g, levels)
+        cached = self._cache.get(key)
+        if cached is not None:
+            self.cache_hits += 1
+            return cached
+        self.cache_misses += 1
+        level, f0, f1, g0, g1 = self._split(f, g)
+        low = self._and_exists(f0, g0, levels, deepest)
+        if level not in levels:
+            high = self._and_exists(f1, g1, levels, deepest)
+            result = self._mk(level, low, high)
+        elif low == self.TRUE:
+            # the quantified variable's low branch already covers everything
+            result = low
+        else:
+            result = self.or_(low, self._and_exists(f1, g1, levels, deepest))
         self._cache_put(key, result)
         return result
 

@@ -54,7 +54,9 @@ def check_read_mode_rtl(
     run that ran out of BDD capacity (transient allocation within one
     image step, or live size after garbage collection), and
     ``truncated=True`` a run stopped by the ``deadline_s`` wall-clock
-    budget.
+    budget; either way ``bdd_stats["budget"]`` names the budget
+    (``"transient_node_budget"``, ``"live_node_budget"`` or
+    ``"deadline_s"``).
 
     ``coi`` (default on) restricts the symbolic encoding to the cone of
     influence of the label nets the property reads, via
@@ -102,9 +104,11 @@ def check_read_mode_rtl(
             deadline_s=deadline_s,
         )
     except BddBudgetExceeded:
+        # the encoding itself outgrew the budget, before any checking
         elapsed = time.perf_counter() - start
         budget = transient_node_budget or 0
         return SymbolicCheckResult(
             None, elapsed, budget, 0, 0, budget * 88 / 1e6,
             exploded=True, property_name=name,
+            bdd_stats={"budget": "transient_node_budget"},
         )

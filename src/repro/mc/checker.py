@@ -40,7 +40,10 @@ class SymbolicCheckResult:
     wall-clock deadline (``truncated=True``).  ``bdd_stats`` carries the
     manager's node/computed-table counters
     (:meth:`repro.bdd.BddManager.stats`) so degradation triggers are
-    observable in campaign and flow reports.
+    observable in campaign and flow reports; an undecided run also names
+    the budget that ran out in ``bdd_stats["budget"]``:
+    ``"transient_node_budget"``, ``"live_node_budget"`` or
+    ``"deadline_s"``.
     """
 
     def __init__(
@@ -115,6 +118,19 @@ class SymbolicCheckResult:
         )
 
 
+def _budget_exhausted(m, start: float, name: str) -> SymbolicCheckResult:
+    """The state-explosion verdict for a node budget hit outside the
+    reachability loop (while embedding the automaton or building the
+    transition relation)."""
+    stats = m.stats()
+    stats["budget"] = "transient_node_budget"
+    return SymbolicCheckResult(
+        None, time.perf_counter() - start, m.peak_nodes, 0, 0,
+        m.estimated_memory_bytes() / 1e6, exploded=True,
+        property_name=name, bdd_stats=stats,
+    )
+
+
 class SymbolicModelChecker:
     """Forward-reachability safety checking over a :class:`SymbolicModel`.
 
@@ -169,18 +185,7 @@ class SymbolicModelChecker:
             return self._reachability(bad, start, name, max_iterations,
                                       deadline_s)
         except BddBudgetExceeded:
-            elapsed = time.perf_counter() - start
-            return SymbolicCheckResult(
-                None,
-                elapsed,
-                m.peak_nodes,
-                0,
-                0,
-                m.estimated_memory_bytes() / 1e6,
-                exploded=True,
-                property_name=name,
-                bdd_stats=m.stats(),
-            )
+            return _budget_exhausted(m, start, name)
 
     def check_invariant(
         self, bad: int, name: str = "invariant", max_iterations: int = 10000,
@@ -193,19 +198,7 @@ class SymbolicModelChecker:
             return self._reachability(bad, start, name, max_iterations,
                                       deadline_s)
         except BddBudgetExceeded:
-            m = self.model.manager
-            elapsed = time.perf_counter() - start
-            return SymbolicCheckResult(
-                None,
-                elapsed,
-                m.peak_nodes,
-                0,
-                0,
-                m.estimated_memory_bytes() / 1e6,
-                exploded=True,
-                property_name=name,
-                bdd_stats=m.stats(),
-            )
+            return _budget_exhausted(self.model.manager, start, name)
 
     # ------------------------------------------------------------------
     def _resolve_labels(self, checker: CheckerAutomaton, labels: dict) -> dict:
@@ -319,62 +312,47 @@ class SymbolicModelChecker:
         iterations = 0
         peak_live = m.num_nodes
         peak_alloc = m.num_nodes
+        # computed-table counters of the managers retired by garbage
+        # collection, so the reported totals cover the whole run
+        retired = {"cache_hits": 0, "cache_misses": 0, "cache_clears": 0}
 
-        def metrics() -> tuple[int, float]:
-            return max(peak_live, peak_alloc), (
-                max(peak_live, peak_alloc) * 88 / 1e6
-            )
-
-        def explosion() -> SymbolicCheckResult:
-            elapsed = time.perf_counter() - start
-            nodes, mem = metrics()
+        def finish(holds: Optional[bool], reached_size: int,
+                   budget: Optional[str] = None, **verdict
+                   ) -> SymbolicCheckResult:
+            nodes = max(peak_live, peak_alloc)
+            stats = m.stats()
+            for key, count in retired.items():
+                stats[key] += count
+            if budget is not None:
+                stats["budget"] = budget
             return SymbolicCheckResult(
-                None, elapsed, nodes, 0, iterations, mem,
-                exploded=True, property_name=name, bdd_stats=m.stats(),
-            )
-
-        def timed_out() -> SymbolicCheckResult:
-            elapsed = time.perf_counter() - start
-            nodes, mem = metrics()
-            return SymbolicCheckResult(
-                None, elapsed, nodes, m.size(reached), iterations, mem,
-                property_name=name, truncated=True, bdd_stats=m.stats(),
+                holds, time.perf_counter() - start, nodes, reached_size,
+                iterations, nodes * 88 / 1e6, property_name=name,
+                bdd_stats=stats, **verdict,
             )
 
         if m.and_(reached, bad) != m.FALSE:
-            elapsed = time.perf_counter() - start
-            nodes, mem = metrics()
-            return SymbolicCheckResult(
-                False, elapsed, nodes, m.size(reached), 0, mem,
-                counterexample_depth=0, property_name=name,
-                bdd_stats=m.stats(),
-            )
+            return finish(False, m.size(reached), counterexample_depth=0)
         try:
             while frontier != m.FALSE and iterations < max_iterations:
                 if deadline is not None and time.perf_counter() > deadline:
-                    return timed_out()
+                    return finish(None, m.size(reached), "deadline_s",
+                                  truncated=True)
                 iterations += 1
-                # image of the frontier with early quantification:
-                # variables leave the product as soon as no later
-                # partition reads them
+                # image of the frontier as a chain of relational products:
+                # each partition is conjoined and the variables it releases
+                # are quantified out in the same pass
                 product_bdd = m.exists(unused_anywhere, frontier) \
                     if unused_anywhere else frontier
                 for part, released in zip(partitions, release_at):
-                    product_bdd = m.and_(product_bdd, part)
-                    if released:
-                        product_bdd = m.exists(released, product_bdd)
+                    product_bdd = m.and_exists(product_bdd, part, released)
                 image = m.rename(product_bdd, rename_back)
                 new = m.and_(image, m.not_(reached))
                 if new == m.FALSE:
                     break
                 if m.and_(new, bad) != m.FALSE:
-                    elapsed = time.perf_counter() - start
-                    nodes, mem = metrics()
-                    return SymbolicCheckResult(
-                        False, elapsed, nodes, m.size(reached), iterations,
-                        mem, counterexample_depth=iterations,
-                        property_name=name, bdd_stats=m.stats(),
-                    )
+                    return finish(False, m.size(reached),
+                                  counterexample_depth=iterations)
                 reached = m.or_(reached, new)
                 frontier = new
                 peak_alloc = max(peak_alloc, m.num_nodes)
@@ -382,26 +360,24 @@ class SymbolicModelChecker:
                 # *live* size against the budget (the RuleBase memory wall)
                 if m.num_nodes > self.gc_threshold:
                     fresh = m.clone_empty()
-                    fresh.node_budget = m.node_budget
                     roots = [reached, frontier, bad] + partitions
                     copied = m.copy_roots(fresh, roots)
                     reached, frontier, bad = copied[0], copied[1], copied[2]
                     partitions = copied[3:]
+                    old = m.stats()
+                    for key in retired:
+                        retired[key] += old[key]
                     m = fresh
                     peak_live = max(peak_live, m.num_nodes)
                     if (
                         self.live_node_budget is not None
                         and m.num_nodes > self.live_node_budget
                     ):
-                        return explosion()
+                        return finish(None, 0, "live_node_budget",
+                                      exploded=True)
         except BddBudgetExceeded:
-            return explosion()
-        elapsed = time.perf_counter() - start
+            return finish(None, 0, "transient_node_budget", exploded=True)
         peak_alloc = max(peak_alloc, m.num_nodes)
         reached_size = m.size(reached)
         peak_live = max(peak_live, reached_size)
-        nodes, mem = metrics()
-        return SymbolicCheckResult(
-            True, elapsed, nodes, reached_size, iterations, mem,
-            property_name=name, bdd_stats=m.stats(),
-        )
+        return finish(True, reached_size)

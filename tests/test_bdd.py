@@ -1,5 +1,7 @@
 """Unit and property-based tests for the ROBDD engine."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -283,3 +285,90 @@ class TestComputedTableAccounting:
         assert clone.cache_limit == 7
         assert clone.node_budget == 500
         assert clone.stats()["cache_hits"] == 0
+
+
+# ----------------------------------------------------------------------
+# the two-operand applies and the fused relational product
+# ----------------------------------------------------------------------
+def _random_bdd(m, names, rng):
+    """A random function over ``names``, built from a truth table with
+    ``ite`` only (so it does not depend on the applies under test)."""
+    density = rng.random()
+    table = [rng.random() < density for __ in range(1 << len(names))]
+
+    def build(i, row):
+        if i == len(names):
+            return m.TRUE if table[row] else m.FALSE
+        low = build(i + 1, row)
+        high = build(i + 1, row | (1 << i))
+        return m.ite(m.var(names[i]), high, low)
+
+    return build(0, 0)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_applies_and_relational_product_match_reference(seed):
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(rng.randint(1, 8))]
+    m = BddManager()
+    for name in names:
+        m.add_var(name)
+    for __ in range(4):
+        f = _random_bdd(m, names, rng)
+        g = _random_bdd(m, names, rng)
+        quantified = [n for n in names if rng.random() < 0.5]
+        assert m.and_(f, g) == m.ite(f, g, m.FALSE)
+        assert m.or_(f, g) == m.ite(f, m.TRUE, g)
+        assert m.and_exists(f, g, quantified) == m.exists(
+            quantified, m.and_(f, g))
+
+
+class TestTwoOperandApply:
+    def test_operand_order_shares_one_cache_entry(self):
+        m, v = fresh()
+        f = m.xor(v["a"], v["c"])
+        g = m.or_(v["b"], v["d"])
+        for op in (m.and_, m.or_):
+            first = op(f, g)
+            misses = m.stats()["cache_misses"]
+            assert op(g, f) == first
+            assert m.stats()["cache_misses"] == misses
+
+
+class TestRelationalProduct:
+    def test_no_quantified_names_is_conjunction(self):
+        m, v = fresh()
+        assert m.and_exists(v["a"], v["b"], []) == m.and_(v["a"], v["b"])
+
+    def test_never_builds_the_conjunction(self):
+        # quantifying every variable asks only "is f & g satisfiable":
+        # the fused product answers without allocating a single node,
+        # where and_ followed by exists would build f & g first
+        m, v = fresh()
+        f = m.xor(v["a"], v["c"])
+        g = m.xor(v["b"], v["d"])
+        before = m.num_nodes
+        assert m.and_exists(f, g, "abcd") == m.TRUE
+        assert m.num_nodes == before
+
+    def test_true_low_branch_skips_the_high_branch(self):
+        # with a quantified, both cofactors at a=0 are TRUE, so the a=1
+        # branch (the conjunction of two xors) is never visited
+        m, v = fresh()
+        f = m.implies(v["a"], m.xor(v["b"], v["c"]))
+        g = m.implies(v["a"], m.xor(v["c"], v["d"]))
+        misses = m.stats()["cache_misses"]
+        assert m.and_exists(f, g, ["a"]) == m.TRUE
+        assert m.stats()["cache_misses"] == misses + 1
+
+
+@pytest.mark.parametrize("banks,reached_size",
+                         [(1, 99), (2, 128), (3, 157), (4, 186)])
+def test_image_step_keeps_table2_control_results(banks, reached_size):
+    from repro.core.rulebase import check_read_mode_rtl
+
+    result = check_read_mode_rtl(banks, datapath=False, coi=False)
+    assert result.holds is True
+    assert result.counterexample_depth is None
+    assert result.iterations == 10
+    assert result.reached_size == reached_size

@@ -244,3 +244,68 @@ class TestReachabilityChecking:
         names = model.alloc_aux_vars(3)
         assert len(names) == 3
         assert len(set(names)) == 3
+
+
+class TestRunAccounting:
+    def test_gc_keeps_cache_counters(self):
+        # a GC every iteration swaps in fresh managers; the reported
+        # counters must still include the original manager's work
+        model = SymbolicModel(elaborate(_counter(width=4)))
+        result = SymbolicModelChecker(model, gc_threshold=1).check_property(
+            parse_property("always (true)"), {})
+        assert result.holds is True
+        original = model.manager.stats()
+        assert result.bdd_stats["cache_misses"] >= original["cache_misses"]
+        assert result.bdd_stats["cache_hits"] >= original["cache_hits"]
+
+
+class TestBudgetNaming:
+    """Every undecided verdict names the budget that ran out."""
+
+    def _read_mode(self, **budgets):
+        from repro.core.rulebase import check_read_mode_rtl
+
+        return check_read_mode_rtl(1, datapath=False, coi=False, **budgets)
+
+    def test_transient_budget_while_encoding(self):
+        result = self._read_mode(transient_node_budget=100)
+        assert result.exploded and result.holds is None
+        assert result.bdd_stats["budget"] == "transient_node_budget"
+
+    def test_transient_budget_while_embedding_the_automaton(self):
+        model = SymbolicModel(elaborate(_counter(width=4)))
+        model.manager.node_budget = model.manager.num_nodes
+        result = SymbolicModelChecker(model).check_property(
+            parse_property("always (hit -> next (hit | at0))"),
+            {"hit": ("top.hit", 0), "at0": ("top.at0", 0)})
+        assert result.exploded and result.iterations == 0
+        assert result.bdd_stats["budget"] == "transient_node_budget"
+
+    def test_transient_budget_during_reachability(self):
+        def check(node_budget=None):
+            model = SymbolicModel(elaborate(_counter(width=6)))
+            model.manager.node_budget = node_budget
+            bad = model.net_bit("top.hit")
+            return SymbolicModelChecker(model).check_invariant(bad)
+
+        # one node short of an unbounded run: the last image step trips it
+        full = check()
+        assert full.holds is False
+        result = check(node_budget=full.bdd_stats["nodes"] - 2)
+        assert result.exploded and result.iterations == full.iterations
+        assert result.bdd_stats["budget"] == "transient_node_budget"
+
+    def test_live_node_budget(self):
+        result = self._read_mode(live_node_budget=1, gc_threshold=1)
+        assert result.exploded and result.holds is None
+        assert result.bdd_stats["budget"] == "live_node_budget"
+
+    def test_deadline(self):
+        result = self._read_mode(deadline_s=0.0)
+        assert result.truncated and result.holds is None
+        assert result.bdd_stats["budget"] == "deadline_s"
+
+    def test_decided_runs_name_no_budget(self):
+        result = self._read_mode()
+        assert result.holds is True
+        assert "budget" not in result.bdd_stats
