@@ -101,25 +101,21 @@ def chaos_campaign(banks: int, traffic: int, rtl_cycles: int,
     # -- tier 3: coordinator killed between callbacks, then resumed ----
     print(f"campaign banks={banks}: coordinator kill + restart ...",
           flush=True)
-    os.environ["REPRO_PAR_INLINE"] = "1"  # shard 0 collects first
     journal = os.path.join(workdir, f"restart.{banks}.wal")
-    try:
-        def die_on_first(verdict):
-            raise Killed(verdict.fault_id)
 
-        start = time.perf_counter()
-        try:
-            FaultCampaign(CampaignConfig(
-                **base, journal_path=journal)).run(
-                jobs=jobs, on_verdict=die_on_first)
-            raise AssertionError("the injected coordinator kill misfired")
-        except Killed:
-            pass
-        report, __ = _run(CampaignConfig(**base, journal_path=journal),
-                          jobs)
-        wall = round(time.perf_counter() - start, 3)
-    finally:
-        del os.environ["REPRO_PAR_INLINE"]
+    def die_on_first(verdict):
+        raise Killed(verdict.fault_id)
+
+    start = time.perf_counter()
+    try:
+        FaultCampaign(CampaignConfig(
+            **base, journal_path=journal)).run(
+            jobs=jobs, on_verdict=die_on_first)
+        raise AssertionError("the injected coordinator kill misfired")
+    except Killed:
+        pass
+    report, __ = _run(CampaignConfig(**base, journal_path=journal), jobs)
+    wall = round(time.perf_counter() - start, 3)
     par = report.engine_stats["par"]
     assert par["journal_hits"] >= 1, \
         "resume recomputed shards the journal already held"

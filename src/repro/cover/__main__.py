@@ -121,15 +121,21 @@ def main(argv=None) -> int:
         print(f"collecting: {banks} banks, traffic={args.traffic}, "
               f"seed={kwargs['seed']}, backend={args.backend}")
     if args.jobs > 1 and len(shard_kwargs) > 1:
-        from ..par import run_sharded
+        from ..par import ShardError, run_supervised
         from ..par.workers import cover_collect_shard
 
-        results, stats = run_sharded(
+        results, stats = run_supervised(
             cover_collect_shard,
             [(kwargs,) for kwargs in shard_kwargs],
             jobs=args.jobs,
         )
-        shards = [CoverageDB.from_dict(result) for result in results]
+        # a quarantined shard is collected again inline: the same
+        # answer, or the same exception, a --jobs 1 run would give
+        shards = [
+            collect_la1_coverage(**kwargs) if isinstance(result, ShardError)
+            else CoverageDB.from_dict(result)
+            for kwargs, result in zip(shard_kwargs, results)
+        ]
         print(f"par: jobs={stats.jobs} mode={stats.mode} "
               f"wall={stats.wall_s:.2f}s")
     else:

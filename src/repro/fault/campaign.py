@@ -76,6 +76,13 @@ __all__ = [
 
 OUTCOMES = ("detected", "silent", "masked", "truncated", "error")
 
+#: the faults the RTL engines run: the ones the pattern axis sweeps and
+#: the only ones a PPSFP lane can carry
+_RTL_LEVEL = (RtlStuckAt, RtlBitFlip, StimulusMutation)
+
+#: the detail of every fault a campaign deadline cut off
+_DEADLINE = "campaign wall-clock deadline expired"
+
 
 class CampaignConfig:
     """Workload shape and robustness budgets of one campaign."""
@@ -221,6 +228,15 @@ class FaultVerdict:
     def __repr__(self):
         by = f" by {','.join(self.detected_by)}" if self.detected_by else ""
         return f"FaultVerdict({self.fault_id}: {self.outcome}{by})"
+
+
+def _stub_verdict(fault: Fault, outcome: str, detail: str) -> FaultVerdict:
+    """The verdict the sweep records for a fault no engine judged: an
+    ``error`` for a crashed run or a quarantined shard, ``truncated``
+    for a fault the campaign deadline cut off."""
+    return FaultVerdict(fault.fault_id, fault.layer, fault.kind, outcome,
+                        detail=detail,
+                        expected_detectable=fault.expect_detectable)
 
 
 #: pattern-merge precedence: the strongest observation across the
@@ -909,7 +925,7 @@ class FaultCampaign:
         the pattern axis; protocol/ASM mutations run the base stream."""
         if self.config.design:
             return 1
-        if isinstance(fault, (RtlStuckAt, RtlBitFlip, StimulusMutation)):
+        if isinstance(fault, _RTL_LEVEL):
             return self.config.patterns
         return 1
 
@@ -932,53 +948,80 @@ class FaultCampaign:
 
     def execute_fault(self, fault: Fault) -> FaultVerdict:
         """Run one fault with exception containment and timing -- the
-        unit of work both the inline sweep and the parallel shard
-        workers (:func:`repro.par.workers.campaign_shard`) execute."""
+        executor's unit for a fault no lane carries, and the rung a lane
+        batch falls back to (:func:`repro.fault.ppsfp.run_ppsfp_batches`)."""
         fault_start = time.perf_counter()
         try:
             verdict = self._dispatch(fault)
         except Exception:
-            verdict = FaultVerdict(
-                fault.fault_id, fault.layer, fault.kind, "error",
-                detail=traceback.format_exc(limit=3),
-                expected_detectable=fault.expect_detectable,
-            )
+            verdict = _stub_verdict(fault, "error",
+                                    traceback.format_exc(limit=3))
         verdict.cpu_time = time.perf_counter() - fault_start
         return verdict
 
-    def execute_faults(self, faults: List[Fault], lanes: int = 1,
-                       patterns_per_pass: Optional[int] = None,
-                       ) -> List[FaultVerdict]:
-        """Verdicts for ``faults`` in order.
+    def _lane_faults(self, faults: List[Fault], lanes: int) -> List[Fault]:
+        """The faults of ``faults`` a PPSFP lane can carry at ``lanes``
+        (:func:`~repro.fault.ppsfp.ppsfp_compatible`).  The design is
+        elaborated only when some fault is RTL-level."""
+        from .ppsfp import ppsfp_compatible
 
-        With ``lanes > 1`` the PPSFP-compatible faults (RTL state
-        faults, lane-encodable stimulus mutations) are swept in
-        lane-parallel batches (:mod:`repro.fault.ppsfp`) and everything
-        else -- plus any lane the degradation ladder rejects -- runs
-        through the ordinary per-fault :meth:`execute_fault`.  Verdicts
-        are bit-identical either way (only ``cpu_time`` differs).
-        ``patterns_per_pass`` caps how many stimulus-pattern groups one
-        pass tiles (an execution knob; None auto-fits the lane budget).
+        if lanes < 2 or not any(isinstance(f, _RTL_LEVEL) for f in faults):
+            return []
+        design = self._design()
+        return [f for f in faults if ppsfp_compatible(design, f)]
+
+    def execute_faults(
+        self, faults: List[Fault], lanes: int = 1,
+        patterns_per_pass: Optional[int] = None,
+        should_stop: Optional[Callable[[], bool]] = None,
+        on_batch: Optional[Callable[[List[FaultVerdict]], None]] = None,
+    ) -> List[FaultVerdict]:
+        """The campaign's one executor: verdicts for ``faults``, in order.
+
+        It plans the batches once -- the PPSFP-compatible faults (RTL
+        state faults, lane-encodable stimulus mutations) in lane batches
+        of up to ``lanes - 1`` (:mod:`repro.fault.ppsfp`), then every
+        other fault alone through :meth:`execute_fault` -- and runs them
+        in that order.  Verdicts are bit-identical whatever the plan
+        (only ``cpu_time`` differs).  ``patterns_per_pass`` caps how
+        many stimulus-pattern groups one pass tiles (an execution knob;
+        None auto-fits the lane budget).  ``should_stop`` is asked
+        before each batch: once it answers True the sweep ends and the
+        faults it did not reach are missing from the result.
+        ``on_batch`` receives each batch's verdicts as they land.
         """
-        batched: dict = {}
-        if lanes > 1:
-            from .ppsfp import ppsfp_compatible, run_ppsfp_batches
+        from .ppsfp import run_ppsfp_batches
 
-            encodable = [
-                f for f in faults
-                if isinstance(f, (RtlStuckAt, RtlBitFlip, StimulusMutation))
-            ]
-            if encodable:
-                design = self._design()
-                compatible = [f for f in encodable
-                              if ppsfp_compatible(design, f)]
-                batched = run_ppsfp_batches(
-                    self, compatible, lanes,
-                    patterns_per_pass=patterns_per_pass)
-        return [
-            batched.get(fault.fault_id) or self.execute_fault(fault)
-            for fault in faults
-        ]
+        lane_faults = self._lane_faults(faults, lanes)
+        on_lanes = {f.fault_id for f in lane_faults}
+        width = max(1, lanes - 1)
+        plan = [(True, lane_faults[i:i + width])
+                for i in range(0, len(lane_faults), width)]
+        plan += [(False, [f]) for f in faults if f.fault_id not in on_lanes]
+        done: dict = {}
+        for lane_batch, batch in plan:
+            if should_stop is not None and should_stop():
+                break
+            if lane_batch:
+                verdicts = run_ppsfp_batches(self, batch, lanes,
+                                             patterns_per_pass)
+            else:
+                verdicts = [self.execute_fault(batch[0])]
+            for verdict in verdicts:
+                done[verdict.fault_id] = verdict
+            if on_batch is not None:
+                on_batch(verdicts)
+        return [done[f.fault_id] for f in faults if f.fault_id in done]
+
+    def _engine_stats(self) -> dict:
+        """The accounting of the simulators this campaign built: the
+        scalar RTL simulator and one bitpar simulator per lane count."""
+        stats: dict = {}
+        if self._rtl_sim is not None:
+            stats["rtl_sim"] = self._rtl_sim.stats()
+        for count, sim in sorted(self._ppsfp_sims.items()):
+            stats.setdefault("ppsfp", {})[str(count)] = sim.stats()
+        return stats
 
     def _collapse(self, faults: List[Fault]):
         """The campaign-level fault-collapsing step: a
@@ -989,38 +1032,27 @@ class FaultCampaign:
         plan = collapse_faults(faults, self._design())
         return plan if plan.groups else None
 
-    def _expand_collapsed(self, plan, completed: dict, on_verdict) -> None:
-        """Fan each representative's verdict back out to its collapsed
-        members (equivalent faults share outcome, detection and coverage
-        by construction; members keep their own identity and zero cost).
-        Members already in ``completed`` -- e.g. from a pre-collapse
-        checkpoint -- keep their recorded verdict."""
+    def _expand_collapsed(self, plan, completed: dict) -> List[FaultVerdict]:
+        """The collapsed members' verdicts: each representative's verdict
+        fanned back out (equivalent faults share outcome, detection and
+        coverage by construction; members keep their own identity and
+        zero cost).  Members already in ``completed`` -- e.g. from a
+        pre-collapse checkpoint -- keep their recorded verdict."""
+        fanned = []
         for rep_id, members in plan.groups.items():
-            rep = completed.get(rep_id)
-            if rep is not None:
-                rep.collapsed_from = sorted(m.fault_id for m in members)
-            for member in members:
-                if member.fault_id in completed:
-                    continue
-                if rep is not None:
-                    verdict = FaultVerdict(
-                        member.fault_id, member.layer, member.kind,
-                        rep.outcome, rep.detected_by, rep.detail, 0.0,
-                        expected_detectable=member.expect_detectable,
-                        coverage_points=rep.coverage_points,
-                        collapsed_from=[rep_id],
-                    )
-                else:  # representative never swept (defensive)
-                    verdict = FaultVerdict(
-                        member.fault_id, member.layer, member.kind,
-                        "truncated",
-                        detail="collapse representative was not swept",
-                        expected_detectable=member.expect_detectable,
-                        collapsed_from=[rep_id],
-                    )
-                completed[member.fault_id] = verdict
-                if on_verdict is not None:
-                    on_verdict(verdict)
+            rep = completed[rep_id]
+            rep.collapsed_from = sorted(m.fault_id for m in members)
+            fanned.extend(
+                FaultVerdict(
+                    member.fault_id, member.layer, member.kind,
+                    rep.outcome, rep.detected_by, rep.detail, 0.0,
+                    expected_detectable=member.expect_detectable,
+                    coverage_points=rep.coverage_points,
+                    collapsed_from=[rep_id],
+                )
+                for member in members if member.fault_id not in completed
+            )
+        return fanned
 
     #: relative per-fault cost by layer, used by the deterministic shard
     #: planner: the ASM perturbations each re-model-check a property
@@ -1036,38 +1068,33 @@ class FaultCampaign:
         plus bitpar at ``lanes`` when a fault can ride the lanes.  A
         failure here is left to the workers, which contain it as
         per-fault ``error`` verdicts."""
-        rtl = [f for f in faults
-               if isinstance(f, (RtlStuckAt, RtlBitFlip, StimulusMutation))]
-        if not rtl:
+        if not any(isinstance(f, _RTL_LEVEL) for f in faults):
             return
         try:
             design = self._design()
             design_kernel(design, self.config.backend)
-            if lanes > 1:
-                from .ppsfp import ppsfp_compatible
-
-                if any(ppsfp_compatible(design, f) for f in rtl):
-                    design_kernel(design, "bitpar", lanes=lanes)
+            if self._lane_faults(faults, lanes):
+                design_kernel(design, "bitpar", lanes=lanes)
         except Exception:  # noqa: BLE001 - an optimisation, not a verdict
             pass
 
-    def _run_parallel(self, pending: List[Fault], completed: dict,
-                      on_verdict, jobs: int, start: float,
-                      lanes: int = 1,
+    def _run_parallel(self, pending: List[Fault], collect, jobs: int,
+                      start: float, lanes: int = 1,
                       patterns_per_pass: Optional[int] = None) -> dict:
         """Fan the pending faults out over the *supervised* process pool
         (one shard per weight-balanced fault group,
-        :func:`repro.par.run_supervised`).  Fills ``completed``
-        (checkpointing after every collected shard) and returns the
-        merged engine stats.  The supervision ladder applies per shard:
-        a crashed or hung worker is reaped and its shard retried with
-        backoff (``shard_attempts`` budget); a shard that fails every
-        attempt is quarantined into structured ``error`` verdicts while
-        every other shard completes; a campaign deadline turns
-        uncollected shards into ``truncated`` verdicts; and with a
-        ``journal_path`` every collected shard report is durably
-        journaled, so a killed coordinator resumes bit-identically
-        without recomputing it."""
+        :func:`repro.par.run_supervised`), each worker running
+        :meth:`execute_faults` on its shard
+        (:func:`repro.par.workers.campaign_shard`).  ``collect`` receives
+        every shard's verdicts; returns the merged engine stats.  The
+        supervision ladder applies per shard: a crashed or hung worker
+        is reaped and its shard retried with backoff
+        (``shard_attempts`` budget); a shard that fails every attempt is
+        quarantined into structured ``error`` verdicts while every other
+        shard completes; a campaign deadline turns uncollected shards
+        into ``truncated`` verdicts; and with a ``journal_path`` every
+        collected shard report is durably journaled, so a killed
+        coordinator resumes bit-identically without recomputing it."""
         from ..par import ShardError, plan_shards, run_supervised
         from ..par.workers import campaign_init, campaign_shard
 
@@ -1087,15 +1114,6 @@ class FaultCampaign:
             from ..serve.journal import Journal
 
             journal = Journal(config.journal_path)
-
-        def collect(index: int, report_dict: dict) -> None:
-            shard_report = CampaignReport.from_dict(report_dict)
-            for verdict in shard_report.verdicts:
-                completed[verdict.fault_id] = verdict
-            self._save_checkpoint(completed)
-            if on_verdict is not None:
-                for verdict in shard_report.verdicts:
-                    on_verdict(verdict)
 
         journal_fingerprint = {
             "campaign": config.fingerprint(),
@@ -1120,56 +1138,32 @@ class FaultCampaign:
                 max_attempts=config.shard_attempts,
                 backoff_base_s=config.retry_backoff_s,
                 seed=config.seed,
-                on_result=collect,
+                on_result=lambda index, report: collect(
+                    [FaultVerdict.from_dict(v) for v in report["faults"]]),
                 journal=journal,
                 journal_fingerprint=journal_fingerprint,
             )
         finally:
             if journal is not None:
                 journal.close()
-        shard_reports = []
+        engine_stats: dict = {}
         for shard, result in zip(shards, results):
             if isinstance(result, ShardError):
                 # poison shard: quarantined after its retry budget --
                 # structured error verdicts, the rest of the campaign
                 # is unaffected
-                errors = [
-                    FaultVerdict(
-                        f.fault_id, f.layer, f.kind, "error",
-                        detail=(f"shard quarantined after "
-                                f"{result.attempts} attempt(s): "
-                                f"[{result.kind}] {result.detail}"),
-                        expected_detectable=f.expect_detectable,
-                    )
+                collect([
+                    _stub_verdict(f, "error", (
+                        f"shard quarantined after {result.attempts} "
+                        f"attempt(s): [{result.kind}] {result.detail}"))
                     for f in shard
-                ]
-                shard_reports.append(
-                    CampaignReport(errors, config.fingerprint()))
-                for verdict in errors:
-                    completed[verdict.fault_id] = verdict
-                    if on_verdict is not None:
-                        on_verdict(verdict)
-                self._save_checkpoint(completed)
+                ])
             elif result is None:  # deadline expired before collection
-                truncated = [
-                    FaultVerdict(
-                        f.fault_id, f.layer, f.kind, "truncated",
-                        detail="campaign wall-clock deadline expired",
-                        expected_detectable=f.expect_detectable,
-                    )
-                    for f in shard
-                ]
-                shard_reports.append(
-                    CampaignReport(truncated, config.fingerprint()))
-                for verdict in truncated:
-                    completed[verdict.fault_id] = verdict
-                    if on_verdict is not None:
-                        on_verdict(verdict)
-                self._save_checkpoint(completed)
+                collect([_stub_verdict(f, "truncated", _DEADLINE)
+                         for f in shard])
             else:
-                shard_reports.append(CampaignReport.from_dict(result))
-        merged = CampaignReport.merged(shard_reports)
-        engine_stats = dict(merged.engine_stats)
+                engine_stats = _merge_numeric_stats(
+                    engine_stats, result["engine_stats"])
         engine_stats["par"] = stats.to_dict()
         return engine_stats
 
@@ -1191,17 +1185,18 @@ class FaultCampaign:
         the representative is swept, members receive its verdict with
         the relation recorded in ``collapsed_from``.
 
+        Every execution shape is one sweep: :meth:`execute_faults` plans
+        and runs the batches, and one collector records each batch's
+        verdicts (merge, atomic checkpoint, ``on_verdict``).
         ``jobs > 1`` shards the pending faults across a process pool
         (:mod:`repro.par`): one deterministic weight-balanced shard per
-        worker, each worker building its models and golden runs once
-        over the design and simulator kernels the coordinator compiled
-        before forking.
-        ``lanes > 1`` additionally batches the PPSFP-compatible RTL
-        faults into lane-parallel bitpar passes inside each worker (and
-        inline when ``jobs == 1``), multiplying with the process fan-out.
-        With ``config.patterns > 1`` those passes additionally tile the
-        lane word as patterns x faults (golden lane per pattern group);
-        ``patterns_per_pass`` caps the tiling (None auto-fits, 1
+        worker, each worker running the same executor over the design
+        and simulator kernels the coordinator compiled before forking.
+        ``lanes > 1`` batches the PPSFP-compatible RTL faults into
+        lane-parallel bitpar passes, multiplying with the process
+        fan-out.  With ``config.patterns > 1`` those passes additionally
+        tile the lane word as patterns x faults (golden lane per pattern
+        group); ``patterns_per_pass`` caps the tiling (None auto-fits, 1
         emulates the single-pattern-per-pass layout).  The determinism
         contract holds for every knob: verdicts are identical to a
         ``jobs=1, lanes=1`` sweep (only timing fields differ), the
@@ -1224,78 +1219,35 @@ class FaultCampaign:
         start = time.perf_counter()
         pending = [f for f in run_list if f.fault_id not in completed]
 
+        def collect(verdicts: List[FaultVerdict]) -> None:
+            for verdict in verdicts:
+                completed[verdict.fault_id] = verdict
+            self._save_checkpoint(completed)
+            if on_verdict is not None:
+                for verdict in verdicts:
+                    on_verdict(verdict)
+
         if jobs > 1 and len(pending) > 1:
             engine_stats = self._run_parallel(
-                pending, completed, on_verdict, jobs, start, lanes,
-                patterns_per_pass)
+                pending, collect, jobs, start, lanes, patterns_per_pass)
         else:
-            if lanes > 1 and pending:
-                self._run_ppsfp_inline(
-                    pending, completed, on_verdict, start, lanes,
-                    patterns_per_pass)
-                pending = [f for f in pending
-                           if f.fault_id not in completed]
-            for fault in pending:
-                elapsed = time.perf_counter() - start
-                if (config.campaign_deadline_s is not None
-                        and elapsed > config.campaign_deadline_s):
-                    verdict = FaultVerdict(
-                        fault.fault_id, fault.layer, fault.kind, "truncated",
-                        detail="campaign wall-clock deadline expired",
-                        expected_detectable=fault.expect_detectable,
-                    )
-                else:
-                    verdict = self.execute_fault(fault)
-                completed[fault.fault_id] = verdict
-                self._save_checkpoint(completed)
-                if on_verdict is not None:
-                    on_verdict(verdict)
-            engine_stats = {}
-            if self._rtl_sim is not None:
-                engine_stats["rtl_sim"] = self._rtl_sim.stats()
-            for count, sim in sorted(self._ppsfp_sims.items()):
-                engine_stats.setdefault("ppsfp", {})[str(count)] = sim.stats()
+            def expired() -> bool:
+                return (config.campaign_deadline_s is not None
+                        and time.perf_counter() - start
+                        > config.campaign_deadline_s)
+
+            self.execute_faults(pending, lanes, patterns_per_pass,
+                                should_stop=expired, on_batch=collect)
+            cut = [f for f in pending if f.fault_id not in completed]
+            if cut:
+                collect([_stub_verdict(f, "truncated", _DEADLINE)
+                         for f in cut])
+            engine_stats = self._engine_stats()
 
         if collapse is not None:
-            self._expand_collapsed(collapse, completed, on_verdict)
-            self._save_checkpoint(completed)
+            collect(self._expand_collapsed(collapse, completed))
         verdicts = [completed[f.fault_id] for f in faults]
         return CampaignReport(
             verdicts, config.fingerprint(), time.perf_counter() - start,
             engine_stats,
         )
-
-    def _run_ppsfp_inline(self, pending: List[Fault], completed: dict,
-                          on_verdict, start: float, lanes: int,
-                          patterns_per_pass: Optional[int] = None) -> None:
-        """The serial sweep's PPSFP pre-pass: batch every compatible
-        fault, checkpointing and reporting after each batch.  Remaining
-        faults (and batches skipped by the campaign deadline) flow into
-        the ordinary per-fault loop."""
-        from .ppsfp import ppsfp_compatible, run_ppsfp_batches
-
-        config = self.config
-        encodable = [
-            f for f in pending
-            if isinstance(f, (RtlStuckAt, RtlBitFlip, StimulusMutation))
-        ]
-        if not encodable:
-            return
-        design = self._design()
-        compatible = [f for f in encodable if ppsfp_compatible(design, f)]
-
-        def expired() -> bool:
-            return (config.campaign_deadline_s is not None
-                    and time.perf_counter() - start
-                    > config.campaign_deadline_s)
-
-        def collect(batch_verdicts: dict) -> None:
-            completed.update(batch_verdicts)
-            self._save_checkpoint(completed)
-            if on_verdict is not None:
-                for verdict in batch_verdicts.values():
-                    on_verdict(verdict)
-
-        run_ppsfp_batches(self, compatible, lanes,
-                          should_stop=expired, on_batch=collect,
-                          patterns_per_pass=patterns_per_pass)

@@ -49,7 +49,7 @@ enter a batch.
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..core.rtl_testbench import LaneVec, RtlHost
 from ..core.sysc_model import ReadResult
@@ -453,54 +453,35 @@ def _run_batch(campaign, batch: List[Fault], lanes: int,
     return verdicts, fallbacks
 
 
-def run_ppsfp_batches(
-    campaign,
-    faults: List[Fault],
-    lanes: int,
-    should_stop: Optional[Callable[[], bool]] = None,
-    on_batch: Optional[Callable[[dict], None]] = None,
-    patterns_per_pass: Optional[int] = None,
-) -> dict:
-    """Sweep ``faults`` in PPSFP batches of up to ``lanes - 1``.
+def run_ppsfp_batches(campaign, faults: List[Fault], lanes: int,
+                      patterns_per_pass: Optional[int] = None) -> list:
+    """Verdicts for one PPSFP batch, in order.
 
-    Returns ``{fault_id: FaultVerdict}`` in fault order.  Faults are
-    assumed :func:`ppsfp_compatible`.  Lanes that cannot be trusted
-    (control divergence, bus conflict) and whole batches that raise are
-    re-run through :meth:`FaultCampaign.execute_fault`, so every verdict
-    is bit-identical to a per-fault sweep regardless of lane count,
-    batch boundaries or pattern tiling.  ``patterns_per_pass`` caps how
-    many stimulus-pattern groups one pass tiles (None auto-fits the
-    lane budget; 1 reproduces the single-pattern-per-pass layout).
-    ``should_stop`` is consulted before each batch (campaign deadline);
-    unprocessed faults are simply not in the result.
+    ``faults`` are at most ``lanes - 1`` :func:`ppsfp_compatible` faults
+    (the batch :meth:`FaultCampaign.execute_faults` planned).  Lanes
+    that cannot be trusted (control divergence, bus conflict) and the
+    whole batch when its pass raises are re-run through
+    :meth:`FaultCampaign.execute_fault`, so every verdict is
+    bit-identical to a per-fault sweep regardless of lane count, batch
+    boundaries or pattern tiling.  ``patterns_per_pass`` caps how many
+    stimulus-pattern groups one pass tiles (None auto-fits the lane
+    budget; 1 reproduces the single-pattern-per-pass layout).
     """
-    out: dict = {}
-    if lanes < 2 or not faults:
-        return out
-    width = lanes - 1
-    for index in range(0, len(faults), width):
-        if should_stop is not None and should_stop():
-            break
-        batch = faults[index:index + width]
-        batch_start = time.perf_counter()
-        try:
-            # the campaign routes by workload kind (LA-1 transaction
-            # host vs open-loop DSL stimulus); this module's _run_batch
-            # is the LA-1 arm
-            verdicts, fallbacks = campaign._ppsfp_batch(
-                batch, lanes, patterns_per_pass)
-        except Exception:
-            # degradation ladder: anything wrong with the pass itself
-            # (not a fault outcome) re-runs the whole batch per-fault
-            verdicts, fallbacks = {}, list(batch)
-        if verdicts:
-            share = (time.perf_counter() - batch_start) / len(batch)
-            for verdict in verdicts.values():
-                verdict.cpu_time = share
-        for fault in fallbacks:
-            verdicts[fault.fault_id] = campaign.execute_fault(fault)
-        ordered = {f.fault_id: verdicts[f.fault_id] for f in batch}
-        out.update(ordered)
-        if on_batch is not None:
-            on_batch(ordered)
-    return out
+    batch_start = time.perf_counter()
+    try:
+        # the campaign routes by workload kind (LA-1 transaction host vs
+        # open-loop DSL stimulus); this module's _run_batch is the LA-1
+        # arm
+        verdicts, fallbacks = campaign._ppsfp_batch(
+            faults, lanes, patterns_per_pass)
+    except Exception:
+        # degradation ladder: anything wrong with the pass itself (not a
+        # fault outcome) re-runs the whole batch per-fault
+        verdicts, fallbacks = {}, list(faults)
+    if verdicts:
+        share = (time.perf_counter() - batch_start) / len(faults)
+        for verdict in verdicts.values():
+            verdict.cpu_time = share
+    for fault in fallbacks:
+        verdicts[fault.fault_id] = campaign.execute_fault(fault)
+    return [verdicts[f.fault_id] for f in faults]

@@ -13,20 +13,17 @@ the execution layer that exploits that:
   and never depends on shard order or job count;
 * :func:`plan_shards` -- stable, weight-balanced chunking of a work list
   into at most ``jobs`` shards (equal inputs always produce equal plans);
-* :func:`run_sharded` -- a :class:`concurrent.futures.ProcessPoolExecutor`
-  wrapper with worker warm-start (per-process initializer), per-shard
-  wall-clock accounting, an overall timeout (expiry reaps the
-  still-running workers), and a degradation ladder: any pool-layer
-  failure (fork trouble, unpicklable work, a killed worker) falls back
-  to inline execution of the remaining shards, so a parallel caller can
-  never do worse than finish sequentially;
-* :func:`run_supervised` -- the service-grade sibling
-  (:mod:`repro.par.supervise`): per-shard retry with exponential
+* :func:`run_supervised` -- the one fan-out runner
+  (:mod:`repro.par.supervise`): one killable worker process per
+  in-flight shard with warm start (per-process initializer), per-shard
+  wall-clock accounting (:class:`ParStats`), retry with exponential
   backoff and deterministic jitter, poison-shard quarantine
   (:class:`ShardError` results instead of aborted runs), hung-worker
-  reaping on a per-shard deadline, out-of-order collection, and
-  optional write-ahead journaling so a killed coordinator resumes
-  without recomputing a single collected shard.
+  reaping on a per-shard deadline, an overall timeout, out-of-order
+  collection, optional write-ahead journaling so a killed coordinator
+  resumes without recomputing a single collected shard, and an inline
+  fallback when the process machinery itself fails, so a parallel
+  caller can never do worse than finish sequentially.
 
 The determinism contract: for a fixed work list and configuration,
 ``jobs=1`` and ``jobs=N`` produce identical *merged* results -- only
@@ -34,7 +31,7 @@ timing fields differ.  Every caller in :mod:`repro.fault`,
 :mod:`repro.cover` and :mod:`repro.mc` is tested against that contract.
 """
 
-from .pool import ParStats, plan_shards, run_sharded
+from .pool import ParStats, plan_shards
 from .seeds import derive_seed
 from .supervise import ShardError, backoff_delay, run_supervised
 from .workers import ModelSpec, la1_model_spec
@@ -42,7 +39,6 @@ from .workers import ModelSpec, la1_model_spec
 __all__ = [
     "ParStats",
     "plan_shards",
-    "run_sharded",
     "run_supervised",
     "ShardError",
     "backoff_delay",

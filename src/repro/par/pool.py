@@ -1,4 +1,4 @@
-"""Deterministic shard planning and the degradable process pool.
+"""Deterministic shard planning and the accounting of a fan-out run.
 
 :func:`plan_shards` turns a work list into at most ``jobs`` shards with
 a stable greedy longest-processing-time packing: items are considered in
@@ -7,43 +7,21 @@ the currently lightest shard (ties broken by shard index).  Equal inputs
 always produce equal plans, and within a shard the original submission
 order is preserved -- both facts the determinism tests rely on.
 
-:func:`run_sharded` executes one picklable task per shard on a
-:class:`concurrent.futures.ProcessPoolExecutor` with an optional
-per-process *initializer* (the worker warm-start: build the netlist or
-model once per worker, not once per task).  Results come back in shard
-order regardless of completion order; ``on_result`` fires the moment a
-shard is collected (completion order, via
-:func:`concurrent.futures.wait`), so a checkpointing caller never waits
-for a slow shard 0 before durably recording a finished shard 3.
-Failures degrade, never crash:
-
-* a pool-layer failure (fork refusal, unpicklable payload, a worker
-  killed mid-task) switches the remaining shards to inline in-process
-  execution (``mode="pool+inline"``, reason recorded);
-* an overall ``timeout_s`` marks uncollected shards in
-  ``stats.timed_out``, returns ``None`` for them -- the caller decides
-  how to degrade (the fault campaign emits ``truncated`` verdicts) --
-  and *terminates* the still-running worker processes
-  (``stats.killed_workers``): a timed-out campaign must not leak
-  CPU-burning workers behind the returned call.
-
-For per-shard retry, poison-shard quarantine and per-shard deadlines,
-see the supervised sibling :func:`repro.par.supervise.run_supervised`.
-
-Per-shard wall-clock is measured *inside* the worker, so
-:class:`ParStats` reports honest compute times: ``critical_path_s`` is
-the longest shard and ``speedup_estimate`` the speedup the plan would
-deliver given at least ``jobs`` free cores.
+The shards run on :func:`repro.par.supervise.run_supervised`, which
+reports through :class:`ParStats`.  Per-shard wall-clock is measured
+*inside* the worker (:func:`_timed_call`), so the stats report honest
+compute times: ``critical_path_s`` is the longest shard and
+``speedup_estimate`` the speedup the plan would deliver given at least
+``jobs`` free cores.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, Optional, Sequence
 
-__all__ = ["ParStats", "plan_shards", "run_sharded"]
+__all__ = ["ParStats", "plan_shards"]
 
 
 def plan_shards(
@@ -79,7 +57,8 @@ def plan_shards(
 
 
 class ParStats:
-    """Execution accounting of one :func:`run_sharded` call."""
+    """Execution accounting of one
+    :func:`~repro.par.supervise.run_supervised` call."""
 
     def __init__(self, jobs: int, shards: int):
         self.jobs = jobs
@@ -92,18 +71,18 @@ class ParStats:
         self.shard_wall_s: list[float] = []
         #: shard indices never collected before ``timeout_s`` expired
         self.timed_out: list[int] = []
-        #: overall wall-clock of the run_sharded call
+        #: overall wall-clock of the run
         self.wall_s = 0.0
-        #: shard attempts beyond the first (supervised runs only)
+        #: shard attempts beyond the first
         self.retries = 0
         #: shard indices quarantined after exhausting their attempt
-        #: budget (supervised runs only; each has a ShardError result)
+        #: budget (each has a ShardError result)
         self.quarantined: list[int] = []
         #: worker processes forcibly terminated (hung-shard reaping and
         #: overall-timeout cleanup)
         self.killed_workers = 0
         #: shards answered from a write-ahead journal instead of being
-        #: recomputed (supervised resume)
+        #: recomputed (resume)
         self.journal_hits = 0
 
     @property
@@ -163,111 +142,3 @@ def _mp_context():
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return multiprocessing.get_context()
-
-
-def run_sharded(
-    task: Callable,
-    shard_args: Sequence[tuple],
-    *,
-    jobs: int = 1,
-    initializer: Optional[Callable] = None,
-    initargs: tuple = (),
-    timeout_s: Optional[float] = None,
-    on_result: Optional[Callable[[int, object], None]] = None,
-) -> tuple[list, ParStats]:
-    """Run ``task(*args)`` for every args-tuple in ``shard_args``.
-
-    Returns ``(results, stats)`` with results in shard order.  A shard
-    abandoned by the overall ``timeout_s`` yields ``None`` (tasks must
-    therefore never legitimately return ``None``) and its index lands in
-    ``stats.timed_out``.  ``jobs <= 1`` (or a single shard) runs inline
-    with identical semantics -- including the initializer call, so
-    worker warm-start caches behave the same in both modes.
-
-    ``on_result(index, value)`` fires in the coordinator the moment each
-    shard's result is collected (completion order, not index order) --
-    the checkpointing hook: a killed coordinator has durably recorded
-    every shard already collected, and a slow shard never delays the
-    checkpointing of a fast one.
-    """
-    shard_args = list(shard_args)
-    stats = ParStats(jobs, len(shard_args))
-    start = time.perf_counter()
-    deadline = None if timeout_s is None else start + timeout_s
-    results: list = [None] * len(shard_args)
-    collected = [False] * len(shard_args)
-    stats.shard_wall_s = [0.0] * len(shard_args)
-
-    def run_inline(indices) -> None:
-        if initializer is not None:
-            initializer(*initargs)
-        for i in indices:
-            if deadline is not None and time.perf_counter() > deadline:
-                stats.timed_out.append(i)
-                continue
-            wall, value = _timed_call(task, shard_args[i])
-            stats.shard_wall_s[i] = wall
-            results[i] = value
-            collected[i] = True
-            if on_result is not None:
-                on_result(i, value)
-
-    if jobs <= 1 or len(shard_args) <= 1:
-        run_inline(range(len(shard_args)))
-        stats.wall_s = time.perf_counter() - start
-        return results, stats
-
-    try:
-        workers = min(jobs, len(shard_args))
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=_mp_context(),
-            initializer=initializer,
-            initargs=initargs,
-        ) as pool:
-            index_of = {
-                pool.submit(_timed_call, task, args): i
-                for i, args in enumerate(shard_args)
-            }
-            outstanding = set(index_of)
-            while outstanding:
-                remaining = None
-                if deadline is not None:
-                    remaining = max(0.0, deadline - time.perf_counter())
-                done, outstanding = wait(
-                    outstanding, timeout=remaining,
-                    return_when=FIRST_COMPLETED,
-                )
-                if not done:  # overall deadline expired
-                    for future in outstanding:
-                        future.cancel()
-                        stats.timed_out.append(index_of[future])
-                    # cancel() cannot stop a *running* task: reap the
-                    # worker processes so a timed-out campaign does not
-                    # leave them burning CPU behind the returned call
-                    for proc in list(getattr(pool, "_processes",
-                                             {}).values()):
-                        if proc.is_alive():
-                            proc.terminate()
-                            stats.killed_workers += 1
-                    break
-                for future in done:
-                    i = index_of[future]
-                    wall, value = future.result()  # raises -> ladder
-                    stats.shard_wall_s[i] = wall
-                    results[i] = value
-                    collected[i] = True
-                    if on_result is not None:
-                        on_result(i, value)
-        stats.mode = "pool"
-    except Exception as exc:
-        # the degradation ladder: any pool-layer failure (broken pool,
-        # pickling trouble, fork refusal) finishes the job inline -- a
-        # deterministic task that re-raises inline propagates, which is
-        # the same outcome sequential execution would have had
-        stats.mode = "pool+inline"
-        stats.fallback_reason = f"{type(exc).__name__}: {exc}"
-        run_inline(i for i in range(len(shard_args)) if not collected[i])
-    stats.timed_out.sort()
-    stats.wall_s = time.perf_counter() - start
-    return results, stats

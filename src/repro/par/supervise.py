@@ -1,19 +1,19 @@
 """Supervised shard execution: retry, quarantine, reap, journal, resume.
 
-:func:`run_sharded` (the plain pool) treats any worker failure as fatal
-to the pool and degrades the whole run inline -- correct for the rare
-fork-refusal case, but a long-lived verification service needs finer
-containment: a worker that segfaults on one poisoned shard must not
-drag thirty healthy shards back to sequential execution, a hung shard
-must be *killed* (not politely cancelled) and retried elsewhere, and a
-coordinator restart must resume from durable state instead of
-recomputing finished shards.
+:func:`run_supervised` is the one fan-out runner of :mod:`repro.par`:
+every parallel caller -- the fault campaign, coverage collection and
+testgen, the MC property sweep -- runs its shards through it.  A
+long-lived verification service needs fine containment: a worker that
+segfaults on one poisoned shard must not drag thirty healthy shards
+back to sequential execution, a hung shard must be *killed* (not
+politely cancelled) and retried elsewhere, and a coordinator restart
+must resume from durable state instead of recomputing finished shards.
 
 :func:`run_supervised` provides that ladder.  It manages one worker
 :class:`multiprocessing.Process` per in-flight shard (a shard plan has
-at most ``jobs`` shards, so this costs the same number of processes as
-the pool, while making per-shard kill possible -- a
-``ProcessPoolExecutor`` cannot terminate one task):
+at most ``jobs`` shards, so this costs one process per job, while
+making per-shard kill possible -- a pool executor cannot terminate one
+task):
 
 * **retry with backoff** -- a shard whose worker raises, crashes, or
   exceeds ``shard_deadline_s`` is re-attempted up to ``max_attempts``
@@ -35,7 +35,15 @@ the pool, while making per-shard kill possible -- a
   (``stats.journal_hits``), refires ``on_result`` for replayed shards,
   and computes only what was never collected.  Results being
   deterministic, the resumed run's merged output is bit-identical to an
-  undisturbed one.
+  undisturbed one;
+* **overall deadline** -- at ``timeout_s`` every running worker is
+  killed (``stats.killed_workers``) and every unresolved shard yields
+  ``None`` (``stats.timed_out``);
+* **infrastructure fallback** -- a failure of the process machinery
+  itself (fork refusal, queue teardown) finishes the unresolved shards
+  inline (``mode="pool+inline"``).  An exception from the caller's
+  ``on_result`` or journal is the caller's, not the pool's: it
+  propagates once the workers are reaped, and no shard is recomputed.
 
 Retries never change *what* is computed -- a shard's task and args are
 immutable across attempts -- so verdict content is attempt-count
@@ -46,7 +54,6 @@ inline (no per-shard deadline: a coordinator cannot kill itself).
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from collections import deque
@@ -157,6 +164,9 @@ class _Supervisor:
         n = len(self.shard_args)
         self.results: list = [None] * n
         self.resolved = [False] * n  # collected, quarantined or journaled
+        #: set while the journal append or ``on_result`` runs: an
+        #: exception escaping then is the caller's, never a pool failure
+        self.in_caller = False
         self.attempts = [0] * n
         self.stats.shard_wall_s = [0.0] * n
 
@@ -166,6 +176,7 @@ class _Supervisor:
         self.results[index] = value
         self.resolved[index] = True
         self.stats.shard_wall_s[index] = wall
+        self.in_caller = True
         if from_journal:
             self.stats.journal_hits += 1
         elif self.journal is not None:
@@ -175,6 +186,7 @@ class _Supervisor:
             })
         if self.on_result is not None:
             self.on_result(index, value)
+        self.in_caller = False
 
     def _quarantine(self, index: int, kind: str, detail: str) -> None:
         error = ShardError(index, self.attempts[index], kind, detail)
@@ -182,10 +194,12 @@ class _Supervisor:
         self.resolved[index] = True
         self.stats.quarantined.append(index)
         if self.journal is not None:
+            self.in_caller = True
             self.journal.append({
                 "type": "quarantine", "index": index,
                 "value": error.to_dict(),
             })
+            self.in_caller = False
 
     def _replay_journal(self) -> None:
         """Adopt every intact shard record of a matching journal; write
@@ -424,7 +438,9 @@ def run_supervised(
     ``max_attempts``), or ``None`` (abandoned by ``timeout_s``,
     recorded in ``stats.timed_out``).  ``on_result(index, value)``
     fires in completion order the moment a shard lands -- including
-    once per shard replayed from ``journal``.
+    once per shard replayed from ``journal``.  An exception raised by
+    ``on_result`` or the journal propagates, after the workers are
+    reaped.
 
     ``journal`` is any object with ``append(dict)`` and ``replay()``
     (:class:`repro.serve.journal.Journal`); journaled values must be
@@ -441,18 +457,18 @@ def run_supervised(
     supervisor._replay_journal()
     if not supervisor.shard_args or all(supervisor.resolved):
         pass
-    elif jobs <= 1 or len(supervisor.shard_args) <= 1 or (
-            os.environ.get("REPRO_PAR_INLINE") == "1"):
+    elif jobs <= 1 or len(supervisor.shard_args) <= 1:
         supervisor.run_inline()
     else:
         try:
             supervisor.run_pool()
         except Exception as exc:
-            # the same degradation ladder as run_sharded: a failure of
-            # the pool *infrastructure* (fork refusal, queue teardown,
-            # pickling trouble) finishes the unresolved shards inline
-            # instead of aborting -- worker failures never get here,
-            # they are contained per-shard by the supervision above
+            if supervisor.in_caller:
+                raise  # run_pool's finally has reaped the workers
+            # a failure of the pool *infrastructure* (fork refusal,
+            # queue teardown, pickling trouble) finishes the unresolved
+            # shards inline instead of aborting -- worker failures never
+            # get here, they are contained per-shard by the supervision
             supervisor.stats.mode = "pool+inline"
             supervisor.stats.fallback_reason = f"{type(exc).__name__}: {exc}"
             supervisor.run_inline()

@@ -1,12 +1,12 @@
-"""Module-level worker entry points for :func:`repro.par.run_sharded`.
+"""Module-level worker entry points for :func:`repro.par.run_supervised`.
 
-Everything a :class:`~concurrent.futures.ProcessPoolExecutor` touches
-must be picklable by reference, so the task functions live here at
-module level, and every expensive structure (a fault campaign's
-simulators, an ASM machine, an elaborated netlist) is built *once per
-worker process* through the matching ``*_init`` initializer and cached
-in module globals -- the warm-start that keeps per-shard cost at the
-actual work, not at model construction.
+The task functions live here at module level, so a worker process can
+reach them by reference under any start method, and every expensive
+structure (a fault campaign's simulators, an ASM machine, an elaborated
+netlist) is built *once per worker process* through the matching
+``*_init`` initializer and cached in module globals -- the warm-start
+that keeps per-shard cost at the actual work, not at model
+construction.
 
 Unpicklable objects (machines with closure rules, predicate functions)
 never cross the pipe: callers ship a :class:`ModelSpec` -- a dotted
@@ -192,7 +192,9 @@ def campaign_init(config) -> None:
 
 def campaign_shard(config, faults, lanes: int = 1,
                    patterns_per_pass: Optional[int] = None) -> dict:
-    """Sweep one shard of faults; returns a mergeable mini
+    """Sweep one shard of faults through the campaign's one executor
+    (:meth:`~repro.fault.campaign.FaultCampaign.execute_faults`);
+    returns a mergeable mini
     :class:`~repro.fault.campaign.CampaignReport` as a dict.  With
     ``lanes > 1`` the compatible (lane-encodable) faults of the shard
     run as PPSFP batches on the bitpar backend (verdicts unchanged), so
@@ -204,14 +206,9 @@ def campaign_shard(config, faults, lanes: int = 1,
     campaign = _campaign(config)
     verdicts = campaign.execute_faults(
         faults, lanes=lanes, patterns_per_pass=patterns_per_pass)
-    engine_stats = {}
-    if campaign._rtl_sim is not None:
-        engine_stats["rtl_sim"] = campaign._rtl_sim.stats()
-    for count, sim in sorted(campaign._ppsfp_sims.items()):
-        engine_stats.setdefault("ppsfp", {})[str(count)] = sim.stats()
     return CampaignReport(
         verdicts, config.fingerprint(),
-        sum(v.cpu_time for v in verdicts), engine_stats,
+        sum(v.cpu_time for v in verdicts), campaign._engine_stats(),
     ).to_dict()
 
 

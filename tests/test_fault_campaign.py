@@ -140,6 +140,16 @@ class TestDeadlinesAndContainment:
             if verdict.outcome == "truncated":
                 assert "deadline" in verdict.detail
 
+    def test_campaign_deadline_truncates_every_shard(self):
+        report = FaultCampaign(
+            CampaignConfig(banks=1, campaign_deadline_s=0.0)).run(
+                jobs=2, resume=False)
+        assert len(report.verdicts) == 15
+        for verdict in report.verdicts:
+            assert verdict.outcome == "truncated"
+            assert "deadline" in verdict.detail
+        assert report.engine_stats["par"]["timed_out"] == [0, 1]
+
     def test_fault_deadline_truncates_asm_check(self):
         report = FaultCampaign(
             CampaignConfig(fault_deadline_s=0.0)).run(

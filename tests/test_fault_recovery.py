@@ -91,7 +91,6 @@ class TestCoordinatorKillRecovery:
         # journal-only config (no checkpoint): the shard journal alone
         # must make a killed jobs=N coordinator resume without
         # recomputing collected shards -- journal hits prove it
-        monkeypatch.setenv("REPRO_PAR_INLINE", "1")  # deterministic kill
         golden = _campaign().run(jobs=1)
         path = str(tmp_path / "wal.jsonl")
 

@@ -1,13 +1,12 @@
-"""Unit tests for repro.par: seed streams, shard planning, the
-degradable pool, and the CampaignReport merge protocol (the fault-side
-mirror of tests/test_cover_db.py's TestMerge)."""
-
-import concurrent.futures
+"""Unit tests for repro.par: seed streams, shard planning, run
+accounting, and the CampaignReport merge protocol (the fault-side
+mirror of tests/test_cover_db.py's TestMerge).  The runner itself is
+tested in tests/test_par_supervise.py."""
 
 import pytest
 
 from repro.fault.campaign import CampaignReport, FaultVerdict
-from repro.par import ParStats, derive_seed, plan_shards, run_sharded
+from repro.par import ParStats, derive_seed, plan_shards
 from repro.par.workers import ModelSpec, la1_model_spec
 
 
@@ -86,67 +85,9 @@ class TestPlanShards:
 
 
 # ----------------------------------------------------------------------
-# the degradable pool
+# execution accounting
 # ----------------------------------------------------------------------
-def _square_shard(values):
-    return [v * v for v in values]
-
-
-def _fail_shard(values):
-    raise RuntimeError("worker boom")
-
-
-class TestRunSharded:
-    def test_inline_matches_pool(self):
-        shards = plan_shards(list(range(10)), 3)
-        args = [(shard,) for shard in shards]
-        inline, s1 = run_sharded(_square_shard, args, jobs=1)
-        pooled, s2 = run_sharded(_square_shard, args, jobs=3)
-        assert inline == pooled
-        assert s1.mode == "inline"
-        assert s2.mode == "pool"
-        assert len(s2.shard_wall_s) == len(shards)
-
-    def test_on_result_fires_once_per_shard(self):
-        # collection is as-completed (a straggler must not delay other
-        # shards' callbacks), so arrival order is scheduling-dependent;
-        # the contract is exactly one (index, value) pair per shard
-        seen = []
-        args = [([i],) for i in range(4)]
-        run_sharded(_square_shard, args, jobs=2,
-                    on_result=lambda i, v: seen.append((i, v)))
-        assert sorted(seen) == [(0, [0]), (1, [1]), (2, [4]), (3, [9])]
-
-    def test_pool_failure_degrades_to_inline(self, monkeypatch):
-        def broken_pool(*a, **k):
-            raise OSError("no fork for you")
-
-        monkeypatch.setattr(
-            "repro.par.pool.ProcessPoolExecutor", broken_pool)
-        args = [([i, i + 1],) for i in range(3)]
-        results, stats = run_sharded(_square_shard, args, jobs=2)
-        assert results == [[0, 1], [1, 4], [4, 9]]
-        assert stats.mode == "pool+inline"
-        assert "no fork for you" in stats.fallback_reason
-
-    def test_worker_exception_degrades_then_raises(self):
-        # a task that fails in the pool also fails inline: the fallback
-        # re-raises, same outcome sequential execution would have had
-        with pytest.raises(RuntimeError, match="worker boom"):
-            run_sharded(_fail_shard, [([1],), ([2],)], jobs=2)
-
-    def test_timeout_marks_uncollected_shards(self):
-        import time as _time
-
-        def slow(values):
-            _time.sleep(0.4)
-            return values
-
-        results, stats = run_sharded(
-            slow, [([1],), ([2],)], jobs=1, timeout_s=0.05)
-        assert stats.timed_out  # at least the second shard abandoned
-        assert results[stats.timed_out[0]] is None
-
+class TestParStats:
     def test_stats_arithmetic(self):
         stats = ParStats(4, 3)
         stats.shard_wall_s = [2.0, 1.0, 1.0]
@@ -248,11 +189,3 @@ class TestCampaignReportMerge:
         assert clone.signature() == report.signature()
         assert clone.engine_stats == report.engine_stats
 
-
-def test_pool_module_has_no_nondeterminism():
-    # concurrent.futures must be the only executor source (guards the
-    # monkeypatch target used by the fallback test)
-    from repro.par import pool
-
-    assert pool.ProcessPoolExecutor is \
-        concurrent.futures.ProcessPoolExecutor

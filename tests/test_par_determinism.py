@@ -43,8 +43,8 @@ class TestCampaignDeterminism:
 
     def test_pool_failure_falls_back_deterministically(
             self, serial_report, monkeypatch):
-        # the campaign now runs on the supervised layer: break its
-        # process-spawning context, not run_sharded's executor
+        # the campaign runs on the supervised layer: break its
+        # process-spawning context
         def broken_context():
             raise OSError("fork refused")
 

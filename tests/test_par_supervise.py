@@ -25,6 +25,17 @@ def _count_and_square(values, count_path):
     return [v * v for v in values]
 
 
+def _log_pid_and_square(values, log_path):
+    with open(log_path, "a") as handle:
+        handle.write(f"{os.getpid()}\n")
+    return [v * v for v in values]
+
+
+def _sleep_then_echo(values, seconds):
+    time.sleep(seconds)
+    return list(values)
+
+
 def _poison(values):
     if "bad" in values:
         raise ValueError("poisoned shard")
@@ -168,6 +179,25 @@ class TestRunSupervised:
         assert stats.mode == "pool+inline"
         assert "no fork for you" in stats.fallback_reason
 
+    def test_overall_timeout_inline_lets_running_shard_finish(self):
+        # a coordinator cannot kill itself: the shard running at the
+        # deadline completes, the ones after it are abandoned
+        results, stats = run_supervised(
+            _sleep_then_echo, [([i], 0.3) for i in range(3)], jobs=1,
+            timeout_s=0.1)
+        assert results == [[0], None, None]
+        assert stats.timed_out == [1, 2]
+
+    def test_overall_timeout_kills_running_workers(self):
+        start = time.perf_counter()
+        results, stats = run_supervised(
+            _sleep_then_echo, [([i], 600) for i in range(4)], jobs=2,
+            timeout_s=0.1)
+        assert results == [None] * 4
+        assert stats.timed_out == [0, 1, 2, 3]
+        assert stats.killed_workers >= 1
+        assert time.perf_counter() - start < 30  # killed, not waited out
+
     def test_retries_never_change_result_content(self, tmp_path):
         # the satellite property: chaos perturbs timing stats only --
         # results are bit-identical to an undisturbed run
@@ -251,6 +281,34 @@ class TestJournalResume:
         # no completed shard was recomputed after the resume
         with open(count_path) as handle:
             assert len(handle.readlines()) == 5
+
+    def test_on_result_exception_is_not_a_pool_failure(self, tmp_path):
+        # the caller's on_result raising must escape once: no shard is
+        # re-run in the coordinator, none is journaled twice
+        journal_path = str(tmp_path / "wal.jsonl")
+        log_path = str(tmp_path / "pids.log")
+        args = [([i], log_path) for i in range(4)]
+
+        class Killed(Exception):
+            pass
+
+        calls = []
+
+        def die_on_first(index, value):
+            calls.append(index)
+            raise Killed()
+
+        with Journal(journal_path) as journal:
+            with pytest.raises(Killed):
+                run_supervised(_log_pid_and_square, args, jobs=2,
+                               journal=journal, journal_fingerprint=self.FP,
+                               on_result=die_on_first)
+        assert len(calls) == 1
+        with open(log_path) as handle:
+            assert str(os.getpid()) not in handle.read().split()
+        with Journal(journal_path) as journal:
+            shards = [r for r in journal.replay() if r["type"] == "shard"]
+        assert len(shards) == 1
 
     def test_foreign_journal_is_ignored_with_warning(self, tmp_path):
         journal_path = str(tmp_path / "wal.jsonl")
