@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
-import argparse
+__all__ = ["JOBS_RANGE", "LANES_RANGE", "bounded_int"]
 
-__all__ = ["bounded_int"]
+#: inclusive bounds of the process fan-out (``jobs``) and bit-parallel
+#: lane width (``lanes``) execution knobs, shared by the CLIs and the
+#: service's job specs
+JOBS_RANGE = (1, 128)
+LANES_RANGE = (1, 4096)
 
 
 def bounded_int(name: str, lo: int, hi: int):
@@ -14,6 +18,8 @@ def bounded_int(name: str, lo: int, hi: int):
     one-line ``error: argument --x: ...`` message and exit status 2 --
     instead of surfacing later as a deep engine traceback (a negative
     lane count would otherwise die inside the bitpar codegen)."""
+    # imported here: the service imports the ranges above, not argparse
+    import argparse
 
     def parse(text: str) -> int:
         try:

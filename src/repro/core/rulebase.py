@@ -53,10 +53,11 @@ def check_read_mode_rtl(
     Returns a :class:`SymbolicCheckResult`; ``exploded=True`` marks the
     run that ran out of BDD capacity (transient allocation within one
     image step, or live size after garbage collection), and
-    ``truncated=True`` a run stopped by the ``deadline_s`` wall-clock
-    budget; either way ``bdd_stats["budget"]`` names the budget
-    (``"transient_node_budget"``, ``"live_node_budget"`` or
-    ``"deadline_s"``).
+    ``truncated=True`` a run stopped short of a fixpoint by the
+    ``deadline_s`` wall-clock budget or the checker's image-step limit;
+    either way ``bdd_stats["budget"]`` names the budget
+    (``"transient_node_budget"``, ``"live_node_budget"``,
+    ``"deadline_s"`` or ``"max_iterations"``).
 
     ``coi`` (default on) restricts the symbolic encoding to the cone of
     influence of the label nets the property reads, via

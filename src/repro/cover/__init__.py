@@ -40,7 +40,7 @@ from .la1 import (
     random_traffic,
 )
 from .rtl_cov import ToggleCollector, compile_toggle_probe
-from .rtl_walk import RtlWalkCase, RtlWalkModel
+from .rtl_walk import RtlWalkModel, WalkCase
 from .testgen import (
     CoverageDrivenResult,
     coverage_driven_suite,
@@ -54,8 +54,8 @@ __all__ = [
     "CoverageDiff",
     "ToggleCollector",
     "compile_toggle_probe",
-    "RtlWalkCase",
     "RtlWalkModel",
+    "WalkCase",
     "Coverpoint",
     "Cross",
     "Covergroup",

@@ -21,7 +21,7 @@ import argparse
 import os
 import sys
 
-from ..cli import bounded_int
+from ..cli import JOBS_RANGE, LANES_RANGE, bounded_int
 from .db import CoverageDB
 from .la1 import collect_la1_coverage
 
@@ -53,12 +53,12 @@ def main(argv=None) -> int:
     parser.add_argument("--backend", default="compiled",
                         choices=("compiled", "interp"))
     parser.add_argument("--asm-steps", type=int, default=64)
-    parser.add_argument("--lanes", type=bounded_int("--lanes", 1, 4096),
+    parser.add_argument("--lanes", type=bounded_int("--lanes", *LANES_RANGE),
                         default=1,
                         help="bit-parallel lane width for the RTL stage "
                              "(backend='bitpar', lane 0 harvested); the "
                              "collected DB is identical to --lanes 1")
-    parser.add_argument("--jobs", type=bounded_int("--jobs", 1, 128),
+    parser.add_argument("--jobs", type=bounded_int("--jobs", *JOBS_RANGE),
                         default=1,
                         help="collect the per-seed shards on a process "
                              "pool (repro.par); the merged DB is "

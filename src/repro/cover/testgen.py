@@ -15,16 +15,21 @@ selection, which is the baseline the tests compare against: directed
 selection must reach strictly higher coverage for the same test budget
 on the 2-bank model.
 
-Both suites also drive *lane-parallel* stimulus vehicles: a machine may
-expose the duck-typed hooks ``walk_case(walk_seed, walk_steps)``,
-``score_walks(walk_seeds, walk_steps, db, lanes=)``,
-``walk_dbs(walk_seeds, walk_steps, lanes=)`` and ``admit_walk(case,
-db)`` -- :class:`repro.cover.rtl_walk.RtlWalkModel` does -- and the
-loop then scores up to ``lanes`` candidates per bit-parallel simulation
-pass instead of replaying them one at a time.  Machines without the
-hooks (the ASM model has no lane encoding) silently ignore ``lanes``
-and keep the original replay path; either way the selected suite is
-lane-count independent.
+Both suites drive every stimulus vehicle through one two-method walk
+protocol: ``walk_case(walk_seed, walk_steps)`` returns the test a seed
+names, and ``walk_dbs(walk_seeds, walk_steps, lanes)`` returns each
+walk's coverage DB in seed order.  The lane-parallel RTL vehicles
+(:class:`repro.cover.rtl_walk.LaneWalkModel`) speak it natively and
+pack up to ``lanes`` walks into one bit-parallel simulation pass;
+:func:`walk_model` adapts an ASM machine, whose walk is a seeded
+:func:`~repro.asm.testgen.generate_random_walks` sequence replayed into
+its own DB (the ASM model has no lane encoding, so it ignores
+``lanes``).  A candidate's gain is what its walk DB newly covers when
+merged into a clone of the accumulated DB, and admitting the winner
+merges its walk DB into the accumulated one -- one arithmetic for every
+vehicle, which is why the selected suite is independent of the lane
+count and of how walks are sharded over processes
+(:func:`_map_walks`).
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .asm_cov import AsmCoverage, Predicate
 from .db import CoverageDB
 
 __all__ = ["CoverageDrivenResult", "coverage_driven_suite",
-           "undirected_suite", "replay_coverage"]
+           "undirected_suite", "replay_coverage", "walk_model"]
 
 
 def _walk_seed(seed: int, stream: str, round_index: int,
@@ -105,122 +110,97 @@ class CoverageDrivenResult:
         )
 
 
-def _walk_case(machine, walk_seed: int, walk_steps: int):
-    """One candidate's concrete test case: the machine's ``walk_case``
-    hook (lane-parallel vehicles) or an ASM random walk."""
-    hook = getattr(machine, "walk_case", None)
-    if hook is not None:
-        return hook(walk_seed, walk_steps)
-    return generate_random_walks(machine, 1, walk_steps, seed=walk_seed)[0]
+class _AsmWalks:
+    """An ASM machine behind the walk protocol (see :func:`walk_model`)."""
+
+    def __init__(self, machine: AsmMachine,
+                 predicates: Mapping[str, Predicate]):
+        self.machine = machine
+        self.predicates = predicates
+        # a suite asks for a walk's DB and then for the walk itself;
+        # drawing a walk costs more than replaying it, so draw it once
+        self._walks: dict = {}
+
+    def walk_case(self, walk_seed: int, walk_steps: int) -> list[Action]:
+        key = (walk_seed, walk_steps)
+        if key not in self._walks:
+            self._walks[key] = generate_random_walks(
+                self.machine, 1, walk_steps, seed=walk_seed)[0]
+        return self._walks[key]
+
+    def walk_dbs(self, walk_seeds: list[int], walk_steps: int,
+                 lanes: int) -> list[CoverageDB]:
+        return [
+            replay_coverage(self.machine,
+                            self.walk_case(walk_seed, walk_steps),
+                            self.predicates)
+            for walk_seed in walk_seeds
+        ]
 
 
-def _admit_case(machine, predicates, case, db: CoverageDB) -> CoverageDB:
-    """Fold one selected case's coverage into ``db`` via the machine's
-    ``admit_walk`` hook or the ASM replay path."""
-    hook = getattr(machine, "admit_walk", None)
-    if hook is not None:
-        return hook(case, db)
-    return replay_coverage(machine, case, predicates, db)
+def walk_model(machine, predicates: Mapping[str, Predicate]):
+    """``machine`` as a walk-protocol vehicle: an :class:`AsmMachine`
+    through the replay adapter (a walk is a seeded
+    :func:`generate_random_walks` sequence replayed into its own DB;
+    ``lanes`` is ignored), any other vehicle as it is."""
+    if isinstance(machine, AsmMachine):
+        return _AsmWalks(machine, predicates)
+    return machine
 
 
-def _score_round(
-    machine: AsmMachine,
-    predicates: Mapping[str, Predicate],
-    db: CoverageDB,
-    walk_seeds: list[int],
-    walk_steps: int,
-    jobs: int,
-    model_spec,
-    lanes: int = 1,
-) -> list[int]:
-    """Score one round's candidate walks: newly covered points on top of
-    the accumulated ``db``, in candidate order.
+class _Gain:
+    """Picklable reducer of a directed round: the points a walk DB newly
+    covers on top of the accumulated DB."""
 
-    A machine with a ``score_walks`` hook scores candidates itself
-    (lane-parallel vehicles pack ``lanes`` of them per simulation
-    pass); with ``jobs > 1`` and a ``model_spec`` its candidates are
-    additionally sharded over the supervised process pool
-    (:func:`repro.par.workers.testgen_lane_score_shard` -- each worker
-    rebuilds the vehicle and scores its shard lane-parallel, so process
-    fan-out multiplies with lane fan-out).  Machines without the hook
-    fan out through :func:`repro.par.workers.testgen_score_shard`; each
-    worker regenerates its walks from the per-walk seeds and replays
-    them against a snapshot of the DB, so only ``(index, gain)`` pairs
-    cross the pipe.  Either way, a worker that crashes or hangs is
-    retried; a shard quarantined after its attempt budget is re-scored
-    inline, so the selected suite is bit-identical to ``jobs=1`` under
-    any fault the supervisor can contain.  The inline paths score
-    against clones with identical arithmetic, which is what the
-    determinism tests check.
+    def __init__(self, db: CoverageDB):
+        self.db = db
+        self.covered = db.counts()[0]
+
+    def __call__(self, walk_db: CoverageDB) -> int:
+        return self.db.clone().merge(walk_db).counts()[0] - self.covered
+
+
+def _whole(walk_db: CoverageDB) -> CoverageDB:
+    """Reducer of the undirected suite: the walk DB itself."""
+    return walk_db
+
+
+def _map_walks(model, walk_seeds: list[int], walk_steps: int, lanes: int,
+               jobs: int, model_spec, fn) -> list:
+    """``fn`` of each seed's walk DB, in seed order.
+
+    Inline by default.  With ``jobs > 1`` and a ``model_spec`` the seeds
+    are sharded over the supervised process pool, where
+    :func:`repro.par.workers.testgen_walk_shard` rebuilds the vehicle
+    and applies ``fn`` itself, so only its values cross the pipe.  A
+    worker that crashes or hangs is retried; a shard quarantined after
+    its attempt budget is re-run on ``model``.  A walk DB depends on its
+    seed alone, so the values equal the inline ones under any sharding
+    and any fault the supervisor can contain.
     """
-    score_walks = getattr(machine, "score_walks", None)
-    if score_walks is not None:
-        if jobs > 1 and model_spec is not None and len(walk_seeds) > 1:
-            from ..par import ShardError, plan_shards, run_supervised
-            from ..par.workers import testgen_init, testgen_lane_score_shard
+    if jobs <= 1 or model_spec is None or len(walk_seeds) <= 1:
+        return [fn(db) for db in model.walk_dbs(walk_seeds, walk_steps,
+                                                lanes)]
+    from ..par import ShardError, plan_shards, run_supervised
+    from ..par.workers import testgen_init, testgen_walk_shard
 
-            candidates = list(enumerate(walk_seeds))
-            shards = plan_shards(candidates, jobs)
-            db_dict = db.to_dict()
-            results, __ = run_supervised(
-                testgen_lane_score_shard,
-                [(model_spec, db_dict, shard, walk_steps, lanes)
-                 for shard in shards],
-                jobs=jobs,
-                initializer=testgen_init,
-                initargs=(model_spec,),
-            )
-            gains = [0] * len(walk_seeds)
-            for shard, pairs in zip(shards, results):
-                if pairs is None or isinstance(pairs, ShardError):
-                    # quarantined or abandoned shard: re-score on the
-                    # local machine (per-walk DBs are lane-position and
-                    # chunking independent, so gains match the worker's)
-                    pairs = [
-                        (index, gain) for (index, __), gain in zip(
-                            shard,
-                            score_walks([s for __, s in shard],
-                                        walk_steps, db, lanes=lanes),
-                        )
-                    ]
-                for index, gain in pairs:
-                    gains[index] = gain
-            return gains
-        return score_walks(walk_seeds, walk_steps, db, lanes=lanes)
-    if jobs > 1 and model_spec is not None and len(walk_seeds) > 1:
-        from ..par import ShardError, plan_shards, run_supervised
-        from ..par.workers import testgen_init, testgen_score_shard
-
-        candidates = list(enumerate(walk_seeds))
-        shards = plan_shards(candidates, jobs)
-        db_dict = db.to_dict()
-        results, __ = run_supervised(
-            testgen_score_shard,
-            [(model_spec, db_dict, shard, walk_steps) for shard in shards],
-            jobs=jobs,
-            initializer=testgen_init,
-            initargs=(model_spec,),
-        )
-        gains = [0] * len(walk_seeds)
-        for shard, pairs in zip(shards, results):
-            if pairs is None or isinstance(pairs, ShardError):
-                # quarantined or abandoned shard: re-score inline so the
-                # selected suite stays bit-identical to jobs=1 (a
-                # deterministic failure then raises here, exactly as the
-                # sequential run would have)
-                pairs = testgen_score_shard(
-                    model_spec, db_dict, shard, walk_steps)
-            for index, gain in pairs:
-                gains[index] = gain
-        return gains
-    base_covered = db.counts()[0]
-    gains = []
-    for walk_seed in walk_seeds:
-        case = generate_random_walks(machine, 1, walk_steps,
-                                     seed=walk_seed)[0]
-        trial = replay_coverage(machine, case, predicates, db.clone())
-        gains.append(trial.counts()[0] - base_covered)
-    return gains
+    shards = plan_shards(list(enumerate(walk_seeds)), jobs)
+    shard_seeds = [[seed for __, seed in shard] for shard in shards]
+    results, __ = run_supervised(
+        testgen_walk_shard,
+        [(model_spec, seeds, walk_steps, lanes, fn) for seeds in shard_seeds],
+        jobs=jobs,
+        initializer=testgen_init,
+        initargs=(model_spec,),
+    )
+    values = [None] * len(walk_seeds)
+    for shard, seeds, shard_values in zip(shards, shard_seeds, results):
+        if shard_values is None or isinstance(shard_values, ShardError):
+            shard_values = [fn(db) for db in model.walk_dbs(
+                seeds, walk_steps, lanes)]
+        for (index, __), value in zip(shard, shard_values):
+            values[index] = value
+    return values
 
 
 def coverage_driven_suite(
@@ -240,11 +220,11 @@ def coverage_driven_suite(
 
     Each round draws ``candidates_per_round`` fresh random walks (each
     from its own hash-derived seed), scores every candidate by how many
-    *new* points it would cover on top of the accumulated DB (replayed
-    against a clone), admits the best gainer (lowest candidate index on
-    ties), and re-harvests it into the real DB.  Stops when coverage
-    reaches ``target``, after ``plateau_rounds`` consecutive rounds with
-    zero gain, or at ``max_tests``.
+    *new* points its walk DB would cover on top of the accumulated DB
+    (merged into a clone), admits the best gainer (lowest candidate
+    index on ties), and merges its walk DB into the real DB.  Stops when
+    coverage reaches ``target``, after ``plateau_rounds`` consecutive
+    rounds with zero gain, or at ``max_tests``.
 
     ``jobs > 1`` parallelizes the candidate scoring of each round across
     a process pool; the greedy selection itself stays serial (each round
@@ -254,12 +234,13 @@ def coverage_driven_suite(
     (e.g. :func:`repro.par.workers.la1_model_spec`) so workers can
     rebuild the machine; without one, scoring stays inline.
 
-    ``lanes > 1`` asks a lane-parallel vehicle (a machine with the
-    ``score_walks`` hook) to pack that many candidates into one
-    bit-parallel pass; machines without the hook ignore it.
+    ``lanes > 1`` asks a lane-parallel vehicle
+    (:class:`repro.cover.rtl_walk.LaneWalkModel`) to pack that many
+    candidates into one bit-parallel pass; the ASM adapter ignores it.
     """
+    model = walk_model(machine, predicates)
     db = CoverageDB(meta={"generator": "coverage_driven", "seed": seed})
-    selected: list[list[Action]] = []
+    selected: list = []
     history: list[float] = []
     gainless = 0
     scored = 0
@@ -273,8 +254,8 @@ def coverage_driven_suite(
             for i in range(candidates_per_round)
         ]
         round_index += 1
-        gains = _score_round(machine, predicates, db, walk_seeds,
-                             walk_steps, jobs, model_spec, lanes)
+        gains = _map_walks(model, walk_seeds, walk_steps, lanes, jobs,
+                           model_spec, _Gain(db))
         scored += len(gains)
         if not gains:
             break
@@ -287,9 +268,9 @@ def coverage_driven_suite(
                     selected, db, history, False, True, scored)
             continue  # gainless round: do not spend test budget on it
         gainless = 0
-        best_case = _walk_case(machine, walk_seeds[best_index], walk_steps)
-        _admit_case(machine, predicates, best_case, db)
-        selected.append(best_case)
+        best_seed = walk_seeds[best_index]
+        db.merge(model.walk_dbs([best_seed], walk_steps, 1)[0])
+        selected.append(model.walk_case(best_seed, walk_steps))
         history.append(db.coverage())
     reached = db.coverage() >= target and bool(len(db))
     return CoverageDrivenResult(selected, db, history, reached, False, scored)
@@ -305,58 +286,26 @@ def undirected_suite(
     model_spec=None,
     lanes: int = 1,
 ) -> CoverageDrivenResult:
-    """The unranked baseline: ``num_tests`` random walks replayed in
+    """The unranked baseline: ``num_tests`` random walks merged in
     generation order with no coverage feedback.
 
-    With ``jobs > 1`` and a ``model_spec`` the replays fan out over the
-    process pool; each worker returns a per-walk DB and the coordinator
-    merges them in walk order, which -- DB merge being lossless --
-    reproduces the sequential accumulation exactly.  A lane-parallel
-    vehicle (``walk_dbs`` hook) instead collects up to ``lanes``
-    per-walk DBs from each bit-parallel pass, merged in the same order.
+    With ``jobs > 1`` and a ``model_spec`` the walks fan out over the
+    process pool; each worker returns its per-walk DBs and the
+    coordinator merges them in walk order, which -- DB merge being
+    lossless -- reproduces the sequential accumulation exactly.  A
+    lane-parallel vehicle collects up to ``lanes`` per-walk DBs from
+    each bit-parallel pass, merged in the same order.
     """
+    model = walk_model(machine, predicates)
     db = CoverageDB(meta={"generator": "undirected", "seed": seed})
     walk_seeds = [
         _walk_seed(seed, "undirected", 0, i) for i in range(num_tests)
     ]
-    walks = [
-        _walk_case(machine, walk_seed, walk_steps)
-        for walk_seed in walk_seeds
-    ]
     history: list[float] = []
-    walk_dbs = getattr(machine, "walk_dbs", None)
-    if walk_dbs is not None:
-        for walk_db in walk_dbs(walk_seeds, walk_steps, lanes=lanes):
-            db.merge(walk_db)
-            history.append(db.coverage())
-        return CoverageDrivenResult(walks, db, history, False, False, 0)
-    if jobs > 1 and model_spec is not None and num_tests > 1:
-        from ..par import ShardError, plan_shards, run_supervised
-        from ..par.workers import testgen_init, testgen_replay_shard
-
-        candidates = list(enumerate(walk_seeds))
-        shards = plan_shards(candidates, jobs)
-        results, __ = run_supervised(
-            testgen_replay_shard,
-            [(model_spec, shard, walk_steps) for shard in shards],
-            jobs=jobs,
-            initializer=testgen_init,
-            initargs=(model_spec,),
-        )
-        per_walk = {}
-        for shard, pairs in zip(shards, results):
-            if pairs is None or isinstance(pairs, ShardError):
-                # quarantined shard: replay inline (bit-identical merge
-                # order is preserved because merging happens below, in
-                # walk order, from the per-walk DBs)
-                pairs = testgen_replay_shard(model_spec, shard, walk_steps)
-            for index, db_dict in pairs:
-                per_walk[index] = CoverageDB.from_dict(db_dict)
-        for index in range(num_tests):
-            db.merge(per_walk[index])
-            history.append(db.coverage())
-        return CoverageDrivenResult(walks, db, history, False, False, 0)
-    for case in walks:
-        replay_coverage(machine, case, predicates, db)
+    for walk_db in _map_walks(model, walk_seeds, walk_steps, lanes, jobs,
+                              model_spec, _whole):
+        db.merge(walk_db)
         history.append(db.coverage())
+    walks = [model.walk_case(walk_seed, walk_steps)
+             for walk_seed in walk_seeds]
     return CoverageDrivenResult(walks, db, history, False, False, 0)

@@ -10,10 +10,10 @@ in which order -- drawn from the model seed via
 datapath fields (addresses, write data -- re-drawn per candidate from
 its walk seed via :func:`~repro.core.traffic.pattern_values`).  That is
 exactly the control-invariance PPSFP pattern packing rests on, and it
-is what lets :meth:`La1TrafficModel.score_walks` pack up to ``lanes``
-candidates into ONE bit-parallel simulation pass: per-lane address and
-data words in (:class:`~repro.core.rtl_testbench.LaneVec`), per-lane
-toggle masks and monitor fire words out.
+is what lets ``walk_dbs`` pack up to ``lanes`` candidates into ONE
+bit-parallel simulation pass: per-lane address and data words in
+(:class:`~repro.core.rtl_testbench.LaneVec`), per-lane toggle masks and
+monitor fire words out.
 
 A walk's coverage DB merges three sources: per-lane toggle coverage
 (:class:`~repro.cover.rtl_cov.ToggleCollector`), per-lane OVL fire
@@ -25,51 +25,28 @@ every walk DB unchanged.
 
 Determinism contract: a walk's DB is a function of ``(walk_seed,
 walk_steps)`` alone -- independent of lane count, lane position and
-pass chunking (``tests/test_cover_traffic_walk.py`` pins lane-N scoring
-bit-identical to scalar replays).  The model exposes the same
-duck-typed testgen hooks as :class:`RtlWalkModel` (``walk_case`` /
-``score_walks`` / ``walk_dbs`` / ``admit_walk``), so
-:func:`repro.cover.testgen.coverage_driven_suite` drives it unchanged
--- including sharded through the process pool via
+pass chunking (``tests/test_cover_traffic_walk.py`` pins lane-N walk
+DBs bit-identical to scalar runs).  Like :class:`RtlWalkModel` it is a
+:class:`~repro.cover.rtl_walk.LaneWalkModel` and supplies only its
+stimulus, so :func:`repro.cover.testgen.coverage_driven_suite` drives
+it through the same two-method walk protocol -- including sharded
+through the process pool via
 :func:`repro.par.workers.la1_traffic_model_spec`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-from ..core.ovl_bindings import build_la1_top_with_ovl
 from ..core.rtl_testbench import LaneVec, RtlHost
 from ..core.spec import La1Config
 from ..core.traffic import pattern_values, traffic_schedule
 from ..par.seeds import derive_seed
-from ..rtl import RtlSimulator, elaborate
+from ..rtl import RtlSimulator
 from .db import CoverageDB
-from .rtl_cov import ToggleCollector
+from .rtl_walk import LaneWalkModel
 
-__all__ = ["TrafficWalkCase", "La1TrafficModel"]
-
-
-class TrafficWalkCase:
-    """One selected traffic walk, reproducible from its seed."""
-
-    __slots__ = ("walk_seed", "walk_steps")
-
-    def __init__(self, walk_seed: int, walk_steps: int):
-        self.walk_seed = walk_seed
-        self.walk_steps = walk_steps
-
-    def __eq__(self, other):
-        return (isinstance(other, TrafficWalkCase)
-                and other.walk_seed == self.walk_seed
-                and other.walk_steps == self.walk_steps)
-
-    def __hash__(self):
-        return hash((self.walk_seed, self.walk_steps))
-
-    def __repr__(self):
-        return (f"TrafficWalkCase(seed={self.walk_seed}, "
-                f"steps={self.walk_steps})")
+__all__ = ["La1TrafficModel"]
 
 
 class _NullHost:
@@ -85,7 +62,7 @@ class _NullHost:
         pass
 
 
-class La1TrafficModel:
+class La1TrafficModel(LaneWalkModel):
     """The OVL-instrumented LA-1 top as a transaction-walk vehicle.
 
     Parameters
@@ -96,9 +73,6 @@ class La1TrafficModel:
         Model seed the shared command schedule derives from (every
         candidate of a round replays it; walk seeds vary only the
         datapath fields).
-    lanes:
-        Default lane width of one scoring pass; callers override per
-        call.
     addr_bits:
         Address width (4 matches the campaign scale).
 
@@ -107,16 +81,12 @@ class La1TrafficModel:
     could conflict would be a real finding, not stimulus noise.
     """
 
-    def __init__(self, banks: int = 2, seed: int = 7, lanes: int = 64,
-                 addr_bits: int = 4, namespace: str = "rtl.traffic"):
-        self.config = La1Config(banks=banks, beat_bits=16,
-                                addr_bits=addr_bits)
+    namespace = "rtl.traffic"
+    detect_bus_conflicts = True
+
+    def __init__(self, banks: int = 2, seed: int = 7, addr_bits: int = 4):
+        super().__init__(banks, addr_bits)
         self.seed = seed
-        self.lanes = lanes
-        self.namespace = namespace
-        self.design = elaborate(build_la1_top_with_ovl(self.config))
-        self._sims: dict = {}
-        self._collectors: dict = {}
         self._schedules: dict = {}
         self._functional: dict = {}
 
@@ -162,29 +132,9 @@ class La1TrafficModel:
         Reads and writes both retire well within 6 periods."""
         return walk_steps * 6 + 16
 
-    # -- engines -------------------------------------------------------
-    def _sim(self, lanes: int) -> RtlSimulator:
-        sim = self._sims.get(lanes)
-        if sim is None:
-            if lanes > 1:
-                sim = RtlSimulator(self.design, backend="bitpar",
-                                   lanes=lanes)
-            else:
-                sim = RtlSimulator(self.design, backend="compiled")
-            self._sims[lanes] = sim
-            self._collectors[lanes] = ToggleCollector(
-                sim, namespace=self.namespace)
-        return sim
-
     # -- one pass ------------------------------------------------------
-    def _run_pass(self, seeds: List[int], walk_steps: int,
-                  lanes: int) -> List[CoverageDB]:
-        """Run ``len(seeds)`` walks (at most ``lanes``) in one pass and
-        return their per-walk coverage DBs in seed order."""
-        sim = self._sim(lanes)
-        collector = self._collectors[lanes]
-        sim.reset()
-        collector.reset()
+    def _drive(self, sim: RtlSimulator, seeds: List[int], walk_steps: int,
+               lanes: int) -> CoverageDB:
         host = RtlHost(sim, self.config)
         schedule = self._schedule(walk_steps)
         values = [pattern_values(self.config, schedule, seed)
@@ -192,8 +142,6 @@ class La1TrafficModel:
         pad = lanes - len(seeds)
         for t, (is_read, bank, __a, __w) in enumerate(schedule):
             if lanes > 1:
-                # unused lanes replay the last real walk: no extra rng
-                # draws, nothing harvested from them
                 addr = [v[t][0] for v in values]
                 addr = LaneVec(addr + addr[-1:] * pad)
                 if is_read:
@@ -206,78 +154,8 @@ class La1TrafficModel:
             else:
                 host.write(bank, values[0][t][0], values[0][t][1])
         host.run_cycles(self._cycles(walk_steps))
-        fired = self._fired_words(sim, lanes)
-        functional = self._functional_db(walk_steps)
-        return [
-            self._walk_db(collector, fired, lane, functional)
-            for lane in range(len(seeds))
-        ]
-
-    @staticmethod
-    def _fired_words(sim: RtlSimulator, lanes: int) -> dict:
-        """Per-monitor fired lane words (scalar: bit 0 from the record
-        list, same convention as the free-input walks)."""
-        if lanes > 1:
-            return {
-                index: sim.monitor_lane_word(index)
-                for index in range(len(sim.design.monitors))
-            }
-        names = {record.name for record in sim.firings}
-        return {
-            index: int(monitor.name in names)
-            for index, monitor in enumerate(sim.design.monitors)
-        }
-
-    def _walk_db(self, collector: ToggleCollector, fired: dict,
-                 lane: int, functional: CoverageDB) -> CoverageDB:
-        db = collector.harvest(lane=lane)
-        sel = 1 << lane
-        for index, monitor in enumerate(self.design.monitors):
-            key = f"assert.ovl.{monitor.name}.fired"
-            db.declare(key, goal=0)
-            if fired.get(index, 0) & sel:
-                db.hit(key, goal=0)
-        db.merge(functional)
-        return db
-
-    # -- the testgen protocol ------------------------------------------
-    def walk_case(self, walk_seed: int, walk_steps: int) -> TrafficWalkCase:
-        """The reproducible handle testgen stores in its suite."""
-        return TrafficWalkCase(walk_seed, walk_steps)
-
-    def walk_dbs(self, walk_seeds: List[int], walk_steps: int,
-                 lanes: Optional[int] = None) -> List[CoverageDB]:
-        """Per-walk coverage DBs in seed order, ``lanes`` walks per
-        simulation pass (default: the model's lane width)."""
-        lanes = lanes if lanes is not None else self.lanes
-        lanes = max(1, lanes)
-        out: List[CoverageDB] = []
-        for index in range(0, len(walk_seeds), lanes):
-            chunk = walk_seeds[index:index + lanes]
-            out.extend(self._run_pass(chunk, walk_steps, lanes))
-        return out
-
-    def score_walks(self, walk_seeds: List[int], walk_steps: int,
-                    db: CoverageDB,
-                    lanes: Optional[int] = None) -> List[int]:
-        """Newly-covered-point gain of each candidate walk on top of
-        the accumulated ``db`` -- one bit-parallel pass per ``lanes``
-        candidates."""
-        base = db.counts()[0]
-        return [
-            db.clone().merge(walk_db).counts()[0] - base
-            for walk_db in self.walk_dbs(walk_seeds, walk_steps, lanes)
-        ]
-
-    def admit_walk(self, case: TrafficWalkCase,
-                   db: CoverageDB) -> CoverageDB:
-        """Re-run one selected walk and merge its coverage into ``db``
-        (the scalar engine suffices: one walk, one lane)."""
-        walk_db = self.walk_dbs([case.walk_seed], case.walk_steps,
-                                lanes=1)[0]
-        db.merge(walk_db)
-        return db
+        return self._functional_db(walk_steps)
 
     def __repr__(self):
         return (f"La1TrafficModel(banks={self.config.banks}, "
-                f"seed={self.seed}, lanes={self.lanes})")
+                f"seed={self.seed})")

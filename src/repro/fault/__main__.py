@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from ..cli import bounded_int
+from ..cli import JOBS_RANGE, LANES_RANGE, bounded_int
 from .campaign import CampaignConfig, FaultCampaign
 
 #: CI gate: fraction of expected-detectable protocol mutations that must
@@ -38,11 +38,11 @@ def main(argv=None) -> int:
     parser.add_argument("--checkpoint", default=None,
                         help="JSON state file for kill/resume")
     parser.add_argument("--max-faults", type=int, default=None)
-    parser.add_argument("--jobs", type=bounded_int("--jobs", 1, 128),
+    parser.add_argument("--jobs", type=bounded_int("--jobs", *JOBS_RANGE),
                         default=1,
                         help="process-pool width (repro.par); the merged "
                              "report is identical to --jobs 1")
-    parser.add_argument("--lanes", type=bounded_int("--lanes", 1, 4096),
+    parser.add_argument("--lanes", type=bounded_int("--lanes", *LANES_RANGE),
                         default=1,
                         help="PPSFP lane width: batch compatible faults "
                              "into bit-parallel passes (repro.fault."

@@ -36,14 +36,14 @@ class SymbolicCheckResult:
 
     ``holds`` is True / False / None; None means the run did not decide:
     either it aborted with *state explosion* (BDD node budget exhausted,
-    the 4-bank outcome of Table 2, ``exploded=True``) or it hit its
-    wall-clock deadline (``truncated=True``).  ``bdd_stats`` carries the
-    manager's node/computed-table counters
-    (:meth:`repro.bdd.BddManager.stats`) so degradation triggers are
-    observable in campaign and flow reports; an undecided run also names
-    the budget that ran out in ``bdd_stats["budget"]``:
-    ``"transient_node_budget"``, ``"live_node_budget"`` or
-    ``"deadline_s"``.
+    the 4-bank outcome of Table 2, ``exploded=True``) or it stopped
+    short of a fixpoint at its wall-clock deadline or its image-step
+    limit (``truncated=True``).  ``bdd_stats`` carries the manager's
+    node/computed-table counters (:meth:`repro.bdd.BddManager.stats`)
+    so degradation triggers are observable in campaign and flow
+    reports; an undecided run also names the budget that ran out in
+    ``bdd_stats["budget"]``: ``"transient_node_budget"``,
+    ``"live_node_budget"``, ``"deadline_s"`` or ``"max_iterations"``.
     """
 
     def __init__(
@@ -171,7 +171,8 @@ class SymbolicModelChecker:
         ``("net.path", bit_index)`` pair or a pre-built BDD over the
         model's variables.  ``deadline_s`` is a wall-clock budget: a run
         that exceeds it returns cleanly with ``truncated=True`` instead
-        of spinning.
+        of spinning.  ``max_iterations`` bounds the image steps the same
+        way: a run that reaches it before a fixpoint is inconclusive.
         """
         if not prop.is_safety():
             raise PslError(f"{prop!r} is not a safety property")
@@ -334,7 +335,11 @@ class SymbolicModelChecker:
         if m.and_(reached, bad) != m.FALSE:
             return finish(False, m.size(reached), counterexample_depth=0)
         try:
-            while frontier != m.FALSE and iterations < max_iterations:
+            while frontier != m.FALSE:
+                if iterations >= max_iterations:
+                    # no fixpoint yet: stopping here must not read as a pass
+                    return finish(None, m.size(reached), "max_iterations",
+                                  truncated=True)
                 if deadline is not None and time.perf_counter() > deadline:
                     return finish(None, m.size(reached), "deadline_s",
                                   truncated=True)

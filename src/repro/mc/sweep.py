@@ -61,18 +61,25 @@ class PropertySweepReport:
         add (the sequential-equivalent cost), size metrics take the
         per-property maximum (the worst single encoding), explosion or
         truncation anywhere taints the whole sweep, and the shallowest
-        counterexample is reported."""
+        counterexample is reported.  Numeric ``bdd_stats`` add up;
+        ``budget`` lists the distinct budgets the exploded or truncated
+        properties ran out of, in property order, comma-separated."""
         results = [r for __, r in self.results]
         cex_depths = [
             r.counterexample_depth for r in results
             if r.counterexample_depth is not None
         ]
         bdd_stats: dict = {}
+        budgets: dict = {}
         for r in results:
             for key, value in (r.bdd_stats or {}).items():
                 if isinstance(value, (int, float)) and not isinstance(
                         value, bool):
                     bdd_stats[key] = bdd_stats.get(key, 0) + value
+            if (r.exploded or r.truncated) and r.bdd_stats.get("budget"):
+                budgets[r.bdd_stats["budget"]] = None
+        if budgets:
+            bdd_stats["budget"] = ",".join(budgets)
         names = ",".join(name for name, __ in self.results)
         return SymbolicCheckResult(
             self.holds,

@@ -34,9 +34,7 @@ __all__ = [
     "campaign_init",
     "campaign_shard",
     "testgen_init",
-    "testgen_score_shard",
-    "testgen_lane_score_shard",
-    "testgen_replay_shard",
+    "testgen_walk_shard",
     "cover_collect_shard",
     "mc_sweep_init",
     "mc_check_shard",
@@ -93,24 +91,22 @@ def la1_model_spec(banks: int = 2) -> ModelSpec:
                      {"banks": banks})
 
 
-def build_la1_traffic_model(banks: int = 2, seed: int = 7,
-                            lanes: int = 1):
+def build_la1_traffic_model(banks: int = 2, seed: int = 7):
     """The RTL traffic-walk testgen target: an
-    :class:`~repro.cover.traffic_walk.La1TrafficModel` whose
-    ``score_walks`` hook scores a whole candidate batch lane-parallel
-    (one candidate per lane), plus its (empty) predicate placeholder."""
+    :class:`~repro.cover.traffic_walk.La1TrafficModel`, whose
+    ``walk_dbs`` runs a whole candidate batch lane-parallel (one
+    candidate per lane), plus its (empty) predicate placeholder."""
     from ..cover.traffic_walk import La1TrafficModel
 
-    return La1TrafficModel(banks=banks, seed=seed, lanes=lanes), None
+    return La1TrafficModel(banks=banks, seed=seed), None
 
 
-def la1_traffic_model_spec(banks: int = 2, seed: int = 7,
-                           lanes: int = 1) -> ModelSpec:
+def la1_traffic_model_spec(banks: int = 2, seed: int = 7) -> ModelSpec:
     """Spec for :func:`build_la1_traffic_model` -- what lane-parallel
     ``coverage_driven_suite(..., jobs=N)`` callers pass so each worker
     rebuilds the traffic model (and its bitpar simulator) locally."""
     return ModelSpec("repro.par.workers:build_la1_traffic_model",
-                     {"banks": banks, "seed": seed, "lanes": lanes})
+                     {"banks": banks, "seed": seed})
 
 
 _MODEL_CACHE: dict = {}
@@ -220,75 +216,23 @@ def testgen_init(spec: ModelSpec) -> None:
     _model(spec)
 
 
-def testgen_score_shard(spec: ModelSpec, db_dict: dict, candidates,
-                        walk_steps: int) -> list:
-    """Score candidate walks against a snapshot of the accumulated DB.
+def testgen_walk_shard(spec: ModelSpec, walk_seeds, walk_steps: int,
+                       lanes: int, fn) -> list:
+    """``fn`` of each walk DB of one shard of testgen walks, in seed
+    order.
 
-    ``candidates`` is ``[(walk_index, walk_seed), ...]``; each walk is
-    regenerated locally from its derived seed, replayed against a clone
-    of the snapshot, and scored by newly covered points.  Only ``(index,
-    gain)`` pairs return -- the coordinator regenerates the winning walk
-    from the same seed, so no action object ever crosses the pipe.
+    The worker runs its shard through the rebuilt vehicle's walk
+    protocol (:func:`repro.cover.testgen.walk_model`; a lane-parallel
+    vehicle packs up to ``lanes`` walks per bit-parallel pass, so
+    process fan-out multiplies with lane fan-out) and reduces each walk
+    DB in place with the picklable ``fn``: a directed round ships back
+    one gain per walk, the undirected suite the walk DBs themselves.
     """
-    from ..asm.testgen import generate_random_walks
-    from ..cover.db import CoverageDB
-    from ..cover.testgen import replay_coverage
+    from ..cover.testgen import walk_model
 
     machine, predicates = _model(spec)
-    base = CoverageDB.from_dict(db_dict)
-    base_covered = base.counts()[0]
-    scores = []
-    for index, walk_seed in candidates:
-        case = generate_random_walks(machine, 1, walk_steps,
-                                     seed=walk_seed)[0]
-        trial = replay_coverage(machine, case, predicates, base.clone())
-        scores.append((index, trial.counts()[0] - base_covered))
-    return scores
-
-
-def testgen_lane_score_shard(spec: ModelSpec, db_dict: dict, candidates,
-                             walk_steps: int, lanes: int) -> list:
-    """Score one shard of candidate walks lane-parallel.
-
-    Same contract as :func:`testgen_score_shard` (``(index, gain)``
-    pairs against a DB snapshot), but the worker hands its whole shard
-    to the rebuilt machine's ``score_walks`` hook, which packs up to
-    ``lanes`` candidates per bit-parallel simulation pass -- so process
-    fan-out multiplies with lane fan-out.  A spec that rebuilds a
-    machine without the hook falls back to the per-walk replay path,
-    keeping the returned gains identical either way.
-    """
-    from ..cover.db import CoverageDB
-
-    machine, __predicates = _model(spec)
-    score_walks = getattr(machine, "score_walks", None)
-    if score_walks is None:
-        return testgen_score_shard(spec, db_dict, candidates, walk_steps)
-    base = CoverageDB.from_dict(db_dict)
-    gains = score_walks([s for __, s in candidates], walk_steps, base,
-                        lanes=lanes)
-    return [(index, gain) for (index, __), gain in zip(candidates, gains)]
-
-
-def testgen_replay_shard(spec: ModelSpec, candidates,
-                         walk_steps: int) -> list:
-    """Replay undirected walks into fresh per-walk DBs.
-
-    Returns ``[(walk_index, db_dict), ...]``; because DB merge is
-    lossless, merging the per-walk DBs in walk order reproduces the
-    sequential accumulation bit for bit.
-    """
-    from ..asm.testgen import generate_random_walks
-    from ..cover.testgen import replay_coverage
-
-    machine, predicates = _model(spec)
-    out = []
-    for index, walk_seed in candidates:
-        case = generate_random_walks(machine, 1, walk_steps,
-                                     seed=walk_seed)[0]
-        db = replay_coverage(machine, case, predicates)
-        out.append((index, db.to_dict()))
-    return out
+    model = walk_model(machine, predicates)
+    return [fn(db) for db in model.walk_dbs(walk_seeds, walk_steps, lanes)]
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ from __future__ import annotations
 import os
 from typing import Callable, Optional
 
+from ..cli import JOBS_RANGE, LANES_RANGE
 from .store import content_key
 
 __all__ = ["Job", "CampaignJob", "CoverJob", "McJob", "FlowJob",
@@ -44,6 +45,17 @@ def _get(spec: dict, key: str, default, kinds) -> object:
     return value
 
 
+def _get_bounded(spec: dict, key: str, bounds: tuple) -> int:
+    """An integer execution knob within the inclusive range the CLIs
+    enforce for the same option."""
+    value = int(_get(spec, key, 1, (int,)))
+    lo, hi = bounds
+    if not lo <= value <= hi:
+        raise ValueError(f"job field {key!r} must be between {lo} and "
+                         f"{hi}, got {value}")
+    return value
+
+
 class Job:
     """One unit of verification work behind the service."""
 
@@ -54,8 +66,8 @@ class Job:
             raise ValueError("job spec must be a JSON object")
         self.spec = dict(spec)
         # execution knobs: shape the *how*, never the result content
-        self.jobs = int(_get(spec, "jobs", 1, (int,)))
-        self.lanes = int(_get(spec, "lanes", 1, (int,)))
+        self.jobs = _get_bounded(spec, "jobs", JOBS_RANGE)
+        self.lanes = _get_bounded(spec, "lanes", LANES_RANGE)
         self.shard_attempts = int(_get(spec, "shard_attempts", 2, (int,)))
         self.shard_deadline_s = _get(
             spec, "shard_deadline_s", None, (int, float))
@@ -223,8 +235,7 @@ class CoverJob(Job):
         from ..par.workers import la1_model_spec, la1_traffic_model_spec
 
         if self.vehicle == "traffic":
-            spec = la1_traffic_model_spec(
-                self.banks, seed=self.seed, lanes=self.lanes)
+            spec = la1_traffic_model_spec(self.banks, seed=self.seed)
         else:
             spec = la1_model_spec(self.banks)
         machine, predicates = spec.build()

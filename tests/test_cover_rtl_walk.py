@@ -18,14 +18,19 @@ import random
 import pytest
 
 from repro.core import La1Config, RtlHost, build_la1_top_with_ovl
+from repro.core.asm_model import La1AsmConfig, build_la1_asm
 from repro.cover import (
-    RtlWalkCase,
+    CoverageDB,
     RtlWalkModel,
     ToggleCollector,
+    WalkCase,
     collect_rtl_coverage,
     coverage_driven_suite,
+    la1_state_predicates,
     undirected_suite,
 )
+from repro.cover.testgen import _Gain, _map_walks, _walk_seed, walk_model
+from repro.cover.traffic_walk import La1TrafficModel
 from repro.rtl import RtlSimulator, elaborate
 
 
@@ -99,7 +104,7 @@ def test_collect_rtl_coverage_lane_identical():
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def model():
-    return RtlWalkModel(banks=1, lanes=8, addr_bits=3)
+    return RtlWalkModel(banks=1, addr_bits=3)
 
 
 def test_walk_dbs_lane_count_independent(model):
@@ -123,23 +128,66 @@ def test_walk_db_independent_of_neighbours(model):
 def test_score_walks_matches_scalar_arithmetic(model):
     seeds = list(range(60, 68))
     base = model.walk_dbs([99], walk_steps=4, lanes=1)[0]
-    wide = model.score_walks(seeds, 4, base, lanes=8)
-    narrow = model.score_walks(seeds, 4, base, lanes=1)
+    wide = _map_walks(model, seeds, 4, 8, 1, None, _Gain(base))
+    narrow = _map_walks(model, seeds, 4, 1, 1, None, _Gain(base))
     assert wide == narrow
     assert len(wide) == len(seeds)
 
 
 def test_admit_walk_merges_scalar_replay(model):
     case = model.walk_case(123, 4)
-    assert case == RtlWalkCase(123, 4)
+    assert case == WalkCase(123, 4)
     db = model.walk_dbs([5], walk_steps=4, lanes=1)[0]
     before = db.counts()
-    model.admit_walk(case, db)
+    # a directed suite admits a walk by merging its one-lane replay
+    db.merge(model.walk_dbs([case.walk_seed], case.walk_steps, 1)[0])
     solo = model.walk_dbs([123], walk_steps=4, lanes=8)[0]
     reference = model.walk_dbs([5], walk_steps=4, lanes=1)[0]
     reference.merge(solo)
     assert _dbs_equal(db, reference)
     assert db.counts()[0] >= before[0]
+
+
+# ----------------------------------------------------------------------
+# the walk protocol, on every vehicle
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module", params=["asm", "rtl", "traffic"])
+def vehicle(request, model):
+    """``(machine, predicates, walk_steps)`` of one testgen vehicle."""
+    if request.param == "asm":
+        return build_la1_asm(La1AsmConfig(banks=2)), \
+            la1_state_predicates(2), 6
+    if request.param == "rtl":
+        return model, {}, 4
+    return La1TrafficModel(banks=1, seed=7), {}, 8
+
+
+def test_gains_and_admission_come_from_walk_dbs(vehicle):
+    machine, predicates, steps = vehicle
+    walks = walk_model(machine, predicates)
+    # a directed suite's DB is its meta plus the merge of the selected
+    # walks' one-lane walk DBs
+    result = coverage_driven_suite(
+        machine, predicates, max_tests=3, candidates_per_round=4,
+        walk_steps=steps, seed=5, plateau_rounds=2, lanes=8)
+    drawn = [_walk_seed(5, "round", r, i)
+             for r in range(result.candidates_scored // 4)
+             for i in range(4)]
+    expected = CoverageDB(meta={"generator": "coverage_driven", "seed": 5})
+    for case in result.selected:
+        seed = next(s for s in drawn if walks.walk_case(s, steps) == case)
+        expected.merge(walks.walk_dbs([seed], steps, 1)[0])
+    assert result.num_tests >= 2
+    assert _dbs_equal(result.db, expected)
+    # one round's gains at 8 lanes are the clone-and-merge arithmetic
+    # over one-lane walk DBs
+    seeds = list(range(60, 68))
+    base = walks.walk_dbs([99], steps, 1)[0]
+    covered = base.counts()[0]
+    manual = [base.clone().merge(db).counts()[0] - covered
+              for db in walks.walk_dbs(seeds, steps, 1)]
+    assert _map_walks(walks, seeds, steps, 8, 1, None, _Gain(base)) == manual
+    assert len(manual) == len(seeds)
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +202,7 @@ def test_coverage_driven_suite_lane_independent(model):
     assert runs[1].selected == runs[8].selected
     assert runs[1].history == runs[8].history
     assert _dbs_equal(runs[1].db, runs[8].db)
-    assert all(isinstance(case, RtlWalkCase)
+    assert all(isinstance(case, WalkCase)
                for case in runs[8].selected)
 
 

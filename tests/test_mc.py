@@ -309,3 +309,40 @@ class TestBudgetNaming:
         result = self._read_mode()
         assert result.holds is True
         assert "budget" not in result.bdd_stats
+
+    def test_max_iterations(self):
+        def check(max_iterations):
+            model = SymbolicModel(elaborate(_counter(width=2)))
+            return SymbolicModelChecker(model).check_invariant(
+                model.net_bit("top.hit"), max_iterations=max_iterations)
+
+        # hit is first reachable at depth 3: two images decide nothing
+        short = check(2)
+        assert short.truncated and short.holds is None
+        assert short.iterations == 2
+        assert short.bdd_stats["budget"] == "max_iterations"
+        enough = check(3)
+        assert enough.holds is False and enough.counterexample_depth == 3
+        assert "budget" not in enough.bdd_stats
+
+    @pytest.mark.parametrize("budgets, combined", [
+        (["live_node_budget", None, "live_node_budget"],
+         "live_node_budget"),
+        (["deadline_s", "live_node_budget", None, "deadline_s"],
+         "deadline_s,live_node_budget"),
+    ])
+    def test_sweep_combination_keeps_budget_names(self, budgets, combined):
+        from repro.mc import SymbolicCheckResult
+        from repro.mc.sweep import PropertySweepReport
+
+        results = []
+        for index, budget in enumerate(budgets):
+            stats = {"cache_hits": 1}
+            if budget is not None:
+                stats["budget"] = budget
+            results.append((f"p{index}", SymbolicCheckResult(
+                None if budget else True, 0.0, 0, 0, 1, 0.0,
+                exploded=budget == "live_node_budget",
+                truncated=budget == "deadline_s", bdd_stats=stats)))
+        stats = PropertySweepReport(results).combined().bdd_stats
+        assert stats == {"cache_hits": len(budgets), "budget": combined}

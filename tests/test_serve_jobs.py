@@ -35,6 +35,21 @@ class TestBuildJob:
         with pytest.raises(ValueError, match="cover mode"):
             build_job("cover", {"mode": "psychic"})
 
+    @pytest.mark.parametrize("kind", ["campaign", "cover"])
+    @pytest.mark.parametrize("field, value", [
+        ("jobs", -4), ("jobs", 129), ("lanes", -3), ("lanes", 4097),
+    ])
+    def test_out_of_range_execution_knob_raises(self, kind, field, value):
+        # the same ranges the --jobs / --lanes CLI options enforce
+        with pytest.raises(ValueError, match=f"'{field}' must be between"):
+            build_job(kind, {field: value})
+
+    def test_execution_knob_range_is_inclusive(self):
+        job = build_job("cover", {"jobs": 128, "lanes": 4096})
+        assert (job.jobs, job.lanes) == (128, 4096)
+        job = build_job("campaign", {"jobs": 1, "lanes": 1})
+        assert (job.jobs, job.lanes) == (1, 1)
+
 
 class TestFingerprints:
     def test_execution_knobs_do_not_change_identity(self):

@@ -122,6 +122,16 @@ class TestHTTP:
         assert _http("GET", f"{base}/healthz")["ok"] is True
 
 
+    def test_out_of_range_execution_knob_is_400(self, server):
+        __, base, ___ = server
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            _http("POST", f"{base}/jobs",
+                  {"kind": "cover", "spec": {"lanes": -3}})
+        assert exc.value.code == 400
+        error = json.loads(exc.value.read().decode())["error"]
+        assert "'lanes' must be between 1 and 4096" in error
+
+
 def _raw(port, request: bytes) -> tuple[int, dict]:
     """Send raw request bytes; returns (status, JSON body)."""
     with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
