@@ -13,6 +13,12 @@ the same rules:
   the assertion fires, can **stop the simulation**, **write a report**
   about the assertion status and all its variables, and **send a warning
   signal to other modules**.
+
+Monitors attached to one simulator with the same triggers share one
+sampler process: each sample reads every distinct bound source once and
+steps the compiled monitors through one
+:class:`~repro.psl.automata.PropertyBank`; the others progress their
+:class:`~repro.psl.monitor.PslMonitor` in the same sampler.
 """
 
 from __future__ import annotations
@@ -20,24 +26,13 @@ from __future__ import annotations
 from typing import Callable, Mapping, Optional, Union
 
 from ..psl.ast import ModelingLayer, Property
-from ..psl.automata import CheckerAutomaton, build_checker
+from ..psl.automata import CheckerAutomaton, PropertyBank, compiled_checker
 from ..psl.monitor import PslMonitor, Verdict
 from ..psl.parser import parse_property
-from ..sysc.kernel import Event, MethodProcess, Simulator
+from ..sysc.kernel import Event, Process, Simulator
 from ..sysc.signal import Signal
 
 __all__ = ["AssertionMonitor", "bind_atom", "FailureAction"]
-
-#: compiled checker automata, shared across monitors of equal properties
-_CHECKER_CACHE: dict[Property, CheckerAutomaton] = {}
-
-
-def _compiled_checker(prop: Property) -> CheckerAutomaton:
-    checker = _CHECKER_CACHE.get(prop)
-    if checker is None:
-        checker = build_checker(prop)
-        _CHECKER_CACHE[prop] = checker
-    return checker
 
 
 class FailureAction:
@@ -101,17 +96,15 @@ class AssertionMonitor:
         # steps a precompiled deterministic automaton (table lookups)
         # instead of re-progressing the formula every cycle
         self._checker: Optional[CheckerAutomaton] = None
-        self._checker_state = 0
-        self._compiled_verdict = Verdict.PENDING
         if compiled and modeling is None and prop.is_safety():
-            self._checker = _compiled_checker(prop)
-        self._getters: dict[str, Callable[[], bool]] = {
-            atom: bind_atom(src) for atom, src in bindings.items()
-        }
+            self._checker = compiled_checker(prop)
+        self._bindings = dict(bindings)
+        for source in self._bindings.values():
+            bind_atom(source)  # reject an unbindable source now
         design_atoms = prop.atoms()
         if modeling is not None:
             design_atoms = design_atoms - set(modeling.names)
-        missing = design_atoms - set(self._getters)
+        missing = design_atoms - set(self._bindings)
         if missing:
             raise ValueError(
                 f"monitor {name}: unbound atoms {sorted(missing)}"
@@ -119,13 +112,16 @@ class AssertionMonitor:
         self.reports: list[str] = []
         self.warning: Optional[Signal] = None
         self._sim: Optional[Simulator] = None
+        # set by the sampler: (atom, getter index) reads and bank slot
+        self._sampler: Optional[_Sampler] = None
+        self._reads: tuple = ()
+        self._slot = 0
         self.samples = 0
         # sample observers: ``fn(valuation)`` called with the sampled
-        # atom valuation on every cycle -- the hook assertion-coverage
-        # collectors (:mod:`repro.cover.assertion`) attach to.  On the
-        # compiled-checker path the valuation dict is only materialised
-        # when observers are present, keeping the fast path allocation
-        # free.
+        # atom valuation on every sample, decided or not -- the hook
+        # assertion-coverage collectors (:mod:`repro.cover.assertion`)
+        # attach to.  The valuation dict is only materialised for a
+        # compiled monitor when observers are present.
         self.sample_observers: list[Callable[[dict], None]] = []
 
     # ------------------------------------------------------------------
@@ -133,77 +129,74 @@ class AssertionMonitor:
                warning_signal: Optional[Signal] = None) -> None:
         """Bind the monitor into a simulation: sample on every trigger
         notification (typically clock posedge events -- pass both K and
-        K# samplers for half-cycle properties)."""
+        K# samplers for half-cycle properties).  Monitors attached to one
+        simulator with the same triggers share one sampler process."""
+        if self._sampler is not None:
+            raise ValueError(f"monitor {self.name} is already sampled")
         self._sim = sim
         self.warning = warning_signal
-        self._process = MethodProcess(sim, f"abv.{self.name}",
-                                      self._on_trigger)
-        self._process.make_sensitive(*triggers)
-
-    def _on_trigger(self) -> None:
-        # the kernel runs every process once at initialisation with no
-        # trigger; a monitor only samples on real notifications
-        if self._process.trigger is None:
-            return
-        self.sample()
+        sensitive = triggers[0]._static if triggers else ()
+        sampler = next((p for p in sensitive if isinstance(p, _Sampler)
+                        and p.triggers == triggers and p.agrees(self)), None)
+        (sampler or _Sampler(sim, triggers)).add(self)
 
     def sample(self) -> Verdict:
-        """Read all bound signals and advance the property one cycle."""
-        self.samples += 1
-        if self._checker is not None:
-            return self._sample_compiled()
-        valuation = {atom: fn() for atom, fn in self._getters.items()}
-        for observer in self.sample_observers:
-            observer(valuation)
-        before = self.monitor.verdict
-        verdict = self.monitor.step(valuation)
-        if verdict is Verdict.FAILS and before is not Verdict.FAILS:
-            self._fire(valuation)
-        return verdict
+        """Read all bound signals and advance the property one cycle.
 
-    def _sample_compiled(self) -> Verdict:
-        if self._compiled_verdict is not Verdict.PENDING:
-            return self._compiled_verdict
-        checker = self._checker
-        getters = self._getters
-        key = tuple(bool(getters[a]()) for a in checker.atoms)
-        if self.sample_observers:
-            valuation = dict(zip(checker.atoms, key))
+        Runs the monitor's sampler once: an attached monitor samples with
+        every monitor sharing its triggers, an unattached one alone."""
+        if self._sampler is None:
+            _Sampler(Simulator(), ()).add(self)
+        self._sampler.sample()
+        return self.verdict
+
+    def _settle(self, values: list) -> bool:
+        """Account one sample of the sampler's source ``values``: feed the
+        observers and latch a new verdict.  True when a firing action
+        stopped the simulation."""
+        self.samples += 1
+        if self.sample_observers or self._checker is None:
+            valuation = {atom: values[i] for atom, i in self._reads}
             for observer in self.sample_observers:
                 observer(valuation)
-        state = checker.transition(self._checker_state, key)
-        if state == checker.FAIL_STATE:
-            self._compiled_verdict = Verdict.FAILS
-            self.monitor.verdict = Verdict.FAILS
-            self.monitor.failed_at = self.samples - 1
-            self._fire(dict(zip(checker.atoms, key)))
-        elif checker.is_accepting_sink(state):
-            self._compiled_verdict = Verdict.HOLDS
-            self.monitor.verdict = Verdict.HOLDS
-        self._checker_state = state
-        return self._compiled_verdict
+        monitor = self.monitor
+        if self._checker is None:
+            before = monitor.verdict
+            verdict = monitor.step(valuation)
+            return (verdict is Verdict.FAILS and before is not Verdict.FAILS
+                    and self._fire(valuation))
+        if monitor.verdict is not Verdict.PENDING:
+            return False
+        state = self._sampler.states[self._slot]
+        if state == CheckerAutomaton.FAIL_STATE:
+            monitor.verdict = Verdict.FAILS
+            monitor.failed_at = self.samples - 1
+            return self._fire({atom: values[i] for atom, i in self._reads})
+        if self._checker.is_accepting_sink(state):
+            monitor.verdict = Verdict.HOLDS
+        return False
 
     def finish(self) -> Verdict:
         """Apply end-of-trace semantics (see :meth:`PslMonitor.finish`)."""
-        if self._checker is not None:
-            if self._compiled_verdict is Verdict.PENDING:
-                if self._checker.has_strong_pending(self._checker_state):
-                    self._compiled_verdict = Verdict.FAILS
-                    self.monitor.verdict = Verdict.FAILS
-                    self.monitor.failed_at = self.samples
-                    self._fire({})
-                else:
-                    self._compiled_verdict = Verdict.HOLDS
-                    self.monitor.verdict = Verdict.HOLDS
-            return self._compiled_verdict
-        before = self.monitor.verdict
-        verdict = self.monitor.finish()
-        if verdict is Verdict.FAILS and before is not Verdict.FAILS:
-            self._fire({})
-        return verdict
+        monitor = self.monitor
+        if self._checker is None:
+            before = monitor.verdict
+            verdict = monitor.finish()
+            if verdict is Verdict.FAILS and before is not Verdict.FAILS:
+                self._fire({})
+            return verdict
+        if monitor.verdict is Verdict.PENDING:
+            state = self._sampler.states[self._slot] if self._sampler else 0
+            if self._checker.has_strong_pending(state):
+                monitor.verdict = Verdict.FAILS
+                monitor.failed_at = self.samples
+                self._fire({})
+            else:
+                monitor.verdict = Verdict.HOLDS
+        return monitor.verdict
 
     # ------------------------------------------------------------------
-    def _fire(self, valuation: dict) -> None:
+    def _fire(self, valuation: dict) -> bool:
         if FailureAction.REPORT in self.actions:
             variables = ", ".join(f"{k}={int(bool(v))}" for k, v in
                                   sorted(valuation.items()))
@@ -216,6 +209,8 @@ class AssertionMonitor:
             self.warning.write(True)
         if FailureAction.STOP in self.actions and self._sim is not None:
             self._sim.request_stop(f"assertion {self.name} fired")
+            return True
+        return False
 
     # ------------------------------------------------------------------
     @property
@@ -235,3 +230,72 @@ class AssertionMonitor:
 
     def __repr__(self):
         return f"AssertionMonitor({self.name!r}, {self.verdict.value})"
+
+
+class _Sampler(Process):
+    """The kernel process sampling the monitors attached to one set of
+    triggers.  A compiled monitor that binds a bank atom to another source
+    gets a sampler of its own."""
+
+    def __init__(self, sim: Simulator, triggers: tuple):
+        super().__init__(sim, "abv.sampler")
+        self.make_sensitive(*triggers)
+        self.triggers = triggers
+        self.monitors: list[AssertionMonitor] = []
+        self._getters: list[Callable[[], bool]] = []
+        self._index: dict[int, int] = {}  # id(source) -> getter index
+        self._bound: dict[str, object] = {}  # bank atom -> source
+        self._bank = PropertyBank(())
+        self._label: tuple = ()  # getter index of each bank atom
+        self.states: tuple = ()
+
+    def agrees(self, monitor: AssertionMonitor) -> bool:
+        """False when ``monitor`` binds a bank atom to another source."""
+        return monitor._checker is None or all(
+            self._bound.get(atom, monitor._bindings[atom])
+            is monitor._bindings[atom] for atom in monitor._checker.atoms)
+
+    def add(self, monitor: AssertionMonitor) -> None:
+        """Sample ``monitor`` from the next trigger on."""
+        checker = monitor._checker
+        atoms = monitor._bindings if checker is None else checker.atoms
+        monitor._reads = tuple((atom, self._read(monitor._bindings[atom]))
+                               for atom in atoms)
+        monitor._sampler = self
+        self.monitors.append(monitor)
+        if checker is not None:
+            monitor._slot = len(self.states)
+            self._bound.update((atom, monitor._bindings[atom])
+                               for atom in checker.atoms)
+            self._bank = PropertyBank(
+                [m.prop for m in self.monitors if m._checker is not None])
+            self._label = tuple(self._read(self._bound[atom])
+                                for atom in self._bank.atoms)
+            self.states += (0,)
+
+    def _read(self, source) -> int:
+        index = self._index.get(id(source))
+        if index is None:
+            index = self._index[id(source)] = len(self._getters)
+            self._getters.append(bind_atom(source))
+        return index
+
+    def run(self) -> None:
+        # the kernel runs every process once at initialisation with no
+        # trigger; monitors only sample on real notifications
+        if self.trigger is not None:
+            self.sample()
+
+    def sample(self) -> None:
+        """Read each bound source once, step the bank, then settle every
+        monitor in attach order."""
+        values = [get() for get in self._getters]
+        before = self.states
+        self.states = self._bank.step(
+            before, tuple(map(values.__getitem__, self._label)))
+        for n, monitor in enumerate(self.monitors, 1):
+            if monitor._settle(values):
+                # the stop ends the delta before later monitors sample
+                done = sum(m._checker is not None for m in self.monitors[:n])
+                self.states = self.states[:done] + before[done:]
+                return

@@ -2,9 +2,9 @@
 
 "By adapting the exploration algorithm we've been able to implement a model
 checking procedure for PSL" (paper, Section 5.1).  The procedure composes
-the machine's reachable states with the deterministic checker automaton of
-each property (:func:`repro.psl.automata.build_checker`) and searches the
-product breadth first:
+the machine's reachable states with the deterministic checker automata of
+the properties, stepped as one :class:`~repro.psl.automata.PropertyBank`,
+and searches the product breadth first:
 
 * a property is **violated** when the product reaches the automaton's
   failure state -- the paper's filter/stopping condition
@@ -19,16 +19,20 @@ product breadth first:
 Atoms are evaluated on machine states through a *labeling*: by default an
 atom named like a state variable samples that variable's truthiness, and
 callers may supply arbitrary ``atom -> f(state_dict) -> bool`` functions.
+Each exploration resolves one observation per bank atom up front, labels
+every successor state once (one bool per atom) and steps all automata
+through the bank's step, memoised on (automaton states, label).
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
+from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
 from ..psl.ast import Property, PslError, Sere
-from ..psl.automata import CheckerAutomaton, build_checker
+from ..psl.automata import CheckerAutomaton, PropertyBank
 from ..psl.sere import compile_sere
 from .exploration import ExplorationConfig
 from .machine import AsmMachine
@@ -46,21 +50,22 @@ class Labeling:
         """Register an observation function for an atom."""
         self._functions[atom] = fn
 
+    def function(self, atom: str, state: Mapping) -> Callable[[dict], object]:
+        """The observation of ``atom``: its registered function, else the
+        state variable of that name (its truthiness is the atom's value)."""
+        fn = self._functions.get(atom)
+        if fn is not None:
+            return fn
+        if atom in state:
+            return itemgetter(atom)
+        raise PslError(
+            f"atom {atom!r} has no labeling function and is not a "
+            "state variable"
+        )
+
     def valuation(self, state: dict, atoms: Sequence[str]) -> dict:
         """Evaluate the listed atoms on a machine state dictionary."""
-        result = {}
-        for atom in atoms:
-            fn = self._functions.get(atom)
-            if fn is not None:
-                result[atom] = bool(fn(state))
-            elif atom in state:
-                result[atom] = bool(state[atom])
-            else:
-                raise PslError(
-                    f"atom {atom!r} has no labeling function and is not a "
-                    "state variable"
-                )
-        return result
+        return {atom: bool(self.function(atom, state)(state)) for atom in atoms}
 
 
 class ModelCheckResult:
@@ -166,31 +171,18 @@ class AsmModelChecker:
                 )
         start = time.perf_counter()
         num_assumptions = len(assumptions)
-        checkers = [build_checker(p) for p in assumptions]
-        checkers += [build_checker(p) for p in props]
+        bank = PropertyBank(tuple(assumptions) + tuple(props))
         machine = self.machine
-        config = self.config
         machine.reset()
-
-        def observe(snapshot: tuple) -> tuple:
-            state = dict(snapshot)
-            return tuple(
-                chk.transition(0, chk.valuation_key(
-                    self.labeling.valuation(state, chk.atoms)))
-                for chk in checkers
-            )
-
-        def advance(chk_states: tuple, snapshot: tuple) -> tuple:
-            state = dict(snapshot)
-            return tuple(
-                chk.transition(cs, chk.valuation_key(
-                    self.labeling.valuation(state, chk.atoms)))
-                for chk, cs in zip(checkers, chk_states)
-            )
-
-        initial_snapshot = machine.snapshot()
-        initial_chk = observe(initial_snapshot)
+        observations = [self.labeling.function(atom, machine.state)
+                        for atom in bank.atoms]
         fail = CheckerAutomaton.FAIL_STATE
+
+        def step(chk_states: tuple) -> tuple:
+            # label the machine's live state: one bool per bank atom
+            state = machine.state
+            return bank.step(chk_states,
+                             tuple([bool(fn(state)) for fn in observations]))
 
         def assumption_violated(chk_states: tuple) -> bool:
             return fail in chk_states[:num_assumptions]
@@ -198,43 +190,87 @@ class AsmModelChecker:
         def property_violated(chk_states: tuple) -> bool:
             return fail in chk_states[num_assumptions:]
 
-        # parents: product_key -> (parent_key, action_label, snapshot)
-        parents: dict = {}
-        initial_key = (self._project(initial_snapshot), initial_chk)
-        parents[initial_key] = (None, None, initial_snapshot)
-
+        initial_chk = step(bank.initial)
         if assumption_violated(initial_chk):
             # no assumption-consistent behaviour exists: vacuously true
-            elapsed = time.perf_counter() - start
-            return ModelCheckResult(
-                True, 0, 0, elapsed, property_name=name,
-            )
+            return ModelCheckResult(True, 0, 0, time.perf_counter() - start,
+                                    property_name=name)
         if property_violated(initial_chk):
-            elapsed = time.perf_counter() - start
             return ModelCheckResult(
-                False, 1, 0, elapsed,
-                counterexample=[("initial", dict(initial_snapshot))],
+                False, 1, 0, time.perf_counter() - start,
+                counterexample=[("initial", dict(machine.snapshot()))],
                 property_name=name,
             )
+        trace, nodes, transitions, reason = self._search(
+            start, initial_chk, step, property_violated, assumption_violated)
+        elapsed = time.perf_counter() - start
+        if trace is not None:
+            return ModelCheckResult(False, nodes, transitions, elapsed,
+                                    counterexample=trace, property_name=name)
+        return ModelCheckResult(
+            None if reason else True, nodes, transitions, elapsed,
+            property_name=name, truncated_reason=reason,
+        )
 
-        queue: deque = deque([(initial_snapshot, initial_chk, initial_key, 0)])
-        visited = {initial_key}
+    # ------------------------------------------------------------------
+    def check_cover(self, sere: Sere, name: str = "cover") -> CoverResult:
+        """Search for a witness execution matching the SERE (PSL's
+        ``cover`` directive): a match may start at any cycle."""
+        start = time.perf_counter()
+        nfa = compile_sere(sere)
+        atoms = sorted(sere.atoms())
+        machine = self.machine
+        machine.reset()
+
+        def step(runs: frozenset) -> frozenset:
+            # NFA runs start fresh at every cycle (cover matches anywhere)
+            valuation = self.labeling.valuation(machine.state, atoms)
+            return nfa.step(runs | nfa.initial, valuation)
+
+        initial_runs = step(frozenset())
+        if nfa.accepts_now(initial_runs) or nfa.accepts_empty:
+            return CoverResult(True, 1, 0, time.perf_counter() - start,
+                               witness=[("initial", dict(machine.snapshot()))],
+                               name=name)
+        witness, nodes, transitions, reason = self._search(
+            start, initial_runs, step, nfa.accepts_now)
+        covered = True if witness is not None else (None if reason else False)
+        return CoverResult(covered, nodes, transitions,
+                           time.perf_counter() - start, witness=witness,
+                           name=name)
+
+    # ------------------------------------------------------------------
+    def _search(self, start: float, initial, step, goal, prune=None):
+        """Breadth-first search of the machine x monitor product.
+
+        ``initial`` is the monitor component of the machine's initial
+        state and ``step(component)`` the component after a transition
+        into the machine's live state.  Successors whose component meets
+        ``prune`` are dropped; the first meeting ``goal`` ends the search.
+        Returns ``(trace, nodes, transitions, reason)``: the path to that
+        successor (None when none is reached) and the truncation reason,
+        "" for a complete search, else "deadline" or "bounds".
+        """
+        machine = self.machine
+        config = self.config
+        snapshot = machine.snapshot()
+        key = (self._project(snapshot), initial)
+        # parents: product_key -> (parent_key, action_label, snapshot)
+        parents: dict = {key: (None, None, snapshot)}
+        queue: deque = deque([(snapshot, initial, key, 0)])
+        visited = {key}
         num_transitions = 0
-        truncated = False
         reason = ""
         deadline = (
             None if getattr(config, "deadline_s", None) is None
             else start + config.deadline_s
         )
-
         while queue:
             if deadline is not None and time.perf_counter() > deadline:
-                truncated = True
                 reason = "deadline"
                 break
-            snapshot, chk_states, key, depth = queue.popleft()
+            snapshot, component, key, depth = queue.popleft()
             if config.max_depth is not None and depth >= config.max_depth:
-                truncated = True
                 reason = reason or "bounds"
                 continue
             machine.restore(snapshot)
@@ -246,134 +282,34 @@ class AsmModelChecker:
                     config.max_transitions is not None
                     and num_transitions >= config.max_transitions
                 ):
-                    truncated = True
                     reason = reason or "bounds"
                     break
                 machine.restore(snapshot)
                 machine.fire(action)
                 succ_snapshot = machine.snapshot()
-                succ_chk = advance(chk_states, succ_snapshot)
-                succ_key = (self._project(succ_snapshot), succ_chk)
+                succ = step(component)
+                succ_key = (self._project(succ_snapshot), succ)
                 num_transitions += 1
-                if assumption_violated(succ_chk):
+                if prune is not None and prune(succ):
                     continue  # pruned: outside the assumed environment
                 if succ_key not in parents:
                     parents[succ_key] = (key, action.label, succ_snapshot)
-                if property_violated(succ_chk):
-                    elapsed = time.perf_counter() - start
+                if goal(succ):
                     machine.reset()
-                    return ModelCheckResult(
-                        False,
-                        len(visited) + 1,
-                        num_transitions,
-                        elapsed,
-                        counterexample=self._trace(parents, succ_key),
-                        property_name=name,
-                    )
+                    return (self._trace(parents, succ_key), len(visited) + 1,
+                            num_transitions, reason)
                 if succ_key in visited:
                     continue
                 if (
                     config.max_states is not None
                     and len(visited) >= config.max_states
                 ):
-                    truncated = True
                     reason = reason or "bounds"
                     continue
                 visited.add(succ_key)
-                queue.append((succ_snapshot, succ_chk, succ_key, depth + 1))
-
+                queue.append((succ_snapshot, succ, succ_key, depth + 1))
         machine.reset()
-        elapsed = time.perf_counter() - start
-        holds: Optional[bool] = True if not truncated else None
-        return ModelCheckResult(
-            holds, len(visited), num_transitions, elapsed, property_name=name,
-            truncated_reason=reason,
-        )
-
-    # ------------------------------------------------------------------
-    def check_cover(self, sere: Sere, name: str = "cover") -> CoverResult:
-        """Search for a witness execution matching the SERE (PSL's
-        ``cover`` directive): a match may start at any cycle."""
-        start = time.perf_counter()
-        nfa = compile_sere(sere)
-        atoms = sorted(sere.atoms())
-        machine = self.machine
-        config = self.config
-        machine.reset()
-
-        def val(snapshot: tuple) -> dict:
-            return self.labeling.valuation(dict(snapshot), atoms)
-
-        initial_snapshot = machine.snapshot()
-        # NFA runs start fresh at every cycle (cover matches anywhere)
-        initial_runs = nfa.step(nfa.initial, val(initial_snapshot))
-        if nfa.accepts_now(initial_runs) or nfa.accepts_empty:
-            elapsed = time.perf_counter() - start
-            machine.reset()
-            return CoverResult(True, 1, 0, elapsed,
-                               witness=[("initial", dict(initial_snapshot))],
-                               name=name)
-        initial_key = (self._project(initial_snapshot), initial_runs)
-        parents: dict = {initial_key: (None, None, initial_snapshot)}
-        queue: deque = deque([(initial_snapshot, initial_runs, initial_key, 0)])
-        visited = {initial_key}
-        num_transitions = 0
-        truncated = False
-        deadline = (
-            None if getattr(config, "deadline_s", None) is None
-            else start + config.deadline_s
-        )
-        while queue:
-            if deadline is not None and time.perf_counter() > deadline:
-                truncated = True
-                break
-            snapshot, runs, key, depth = queue.popleft()
-            if config.max_depth is not None and depth >= config.max_depth:
-                truncated = True
-                continue
-            machine.restore(snapshot)
-            actions = machine.enabled_actions()
-            if config.action_filter is not None:
-                actions = [a for a in actions if config.action_filter(a)]
-            for action in actions:
-                if (
-                    config.max_transitions is not None
-                    and num_transitions >= config.max_transitions
-                ):
-                    truncated = True
-                    break
-                machine.restore(snapshot)
-                machine.fire(action)
-                succ = machine.snapshot()
-                valuation = val(succ)
-                succ_runs = nfa.step(runs | nfa.initial, valuation)
-                succ_key = (self._project(succ), succ_runs)
-                num_transitions += 1
-                if succ_key not in parents:
-                    parents[succ_key] = (key, action.label, succ)
-                if nfa.accepts_now(succ_runs):
-                    elapsed = time.perf_counter() - start
-                    machine.reset()
-                    return CoverResult(
-                        True, len(visited) + 1, num_transitions, elapsed,
-                        witness=self._trace(parents, succ_key), name=name,
-                    )
-                if succ_key in visited:
-                    continue
-                if (
-                    config.max_states is not None
-                    and len(visited) >= config.max_states
-                ):
-                    truncated = True
-                    continue
-                visited.add(succ_key)
-                queue.append((succ, succ_runs, succ_key, depth + 1))
-        machine.reset()
-        elapsed = time.perf_counter() - start
-        return CoverResult(
-            None if truncated else False,
-            len(visited), num_transitions, elapsed, name=name,
-        )
+        return None, len(visited), num_transitions, reason
 
     # ------------------------------------------------------------------
     def _project(self, snapshot: tuple) -> tuple:

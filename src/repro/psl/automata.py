@@ -12,9 +12,11 @@ Two consumers share this machinery:
   at simulation time (the ABV path);
 * :func:`build_checker` *determinises* progression into an explicit
   :class:`CheckerAutomaton` over the property's atoms -- the automaton the
-  exploration-based model checker (:mod:`repro.asm.checker`) composes with
-  the ASM's FSM and the symbolic model checker (:mod:`repro.mc`) encodes
-  into BDD state variables.
+  symbolic model checker (:mod:`repro.mc`) encodes into BDD state
+  variables.  A :class:`PropertyBank` steps several of them as one
+  memoised product: the exploration-based model checker
+  (:mod:`repro.asm.checker`) composes it with the ASM's FSM, and the
+  SystemC assertion monitors (:mod:`repro.abv`) sample through it.
 
 Obligation sets are finite for the supported fragment (bounded ``next`` /
 ``within!`` windows, SERE trackers over fixed NFAs), so the automaton
@@ -54,6 +56,8 @@ __all__ = [
     "is_strong",
     "CheckerAutomaton",
     "build_checker",
+    "compiled_checker",
+    "PropertyBank",
     "FAIL",
 ]
 
@@ -333,19 +337,11 @@ class CheckerAutomaton:
         """Number of non-failure states."""
         return len(self.states)
 
-    def valuation_key(self, valuation: dict) -> tuple:
-        """Project a full valuation onto this property's atoms."""
-        return tuple(bool(valuation[a]) for a in self.atoms)
-
     def transition(self, state: int, key: tuple) -> int:
         """Next state index (or :attr:`FAIL_STATE`)."""
         if state == self.FAIL_STATE:
             return self.FAIL_STATE
         return self._table[(state, key)]
-
-    def step(self, state: int, valuation: dict) -> int:
-        """Convenience: transition using a full valuation dict."""
-        return self.transition(state, self.valuation_key(valuation))
 
     def is_accepting_sink(self, state: int) -> bool:
         """True when the property can no longer fail from ``state``."""
@@ -367,7 +363,8 @@ class CheckerAutomaton:
         """
         state = 0
         for i, valuation in enumerate(trace):
-            state = self.step(state, valuation)
+            key = tuple(bool(valuation[a]) for a in self.atoms)
+            state = self.transition(state, key)
             if state == self.FAIL_STATE:
                 return "fails", i
         if self.has_strong_pending(state):
@@ -422,3 +419,46 @@ def build_checker(prop: Property, max_states: int = 100000) -> CheckerAutomaton:
                 frontier.append(nxt)
             table[(src, key)] = dst
     return CheckerAutomaton(prop, atoms, states, table)
+
+
+#: compiled checkers, shared by every :class:`PropertyBank` in the process
+_CHECKER_CACHE: dict[Property, CheckerAutomaton] = {}
+
+
+def compiled_checker(prop: Property) -> CheckerAutomaton:
+    """:func:`build_checker` through the process-wide checker cache."""
+    checker = _CHECKER_CACHE.get(prop)
+    if checker is None:
+        checker = _CHECKER_CACHE[prop] = build_checker(prop)
+    return checker
+
+
+class PropertyBank:
+    """The checkers of several properties stepped as one product.
+
+    A *label* is one bool per atom of :attr:`atoms`, the sorted union of
+    the properties' atoms; each checker reads its own through an index
+    projection.  A product state is one checker state per property, all
+    zeros at start.  :meth:`step` is memoised on ``(states, label)``: at
+    most one entry per product transition taken, dropped with the bank.
+    """
+
+    def __init__(self, props):
+        self.checkers = tuple(compiled_checker(p) for p in props)
+        self.atoms = tuple(sorted({a for c in self.checkers for a in c.atoms}))
+        index = {atom: i for i, atom in enumerate(self.atoms)}
+        self._steps = tuple((c.transition, tuple(index[a] for a in c.atoms))
+                            for c in self.checkers)
+        self.initial = (0,) * len(self.checkers)
+        self._memo: dict = {}
+
+    def step(self, states: tuple, label: tuple) -> tuple:
+        """The product state after one cycle labelled ``label``."""
+        key = (states, label)
+        nxt = self._memo.get(key)
+        if nxt is None:
+            nxt = self._memo[key] = tuple(
+                transition(state, tuple([label[i] for i in projection]))
+                for (transition, projection), state in zip(self._steps, states)
+            )
+        return nxt

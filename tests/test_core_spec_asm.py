@@ -18,6 +18,7 @@ from repro.core.properties import (
     single_reader_property,
     write_commit_property,
 )
+from repro.psl import PslError
 from repro.psl import builder as B
 
 
@@ -209,6 +210,52 @@ class TestAsmModelChecking:
         assert len(device_property_suite(1)) == 7
         assert len(device_property_suite(2)) == 15  # 14 + 1 pair
         assert len(device_property_suite(4)) == 28 + 6
+
+
+class TestTable1Pins:
+    """The paper's Table 1 as this model reproduces it: the combined
+    device suite holds, with the generated FSM's node and transition
+    counts fixed per bank count."""
+
+    @pytest.mark.parametrize("banks, nodes, transitions", [
+        (1, 64, 94), (2, 368, 584), (3, 1456, 2392), (4, 4832, 8096),
+    ])
+    def test_combined_suite_counts(self, banks, nodes, transitions):
+        machine = build_la1_asm(La1AsmConfig(banks=banks))
+        checker = AsmModelChecker(machine, asm_labeling(banks))
+        result = checker.check_combined(
+            [p for __, p in device_property_suite(banks)])
+        assert result.holds is True
+        assert (result.num_nodes, result.num_transitions) == \
+            (nodes, transitions)
+        assert result.truncated_reason == ""
+
+    def test_wrong_latency_counterexample(self):
+        """The too-fast latency property fails on the shortest read: a
+        request captured at K, the K# half-cycle, then the next K edge,
+        where the bank is fetching instead of driving data."""
+        wrong = B.always(
+            B.implies(B.atom(La1AsmAtoms.read_req(0)),
+                      B.next_(B.atom(La1AsmAtoms.data_valid(0)), 2))
+        )
+        checker = AsmModelChecker(build_la1_asm(La1AsmConfig(banks=1)),
+                                  asm_labeling(1))
+        result = checker.check(wrong, "too-fast")
+        assert result.holds is False
+        assert (result.num_nodes, result.num_transitions) == (15, 15)
+        assert [label for label, __ in result.counterexample] == [
+            "initial",
+            "EdgeK(raddr=0, rsel=0, wsel=-1)",
+            "EdgeKSharp(waddr=0, wdata=0)",
+            "EdgeK(raddr=0, rsel=-1, wsel=-1)",
+        ]
+        assert result.counterexample[-1][1]["rp0"][0] == "fetch"
+
+    def test_unlabelled_atom_raises(self):
+        checker = AsmModelChecker(build_la1_asm(La1AsmConfig(banks=1)),
+                                  asm_labeling(1))
+        with pytest.raises(PslError, match="no labeling function"):
+            checker.check(B.always(B.atom("no_such_signal")))
 
 
 @settings(max_examples=30, deadline=None)

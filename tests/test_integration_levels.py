@@ -168,6 +168,14 @@ class TestCompiledMonitorEquivalence:
             compiled=False)
         assert compiled._checker is not None
         assert interpreted._checker is None
+        # sample observers see every sample, decided or not, on both
+        # paths (projected on the property's atoms: an interpreted
+        # monitor also reports bound atoms the property does not read)
+        observed = {"compiled": [], "interpreted": []}
+        for monitor in (compiled, interpreted):
+            monitor.sample_observers.append(
+                lambda v, seen=observed[monitor.name]: seen.append(
+                    {a: v[a] for a in prop.atoms()}))
         for valuation in trace:
             feeder.current = valuation
             compiled.sample()
@@ -176,6 +184,8 @@ class TestCompiledMonitorEquivalence:
         if compiled.verdict is Verdict.FAILS:
             assert compiled.monitor.failed_at == \
                 interpreted.monitor.failed_at
+        assert observed["compiled"] == observed["interpreted"]
+        assert len(observed["compiled"]) == len(trace)
 
 
 class TestSuitePortability:

@@ -343,3 +343,168 @@ class TestAbvMonitors:
         monitor.attach(sim, clocks.posedge_k)
         sim.run(2)
         assert not monitor.p_status and monitor.p_value
+
+
+#: every read-mode monitor of a 1-bank device under each protocol
+#: mutation of bank 0: (failed_at, first report line) of the monitors that
+#: fire; the others hold.  Every monitor takes 1000 samples.
+MUTATION_FIRINGS = {
+    "drop_beat0": {
+        "read_latency[0]": (17, "[read_latency[0]] ASSERTION FIRED at time "
+                            "18: always ((read_req_0 -> next[4] "
+                            "(data_valid_0))) with data_valid_0=0, "
+                            "read_req_0=0"),
+    },
+    "drop_beat1": {
+        "read_second_beat[0]": (18, "[read_second_beat[0]] ASSERTION FIRED "
+                                "at time 19: always ((data_valid_0 -> "
+                                "next[1] (data_valid2_0))) with "
+                                "data_valid2_0=0, data_valid_0=0"),
+    },
+    "spurious_data": {
+        "read_second_beat[0]": (2, "[read_second_beat[0]] ASSERTION FIRED "
+                                "at time 3: always ((data_valid_0 -> "
+                                "next[1] (data_valid2_0))) with "
+                                "data_valid2_0=0, data_valid_0=0"),
+        "no_spurious_data[0]": (1, "[no_spurious_data[0]] ASSERTION FIRED "
+                                "at time 2: never {{!read_fetch_0} ; "
+                                "{data_valid_0}} with data_valid_0=1, "
+                                "read_fetch_0=0"),
+    },
+    "duplicate_command": {
+        "read_latency[0]": (21, "[read_latency[0]] ASSERTION FIRED at time "
+                            "22: always ((read_req_0 -> next[4] "
+                            "(data_valid_0))) with data_valid_0=0, "
+                            "read_req_0=1"),
+    },
+    "corrupt_parity": {
+        "parity_even[0]": (17, "[parity_even[0]] ASSERTION FIRED at time "
+                           "18: always (((data_valid_0 | data_valid2_0) -> "
+                           "parity_ok_0)) with data_valid2_0=0, "
+                           "data_valid_0=1, parity_ok_0=0"),
+    },
+}
+
+
+class TestAbvUnderProtocolMutations:
+    """The campaign's SystemC recipe on a 1-bank device: saboteur, then
+    the read-mode monitors, then 40 seeded transactions."""
+
+    @pytest.mark.parametrize("kind", sorted(MUTATION_FIRINGS))
+    def test_monitor_outcomes(self, kind):
+        from repro.core import La1Config, build_la1_system
+        from repro.core.monitors import attach_read_mode_monitors
+        from repro.core.traffic import queue_traffic
+        from repro.fault import PROTOCOL_KINDS, ProtocolMutation
+        from repro.fault.sysc_inject import ProtocolSaboteur
+
+        assert set(MUTATION_FIRINGS) == set(PROTOCOL_KINDS)
+        config = La1Config(banks=1)
+        sim, clocks, device, host = build_la1_system(config)
+        ProtocolSaboteur(sim, device, ProtocolMutation(kind, 0))
+        monitors = attach_read_mode_monitors(sim, device, clocks)
+        queue_traffic(host, config, 40, 2004)
+        sim.run(40 * 20 + 200)
+        summarize(monitors).finish()
+        assert [m.name for m in monitors] == [
+            "read_latency[0]", "read_second_beat[0]",
+            "no_spurious_data[0]", "parity_even[0]"]
+        fired = MUTATION_FIRINGS[kind]
+        for monitor in monitors:
+            assert monitor.samples == 1000
+            if monitor.name in fired:
+                assert monitor.verdict is Verdict.FAILS
+                assert (monitor.monitor.failed_at, monitor.reports[0]) == \
+                    fired[monitor.name]
+            else:
+                assert monitor.verdict is Verdict.HOLDS
+                assert monitor.monitor.failed_at is None
+                assert monitor.reports == []
+
+
+class TestSharedSampler:
+    """Monitors attached with the same triggers share one sampler; each
+    samples and decides exactly as when attached alone."""
+
+    def _run(self, names):
+        from repro.psl import ModelingLayer
+        from repro.psl import builder as B
+
+        sim = Simulator()
+        clocks = ClockPair(sim, "K")
+        a = Signal(sim, "a", True)
+        b = Signal(sim, "b", False)
+        layer = ModelingLayer()
+        either = layer.define("either", B.atom("a") | B.atom("b"))
+        monitors = {
+            "compiled": (AssertionMonitor("always (a -> next b)", "compiled",
+                                          {"a": a, "b": b}),
+                         clocks.posedge_k),
+            "modeling": (AssertionMonitor(B.always(either), "modeling",
+                                          {"a": a, "b": b}, modeling=layer),
+                         clocks.posedge_k),
+            "other": (AssertionMonitor("always (a)", "other", {"a": a}),
+                      clocks.posedge_k_bar),
+        }
+        for name in names:
+            monitor, trigger = monitors[name]
+            monitor.attach(sim, trigger)
+        sim.run(12)
+        return {name: monitors[name][0] for name in names}
+
+    def test_each_samples_as_when_alone(self):
+        shared = self._run(["compiled", "modeling", "other"])
+        assert shared["compiled"]._checker is not None
+        assert shared["modeling"]._checker is None
+        assert shared["compiled"]._sampler is shared["modeling"]._sampler
+        assert shared["other"]._sampler is not shared["compiled"]._sampler
+        for name, monitor in shared.items():
+            alone = self._run([name])[name]
+            assert monitor.samples == alone.samples > 0
+            assert monitor.finish() is alone.finish()
+            assert monitor.monitor.failed_at == alone.monitor.failed_at
+        assert shared["compiled"].verdict is Verdict.FAILS
+
+    def test_atom_bound_to_another_source_gets_own_sampler(self):
+        sim = Simulator()
+        clocks = ClockPair(sim, "K")
+        high = Signal(sim, "high", True)
+        low = Signal(sim, "low", False)
+        on_high = AssertionMonitor("always (x)", "on_high", {"x": high})
+        on_low = AssertionMonitor("always (x)", "on_low", {"x": low})
+        for monitor in (on_high, on_low):
+            monitor.attach(sim, clocks.posedge_k)
+        sim.run(4)
+        assert on_high._sampler is not on_low._sampler
+        assert on_high.finish() is Verdict.HOLDS
+        assert on_low.verdict is Verdict.FAILS
+        assert on_high.samples == on_low.samples == 2
+
+    def test_attaching_twice_is_rejected(self):
+        sim = Simulator()
+        clocks = ClockPair(sim, "K")
+        monitor = AssertionMonitor("always (ok)", "m",
+                                   {"ok": Signal(sim, "ok", True)})
+        monitor.attach(sim, clocks.posedge_k)
+        with pytest.raises(ValueError, match="already sampled"):
+            monitor.attach(sim, clocks.posedge_k_bar)
+
+    def test_stop_ends_the_sample_for_later_monitors(self):
+        """A STOP fired by one monitor ends the delta: a monitor attached
+        after it neither counts nor steps that sample."""
+        sim = Simulator()
+        clocks = ClockPair(sim, "K")
+        ok = Signal(sim, "ok", False)
+        req = Signal(sim, "req", True)
+        ack = Signal(sim, "ack", False)
+        stopper = AssertionMonitor("always (ok)", "stopper", {"ok": ok},
+                                   actions=(FailureAction.STOP,))
+        later = AssertionMonitor("always (req -> within![2] ack)", "later",
+                                 {"req": req, "ack": ack})
+        for monitor in (stopper, later):
+            monitor.attach(sim, clocks.posedge_k)
+        sim.run(8)
+        assert stopper.verdict is Verdict.FAILS
+        assert (stopper.samples, later.samples) == (1, 0)
+        # unstepped, ``later`` has no strong obligation pending
+        assert later.finish() is Verdict.HOLDS

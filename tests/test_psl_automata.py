@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.psl import (
+    PropertyBank,
     PslError,
     PslMonitor,
     Verdict,
@@ -130,3 +131,41 @@ class TestMonitorEquivalence:
         if monitor.verdict is Verdict.FAILS:
             assert verdict == "fails"
             assert cycle == monitor.failed_at
+
+
+class TestPropertyBank:
+    """One memoised product step agrees with stepping each checker."""
+
+    @settings(max_examples=100)
+    @given(st.lists(st.sampled_from(PROPERTIES), min_size=1, max_size=4),
+           _traces(_ATOMS))
+    def test_step_matches_each_checker(self, texts, trace):
+        props = [parse_property(t) for t in texts]
+        bank = PropertyBank(props)
+        assert list(bank.atoms) == sorted(set().union(
+            *(p.atoms() for p in props)))
+        checkers = [build_checker(p) for p in props]
+        states = bank.initial
+        singles = [0] * len(props)
+        assert states == (0,) * len(props)
+        for valuation in trace:
+            states = bank.step(states, tuple(valuation[a] for a in bank.atoms))
+            singles = [c.transition(s, tuple(valuation[a] for a in c.atoms))
+                       for c, s in zip(checkers, singles)]
+            assert list(states) == singles
+
+    def test_memo_holds_one_entry_per_distinct_transition(self):
+        bank = PropertyBank([parse_property("always (req -> next (ack))"),
+                             parse_property("never {req & ack}")])
+        assert bank.atoms == ("ack", "req")
+        states, keys = bank.initial, set()
+        for label in [(False, True), (True, False)] * 10:
+            keys.add((states, label))
+            states = bank.step(states, label)
+        assert len(bank._memo) == len(keys) <= 20
+
+    def test_checkers_shared_across_banks(self):
+        prop = parse_property("always (ok)")
+        first, second = PropertyBank([prop]), PropertyBank([prop])
+        assert first.checkers[0] is second.checkers[0]
+        assert first._memo is not second._memo
