@@ -429,34 +429,31 @@ class BddManager:
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
+    # The walks below use explicit stacks, not recursive nested functions:
+    # a nested function that calls itself sits in a reference cycle with
+    # its closure, which would keep this manager's tables alive until the
+    # next cyclic collection.
+    def _nodes(self, roots: Iterable[int]) -> set[int]:
+        """The decision nodes reachable from ``roots``."""
+        seen: set[int] = set()
+        stack = [r for r in roots if r > 1]
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            for child in (self._low[node], self._high[node]):
+                if child > 1 and child not in seen:
+                    stack.append(child)
+        return seen
+
     def size(self, f: int) -> int:
         """Number of distinct decision nodes in the BDD rooted at ``f``."""
-        seen: set[int] = set()
-
-        def walk(node: int) -> None:
-            if node <= 1 or node in seen:
-                return
-            seen.add(node)
-            walk(self._low[node])
-            walk(self._high[node])
-
-        walk(f)
-        return len(seen)
+        return len(self._nodes((f,)))
 
     def size_many(self, roots: Iterable[int]) -> int:
         """Distinct decision nodes across several roots (shared counted once)."""
-        seen: set[int] = set()
-
-        def walk(node: int) -> None:
-            if node <= 1 or node in seen:
-                return
-            seen.add(node)
-            walk(self._low[node])
-            walk(self._high[node])
-
-        for root in roots:
-            walk(root)
-        return len(seen)
+        return len(self._nodes(roots))
 
     def evaluate(self, f: int, assignment: dict[str, bool]) -> bool:
         """Evaluate ``f`` under a total assignment of its support."""
@@ -487,44 +484,28 @@ class BddManager:
         """Number of satisfying assignments over ``num_vars`` variables
         (default: all declared variables)."""
         total_vars = num_vars if num_vars is not None else len(self._vars)
-        cache: dict[int, int] = {}
-
-        def count_at(node: int) -> int:
-            """Count over the variables strictly below ``node``'s level."""
-            if node in cache:
-                return cache[node]
-            level = self._level[node]
-            result = count_from(self._low[node], level + 1) + count_from(
-                self._high[node], level + 1
-            )
-            cache[node] = result
-            return result
+        level_of = self._level
+        #: node -> count over the variables strictly below its level
+        counts: dict[int, int] = {}
 
         def count_from(node: int, from_level: int) -> int:
             if node == self.FALSE:
                 return 0
             if node == self.TRUE:
                 return 1 << (total_vars - from_level)
-            level = self._level[node]
-            return count_at(node) << (level - from_level)
+            return counts[node] << (level_of[node] - from_level)
 
+        # deepest level first, so both children are counted before a node
+        for node in sorted(self._nodes((f,)), key=level_of.__getitem__,
+                           reverse=True):
+            below = level_of[node] + 1
+            counts[node] = (count_from(self._low[node], below)
+                            + count_from(self._high[node], below))
         return count_from(f, 0)
 
     def support(self, f: int) -> set[str]:
         """The set of variables ``f`` actually depends on."""
-        seen: set[int] = set()
-        names: set[str] = set()
-
-        def walk(node: int) -> None:
-            if node <= 1 or node in seen:
-                return
-            seen.add(node)
-            names.add(self._vars[self._level[node]])
-            walk(self._low[node])
-            walk(self._high[node])
-
-        walk(f)
-        return names
+        return {self._vars[self._level[n]] for n in self._nodes((f,))}
 
     def clear_cache(self) -> None:
         """Drop the computed table (useful between unrelated problems)."""
@@ -567,25 +548,25 @@ class BddManager:
             raise ValueError("copy_roots requires an identical variable order")
         mapping: dict[int, int] = {self.FALSE: other.FALSE,
                                    self.TRUE: other.TRUE}
-
-        def copy(node: int) -> int:
-            mapped = mapping.get(node)
-            if mapped is not None:
-                return mapped
-            low = copy(self._low[node])
-            high = copy(self._high[node])
-            mapped = other._mk(self._level[node], low, high)
-            mapping[node] = mapped
-            return mapped
-
-        import sys
-
-        limit = sys.getrecursionlimit()
-        try:
-            sys.setrecursionlimit(max(limit, 100000))
-            return [copy(r) for r in roots]
-        finally:
-            sys.setrecursionlimit(limit)
+        for root in roots:
+            # post-order, low before high: the recursive copy's node order
+            stack = [root]
+            while stack:
+                node = stack[-1]
+                if node in mapping:
+                    stack.pop()
+                    continue
+                low = mapping.get(self._low[node])
+                if low is None:
+                    stack.append(self._low[node])
+                    continue
+                high = mapping.get(self._high[node])
+                if high is None:
+                    stack.append(self._high[node])
+                    continue
+                mapping[node] = other._mk(self._level[node], low, high)
+                stack.pop()
+        return [mapping[r] for r in roots]
 
     def estimated_memory_bytes(self) -> int:
         """A memory estimate: 24 bytes per node plus table overheads,

@@ -3,10 +3,13 @@
 Vacuity is decided with the BDD engine: an implication guard whose BDD
 is the ``FALSE`` terminal can never activate its consequent, and a
 suffix-implication antecedent whose NFA reaches no accepting state over
-satisfiable guards can never obligate anything.  Tautology is decided on
-the determinised checker automaton: if the ``FAIL`` state is unreachable
-from the initial state the property cannot fail on any trace, so
-"proving" it exercises nothing.
+satisfiable guards can never obligate anything.  Guards are lowered by
+:func:`encode_bool`, which the SAT deciders of
+:mod:`repro.lint.sat_rules` share with a Tseitin builder.  Tautology is
+decided on the determinised checker automaton: if
+:meth:`~repro.psl.automata.CheckerAutomaton.reachable` does not contain
+the ``FAIL`` state, the property cannot fail on any trace, so "proving"
+it exercises nothing.
 
 Rule ids
 --------
@@ -15,6 +18,8 @@ Rule ids
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from ..bdd import BddManager
 from ..psl.ast import (
@@ -43,7 +48,7 @@ from .diagnostics import ERROR
 from .manager import LintContext, Pass
 
 __all__ = [
-    "bool_to_bdd",
+    "encode_bool",
     "satisfiable",
     "sere_can_match",
     "PslVacuityPass",
@@ -51,32 +56,35 @@ __all__ = [
 ]
 
 
-def bool_to_bdd(mgr: BddManager, expr: BoolExpr) -> int:
-    """Encode a boolean-layer expression in ``mgr`` (atoms are declared
-    on first use)."""
+def encode_bool(g, expr: BoolExpr, atom) -> int:
+    """Lower a boolean-layer expression through the gate builder ``g``
+    (a :class:`~repro.bdd.BddManager` or a :class:`~repro.sat.cnf.Tseitin`,
+    see :mod:`repro.rtl.bitblast`); ``atom(name)`` returns one atom's
+    bit."""
     if isinstance(expr, Atom):
-        if expr.name not in mgr.var_names():
-            mgr.add_var(expr.name)
-        return mgr.var(expr.name)
+        return atom(expr.name)
     if isinstance(expr, ConstB):
-        return mgr.TRUE if expr.value else mgr.FALSE
+        return g.TRUE if expr.value else g.FALSE
     if isinstance(expr, Not):
-        return mgr.not_(bool_to_bdd(mgr, expr.a))
+        return g.not_(encode_bool(g, expr.a, atom))
     if isinstance(expr, (And, Or, Implies, Iff)):
-        a = bool_to_bdd(mgr, expr.a)
-        b = bool_to_bdd(mgr, expr.b)
-        op = {
-            And: mgr.and_, Or: mgr.or_,
-            Implies: mgr.implies, Iff: mgr.xnor,
-        }[type(expr)]
-        return op(a, b)
-    raise PslError(f"cannot encode {expr!r} as a BDD")
+        a = encode_bool(g, expr.a, atom)
+        b = encode_bool(g, expr.b, atom)
+        if isinstance(expr, And):
+            return g.and_(a, b)
+        if isinstance(expr, Or):
+            return g.or_(a, b)
+        if isinstance(expr, Implies):
+            return g.or_(g.not_(a), b)
+        return g.xnor(a, b)
+    raise PslError(f"cannot encode {expr!r}")
 
 
 def satisfiable(expr: BoolExpr) -> bool:
     """True when some valuation of the atoms makes ``expr`` true."""
     mgr = BddManager()
-    return bool_to_bdd(mgr, expr) != mgr.FALSE
+    # each atom becomes a BDD variable on first use
+    return encode_bool(mgr, expr, cache(mgr.add_var)) != mgr.FALSE
 
 
 def sere_can_match(sere: Sere, decider=satisfiable) -> bool:
@@ -188,17 +196,4 @@ class PslTautologyPass(Pass):
 
     @staticmethod
     def _can_fail(checker: CheckerAutomaton) -> bool:
-        successors: dict[int, set[int]] = {}
-        for (src, __), dst in checker._table.items():
-            successors.setdefault(src, set()).add(dst)
-        reached = {0}
-        frontier = [0]
-        while frontier:
-            src = frontier.pop()
-            for dst in successors.get(src, ()):
-                if dst == CheckerAutomaton.FAIL_STATE:
-                    return True
-                if dst not in reached:
-                    reached.add(dst)
-                    frontier.append(dst)
-        return False
+        return CheckerAutomaton.FAIL_STATE in checker.reachable()

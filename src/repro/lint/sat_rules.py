@@ -30,21 +30,12 @@ the standard pipeline with them.
 
 from __future__ import annotations
 
-from itertools import product
+from functools import cache
 from typing import Optional
 
-from ..psl.ast import (
-    And,
-    Atom,
-    BoolExpr,
-    ConstB,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    PslError,
-)
+from ..psl.ast import BoolExpr
 from ..psl.automata import CheckerAutomaton
+from ..rtl.bitblast import lower_expr
 from ..rtl.hdl import Const, Ref
 from ..sat.cec import check_equivalence
 from ..sat.cnf import Tseitin
@@ -54,10 +45,14 @@ from ..sat.solver import Solver
 from .asm_rules import sweep_states
 from .diagnostics import ERROR
 from .manager import LintContext, Pass
-from .psl_rules import PslTautologyPass, PslVacuityPass, sere_can_match
+from .psl_rules import (
+    PslTautologyPass,
+    PslVacuityPass,
+    encode_bool,
+    sere_can_match,
+)
 
 __all__ = [
-    "bool_to_cnf",
     "sat_satisfiable",
     "SatConstNetPass",
     "SatPslVacuityPass",
@@ -70,38 +65,13 @@ __all__ = [
 # ----------------------------------------------------------------------
 # PSL boolean layer -> CNF
 # ----------------------------------------------------------------------
-def bool_to_cnf(t: Tseitin, expr: BoolExpr, atoms: dict) -> int:
-    """Encode a boolean-layer expression as a literal (atoms are
-    allocated on first use into ``atoms``)."""
-    if isinstance(expr, Atom):
-        lit = atoms.get(expr.name)
-        if lit is None:
-            lit = t.new_var()
-            atoms[expr.name] = lit
-        return lit
-    if isinstance(expr, ConstB):
-        return t.const(expr.value)
-    if isinstance(expr, Not):
-        return -bool_to_cnf(t, expr.a, atoms)
-    if isinstance(expr, (And, Or, Implies, Iff)):
-        a = bool_to_cnf(t, expr.a, atoms)
-        b = bool_to_cnf(t, expr.b, atoms)
-        if isinstance(expr, And):
-            return t.and_(a, b)
-        if isinstance(expr, Or):
-            return t.or_(a, b)
-        if isinstance(expr, Implies):
-            return t.or_(-a, b)
-        return t.xnor_(a, b)
-    raise PslError(f"cannot encode {expr!r} as CNF")
-
-
 def sat_satisfiable(expr: BoolExpr) -> bool:
     """SAT-decided satisfiability of a boolean-layer expression; an
     UNSAT verdict is validated against the solver's own proof log."""
     solver = Solver()
     t = Tseitin(solver)
-    lit = bool_to_cnf(t, expr, {})
+    # each atom becomes a solver variable on first use
+    lit = encode_bool(t, expr, cache(lambda __: t.new_var()))
     if solver.solve([lit]):
         return True
     check_unsat(solver, (lit,))
@@ -167,8 +137,8 @@ class SatConstNetPass(Pass):
         enables = []
         for flat in design.comb_order:
             for index, driver in enumerate(flat.tristate or ()):
-                enables.append((flat, index, enc._encode_expr(
-                    driver.enable, flat.scope, frame.bits
+                enables.append((flat, index, lower_expr(
+                    t, driver.enable, flat.scope, frame.bits
                 )[0]))
         watch = sorted({
             abs(lit)
@@ -286,16 +256,10 @@ class SatPslTautologyPass(PslTautologyPass):
     def _can_fail(checker: CheckerAutomaton) -> bool:
         solver = Solver()
         t = Tseitin(solver)
-        width = (
-            max(1, (checker.num_states - 1).bit_length())
-            if checker.num_states > 1 else 1
-        )
-        state = [t.FALSE] * width      # binary code of initial state 0
+        state = [t.FALSE] * checker.code_width  # code of initial state 0
         for __ in range(checker.num_states):
             atom_lits = [t.new_var() for __ in checker.atoms]
-            fail, state = _automaton_step(
-                t, checker, width, state, atom_lits
-            )
+            fail, state = checker.encode_step(t, state, atom_lits)
             if fail == t.TRUE:
                 return True
             if fail != t.FALSE and solver.solve([fail]):
@@ -303,41 +267,6 @@ class SatPslTautologyPass(PslTautologyPass):
         if solver.proof:
             check_proof(solver.clauses, solver.proof)
         return False
-
-
-def _automaton_step(t: Tseitin, checker: CheckerAutomaton, width: int,
-                    state_lits, atom_lits):
-    """One symbolic frame of the checker automaton (the standalone
-    analogue of ``SatModelChecker.embed_automaton_step``)."""
-    keys = list(product((False, True), repeat=len(checker.atoms)))
-    key_lits = {
-        key: t.and_many([
-            lit if value else -lit
-            for lit, value in zip(atom_lits, key)
-        ])
-        for key in keys
-    }
-    fail_terms = []
-    next_terms: list = [[] for __ in range(width)]
-    for src in range(checker.num_states):
-        src_eq = t.and_many([
-            bit if (src >> i) & 1 else -bit
-            for i, bit in enumerate(state_lits)
-        ])
-        if src_eq == t.FALSE:
-            continue
-        for key in keys:
-            cond = t.and_(src_eq, key_lits[key])
-            if cond == t.FALSE:
-                continue
-            dst = checker.transition(src, key)
-            if dst == CheckerAutomaton.FAIL_STATE:
-                fail_terms.append(cond)
-                continue
-            for i in range(width):
-                if (dst >> i) & 1:
-                    next_terms[i].append(cond)
-    return t.or_many(fail_terms), [t.or_many(terms) for terms in next_terms]
 
 
 # ----------------------------------------------------------------------
@@ -401,12 +330,12 @@ class AsmSatRequirePass(Pass):
                 solver.add_clause(
                     (fact,) if index in table[name] else (-fact,)
                 )
-                sel_eq = t.and_many([
+                sel_eq = t.and_all([
                     bit if (index >> i) & 1 else -bit
                     for i, bit in enumerate(sel)
                 ])
                 terms.append(t.and_(sel_eq, fact))
-            fires = t.or_many(terms)
+            fires = t.or_all(terms)
             if fires != t.FALSE and solver.solve([fires]):
                 ctx.emit(
                     "asm-sat-require", ERROR,

@@ -7,7 +7,9 @@ safety property, this module
    (:func:`repro.psl.automata.build_checker`),
 2. embeds the automaton as auxiliary binary-encoded state variables whose
    next-state functions read the design's labelled signals -- exactly how
-   RuleBase compiles Sugar/PSL into "satellite" state machines,
+   RuleBase compiles Sugar/PSL into "satellite" state machines; the
+   functions come from :meth:`CheckerAutomaton.encode_step`, which the
+   SAT engine runs on every unrolled frame,
 3. runs BDD-based forward reachability, flagging the property violated as
    soon as a reachable state drives the automaton into its failure state,
 4. reports the metrics of the paper's Table 2 -- CPU time, memory estimate
@@ -229,48 +231,14 @@ class SymbolicModelChecker:
         """
         model = self.model
         m = model.manager
-        num_states = checker.num_states
-        width = max(1, (num_states - 1).bit_length()) if num_states > 1 else 1
-        bit_names = model.alloc_aux_vars(width)
-
-        state_bits = [m.var(n) for n in bit_names]
-
-        def state_eq(index: int) -> int:
-            acc = m.TRUE
-            for i, bit in enumerate(state_bits):
-                if (index >> i) & 1:
-                    acc = m.and_(acc, bit)
-                else:
-                    acc = m.and_(acc, m.not_(bit))
-            return acc
-
-        def key_match(key: tuple) -> int:
-            acc = m.TRUE
-            for atom, value in zip(checker.atoms, key):
-                bdd = atom_bdds[atom]
-                acc = m.and_(acc, bdd if value else m.not_(bdd))
-            return acc
-
-        # next-state functions per automaton bit + combinational fail
-        next_bits = [m.FALSE] * width
-        fail_cond = m.FALSE
-        from itertools import product
-
-        keys = list(product((False, True), repeat=len(checker.atoms)))
-        for src in range(num_states):
-            src_bdd = state_eq(src)
-            for key in keys:
-                dst = checker.transition(src, key)
-                cond = m.and_(src_bdd, key_match(key))
-                if dst == CheckerAutomaton.FAIL_STATE:
-                    fail_cond = m.or_(fail_cond, cond)
-                    continue
-                for i in range(width):
-                    if (dst >> i) & 1:
-                        next_bits[i] = m.or_(next_bits[i], cond)
+        bit_names = model.alloc_aux_vars(checker.code_width)
+        fail, next_bits = checker.encode_step(
+            m, [m.var(n) for n in bit_names],
+            [atom_bdds[atom] for atom in checker.atoms],
+        )
         for bname, bit_fn in zip(bit_names, next_bits):
             model.add_state_var(bname, bit_fn, init_value=False)
-        return fail_cond
+        return fail
 
     # ------------------------------------------------------------------
     def _reachability(

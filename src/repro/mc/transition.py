@@ -12,7 +12,9 @@ This is the front half of the RuleBase substitute: it bit-blasts a
   edges (the standard way to model-check a DDR design at half-cycle
   granularity);
 * combinational nets become vectors of BDD functions over state and
-  input variables, with tristate nets lowered to priority muxes.
+  input variables, lowered by :mod:`repro.rtl.bitblast` -- the same
+  lowering the CNF encoder (:mod:`repro.sat.encode`) runs, here with the
+  :class:`~repro.bdd.BddManager` as its gate builder.
 
 Variable order is interleaved current/next by default (see
 :mod:`repro.bdd.ordering`), which the ordering ablation compares against
@@ -24,17 +26,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..bdd import BddManager, interleaved_order, naive_order, NEXT_SUFFIX
-from ..rtl.hdl import (
-    BinOp,
-    Concat,
-    Const,
-    Expr,
-    Mux,
-    Reduce,
-    Ref,
-    Slice,
-    UnOp,
-)
+from ..rtl.bitblast import lower_comb, lower_expr
 from ..rtl.netlist import FlatDesign, FlatNet
 
 __all__ = ["SymbolicModel"]
@@ -77,7 +69,7 @@ class SymbolicModel:
         self._aux_free: list[str] = []
         self._aux_slots = aux_slots
         self._build_variables(ordering)
-        self._compile_nets()
+        lower_comb(self.manager, design, self._net_bits)
         self._build_next_functions()
         self._build_init()
 
@@ -130,92 +122,6 @@ class SymbolicModel:
             self.phase = self.manager.var(PHASE_VAR)
 
     # ------------------------------------------------------------------
-    # combinational compilation
-    # ------------------------------------------------------------------
-    def _compile_nets(self) -> None:
-        for flat in self.design.comb_order:
-            self._net_bits[flat] = self._compile_flat(flat)
-
-    def _compile_flat(self, flat: FlatNet) -> list[int]:
-        m = self.manager
-        if flat.tristate is not None:
-            # priority mux over drivers, undriven value 0
-            bits = [m.FALSE] * flat.width
-            for driver in reversed(flat.tristate):
-                enable = self._compile_expr(driver.enable, flat.scope)[0]
-                value = self._compile_expr(driver.value, flat.scope)
-                bits = [m.ite(enable, v, b) for v, b in zip(value, bits)]
-            return bits
-        assert flat.expr is not None
-        return self._compile_expr(flat.expr, flat.scope)
-
-    def _compile_expr(self, expr: Expr, scope: dict) -> list[int]:
-        m = self.manager
-        if isinstance(expr, Const):
-            return [
-                m.TRUE if (expr.value >> i) & 1 else m.FALSE
-                for i in range(expr.width)
-            ]
-        if isinstance(expr, Ref):
-            flat = scope[expr.net]
-            return list(self._net_bits[flat])
-        if isinstance(expr, UnOp):
-            return [m.not_(b) for b in self._compile_expr(expr.a, scope)]
-        if isinstance(expr, BinOp):
-            a = self._compile_expr(expr.a, scope)
-            b = self._compile_expr(expr.b, scope)
-            if expr.op == "and":
-                return [m.and_(x, y) for x, y in zip(a, b)]
-            if expr.op == "or":
-                return [m.or_(x, y) for x, y in zip(a, b)]
-            if expr.op == "xor":
-                return [m.xor(x, y) for x, y in zip(a, b)]
-            if expr.op == "eq":
-                acc = m.TRUE
-                for x, y in zip(a, b):
-                    acc = m.and_(acc, m.xnor(x, y))
-                return [acc]
-            if expr.op == "add":
-                # ripple-carry adder, result truncated to operand width
-                out: list[int] = []
-                carry = m.FALSE
-                for x, y in zip(a, b):
-                    out.append(m.xor(m.xor(x, y), carry))
-                    carry = m.or_(
-                        m.and_(x, y), m.and_(carry, m.or_(x, y))
-                    )
-                return out
-        if isinstance(expr, Mux):
-            sel = self._compile_expr(expr.sel, scope)[0]
-            t = self._compile_expr(expr.if_true, scope)
-            f = self._compile_expr(expr.if_false, scope)
-            return [m.ite(sel, x, y) for x, y in zip(t, f)]
-        if isinstance(expr, Slice):
-            bits = self._compile_expr(expr.a, scope)
-            return bits[expr.lo : expr.hi + 1]
-        if isinstance(expr, Concat):
-            out = []
-            for part in expr.parts:
-                out.extend(self._compile_expr(part, scope))
-            return out
-        if isinstance(expr, Reduce):
-            bits = self._compile_expr(expr.a, scope)
-            if expr.op == "xor":
-                acc = m.FALSE
-                for b in bits:
-                    acc = m.xor(acc, b)
-            elif expr.op == "or":
-                acc = m.FALSE
-                for b in bits:
-                    acc = m.or_(acc, b)
-            else:
-                acc = m.TRUE
-                for b in bits:
-                    acc = m.and_(acc, b)
-            return [acc]
-        raise TypeError(f"cannot compile {expr!r}")
-
-    # ------------------------------------------------------------------
     # transition and init
     # ------------------------------------------------------------------
     def _build_next_functions(self) -> None:
@@ -228,9 +134,9 @@ class SymbolicModel:
         clocks = self.design.clocks
         for reg in self.design.regs:
             names = self._bit_names(reg)
-            scope = reg.scope
             assert reg.next_expr is not None
-            next_bits = self._compile_expr(reg.next_expr, scope)
+            next_bits = lower_expr(m, reg.next_expr, reg.scope,
+                                   self._net_bits)
             current_bits = self._net_bits[reg]
             if self.multi_clock:
                 clock_index = clocks.index(reg.clock)

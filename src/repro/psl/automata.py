@@ -11,9 +11,11 @@ Two consumers share this machinery:
 * :class:`repro.psl.monitor.PslMonitor` progresses obligations directly
   at simulation time (the ABV path);
 * :func:`build_checker` *determinises* progression into an explicit
-  :class:`CheckerAutomaton` over the property's atoms -- the automaton the
-  symbolic model checker (:mod:`repro.mc`) encodes into BDD state
-  variables.  A :class:`PropertyBank` steps several of them as one
+  :class:`CheckerAutomaton` over the property's atoms.  The symbolic
+  engines embed it as binary-coded state through one
+  :meth:`CheckerAutomaton.encode_step`: into BDD state variables in
+  :mod:`repro.mc`, into CNF frames in :mod:`repro.sat` and the semantic
+  lint passes.  A :class:`PropertyBank` steps several of them as one
   memoised product: the exploration-based model checker
   (:mod:`repro.asm.checker`) composes it with the ASM's FSM, and the
   SystemC assertion monitors (:mod:`repro.abv`) sample through it.
@@ -312,6 +314,11 @@ def is_strong(ob: Obligation) -> bool:
     return False
 
 
+def _keys(count: int) -> list:
+    """Every valuation key over ``count`` atoms, all-False first."""
+    return list(product((False, True), repeat=count))
+
+
 class CheckerAutomaton:
     """A deterministic safety checker over a property's atoms.
 
@@ -337,11 +344,71 @@ class CheckerAutomaton:
         """Number of non-failure states."""
         return len(self.states)
 
+    @property
+    def code_width(self) -> int:
+        """Bits of the binary state code the symbolic engines embed."""
+        return max(1, (self.num_states - 1).bit_length())
+
     def transition(self, state: int, key: tuple) -> int:
         """Next state index (or :attr:`FAIL_STATE`)."""
         if state == self.FAIL_STATE:
             return self.FAIL_STATE
         return self._table[(state, key)]
+
+    def reachable(self) -> set:
+        """The states reachable from state 0, with :attr:`FAIL_STATE`
+        included when some trace fails."""
+        keys = _keys(len(self.atoms))
+        seen = {0}
+        stack = [0]
+        while stack:
+            src = stack.pop()
+            for key in keys:
+                dst = self._table[(src, key)]
+                if dst not in seen:
+                    seen.add(dst)
+                    if dst != self.FAIL_STATE:
+                        stack.append(dst)
+        return seen
+
+    def encode_step(self, g, state_bits, atom_bits) -> tuple:
+        """One cycle of the checker as gates of the builder ``g`` (a
+        :class:`~repro.bdd.BddManager` or :class:`~repro.sat.cnf.Tseitin`,
+        see :mod:`repro.rtl.bitblast`).
+
+        ``state_bits`` is the binary code of the current state
+        (:attr:`code_width` bits, LSB first) and ``atom_bits`` holds one
+        bit per atom of :attr:`atoms`.  Returns ``(fail, next_bits)``:
+        the condition under which this cycle's valuation reveals a
+        violation, and the code of the successor state.  Conditions that
+        fold to FALSE are skipped, so a constant state code encodes only
+        its own row of the table.
+        """
+        keys = _keys(len(self.atoms))
+        key_bits = {
+            key: g.and_all([bit if value else g.not_(bit)
+                            for bit, value in zip(atom_bits, key)])
+            for key in keys
+        }
+        fail_terms: list = []
+        next_terms: list = [[] for __ in state_bits]
+        for src in range(self.num_states):
+            src_eq = g.and_all([bit if (src >> i) & 1 else g.not_(bit)
+                                for i, bit in enumerate(state_bits)])
+            if src_eq == g.FALSE:
+                continue
+            for key in keys:
+                cond = g.and_(src_eq, key_bits[key])
+                if cond == g.FALSE:
+                    continue
+                dst = self._table[(src, key)]
+                if dst == self.FAIL_STATE:
+                    fail_terms.append(cond)
+                    continue
+                for i, terms in enumerate(next_terms):
+                    if (dst >> i) & 1:
+                        terms.append(cond)
+        return g.or_all(fail_terms), [g.or_all(terms) for terms in next_terms]
 
     def is_accepting_sink(self, state: int) -> bool:
         """True when the property can no longer fail from ``state``."""
@@ -397,7 +464,7 @@ def build_checker(prop: Property, max_states: int = 100000) -> CheckerAutomaton:
     index: dict[frozenset, int] = {init: 0}
     table: dict = {}
     frontier = [init]
-    keys = list(product((False, True), repeat=len(atoms)))
+    keys = _keys(len(atoms))
     while frontier:
         current = frontier.pop()
         src = index[current]

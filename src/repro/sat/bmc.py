@@ -5,10 +5,10 @@ reachability explodes at 4 banks, this module *unrolls* the design --
 frame ``t+1``'s register literals simply are the Tseitin encoding of
 frame ``t``'s next-state functions -- and asks a CDCL solver one
 question per depth.  The PSL checker automaton is embedded per frame
-exactly like the BDD checker's satellite machine: binary-encoded state,
-initial state 0, a combinational fail literal per frame (so a
-counterexample's depth is the failing frame, matching
-``SymbolicCheckResult.counterexample_depth``).
+by the ``CheckerAutomaton.encode_step`` that builds the BDD checker's
+satellite machine: binary-encoded state, initial state 0, a
+combinational fail literal per frame (so a counterexample's depth is the
+failing frame, matching ``SymbolicCheckResult.counterexample_depth``).
 
 * :meth:`SatModelChecker.bmc` refutes: any SAT answer is decoded into
   per-frame input vectors and **replayed** on the real simulator
@@ -36,12 +36,11 @@ first, like ``SymbolicModel``; induction windows try both parities).
 from __future__ import annotations
 
 import time
-from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..mc.checker import SymbolicCheckResult
 from ..psl.ast import Property, PslError
-from ..psl.automata import CheckerAutomaton, build_checker
+from ..psl.automata import build_checker
 from ..rtl.netlist import FlatDesign
 from .cnf import Tseitin
 from .drat import check_proof
@@ -131,11 +130,12 @@ class _Unrolling:
         self.state_frames: List[Dict[str, List[int]]] = []
         self.aut_frames: List[List[int]] = []
         t = self.t
+        width = mc.checker.code_width
         if free_start:
             state = self.enc.free_state()
-            aut = [t.new_var() for _ in range(mc.aut_width)]
+            aut = [t.new_var() for _ in range(width)]
             # sound strengthening: only graph-reachable automaton codes
-            for code in range(1 << mc.aut_width):
+            for code in range(1 << width):
                 if code not in mc.aut_reachable:
                     self.solver.add_clause([
                         -bit if (code >> i) & 1 else bit
@@ -148,7 +148,7 @@ class _Unrolling:
                     self.solver.add_clause([lit])
         else:
             state = self.enc.init_state()
-            aut = [t.FALSE] * mc.aut_width
+            aut = [t.FALSE] * width
         self.state = state
         self.aut = aut
         self.mc = mc
@@ -174,7 +174,7 @@ class _Unrolling:
             frame.bits[self.enc.design.net(path)][bit]
             for path, bit in mc.atom_locs
         ]
-        fail, self.aut = mc.embed_automaton_step(self.t, self.aut, atom_lits)
+        fail, self.aut = mc.checker.encode_step(self.t, self.aut, atom_lits)
         self.input_frames.append(inputs)
         self.state_frames.append(self.state)
         self.aut_frames.append(list(self.aut))
@@ -206,8 +206,8 @@ class _Unrolling:
             bits_old = self._cone_state_bits(
                 self.state_frames[earlier], self.aut_frames[earlier],
             )
-            diff = t.or_many([
-                t.xor_(a, b) for a, b in zip(bits_old, bits_new)
+            diff = t.or_all([
+                t.xor(a, b) for a, b in zip(bits_old, bits_new)
             ])
             self.solver.add_clause([diff])
 
@@ -278,11 +278,7 @@ class SatModelChecker:
         self.unique_regs = [
             reg for reg in self.enc_design.regs if reg.path in cone
         ]
-        num_states = self.checker.num_states
-        self.aut_width = (
-            max(1, (num_states - 1).bit_length()) if num_states > 1 else 1
-        )
-        self.aut_reachable = self._reachable_automaton_states()
+        self.aut_reachable = self.checker.reachable()
         self.invariant_values: Dict[str, int] = {}
         if invariants:
             self.invariant_values = self._stuck_registers()
@@ -290,20 +286,6 @@ class SatModelChecker:
     # ------------------------------------------------------------------
     # preprocessing
     # ------------------------------------------------------------------
-    def _reachable_automaton_states(self) -> set:
-        checker = self.checker
-        keys = list(product((False, True), repeat=len(checker.atoms)))
-        seen = {0}
-        stack = [0]
-        while stack:
-            src = stack.pop()
-            for key in keys:
-                dst = checker.transition(src, key)
-                if dst != CheckerAutomaton.FAIL_STATE and dst not in seen:
-                    seen.add(dst)
-                    stack.append(dst)
-        return seen
-
     def _stuck_registers(self) -> Dict[str, int]:
         """Registers constprop proves never leave init (an inductive
         invariant, so sound to assume at an induction window's start)."""
@@ -318,55 +300,6 @@ class SatModelChecker:
             for reg in self.enc_design.regs
             if reg.path in stuck
         }
-
-    # ------------------------------------------------------------------
-    # automaton embedding (one frame)
-    # ------------------------------------------------------------------
-    def embed_automaton_step(
-        self, t: Tseitin, state_lits: Sequence[int],
-        atom_lits: Sequence[int],
-    ) -> Tuple[int, List[int]]:
-        """Advance the checker automaton by one frame.
-
-        Returns ``(fail_lit, next_state_lits)``: the combinational fail
-        condition of this frame and the binary-encoded successor state.
-        Mirrors ``SymbolicModelChecker._embed_automaton`` term by term;
-        constant folding collapses it when the state is concrete (frame
-        0 of an init-anchored run encodes only state 0's row).
-        """
-        checker = self.checker
-        width = self.aut_width
-        keys = list(product((False, True), repeat=len(checker.atoms)))
-        key_lits = {
-            key: t.and_many([
-                lit if value else -lit
-                for lit, value in zip(atom_lits, key)
-            ])
-            for key in keys
-        }
-        fail_terms: List[int] = []
-        next_terms: List[List[int]] = [[] for __ in range(width)]
-        for src in range(checker.num_states):
-            src_eq = t.and_many([
-                bit if (src >> i) & 1 else -bit
-                for i, bit in enumerate(state_lits)
-            ])
-            if src_eq == t.FALSE:
-                continue
-            for key in keys:
-                cond = t.and_(src_eq, key_lits[key])
-                if cond == t.FALSE:
-                    continue
-                dst = checker.transition(src, key)
-                if dst == CheckerAutomaton.FAIL_STATE:
-                    fail_terms.append(cond)
-                    continue
-                for i in range(width):
-                    if (dst >> i) & 1:
-                        next_terms[i].append(cond)
-        fail = t.or_many(fail_terms)
-        next_state = [t.or_many(terms) for terms in next_terms]
-        return fail, next_state
 
     # ------------------------------------------------------------------
     # counterexample replay

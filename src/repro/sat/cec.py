@@ -230,7 +230,7 @@ def check_equivalence(
         nonlocal cones, bits, structural, proved
         cones += 1
         bits += len(ref_lits)
-        xors = [t.xor_(a, b) for a, b in zip(ref_lits, got_lits)]
+        xors = [t.xor(a, b) for a, b in zip(ref_lits, got_lits)]
         if all(x == t.FALSE for x in xors):
             structural += 1
             return

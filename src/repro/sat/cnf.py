@@ -5,15 +5,16 @@ Literals are DIMACS-style non-zero ints: variable ``v`` appears as ``v``
 ``TRUE`` (a unit clause pins it), so constants can flow through the gate
 constructors as ordinary literals; the constructors fold constants and
 hash structurally, so shared cones encode once and gates dominated by a
-constant emit no clauses at all.  Word-level helpers mirror the exact
-semantics of :meth:`repro.mc.transition.SymbolicModel._compile_expr`
-(equality as an AND of XNORs, addition as a truncated ripple carry).
+constant emit no clauses at all.  The gate methods are the ones
+:class:`repro.bdd.BddManager` offers, so :mod:`repro.rtl.bitblast` and
+``CheckerAutomaton.encode_step`` lower netlists and checker automata
+through either builder.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = ["Tseitin"]
 
@@ -45,9 +46,6 @@ class Tseitin:
 
     def add_clause(self, lits: Iterable[int]) -> None:
         self.sink.add_clause(lits)
-
-    def const(self, value) -> int:
-        return self.TRUE if value else self.FALSE
 
     def is_const(self, lit: int):
         """The boolean value of a constant literal, else ``None``."""
@@ -112,7 +110,7 @@ class Tseitin:
     def or_(self, a: int, b: int) -> int:
         return -self.and_(-a, -b)
 
-    def xor_(self, a: int, b: int) -> int:
+    def xor(self, a: int, b: int) -> int:
         if a == self.FALSE:
             return b
         if b == self.FALSE:
@@ -145,8 +143,8 @@ class Tseitin:
             self._cache[key] = out
         return -out if negate else out
 
-    def xnor_(self, a: int, b: int) -> int:
-        return -self.xor_(a, b)
+    def xnor(self, a: int, b: int) -> int:
+        return -self.xor(a, b)
 
     def ite(self, s: int, t: int, f: int) -> int:
         """``t if s else f``."""
@@ -165,7 +163,7 @@ class Tseitin:
         if f == self.FALSE:
             return self.and_(s, t)
         if t == -f:
-            return self.xnor_(s, t)
+            return self.xnor(s, t)
         key = ("ite", s, t, f)
         out = self._cache.get(key)
         if out is None:
@@ -180,7 +178,7 @@ class Tseitin:
     # ------------------------------------------------------------------
     # n-ary folds
     # ------------------------------------------------------------------
-    def and_many(self, lits: Sequence[int]) -> int:
+    def and_all(self, lits: Iterable[int]) -> int:
         out = self.TRUE
         for lit in lits:
             out = self.and_(out, lit)
@@ -188,45 +186,10 @@ class Tseitin:
                 return out
         return out
 
-    def or_many(self, lits: Sequence[int]) -> int:
+    def or_all(self, lits: Iterable[int]) -> int:
         out = self.FALSE
         for lit in lits:
             out = self.or_(out, lit)
             if out == self.TRUE:
                 return out
         return out
-
-    def xor_many(self, lits: Sequence[int]) -> int:
-        out = self.FALSE
-        for lit in lits:
-            out = self.xor_(out, lit)
-        return out
-
-    # ------------------------------------------------------------------
-    # word-level helpers (bit order is LSB first, like the BDD model)
-    # ------------------------------------------------------------------
-    def equal_vec(self, a: Sequence[int], b: Sequence[int]) -> int:
-        """AND of per-bit XNORs over ``zip(a, b)``."""
-        out = self.TRUE
-        for x, y in zip(a, b):
-            out = self.and_(out, self.xnor_(x, y))
-            if out == self.FALSE:
-                return out
-        return out
-
-    def add_vec(self, a: Sequence[int], b: Sequence[int]) -> list:
-        """Ripple-carry sum truncated to ``min(len(a), len(b))`` bits."""
-        out: list = []
-        carry = self.FALSE
-        for x, y in zip(a, b):
-            out.append(self.xor_(self.xor_(x, y), carry))
-            carry = self.or_(
-                self.and_(x, y), self.and_(carry, self.or_(x, y))
-            )
-        return out
-
-    def const_vec(self, value: int, width: int) -> list:
-        return [
-            self.TRUE if (value >> i) & 1 else self.FALSE
-            for i in range(width)
-        ]

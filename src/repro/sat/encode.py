@@ -1,15 +1,15 @@
 """CNF front-end for flattened RTL netlists.
 
 :class:`NetlistEncoder` is the SAT counterpart of
-:class:`repro.mc.transition.SymbolicModel`: it walks the same
-:class:`~repro.rtl.netlist.FlatDesign` and mirrors ``_compile_expr``
-operation for operation (equality as an AND of XNORs, addition as a
-truncated ripple carry, tristate nets as reversed priority-mux chains
-over an undriven 0), but emits Tseitin clauses instead of BDD nodes.
-Because the semantics match the interpreter bit for bit, a frame encoded
-over *constant* literals folds completely and must equal an
-``RtlSimulator`` settle -- the differential consistency suite in
-``tests/test_sat_encode.py`` leans on exactly that.
+:class:`repro.mc.transition.SymbolicModel`: both lower the same
+:class:`~repro.rtl.netlist.FlatDesign` through :mod:`repro.rtl.bitblast`,
+the BDD model with a :class:`~repro.bdd.BddManager` as gate builder and
+this encoder with a :class:`~repro.sat.cnf.Tseitin`, so every gate
+becomes Tseitin clauses instead of BDD nodes.  Because the semantics
+match the interpreter bit for bit, a frame encoded over *constant*
+literals folds completely and must equal an ``RtlSimulator`` settle --
+the differential consistency suite in ``tests/test_sat_encode.py``
+leans on exactly that.
 
 Unlike the monolithic BDD model there is no global transition relation:
 callers encode one :class:`Frame` per time step (fresh literals for that
@@ -23,17 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..rtl.hdl import (
-    BinOp,
-    Concat,
-    Const,
-    Expr,
-    Mux,
-    Reduce,
-    Ref,
-    Slice,
-    UnOp,
-)
+from ..rtl.bitblast import lower_comb, lower_expr
 from ..rtl.netlist import FlatDesign, FlatNet
 from .cnf import Tseitin
 
@@ -148,8 +138,7 @@ class NetlistEncoder:
             vec = inputs[inp.path]
             assert len(vec) == inp.width, inp.path
             bits[inp] = list(vec)
-        for flat in self.design.comb_order:
-            bits[flat] = self._encode_flat(flat, bits)
+        lower_comb(self.t, self.design, bits)
         return Frame(bits, dict(state), dict(inputs), phase)
 
     def next_state(self, frame: Frame) -> Dict[str, List[int]]:
@@ -167,72 +156,11 @@ class NetlistEncoder:
                 out[reg.path] = list(frame.bits[reg])
                 continue
             assert reg.next_expr is not None
-            out[reg.path] = self._encode_expr(
-                reg.next_expr, reg.scope, frame.bits
+            out[reg.path] = lower_expr(
+                self.t, reg.next_expr, reg.scope, frame.bits
             )
         return out
 
     def net_bits(self, frame: Frame, path: str) -> List[int]:
         """Literal vector of any live net in ``frame`` by flat path."""
         return list(frame.bits[self.design.net(path)])
-
-    # ------------------------------------------------------------------
-    # expression lowering (mirrors SymbolicModel._compile_expr)
-    # ------------------------------------------------------------------
-    def _encode_flat(self, flat: FlatNet, bits) -> List[int]:
-        t = self.t
-        if flat.tristate is not None:
-            out = [t.FALSE] * flat.width
-            for driver in reversed(flat.tristate):
-                enable = self._encode_expr(driver.enable, flat.scope, bits)[0]
-                value = self._encode_expr(driver.value, flat.scope, bits)
-                out = [t.ite(enable, v, b) for v, b in zip(value, out)]
-            return out
-        assert flat.expr is not None
-        return self._encode_expr(flat.expr, flat.scope, bits)
-
-    def _encode_expr(self, expr: Expr, scope, bits) -> List[int]:
-        t = self.t
-        if isinstance(expr, Const):
-            return [
-                t.TRUE if (expr.value >> i) & 1 else t.FALSE
-                for i in range(expr.width)
-            ]
-        if isinstance(expr, Ref):
-            return list(bits[scope[expr.net]])
-        if isinstance(expr, UnOp):
-            return [-b for b in self._encode_expr(expr.a, scope, bits)]
-        if isinstance(expr, BinOp):
-            a = self._encode_expr(expr.a, scope, bits)
-            b = self._encode_expr(expr.b, scope, bits)
-            if expr.op == "and":
-                return [t.and_(x, y) for x, y in zip(a, b)]
-            if expr.op == "or":
-                return [t.or_(x, y) for x, y in zip(a, b)]
-            if expr.op == "xor":
-                return [t.xor_(x, y) for x, y in zip(a, b)]
-            if expr.op == "eq":
-                return [t.equal_vec(a, b)]
-            if expr.op == "add":
-                return t.add_vec(a, b)
-        if isinstance(expr, Mux):
-            sel = self._encode_expr(expr.sel, scope, bits)[0]
-            tv = self._encode_expr(expr.if_true, scope, bits)
-            fv = self._encode_expr(expr.if_false, scope, bits)
-            return [t.ite(sel, x, y) for x, y in zip(tv, fv)]
-        if isinstance(expr, Slice):
-            vec = self._encode_expr(expr.a, scope, bits)
-            return vec[expr.lo : expr.hi + 1]
-        if isinstance(expr, Concat):
-            out: List[int] = []
-            for part in expr.parts:
-                out.extend(self._encode_expr(part, scope, bits))
-            return out
-        if isinstance(expr, Reduce):
-            vec = self._encode_expr(expr.a, scope, bits)
-            if expr.op == "xor":
-                return [t.xor_many(vec)]
-            if expr.op == "or":
-                return [t.or_many(vec)]
-            return [t.and_many(vec)]
-        raise TypeError(f"cannot encode {expr!r}")

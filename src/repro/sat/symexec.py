@@ -32,6 +32,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Optional, Sequence
 
+from ..rtl.bitblast import add, equal, parity
 from .cnf import Tseitin
 
 __all__ = ["Bv", "SymexecError", "SymbolicExecutor"]
@@ -133,7 +134,7 @@ class SymbolicExecutor:
     def _truthy(self, value) -> int:
         """The literal for ``bool(value)`` (Python nonzero test)."""
         bv = self._as_bv(value)
-        return self.t.or_(self.t.or_many(bv.bits), bv.tail)
+        return self.t.or_(self.t.or_all(bv.bits), bv.tail)
 
     def _as_bv(self, value) -> Bv:
         if isinstance(value, Bv):
@@ -153,13 +154,9 @@ class SymbolicExecutor:
 
     def _equal(self, a, b) -> int:
         a, b = self._as_bv(a), self._as_bv(b)
-        t = self.t
-        out = t.xnor_(a.tail, b.tail)
-        for i in range(max(len(a.bits), len(b.bits))):
-            out = t.and_(out, t.xnor_(a.bit(i), b.bit(i)))
-            if out == t.FALSE:
-                return out
-        return out
+        width = max(len(a.bits), len(b.bits))
+        return equal(self.t, [a.tail] + [a.bit(i) for i in range(width)],
+                     [b.tail] + [b.bit(i) for i in range(width)])
 
     # ------------------------------------------------------------------
     # calling convention
@@ -369,7 +366,7 @@ class SymbolicExecutor:
         if isinstance(node, ast.BoolOp):
             lits = [self._truthy(self._eval(v, env)) for v in node.values]
             t = self.t
-            fold = t.or_many if isinstance(node.op, ast.Or) else t.and_many
+            fold = t.or_all if isinstance(node.op, ast.Or) else t.and_all
             return Bv([fold(lits)], t.FALSE)
         if isinstance(node, ast.Compare):
             return self._eval_compare(node, env)
@@ -420,12 +417,12 @@ class SymbolicExecutor:
                 mask = self._as_bv(b)
                 if len(mask.bits) != 1 or mask.bits[0] != self.t.TRUE:
                     raise SymexecError("bit_count used outside & 1")
-                return Bv([self.t.xor_many(a.value.bits)], self.t.FALSE)
+                return Bv([parity(self.t, a.value.bits)], self.t.FALSE)
             return self._elementwise(a, b, self.t.and_)
         if isinstance(op, ast.BitOr):
             return self._binop_or(a, b)
         if isinstance(op, ast.BitXor):
-            return self._elementwise(a, b, self.t.xor_)
+            return self._elementwise(a, b, self.t.xor)
         if isinstance(op, ast.Add):
             return self._add(a, b)
         if isinstance(op, ast.RShift):
@@ -456,13 +453,10 @@ class SymbolicExecutor:
             # the emitters mask ``~`` before arithmetic, so a live tail
             # here means the source is not the codegen we understand
             raise SymexecError("addition on a value with a live tail")
-        out, carry = [], t.FALSE
-        for i in range(max(len(a.bits), len(b.bits))):
-            x, y = a.bit(i), b.bit(i)
-            out.append(t.xor_(t.xor_(x, y), carry))
-            carry = t.or_(t.and_(x, y), t.and_(carry, t.or_(x, y)))
-        out.append(carry)
-        return Bv(out, t.FALSE)
+        # one bit wider than the wider operand: the top bit is the carry
+        width = max(len(a.bits), len(b.bits)) + 1
+        return Bv(add(t, [a.bit(i) for i in range(width)],
+                      [b.bit(i) for i in range(width)]), t.FALSE)
 
     def _const_shift(self, value) -> int:
         bv = self._as_bv(value)

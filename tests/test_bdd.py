@@ -1,6 +1,8 @@
 """Unit and property-based tests for the ROBDD engine."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,6 +164,30 @@ class TestBudgetAndGc:
             {"a": False, "b": False, "c": False, "d": True},
         ):
             assert m.evaluate(f, assignment) == other.evaluate(f2, assignment)
+
+    @pytest.mark.parametrize("helper", [
+        lambda m, f: m.size(f),
+        lambda m, f: m.size_many([f, m.not_(f)]),
+        lambda m, f: m.support(f),
+        lambda m, f: m.sat_count(f),
+        lambda m, f: m.copy_roots(m.clone_empty(), [f]),
+    ], ids=["size", "size_many", "support", "sat_count", "copy_roots"])
+    def test_walks_leave_no_reference_cycle(self, helper):
+        # with the cyclic collector off, only reference counting can free
+        # the manager: a helper that leaves a cycle through it keeps its
+        # node tables alive until the next full collection
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            m, v = fresh()
+            f = m.ite(v["a"], m.xor(v["b"], v["c"]), v["d"])
+            helper(m, f)
+            ref = weakref.ref(m)
+            del m, v
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_copy_roots_requires_same_order(self):
         m, v = fresh("ab")
@@ -362,13 +388,24 @@ class TestRelationalProduct:
         assert m.stats()["cache_misses"] == misses + 1
 
 
-@pytest.mark.parametrize("banks,reached_size",
-                         [(1, 99), (2, 128), (3, 157), (4, 186)])
-def test_image_step_keeps_table2_control_results(banks, reached_size):
+@pytest.mark.parametrize(
+    "banks,datapath,iterations,reached_size,peak_nodes",
+    [
+        pytest.param(1, False, 10, 99, 11_863, id="1-99"),
+        pytest.param(2, False, 10, 128, 19_453, id="2-128"),
+        pytest.param(3, False, 10, 157, 26_666, id="3-157"),
+        pytest.param(4, False, 10, 186, 34_929, id="4-186"),
+        # Table 2's 1-bank full-datapath point (about 2 s)
+        pytest.param(1, True, 21, 919, 406_213, id="full-1-919"),
+    ],
+)
+def test_image_step_keeps_table2_control_results(
+        banks, datapath, iterations, reached_size, peak_nodes):
     from repro.core.rulebase import check_read_mode_rtl
 
-    result = check_read_mode_rtl(banks, datapath=False, coi=False)
+    result = check_read_mode_rtl(banks, datapath=datapath, coi=False)
     assert result.holds is True
     assert result.counterexample_depth is None
-    assert result.iterations == 10
+    assert result.iterations == iterations
     assert result.reached_size == reached_size
+    assert result.peak_nodes == peak_nodes

@@ -114,6 +114,25 @@ class TestCheckReadModeSat:
             assert result.holds is True, f"{name}: {result!r}"
             assert not result.bdd_stats.get("exploded", False)
 
+    def test_2bank_suite_encoding_is_pinned(self):
+        """(k, vars, clauses, proof_lemmas) per read-mode conjunct at 2
+        banks with the default cone of influence -- the k-induction rows
+        of BENCH_sat.json.  A change to the bit-level lowering or the
+        automaton embedding that moves one gate moves these numbers."""
+        pinned = {
+            "read_latency": (4, 2162, 6396, 108),
+            "read_second_beat": (2, 156, 386, 12),
+            "no_spurious_data": (11, 1244, 3717, 56),
+        }
+        for name, prop in read_mode_suite(2):
+            result = check_read_mode_sat(
+                2, prop=prop, property_name=name, max_k=20,
+                check_proofs=True)
+            stats = result.bdd_stats
+            assert result.holds is True, f"{name}: {result!r}"
+            assert (stats["k"], stats["vars"], stats["clauses"],
+                    stats["proof_lemmas"]) == pinned[name.split("[")[0]]
+
 
 class TestSweepIntegration:
     def test_sweep_engine_sat_inline(self):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.rtl.bitblast import add
 from repro.sat.cnf import Tseitin
 from repro.sat.drat import DratError, check_proof, check_unsat
 from repro.sat.solver import Solver, luby
@@ -210,7 +211,7 @@ class TestTseitin:
     def test_and_or_xor_ite(self):
         self._check_gate(lambda t, v: t.and_(*v), lambda a, b: a and b, 2)
         self._check_gate(lambda t, v: t.or_(*v), lambda a, b: a or b, 2)
-        self._check_gate(lambda t, v: t.xor_(*v), lambda a, b: a != b, 2)
+        self._check_gate(lambda t, v: t.xor(*v), lambda a, b: a != b, 2)
         self._check_gate(
             lambda t, v: t.ite(*v), lambda s, a, b: a if s else b, 3)
 
@@ -220,8 +221,8 @@ class TestTseitin:
         a = t.new_var()
         assert t.and_(a, t.TRUE) == a
         assert t.and_(a, t.FALSE) == t.FALSE
-        assert t.xor_(a, t.FALSE) == a
-        assert t.xor_(a, a) == t.FALSE
+        assert t.xor(a, t.FALSE) == a
+        assert t.xor(a, a) == t.FALSE
         assert t.ite(t.TRUE, a, t.FALSE) == a
         assert len(s.clauses) == 1  # only the TRUE pin
 
@@ -230,8 +231,8 @@ class TestTseitin:
         t = Tseitin(s)
         a, b = t.new_var(), t.new_var()
         assert t.and_(a, b) == t.and_(b, a)
-        assert t.xor_(a, b) == t.xor_(b, a)
-        assert t.xor_(-a, b) == -t.xor_(a, b)
+        assert t.xor(a, b) == t.xor(b, a)
+        assert t.xor(-a, b) == -t.xor(a, b)
 
     def test_add_vec_matches_integer_addition(self):
         s = Solver()
@@ -239,7 +240,7 @@ class TestTseitin:
         width = 4
         a = [t.new_var() for __ in range(width)]
         b = [t.new_var() for __ in range(width)]
-        out = t.add_vec(a, b)
+        out = add(t, a, b)
         for x, y in [(3, 5), (9, 9), (15, 1), (0, 0)]:
             assume = [lit if (x >> i) & 1 else -lit
                       for i, lit in enumerate(a)]
@@ -255,7 +256,7 @@ class TestTseitin:
         t = Tseitin(s)
         a, b, c = t.new_var(), t.new_var(), t.new_var()
         inner = t.and_(a, b)
-        outer = t.xor_(inner, c)
+        outer = t.xor(inner, c)
         cone = t.support(outer)
         assert {abs(a), abs(b), abs(c), abs(inner), abs(outer)} <= cone
         # an unrelated gate is not in the cone
