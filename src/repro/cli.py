@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
-__all__ = ["JOBS_RANGE", "LANES_RANGE", "bounded_int"]
+__all__ = ["BACKENDS", "JOBS_RANGE", "LANES_RANGE", "PATTERNS_RANGE",
+           "bounded_int"]
 
 #: inclusive bounds of the process fan-out (``jobs``) and bit-parallel
 #: lane width (``lanes``) execution knobs, shared by the CLIs and the
 #: service's job specs
 JOBS_RANGE = (1, 128)
 LANES_RANGE = (1, 4096)
+
+#: a fault campaign's scalar RTL backends and its stimulus-pattern
+#: count, shared by the campaign CLI and the service's campaign specs
+BACKENDS = ("compiled", "interp")
+PATTERNS_RANGE = (1, 1024)
 
 
 def bounded_int(name: str, lo: int, hi: int):

@@ -4,9 +4,11 @@ Zoo campaigns reuse the whole ``repro.fault`` machinery -- verdict
 taxonomy, golden-run differencing, checkpoint/resume, PPSFP lane
 batching, process-pool sharding -- with an open-loop workload: a seeded
 per-cycle input-vector stream replaces the LA-1 transaction host, and
-the per-cycle output-port log replaces the transaction log.  Detection
-ladder and verdict semantics are identical to the LA-1 campaign, so
-reports merge and signatures compare across design kinds."""
+the per-cycle output-port log replaces the transaction log.  The
+per-fault and golden runs are the campaign's own RTL run driving
+:func:`zoo_log_run`, and the lane pass classifies through the same
+verdict ladder (:func:`repro.fault.campaign.judge`), so reports merge
+and signatures compare across design kinds."""
 
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ __all__ = [
     "zoo_fault_list",
     "zoo_stimulus",
     "zoo_log_run",
-    "run_zoo_fault",
     "run_zoo_batch",
 ]
 
@@ -66,57 +67,13 @@ def zoo_log_run(campaign, sim) -> Tuple:
     return tuple(log)
 
 
-def zoo_golden_run(campaign) -> Tuple:
-    """The fault-free reference log; raises if any design monitor fires
-    (a zoo design must be self-consistent under its own workload)."""
-    sim = campaign._rtl_simulator()
-    sim.reset()
-    log = zoo_log_run(campaign, sim)
-    if sim.failures:
-        raise RuntimeError(
-            f"golden run of design {campaign.config.design!r} fails its "
-            f"own monitors {sim.failures[:3]}")
-    return log
-
-
-def run_zoo_fault(campaign, fault: Fault):
-    """One fault through the zoo detection ladder (mirrors
-    ``FaultCampaign._run_rtl`` so verdicts merge transparently)."""
-    from ..fault.campaign import FaultVerdict
-
-    golden = campaign._rtl_golden_run()
-    sim = campaign._rtl_simulator()
-    sim.reset()
-    injector = RtlFaultInjector(sim, [fault])
-    injector.attach()
-    try:
-        log = zoo_log_run(campaign, sim)
-    finally:
-        injector.detach()
-    detected_by = sorted({record.name for record in sim.failures})
-    if detected_by:
-        outcome, detail = "detected", ""
-    elif not injector.triggered:
-        outcome, detail = "masked", "fault never changed a state bit"
-    elif log != golden:
-        outcome = "silent"
-        detail = ("output log diverged from golden run with no design "
-                  "monitor firing")
-    else:
-        outcome, detail = "masked", "no observable divergence"
-    return FaultVerdict(
-        fault.fault_id, fault.layer, fault.kind, outcome, detected_by,
-        detail, expected_detectable=fault.expect_detectable,
-    )
-
-
 def run_zoo_batch(campaign, batch: List[Fault], lanes: int) -> tuple:
     """One PPSFP pass over a zoo design: fault *k* in lane ``k+1``,
     lane 0 golden.  Divergence is accumulated with the lane-word trick
     (XOR every lane word against the broadcast of lane 0); verdicts are
-    bit-identical to :func:`run_zoo_fault`.  Returns
+    bit-identical to the campaign's per-fault RTL run.  Returns
     ``(verdicts, fallbacks)`` like ``repro.fault.ppsfp._run_batch``."""
-    from ..fault.campaign import FaultVerdict
+    from ..fault.campaign import ZOO_SILENT, judge
 
     golden = campaign._rtl_golden_run()
     sim = campaign._ppsfp_simulator(lanes)
@@ -157,19 +114,7 @@ def run_zoo_batch(campaign, batch: List[Fault], lanes: int) -> tuple:
         if (invalid >> lane) & 1:
             fallbacks.append(fault)
             continue
-        detected_by = sim.lane_failure_names(lane)
-        if detected_by:
-            outcome, detail = "detected", ""
-        elif not injector.lane_triggered(lane):
-            outcome, detail = "masked", "fault never changed a state bit"
-        elif (diverged >> lane) & 1:
-            outcome = "silent"
-            detail = ("output log diverged from golden run with no design "
-                      "monitor firing")
-        else:
-            outcome, detail = "masked", "no observable divergence"
-        verdicts[fault.fault_id] = FaultVerdict(
-            fault.fault_id, fault.layer, fault.kind, outcome, detected_by,
-            detail, expected_detectable=fault.expect_detectable,
-        )
+        verdicts[fault.fault_id] = judge(
+            fault, sim.lane_failure_names(lane), injector.lane_triggered(lane),
+            (diverged >> lane) & 1, ZOO_SILENT)
     return verdicts, fallbacks

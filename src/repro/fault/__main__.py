@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from ..cli import JOBS_RANGE, LANES_RANGE, bounded_int
+from ..cli import BACKENDS, JOBS_RANGE, LANES_RANGE, PATTERNS_RANGE, bounded_int
 from .campaign import CampaignConfig, FaultCampaign
 
 #: CI gate: fraction of expected-detectable protocol mutations that must
@@ -31,8 +31,7 @@ def main(argv=None) -> int:
     parser.add_argument("--banks", type=int, default=2)
     parser.add_argument("--traffic", type=int, default=24)
     parser.add_argument("--seed", type=int, default=2004)
-    parser.add_argument("--backend", default="compiled",
-                        choices=("compiled", "interp"))
+    parser.add_argument("--backend", default="compiled", choices=BACKENDS)
     parser.add_argument("--deadline", type=float, default=None,
                         help="whole-campaign wall-clock budget (seconds)")
     parser.add_argument("--checkpoint", default=None,
@@ -49,7 +48,8 @@ def main(argv=None) -> int:
                              "ppsfp); verdicts are identical to "
                              "--lanes 1 and multiply with --jobs")
     parser.add_argument("--patterns",
-                        type=bounded_int("--patterns", 1, 1024), default=1,
+                        type=bounded_int("--patterns", *PATTERNS_RANGE),
+                        default=1,
                         help="stimulus patterns per fault (PPSFP's "
                              "second axis: shared command schedule, "
                              "re-drawn addr/data); verdicts merge across "

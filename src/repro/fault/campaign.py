@@ -62,6 +62,7 @@ from .models import (
     StimulusMutation,
 )
 from .rtl_inject import RtlFaultInjector, collapse_faults
+from .stim_inject import queue_mutated_traffic, reduce_log_signature
 from .sysc_inject import ProtocolSaboteur
 
 __all__ = [
@@ -70,7 +71,9 @@ __all__ = [
     "CampaignReport",
     "FaultCampaign",
     "default_fault_list",
+    "judge",
     "la1_design",
+    "log_signature",
     "merge_pattern_verdicts",
 ]
 
@@ -82,6 +85,18 @@ _RTL_LEVEL = (RtlStuckAt, RtlBitFlip, StimulusMutation)
 
 #: the detail of every fault a campaign deadline cut off
 _DEADLINE = "campaign wall-clock deadline expired"
+
+#: the ``silent`` detail of each golden-diffing workload: which log
+#: diverged, and which monitors stayed quiet
+SYSC_SILENT = ("transaction log diverged from golden run with no "
+               "assertion firing")
+RTL_SILENT = ("transaction log diverged from golden run with no OVL "
+              "checker firing")
+ZOO_SILENT = ("output log diverged from golden run with no design "
+              "monitor firing")
+
+#: the detail of a fault that acted without moving the log
+NO_DIVERGENCE = "no observable divergence"
 
 
 class CampaignConfig:
@@ -239,6 +254,40 @@ def _stub_verdict(fault: Fault, outcome: str, detail: str) -> FaultVerdict:
                         expected_detectable=fault.expect_detectable)
 
 
+def judge(fault: Fault, detected_by: list, triggered: bool, diverged: bool,
+          silent: str, coverage_points: Optional[list] = None
+          ) -> FaultVerdict:
+    """The verdict ladder of every golden-diffing run, per fault or per
+    lane: *detected* when a monitor fired; else *masked* when the fault
+    never acted; else *silent* (with the workload's ``silent`` detail)
+    when the log diverged from the golden run; else *masked*.
+    ``coverage_points`` are kept only on a detection."""
+    if detected_by:
+        outcome, detail = "detected", ""
+    elif not triggered:
+        outcome = "masked"
+        detail = ("fault never changed a state bit"
+                  if isinstance(fault, (RtlStuckAt, RtlBitFlip))
+                  else "mutation window never reached")
+    elif diverged:
+        outcome, detail = "silent", silent
+    else:
+        outcome, detail = "masked", NO_DIVERGENCE
+    return FaultVerdict(
+        fault.fault_id, fault.layer, fault.kind, outcome, detected_by,
+        detail, expected_detectable=fault.expect_detectable,
+        coverage_points=coverage_points if detected_by else None,
+    )
+
+
+def log_signature(results) -> tuple:
+    """The golden-comparable transaction log of a host's ``results``."""
+    return tuple(
+        (r.bank, r.addr, r.word, tuple(r.beats), tuple(r.parities))
+        for r in results
+    )
+
+
 #: pattern-merge precedence: the strongest observation across the
 #: pattern sweep wins (a fault detected under any stimulus variant is
 #: detected; an engine error anywhere must surface; etc.)
@@ -267,9 +316,7 @@ def merge_pattern_verdicts(fault: Fault,
             break
     if chosen is None:  # every pattern masked
         chosen = next(
-            (v for v in verdicts if v.detail == "no observable divergence"),
-            verdicts[0],
-        )
+            (v for v in verdicts if v.detail == NO_DIVERGENCE), verdicts[0])
         return FaultVerdict(
             fault.fault_id, fault.layer, fault.kind, "masked",
             detail=chosen.detail, cpu_time=cpu_time,
@@ -576,63 +623,47 @@ class FaultCampaign:
         queue_traffic(host, config.la1(), config.traffic, config.seed,
                       pattern)
 
-    @staticmethod
-    def _log_signature(host) -> tuple:
-        """Golden-comparable transaction log of either host flavour."""
-        return tuple(
-            (r.bank, r.addr, r.word, tuple(r.beats), tuple(r.parities))
-            for r in host.results
-        )
-
     # -- SystemC layer -------------------------------------------------
     def _sysc_duration(self) -> int:
         return self.config.traffic * 20 + 200
 
-    def _sysc_golden_run(self) -> tuple:
-        if self._sysc_golden is None:
-            sim, clocks, device, host = build_la1_system(self.config.la1())
-            monitors = attach_read_mode_monitors(sim, device, clocks)
-            self._queue_traffic(host)
-            sim.run(self._sysc_duration())
-            failed = [m.name for m in monitors if m.finish() is Verdict.FAILS]
-            if failed:
-                raise RuntimeError(
-                    f"golden SystemC run fails assertions {failed}; "
-                    "campaign verdicts would be meaningless"
-                )
-            self._sysc_golden = self._log_signature(host)
-        return self._sysc_golden
-
-    def _run_sysc(self, fault: ProtocolMutation) -> FaultVerdict:
+    def _sysc_run(self, fault: Optional[ProtocolMutation] = None) -> tuple:
+        """One SystemC run of the workload with ``fault`` sabotaging the
+        device (None: the golden run): ``(failing monitors, triggered,
+        transaction log, coverage points)``."""
         from ..cover.functional import La1FunctionalCoverage
 
-        golden = self._sysc_golden_run()
         sim, clocks, device, host = build_la1_system(self.config.la1())
-        saboteur = ProtocolSaboteur(sim, device, fault)
+        saboteur = None
+        if fault is not None:
+            saboteur = ProtocolSaboteur(sim, device, fault)
         monitors = attach_read_mode_monitors(sim, device, clocks)
         functional = La1FunctionalCoverage(host)
         self._queue_traffic(host)
         functional.detach()
         sim.run(self._sysc_duration())
-        detected_by = sorted(
-            m.name for m in monitors if m.finish() is Verdict.FAILS
-        )
-        if detected_by:
-            outcome, detail = "detected", ""
-        elif not saboteur.triggered:
-            outcome, detail = "masked", "mutation window never reached"
-        elif self._log_signature(host) != golden:
-            outcome = "silent"
-            detail = ("transaction log diverged from golden run with no "
-                      "assertion firing")
-        else:
-            outcome, detail = "masked", "no observable divergence"
-        return FaultVerdict(
-            fault.fault_id, fault.layer, fault.kind, outcome, detected_by,
-            detail, expected_detectable=fault.expect_detectable,
-            coverage_points=(functional.harvest().covered_keys()
-                             if detected_by else None),
-        )
+        failed = sorted(
+            m.name for m in monitors if m.finish() is Verdict.FAILS)
+        return (failed, saboteur is not None and saboteur.triggered,
+                log_signature(host.results),
+                functional.harvest().covered_keys())
+
+    def _sysc_golden_run(self) -> tuple:
+        if self._sysc_golden is None:
+            failed, __, log, __ = self._sysc_run()
+            if failed:
+                raise RuntimeError(
+                    f"golden SystemC run fails assertions {failed}; "
+                    "campaign verdicts would be meaningless"
+                )
+            self._sysc_golden = log
+        return self._sysc_golden
+
+    def _run_sysc(self, fault: ProtocolMutation) -> FaultVerdict:
+        golden = self._sysc_golden_run()
+        failed, triggered, log, points = self._sysc_run(fault)
+        return judge(fault, failed, triggered, log != golden, SYSC_SILENT,
+                     points)
 
     # -- RTL layer -----------------------------------------------------
     def _design(self):
@@ -691,114 +722,79 @@ class FaultCampaign:
 
     def _rtl_golden_run(self, pattern: int = 0) -> tuple:
         golden = self._rtl_goldens.get(pattern)
-        if golden is not None:
-            return golden
-        if self.config.design:
-            from ..dsl.faults import zoo_golden_run
-
-            golden = zoo_golden_run(self)
-        else:
-            sim = self._rtl_simulator()
-            sim.reset()
-            host = RtlHost(sim, self.config.la1())
-            self._queue_traffic(host, pattern)
-            host.run_cycles(self.config.rtl_cycles)
-            if sim.failures:
+        if golden is None:
+            failed, __, golden, __ = self._rtl_run(pattern=pattern)
+            if failed:
                 raise RuntimeError(
-                    f"golden RTL run (pattern {pattern}) fails OVL "
-                    f"checks {sim.failures[:3]}"
+                    f"golden RTL run (pattern {pattern}) fires monitors "
+                    f"{failed[:3]}; campaign verdicts would be meaningless"
                 )
-            golden = self._log_signature(host)
-        self._rtl_goldens[pattern] = golden
+            self._rtl_goldens[pattern] = golden
         return golden
 
-    def _run_rtl(self, fault: Fault, pattern: int = 0) -> FaultVerdict:
-        if self.config.design:
-            from ..dsl.faults import run_zoo_fault
-
-            return run_zoo_fault(self, fault)
-        from ..cover.functional import La1FunctionalCoverage
-
-        golden = self._rtl_golden_run(pattern)
-        sim = self._rtl_simulator()
-        sim.reset()
-        injector = RtlFaultInjector(sim, [fault])
-        injector.attach()
-        try:
-            host = RtlHost(sim, self.config.la1())
-            functional = La1FunctionalCoverage(host)
-            self._queue_traffic(host, pattern)
-            functional.detach()
-            host.run_cycles(self.config.rtl_cycles)
-        finally:
-            injector.detach()
-        detected_by = sorted({record.name for record in sim.failures})
-        if detected_by:
-            outcome, detail = "detected", ""
-        elif not injector.triggered:
-            outcome, detail = "masked", "fault never changed a state bit"
-        elif self._log_signature(host) != golden:
-            outcome = "silent"
-            detail = ("transaction log diverged from golden run with no "
-                      "OVL checker firing")
-        else:
-            outcome, detail = "masked", "no observable divergence"
-        return FaultVerdict(
-            fault.fault_id, fault.layer, fault.kind, outcome, detected_by,
-            detail, expected_detectable=fault.expect_detectable,
-            coverage_points=(functional.harvest().covered_keys()
-                             if detected_by else None),
-        )
-
-    # -- stimulus layer ------------------------------------------------
-    def _run_stim(self, fault: StimulusMutation,
-                  pattern: int = 0) -> FaultVerdict:
-        """Per-fault scalar path for a host-side stimulus mutation: one
-        compiled run driving the mutated stream, diffed against the
-        pattern's golden run with the issued address excluded (the
-        mutation corrupts the issued fields themselves; see
-        :mod:`repro.fault.stim_inject`)."""
+    def _rtl_run(self, fault: Optional[Fault] = None,
+                 pattern: int = 0) -> tuple:
+        """One scalar RTL run of the workload under stimulus ``pattern``
+        -- the LA-1 host's transactions, or a zoo design's open-loop
+        stimulus (:func:`repro.dsl.faults.zoo_log_run`) -- with ``fault``
+        injected: a netlist fault through an injector, a stimulus
+        mutation as a mutated queue whose log drops the issued address
+        (:func:`~repro.fault.stim_inject.reduce_log_signature`).  None is
+        the golden run, which attaches no injector (even an empty one
+        hooks every edge).  Returns ``(failing monitors, triggered, log,
+        coverage points)``."""
         from ..core.traffic import schedule_values
         from ..cover.functional import La1FunctionalCoverage
-        from .stim_inject import (
-            queue_mutated_traffic,
-            reduce_log_signature,
-            stim_log_signature,
-        )
 
-        if self.config.design:
-            raise RuntimeError(
-                "stimulus mutations target the LA-1 transaction workload"
-            )
         config = self.config
-        la1 = config.la1()
-        golden = reduce_log_signature(self._rtl_golden_run(pattern))
+        mutation = fault if isinstance(fault, StimulusMutation) else None
+        if mutation is not None and config.design:
+            raise RuntimeError(
+                "stimulus mutations target the LA-1 transaction workload")
         sim = self._rtl_simulator()
         sim.reset()
-        host = RtlHost(sim, la1)
-        functional = La1FunctionalCoverage(host)
-        schedule = self._schedule()
-        values = schedule_values(la1, schedule, config.seed, pattern)
-        triggered = queue_mutated_traffic(host, la1, schedule, values, fault)
-        functional.detach()
-        host.run_cycles(config.rtl_cycles)
-        detected_by = sorted({record.name for record in sim.failures})
-        if detected_by:
-            outcome, detail = "detected", ""
-        elif not triggered:
-            outcome, detail = "masked", "mutation window never reached"
-        elif stim_log_signature(host) != golden:
-            outcome = "silent"
-            detail = ("transaction log diverged from golden run with no "
-                      "OVL checker firing")
-        else:
-            outcome, detail = "masked", "no observable divergence"
-        return FaultVerdict(
-            fault.fault_id, fault.layer, fault.kind, outcome, detected_by,
-            detail, expected_detectable=fault.expect_detectable,
-            coverage_points=(functional.harvest().covered_keys()
-                             if detected_by else None),
-        )
+        injector = None
+        if fault is not None and mutation is None:
+            injector = RtlFaultInjector(sim, [fault])
+            injector.attach()
+        triggered, points = False, None
+        try:
+            if config.design:
+                from ..dsl.faults import zoo_log_run
+
+                log = zoo_log_run(self, sim)
+            else:
+                la1 = config.la1()
+                host = RtlHost(sim, la1)
+                functional = La1FunctionalCoverage(host)
+                if mutation is None:
+                    self._queue_traffic(host, pattern)
+                else:
+                    schedule = self._schedule()
+                    values = schedule_values(la1, schedule, config.seed,
+                                             pattern)
+                    triggered = queue_mutated_traffic(
+                        host, la1, schedule, values, mutation)
+                functional.detach()
+                host.run_cycles(config.rtl_cycles)
+                log = log_signature(host.results)
+                if mutation is not None:
+                    log = reduce_log_signature(log)
+                points = functional.harvest().covered_keys()
+        finally:
+            if injector is not None:
+                injector.detach()
+        if injector is not None:
+            triggered = injector.triggered
+        return sorted({r.name for r in sim.failures}), triggered, log, points
+
+    def _run_rtl(self, fault: Fault, pattern: int = 0) -> FaultVerdict:
+        golden = self._rtl_golden_run(pattern)
+        failed, triggered, log, points = self._rtl_run(fault, pattern)
+        if isinstance(fault, StimulusMutation):
+            golden = reduce_log_signature(golden)
+        silent = ZOO_SILENT if self.config.design else RTL_SILENT
+        return judge(fault, failed, triggered, log != golden, silent, points)
 
     # -- ASM layer -----------------------------------------------------
     def _run_asm(self, fault: AsmPerturbation) -> FaultVerdict:
@@ -891,6 +887,8 @@ class FaultCampaign:
         path = self.config.checkpoint_path
         if not path:
             return
+        from ..serve.store import write_atomic
+
         state = {
             "fingerprint": self.config.fingerprint(),
             "verdicts": {
@@ -898,53 +896,25 @@ class FaultCampaign:
                 for fault_id, verdict in completed.items()
             },
         }
-        # atomic and durable: same-directory temp file, fsync'd before
-        # the rename and the directory fsync'd after it -- a coordinator
-        # killed at any instant leaves either the old checkpoint or the
-        # new one, never a torn file
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            json.dump(state, fh, indent=2, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        parent = os.path.dirname(os.path.abspath(path))
-        try:
-            fd = os.open(parent, os.O_RDONLY)
-        except OSError:  # pragma: no cover - exotic filesystems
-            return
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        # atomic and durable: a coordinator killed at any instant leaves
+        # either the old checkpoint or the new one, never a torn file
+        write_atomic(path, json.dumps(state, indent=2, sort_keys=True))
 
     # -- the sweep -----------------------------------------------------
-    def _pattern_count(self, fault: Fault) -> int:
-        """How many stimulus patterns ``fault`` is swept under.  Only
-        stimulus-sensitive faults of the LA-1 transaction workload see
-        the pattern axis; protocol/ASM mutations run the base stream."""
-        if self.config.design:
-            return 1
-        if isinstance(fault, _RTL_LEVEL):
-            return self.config.patterns
-        return 1
-
     def _dispatch(self, fault: Fault) -> FaultVerdict:
         if isinstance(fault, ProtocolMutation):
             return self._run_sysc(fault)
         if isinstance(fault, AsmPerturbation):
             return self._run_asm(fault)
-        if isinstance(fault, StimulusMutation):
-            runner = self._run_stim
-        elif isinstance(fault, (RtlStuckAt, RtlBitFlip)):
-            runner = self._run_rtl
-        else:
+        if not isinstance(fault, _RTL_LEVEL):
             raise TypeError(f"no runner for {fault!r}")
-        patterns = self._pattern_count(fault)
+        # only RTL-level faults see the pattern axis, and only on the
+        # LA-1 workload (CampaignConfig refuses patterns for a zoo design)
+        patterns = self.config.patterns
         if patterns == 1:
-            return runner(fault)
+            return self._run_rtl(fault)
         return merge_pattern_verdicts(
-            fault, [runner(fault, p) for p in range(patterns)])
+            fault, [self._run_rtl(fault, p) for p in range(patterns)])
 
     def execute_fault(self, fault: Fault) -> FaultVerdict:
         """Run one fault with exception containment and timing -- the

@@ -25,8 +25,8 @@ Per-lane verdicts come from lane-wise golden differencing -- monitor
 fire words for *detected*, the injector's ``triggered_lanes`` (or the
 stimulus applicator's schedule-shared trigger) for *masked*, and a lane
 word of transaction-log divergence against the lane's *group golden*
-for *silent* -- with exactly the outcome ladder and detail strings of
-the per-fault paths, then folded across patterns by
+for *silent* -- classified by the per-fault paths' own verdict ladder
+(:func:`~repro.fault.campaign.judge`), then folded across patterns by
 :func:`~repro.fault.campaign.merge_pattern_verdicts`.
 
 **Validity rule.**  The host reacts to lane 0's pipeline status nets;
@@ -54,6 +54,7 @@ from typing import List, Optional
 from ..core.rtl_testbench import LaneVec, RtlHost
 from ..core.sysc_model import ReadResult
 from ..rtl.hdl import HdlError
+from .campaign import RTL_SILENT, judge, log_signature, merge_pattern_verdicts
 from .models import STIM_KINDS, Fault, RtlBitFlip, RtlStuckAt, StimulusMutation
 from .rtl_inject import RtlFaultInjector, resolve_state_bit
 from .stim_inject import StimulusApplicator, full_byte_enables
@@ -111,7 +112,7 @@ class _LaneProbeHost(RtlHost):
             self._used |= gmask
         self._group_results: List[list] = [[] for __ in groups]
         # group 0's golden is lane 0: its assembled log doubles as the
-        # host's scalar transaction log (campaign._log_signature)
+        # host's scalar transaction log (campaign.log_signature)
         self.results = self._group_results[0]
         bit_slots = sim._bitpar.bit_slots
         self._stat_slots = {
@@ -124,10 +125,7 @@ class _LaneProbeHost(RtlHost):
     def group_log(self, index: int) -> tuple:
         """The assembled transaction-log signature of group ``index``
         (golden-comparable shape)."""
-        return tuple(
-            (r.bank, r.addr, r.word, tuple(r.beats), tuple(r.parities))
-            for r in self._group_results[index]
-        )
+        return log_signature(self._group_results[index])
 
     def _settled(self):
         sim = self.sim
@@ -305,7 +303,6 @@ def _run_batch(campaign, batch: List[Fault], lanes: int,
     per-fault runs."""
     from ..core.traffic import schedule_values
     from ..cover.functional import La1FunctionalCoverage
-    from .campaign import FaultVerdict, merge_pattern_verdicts
 
     config = campaign.config
     la1 = config.la1()
@@ -386,57 +383,26 @@ def _run_batch(campaign, batch: List[Fault], lanes: int,
         # every fault, group and pattern -- and identical to what each
         # per-fault run would have harvested
         pass_points = functional.harvest().covered_keys()
-        for gi in range(G):
-            pattern = pats[gi]
+        stim_by_k = {k: state for k, __, state in stim_states}
+        for gi, pattern in enumerate(pats):
             base_lane = gi * group_size
-            for k, fault in rtl_faults:
+            for k, fault in enumerate(batch):
                 if fault.fault_id in invalid_faults:
                     continue
                 lane = base_lane + 1 + k
-                if (invalid >> lane) & 1:
-                    invalid_faults.add(fault.fault_id)
-                    continue
                 detected_by = sim.lane_failure_names(lane)
-                if detected_by:
-                    outcome, detail = "detected", ""
-                elif not injector.lane_triggered(lane):
-                    outcome, detail = (
-                        "masked", "fault never changed a state bit")
-                elif (host.log_diff >> lane) & 1:
-                    outcome = "silent"
-                    detail = ("transaction log diverged from golden run "
-                              "with no OVL checker firing")
-                else:
-                    outcome, detail = "masked", "no observable divergence"
-                per_pattern[fault.fault_id][pattern] = FaultVerdict(
-                    fault.fault_id, fault.layer, fault.kind, outcome,
-                    detected_by, detail,
-                    expected_detectable=fault.expect_detectable,
-                    coverage_points=pass_points if detected_by else None,
-                )
-            for k, fault, state in stim_states:
-                if fault.fault_id in invalid_faults:
-                    continue
-                lane = base_lane + 1 + k
-                if ((invalid >> lane) & 1
-                        or sim.lane_failure_names(lane)):
-                    # a monitor firing on legal-traffic lanes would be
-                    # new information; defer to the per-fault path
+                state = stim_by_k.get(k)
+                # a monitor firing on a stimulus lane (legal traffic)
+                # would be new information: defer it to the per-fault path
+                if (invalid >> lane) & 1 or (state is not None and detected_by):
                     invalid_faults.add(fault.fault_id)
                     continue
-                if not state.triggered:
-                    outcome, detail = (
-                        "masked", "mutation window never reached")
-                elif (host.log_diff >> lane) & 1:
-                    outcome = "silent"
-                    detail = ("transaction log diverged from golden run "
-                              "with no OVL checker firing")
-                else:
-                    outcome, detail = "masked", "no observable divergence"
-                per_pattern[fault.fault_id][pattern] = FaultVerdict(
-                    fault.fault_id, fault.layer, fault.kind, outcome, [],
-                    detail, expected_detectable=fault.expect_detectable,
-                )
+                triggered = (injector.lane_triggered(lane) if state is None
+                             else state.triggered)
+                diverged = (host.log_diff >> lane) & 1
+                per_pattern[fault.fault_id][pattern] = judge(
+                    fault, detected_by, triggered, diverged, RTL_SILENT,
+                    pass_points)
 
     verdicts = {}
     fallbacks: List[Fault] = []

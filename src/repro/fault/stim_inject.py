@@ -18,14 +18,14 @@ All stimulus mutations are coverage-gap probes: the mutated stream is
 protocol-legal, no monitor watches the *values* the host chose, so only
 golden-run differencing can see them.  Because the mutation corrupts the
 issued fields themselves, the golden comparison excludes the issued
-address (:func:`stim_log_signature`): both the per-fault and the lane
+address (:func:`reduce_log_signature`): both the per-fault and the lane
 path diff only what comes back over the bus, which keeps their verdicts
 bit-identical.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..core.spec import BEATS_PER_WORD, La1Config
 from .models import STIM_KINDS, STIM_LADDER_KINDS, StimulusMutation
@@ -34,9 +34,7 @@ __all__ = [
     "StimulusApplicator",
     "full_byte_enables",
     "queue_mutated_traffic",
-    "stim_log_signature",
     "reduce_log_signature",
-    "lane_triggered_schedule",
 ]
 
 
@@ -144,40 +142,12 @@ def queue_mutated_traffic(host, config: La1Config, schedule,
     return state.triggered
 
 
-def stim_log_signature(host) -> tuple:
-    """Transaction log excluding the issued address.
-
-    A stimulus mutation corrupts the issued fields themselves (the
-    logged address of a ``corrupt_read_address`` run trivially differs),
-    so its golden comparison diffs only what came back over the bus --
-    the same observable the lane path's ``log_diff`` accumulates."""
-    return tuple(
-        (r.bank, r.word, tuple(r.beats), tuple(r.parities))
-        for r in host.results
-    )
-
-
 def reduce_log_signature(signature: tuple) -> tuple:
-    """Project a full campaign log signature (with addresses) onto the
-    address-free shape of :func:`stim_log_signature`."""
+    """Project a campaign log signature
+    (:func:`~repro.fault.campaign.log_signature`) onto its address-free
+    shape: what came back over the bus, the same observable the lane
+    path's ``log_diff`` accumulates."""
     return tuple(
         (bank, word, beats, parities)
         for bank, __addr, word, beats, parities in signature
     )
-
-
-def lane_triggered_schedule(schedule,
-                            faults: List[StimulusMutation],
-                            config: La1Config) -> List[bool]:
-    """Whether each fault's mutation window is reached by ``schedule``
-    (schedule-shared, so identical for every pattern lane)."""
-    out = []
-    for fault in faults:
-        state = StimulusApplicator(fault, config)
-        for is_read, bank, __a, __w in schedule:
-            if is_read:
-                state.on_read(bank)
-            else:
-                state.on_write(bank)
-        out.append(state.triggered)
-    return out

@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 from typing import Callable, Optional
 
-from ..cli import JOBS_RANGE, LANES_RANGE
+from ..cli import BACKENDS, JOBS_RANGE, LANES_RANGE, PATTERNS_RANGE
 from .store import content_key
 
 __all__ = ["Job", "CampaignJob", "CoverJob", "McJob", "FlowJob",
@@ -46,7 +46,7 @@ def _get(spec: dict, key: str, default, kinds) -> object:
 
 
 def _get_bounded(spec: dict, key: str, bounds: tuple) -> int:
-    """An integer execution knob within the inclusive range the CLIs
+    """An integer field (default 1) within the inclusive range the CLIs
     enforce for the same option."""
     value = int(_get(spec, key, 1, (int,)))
     lo, hi = bounds
@@ -54,6 +54,27 @@ def _get_bounded(spec: dict, key: str, bounds: tuple) -> int:
         raise ValueError(f"job field {key!r} must be between {lo} and "
                          f"{hi}, got {value}")
     return value
+
+
+def _get_banks(spec: dict) -> int:
+    """The LA-1 bank count, refused below 1 at submission instead of
+    inside the engine once the job was accepted."""
+    banks = int(_get(spec, "banks", 2, (int,)))
+    if banks < 1:
+        raise ValueError(f"job field 'banks' must be >= 1, got {banks}")
+    return banks
+
+
+def _get_design(spec: dict) -> Optional[str]:
+    """A ``repro.dsl.zoo`` design name (None: the LA-1 workload)."""
+    design = _get(spec, "design", None, (str,))
+    if design:
+        from ..dsl.zoo import zoo_names
+
+        if design not in zoo_names():
+            raise ValueError(f"unknown design {design!r}; expected one "
+                             f"of {zoo_names()}")
+    return design
 
 
 class Job:
@@ -101,19 +122,26 @@ class CampaignJob(Job):
         super().__init__(spec)
         # a repro.dsl.zoo design name switches the campaign workload
         # from the LA-1 transaction host to the open-loop DSL stimulus
-        self.design = _get(spec, "design", None, (str,))
-        self.banks = int(_get(spec, "banks", 2, (int,)))
+        self.design = _get_design(spec)
+        self.banks = _get_banks(spec)
         self.traffic = int(_get(spec, "traffic", 24, (int,)))
         self.seed = int(_get(spec, "seed", 2004, (int,)))
         self.backend = str(_get(spec, "backend",
                                 "interp" if self.design else "compiled",
                                 (str,)))
+        if self.backend not in BACKENDS:
+            raise ValueError(f"unknown campaign backend {self.backend!r}; "
+                             f"expected one of {list(BACKENDS)}")
         self.rtl_cycles = int(_get(spec, "rtl_cycles",
                                    32 if self.design else 160, (int,)))
         self.max_faults = _get(spec, "max_faults", None, (int,))
         # stimulus patterns per fault are workload content (verdicts
         # merge across patterns); the per-pass tiling cap is not
-        self.patterns = int(_get(spec, "patterns", 1, (int,)))
+        self.patterns = _get_bounded(spec, "patterns", PATTERNS_RANGE)
+        if self.design and self.patterns > 1:
+            raise ValueError("job field 'patterns' must be 1 for a zoo "
+                             f"design (open-loop stimulus), got "
+                             f"{self.patterns}")
         self.patterns_per_pass = _get(spec, "patterns_per_pass", None,
                                       (int,))
         self.deadline_s = _get(spec, "deadline_s", None, (int, float))
@@ -198,7 +226,7 @@ class CoverJob(Job):
 
     def __init__(self, spec: dict):
         super().__init__(spec)
-        self.banks = int(_get(spec, "banks", 2, (int,)))
+        self.banks = _get_banks(spec)
         self.mode = str(_get(spec, "mode", "directed", (str,)))
         if self.mode not in ("directed", "undirected"):
             raise ValueError(f"unknown cover mode {self.mode!r}")
@@ -316,8 +344,8 @@ class FlowJob(Job):
         super().__init__(spec)
         # a repro.dsl.zoo design name runs the DSL flow
         # (repro.dsl.flow.run_dsl_flow) instead of the LA-1 Figure-2 flow
-        self.design = _get(spec, "design", None, (str,))
-        self.banks = int(_get(spec, "banks", 2, (int,)))
+        self.design = _get_design(spec)
+        self.banks = _get_banks(spec)
         self.traffic = int(_get(spec, "traffic", 40, (int,)))
         self.seed = int(_get(spec, "seed", 2004, (int,)))
         self.rtl_mc = _get(spec, "rtl_mc", "control", (str,))

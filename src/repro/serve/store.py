@@ -9,7 +9,8 @@ one stored result, regardless of submission order or concurrency.
 Durability contract (the store may be hammered by many writers and
 survive kill -9 at any instant):
 
-* writes are atomic: the payload lands in a same-directory temp file,
+* writes are atomic (:func:`write_atomic`, which the campaign
+  checkpoint shares): the payload lands in a same-directory temp file,
   is flushed and fsync'd, and only then renamed over the final path
   with ``os.replace`` (readers see the old entry or the new one, never
   a torn one); the containing directory is fsync'd so the rename itself
@@ -26,13 +27,14 @@ directory.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import warnings
 from typing import Optional
 
-__all__ = ["content_key", "ResultStore"]
+__all__ = ["content_key", "ResultStore", "write_atomic"]
 
 
 def content_key(kind: str, fingerprint: dict) -> str:
@@ -45,10 +47,26 @@ def content_key(kind: str, fingerprint: dict) -> str:
     return hashlib.blake2b(canon.encode(), digest_size=16).hexdigest()
 
 
-def _fsync_dir(path: str) -> None:
-    """Make a rename in ``path`` durable (POSIX directory fsync)."""
+def write_atomic(path: str, text: str) -> None:
+    """Durably replace ``path`` with ``text``: a same-directory temp
+    file, fsync'd, renamed over ``path`` with ``os.replace``, then the
+    directory fsync'd so the rename itself survives a crash.  A reader
+    -- or a process killed at any instant -- sees the old file or the
+    new one, never a torn one.  On any failure before the rename the
+    temp file is removed and the error re-raised."""
+    tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        fd = os.open(path, os.O_RDONLY)
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+    try:
+        fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
     except OSError:  # pragma: no cover - exotic filesystems
         return
     try:
@@ -77,15 +95,8 @@ class ResultStore:
         path.  Concurrent writers of the same key are safe: whichever
         ``os.replace`` lands last wins wholesale."""
         path = self._path(key)
-        parent = os.path.dirname(path)
-        os.makedirs(parent, exist_ok=True)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        _fsync_dir(parent)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        write_atomic(path, json.dumps(payload, sort_keys=True))
         self.writes += 1
         return path
 

@@ -16,6 +16,15 @@ def _run(design: str, jobs: int = 1, lanes: int = 1, max_faults: int = 12,
     return FaultCampaign(config).run(jobs=jobs, lanes=lanes)
 
 
+def _timeless(report):
+    out = []
+    for verdict in report.verdicts:
+        data = verdict.to_dict()
+        data.pop("cpu_time", None)
+        out.append(data)
+    return out
+
+
 class TestZooCampaign:
     def test_smoke_campaign_detects_faults(self):
         report = _run("noc")
@@ -47,9 +56,12 @@ class TestZooCampaign:
     @pytest.mark.parametrize("jobs,lanes", [(1, 4), (2, 1), (2, 4)])
     def test_jobs_lanes_bit_identity(self, jobs, lanes):
         # the acceptance bar: every execution shape replays the
-        # sequential sweep bit-for-bit (verdict set, outcome, detector)
-        baseline = _run("noc").signature()
-        assert _run("noc", jobs=jobs, lanes=lanes).signature() == baseline
+        # sequential sweep bit-for-bit (verdict set, outcome, detector,
+        # and every other verdict field but the timing)
+        baseline = _run("noc")
+        shaped = _run("noc", jobs=jobs, lanes=lanes)
+        assert shaped.signature() == baseline.signature()
+        assert _timeless(shaped) == _timeless(baseline)
 
 
 class TestServeAdapters:

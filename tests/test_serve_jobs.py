@@ -44,6 +44,23 @@ class TestBuildJob:
         with pytest.raises(ValueError, match=f"'{field}' must be between"):
             build_job(kind, {field: value})
 
+    @pytest.mark.parametrize("kind, spec, match", [
+        ("campaign", {"design": "nope"}, "unknown design"),
+        ("flow", {"design": "nope"}, "unknown design"),
+        ("campaign", {"patterns": 0}, "'patterns' must be between 1 and"),
+        ("campaign", {"design": "fifo", "patterns": 2},
+         "'patterns' must be 1 for a zoo design"),
+        ("campaign", {"banks": 0}, "'banks' must be >= 1"),
+        ("cover", {"banks": 0}, "'banks' must be >= 1"),
+        ("flow", {"banks": 0}, "'banks' must be >= 1"),
+        ("campaign", {"backend": "bogus"}, "unknown campaign backend"),
+    ])
+    def test_spec_the_engine_rejects_raises(self, kind, spec, match):
+        # refused at submission (the server's 400), not accepted and
+        # then failed -- or stored as a result of error verdicts
+        with pytest.raises(ValueError, match=match):
+            build_job(kind, spec).key()
+
     def test_execution_knob_range_is_inclusive(self):
         job = build_job("cover", {"jobs": 128, "lanes": 4096})
         assert (job.jobs, job.lanes) == (128, 4096)

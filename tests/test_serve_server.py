@@ -122,6 +122,15 @@ class TestHTTP:
         assert _http("GET", f"{base}/healthz")["ok"] is True
 
 
+    def test_unknown_design_is_400(self, server):
+        __, base, ___ = server
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            _http("POST", f"{base}/jobs",
+                  {"kind": "campaign", "spec": {"design": "nope"}})
+        assert exc.value.code == 400
+        error = json.loads(exc.value.read().decode())["error"]
+        assert "unknown design 'nope'" in error
+
     def test_out_of_range_execution_knob_is_400(self, server):
         __, base, ___ = server
         with pytest.raises(urllib.error.HTTPError) as exc:

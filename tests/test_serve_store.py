@@ -1,11 +1,15 @@
 """Unit tests for the service's durable state: the content-addressed
-result store and the write-ahead journal."""
+result store, the durable-write helper it shares with the campaign
+checkpoint, and the write-ahead journal."""
 
 import json
 import os
+import warnings
 
 import pytest
 
+from repro.fault.campaign import CampaignConfig, FaultCampaign
+from repro.fault.models import RtlStuckAt
 from repro.serve.journal import Journal
 from repro.serve.store import ResultStore, content_key
 
@@ -83,6 +87,51 @@ class TestResultStore:
 
 
 # ----------------------------------------------------------------------
+# the durable-write helper under the store and the campaign checkpoint
+# ----------------------------------------------------------------------
+def _crash_at_rename(monkeypatch) -> None:
+    """Fail the durable-write helper between its fsync'd temp file and
+    the rename that would publish it."""
+    def crash(src, dst):
+        raise OSError("crash at the rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+
+
+class TestWriteAtomic:
+    def test_failed_rename_keeps_store_entry(self, tmp_path, monkeypatch):
+        store = ResultStore(str(tmp_path / "store"))
+        key = content_key("campaign", {"banks": 1})
+        path = store.put(key, {"v": 1})
+        with open(path) as fh:
+            before = fh.read()
+        _crash_at_rename(monkeypatch)
+        with pytest.raises(OSError, match="crash at the rename"):
+            store.put(key, {"v": 2})
+        monkeypatch.undo()
+        with open(path) as fh:
+            assert fh.read() == before
+        assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
+
+    def test_failed_rename_keeps_checkpoint(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "ckpt.json")
+        config = CampaignConfig(banks=1, traffic=8, rtl_cycles=80,
+                                checkpoint_path=path)
+        FaultCampaign(config).run(
+            [RtlStuckAt("la1_top.bank0.read_port.st_out0", 0, 0)])
+        with open(path) as fh:
+            before = fh.read()
+        _crash_at_rename(monkeypatch)
+        with pytest.raises(OSError, match="crash at the rename"):
+            FaultCampaign(config).run(
+                [RtlStuckAt("la1_top.bank0.read_port.st_out1", 0, 0)])
+        monkeypatch.undo()
+        with open(path) as fh:
+            assert fh.read() == before
+        assert os.listdir(str(tmp_path)) == ["ckpt.json"]
+
+
+# ----------------------------------------------------------------------
 # the journal
 # ----------------------------------------------------------------------
 class TestJournal:
@@ -126,3 +175,22 @@ class TestJournal:
             assert len(list(journal.replay())) == 1
             journal.append({"n": 2})
         assert [r["n"] for r in Journal(path).replay()] == [1, 2]
+
+    @pytest.mark.parametrize("tail", [
+        '{"type": "resu',  # kill -9 mid-record
+        '{"i": 0.5}',  # the record landed, its newline did not
+    ])
+    def test_append_after_torn_tail_replays(self, tmp_path, tail):
+        path = str(tmp_path / "wal.jsonl")
+        with Journal(path) as journal:
+            journal.append({"type": "header"})
+            journal.append({"i": 0})
+        with open(path, "a") as fh:
+            fh.write(tail)
+        with Journal(path) as journal:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                replayed = list(journal.replay())
+            journal.append({"i": 1})
+        # the restarted writer's record is not glued onto the torn line
+        assert list(Journal(path).replay()) == replayed + [{"i": 1}]
