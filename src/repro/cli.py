@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-__all__ = ["BACKENDS", "JOBS_RANGE", "LANES_RANGE", "PATTERNS_RANGE",
-           "bounded_int"]
+__all__ = ["BACKENDS", "JOBS_RANGE", "LANES_RANGE", "MC_ENGINES",
+           "PATTERNS_RANGE", "RTL_MC_MODELS", "bounded_int",
+           "check_mc_choice"]
 
 #: inclusive bounds of the process fan-out (``jobs``) and bit-parallel
 #: lane width (``lanes``) execution knobs, shared by the CLIs and the
@@ -15,6 +16,25 @@ LANES_RANGE = (1, 4096)
 #: count, shared by the campaign CLI and the service's campaign specs
 BACKENDS = ("compiled", "interp")
 PATTERNS_RANGE = (1, 1024)
+
+#: the flows' model-checking engines (SAT: BMC + k-induction; BDD:
+#: RuleBase-style reachability) and the RTL models the LA-1 flow's
+#: model-checking stage checks, shared by the flows, the DSL CLI and the
+#: service's flow specs
+MC_ENGINES = ("sat", "bdd")
+RTL_MC_MODELS = ("control", "full")
+
+
+def check_mc_choice(mc_engine: str, rtl_mc=None) -> None:
+    """Raise ``ValueError`` for an engine outside :data:`MC_ENGINES`,
+    or an RTL model neither None (no RTL model checking) nor in
+    :data:`RTL_MC_MODELS`."""
+    if mc_engine not in MC_ENGINES:
+        raise ValueError(f"unknown mc engine {mc_engine!r}; expected one "
+                         f"of {list(MC_ENGINES)}")
+    if rtl_mc not in (None,) + RTL_MC_MODELS:
+        raise ValueError(f"unknown rtl_mc model {rtl_mc!r}; expected None "
+                         f"or one of {list(RTL_MC_MODELS)}")
 
 
 def bounded_int(name: str, lo: int, hi: int):

@@ -18,19 +18,23 @@
 7. **OVL** -- simulate the same traffic on the RTL with the OVL checker
    modules loaded (Table 3's right-hand side).
 
-Each stage's outcome lands in a :class:`FlowReport`; the flow stops at
-the first failing stage (the Figure 2 feedback edge).
+Each stage's outcome lands in a :class:`FlowReport`; :func:`run_stages`
+times the stages and stops at the first failing one (the Figure 2
+feedback edge).  The zoo-design flow (:mod:`repro.dsl.flow`) runs
+through the same report and runner, and ``repro.cover.la1`` collects
+its kernel-level and RTL coverage through this flow's ABV and OVL runs
+(:func:`run_abv`, :func:`run_ovl`).
 """
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterable, Optional, Tuple
 
 from ..abv import summarize
 from ..asm import AsmModelChecker, ExplorationConfig
+from ..cli import check_mc_choice
 from ..rtl import RtlSimulator, elaborate, emit_verilog
 from .asm_model import La1AsmConfig, build_la1_asm
 from .conformance import check_la1_conformance
@@ -41,6 +45,7 @@ from .rulebase import check_read_mode_rtl
 from .rtl_testbench import RtlHost
 from .spec import La1Config
 from .sysc_model import build_la1_system
+from .traffic import queue_traffic
 from .uml_spec import (
     extracted_properties,
     la1_class_diagram,
@@ -49,7 +54,17 @@ from .uml_spec import (
     write_mode_sequence,
 )
 
-__all__ = ["FlowConfig", "StageResult", "FlowReport", "run_flow"]
+__all__ = ["FlowConfig", "StageResult", "FlowReport", "run_stages",
+           "run_flow", "la1_config", "run_abv", "run_ovl"]
+
+#: coverage fraction the merged DB must reach for the coverage stage to
+#: pass; structural toggle points (every SRAM bit has a rose and a fell
+#: target) dominate the denominator, so short flows sit low even when
+#: the behavioural levels are closed
+COVERAGE_THRESHOLD = 0.10
+
+#: one stage's outcome: (passed, detail text, result object)
+Outcome = Tuple[bool, str, object]
 
 
 @dataclass
@@ -57,10 +72,6 @@ class FlowConfig:
     """Parameters of one flow run."""
 
     banks: int = 2
-    #: concrete scale of the simulation-level models
-    la1_config: Optional[La1Config] = None
-    #: ASM exploration scale
-    asm_config: Optional[La1AsmConfig] = None
     #: random host transactions driven during the ABV and OVL stages
     traffic: int = 40
     seed: int = 2004
@@ -76,17 +87,9 @@ class FlowConfig:
     #: run the static-analysis stage (repro.lint) over the refined RTL,
     #: the PSL suite and the ASM model before model checking
     static_lint: bool = True
-    #: RTL simulator backend for the OVL stage: "compiled" (codegen) or
-    #: "interp" (the tree-walking reference semantics)
-    rtl_backend: str = "compiled"
     #: collect cross-level coverage (repro.cover) during the ASM, ABV
     #: and OVL stages and append a merged closure stage to the report
     coverage: bool = True
-    #: coverage fraction the merged DB must reach for the coverage
-    #: stage to pass; structural toggle points (every SRAM bit has a
-    #: rose and a fell target) dominate the denominator, so short flows
-    #: sit low even when the behavioural levels are closed
-    coverage_threshold: float = 0.10
     #: process-pool width for the parallelizable stages (repro.par);
     #: jobs > 1 sweeps the RTL model-checking stage's read-mode
     #: conjuncts one process per property -- verdicts are identical to
@@ -100,27 +103,10 @@ class FlowConfig:
     #: a silent pass
     shard_attempts: int = 2
     shard_deadline_s: Optional[float] = None
-    #: bit-parallel lane width for the OVL simulation stage; lanes > 1
-    #: runs it on the "bitpar" backend (rtl_backend then applies to the
-    #: other RTL consumers only) with broadcast traffic and lane-0
-    #: observation -- stage results and harvested coverage are
-    #: identical to lanes=1
-    lanes: int = 1
-    #: stimulus patterns for the OVL stage: with lanes > 1 and
-    #: patterns > 1, lane p drives pattern p of the traffic workload
-    #: (shared command schedule, re-drawn addresses/data -- the PPSFP
-    #: pattern axis, repro.core.traffic), so one pass sweeps
-    #: min(patterns, lanes) OVL-checked stimulus variants; every driven
-    #: lane's monitors must stay clean for the stage to pass.  Harvested
-    #: coverage stays the lane-0 (pattern-0) view
-    patterns: int = 1
 
-    def resolved_la1(self) -> La1Config:
-        return self.la1_config or La1Config(banks=self.banks, beat_bits=16,
-                                            addr_bits=4)
-
-    def resolved_asm(self) -> La1AsmConfig:
-        return self.asm_config or La1AsmConfig(banks=self.banks)
+    def __post_init__(self):
+        # refused before any stage runs, not at the RTL MC stage
+        check_mc_choice(self.mc_engine, self.rtl_mc)
 
 
 @dataclass
@@ -140,11 +126,16 @@ class StageResult:
 
 @dataclass
 class FlowReport:
-    """All stage results of a flow run."""
+    """All stage results of a flow run: the LA-1 flow fills in
+    ``config`` and ``verilog``, a zoo-design flow ``design`` and
+    ``fingerprint``."""
 
-    config: FlowConfig
+    title: str
     stages: list[StageResult] = field(default_factory=list)
+    config: Optional[FlowConfig] = None
     verilog: str = ""
+    design: str = ""
+    fingerprint: str = ""
 
     @property
     def ok(self) -> bool:
@@ -160,7 +151,8 @@ class FlowReport:
 
     def render(self) -> str:
         """Human-readable flow summary."""
-        lines = [f"LA-1 flow ({self.config.banks} banks):"]
+        lines = [self.title + (f" fingerprint {self.fingerprint}"
+                               if self.fingerprint else "")]
         for stage in self.stages:
             flag = "PASS" if stage.ok else "FAIL"
             lines.append(
@@ -171,311 +163,255 @@ class FlowReport:
         return "\n".join(lines)
 
 
-def _traffic(host, config: La1Config, count: int, seed: int) -> None:
-    rng = random.Random(seed)
-    word_max = (1 << config.word_bits) - 1
-    for __ in range(count):
-        bank = rng.randrange(config.banks)
-        addr = rng.randrange(config.mem_words)
-        if rng.random() < 0.5:
-            host.read(bank, addr)
-        else:
-            host.write(bank, addr, rng.randint(0, word_max))
+def run_stages(report: FlowReport,
+               stages: Iterable[Tuple[str, Callable[[], Outcome]]]
+               ) -> FlowReport:
+    """Run ``(name, fn)`` stages in order, where ``fn()`` returns
+    ``(ok, detail, data)``: time each one, append its
+    :class:`StageResult`, and stop after the first failing stage."""
+    for name, fn in stages:
+        start = time.perf_counter()
+        ok, detail, data = fn()
+        report.stages.append(StageResult(
+            name, ok, detail, time.perf_counter() - start, data))
+        if not ok:
+            break
+    return report
 
 
-def run_flow(config: Optional[FlowConfig] = None) -> FlowReport:
-    """Execute the Figure 2 flow; stops at the first failing stage."""
-    config = config or FlowConfig()
-    report = FlowReport(config)
-    la1 = config.resolved_la1()
-    cover_db = None
-    if config.coverage:
-        from ..cover import CoverageDB
+def la1_config(banks: int) -> La1Config:
+    """The concrete scale of the flow's simulation-level models."""
+    return La1Config(banks=banks, beat_bits=16, addr_bits=4)
 
-        cover_db = CoverageDB(meta={"flow": f"la1_{config.banks}banks",
-                                    "seed": config.seed})
 
-    # ------------------------------------------------------ 1. UML level
-    start = time.perf_counter()
+def _harvest(collectors, db) -> None:
+    """Detach every coverage collector, then harvest each into ``db``."""
+    for collector in collectors:
+        collector.detach()
+    for collector in collectors:
+        collector.harvest(db)
+
+
+def run_abv(la1: La1Config, traffic: int, seed: int, db=None):
+    """The kernel-level ABV run: the read-mode PSL monitors watch
+    ``traffic`` seeded host transactions for ``traffic * 20 + 200``
+    time units.  With a coverage ``db``, functional and PSL-assertion
+    coverage are harvested into it.  Returns ``(abv_report, host)``."""
+    sim, clocks, device, host = build_la1_system(la1)
+    monitors = attach_read_mode_monitors(sim, device, clocks)
+    collectors = ()
+    if db is not None:
+        from ..cover import La1FunctionalCoverage, PslAssertionCoverage
+
+        collectors = (La1FunctionalCoverage(host),
+                      PslAssertionCoverage(monitors))
+    queue_traffic(host, la1, traffic, seed)
+    sim.run(traffic * 20 + 200)
+    abv = summarize(monitors).finish()
+    _harvest(collectors, db)
+    return abv, host
+
+
+def run_ovl(sim: RtlSimulator, la1: La1Config, traffic: int, seed: int,
+            db=None) -> RtlHost:
+    """The OVL run: a host on the OVL-instrumented ``sim`` drives
+    ``traffic`` seeded transactions until idle.  With a coverage ``db``,
+    toggle and OVL-assertion coverage are harvested into it."""
+    host = RtlHost(sim, la1)
+    collectors = ()
+    if db is not None:
+        from ..cover import OvlAssertionCoverage, ToggleCollector
+
+        collectors = (ToggleCollector(sim), OvlAssertionCoverage(sim))
+    queue_traffic(host, la1, traffic, seed)
+    host.run_until_idle()
+    _harvest(collectors, db)
+    return host
+
+
+# ----------------------------------------------------------------------
+# the stages; each returns (ok, detail, data)
+# ----------------------------------------------------------------------
+def _uml() -> Outcome:
     classes = la1_class_diagram()
     problems = classes.validate()
     problems += la1_use_cases().validate()
     problems += read_mode_sequence(classes).validate()
     problems += write_mode_sequence(classes).validate()
     extracted = extracted_properties()
-    report.stages.append(StageResult(
-        "uml", not problems,
-        f"{len(classes.classes)} classes, {len(extracted)} extracted "
-        f"properties" + (f"; problems: {problems}" if problems else ""),
-        time.perf_counter() - start,
-        data=extracted,
-    ))
-    if problems:
-        return report
+    return (not problems,
+            f"{len(classes.classes)} classes, {len(extracted)} extracted "
+            f"properties" + (f"; problems: {problems}" if problems else ""),
+            extracted)
 
-    # ------------------------------------------------------ 2. ASM level
-    start = time.perf_counter()
-    machine = build_la1_asm(config.resolved_asm())
-    asm_cov = None
-    if cover_db is not None:
+
+def _asm_model_checking(banks: int, db) -> Outcome:
+    machine = build_la1_asm(La1AsmConfig(banks=banks))
+    collectors = ()
+    if db is not None:
         from ..cover import AsmCoverage, la1_state_predicates
 
         # exploration fires the machine's rules, so the observer sees
         # every transition the model checker takes
-        asm_cov = AsmCoverage(machine, la1_state_predicates(config.banks))
-    suite = device_property_suite(config.banks)
-    checker = AsmModelChecker(machine, asm_labeling(config.banks),
+        collectors = (AsmCoverage(machine, la1_state_predicates(banks)),)
+    suite = device_property_suite(banks)
+    checker = AsmModelChecker(machine, asm_labeling(banks),
                               ExplorationConfig())
     result = checker.check_combined([p for __, p in suite], name="suite")
-    if asm_cov is not None:
-        asm_cov.detach()
-        asm_cov.harvest(cover_db)
-    report.stages.append(StageResult(
-        "asm_model_checking", result.holds is True,
-        f"{len(suite)} properties, {result.num_nodes} nodes, "
-        f"{result.num_transitions} transitions",
-        time.perf_counter() - start,
-        data=result,
-    ))
-    if result.holds is not True:
-        return report
+    _harvest(collectors, db)
+    return (result.holds is True,
+            f"{len(suite)} properties, {result.num_nodes} nodes, "
+            f"{result.num_transitions} transitions",
+            result)
 
-    # ----------------------------------- 3. translation + conformance
-    start = time.perf_counter()
-    conformance = check_la1_conformance(
+
+def _conformance(config: FlowConfig) -> Outcome:
+    result = check_la1_conformance(
         La1AsmConfig(banks=min(config.banks, 2)),
         max_depth=config.conformance_depth,
     )
-    report.stages.append(StageResult(
-        "asm_to_systemc_conformance", conformance.conformant,
-        f"{conformance.paths_checked} paths, "
-        f"{conformance.steps_executed} steps"
-        + ("" if conformance.conformant else f"; {conformance.divergence}"),
-        time.perf_counter() - start,
-        data=conformance,
-    ))
-    if not conformance.conformant:
-        return report
+    return (result.conformant,
+            f"{result.paths_checked} paths, {result.steps_executed} steps"
+            + ("" if result.conformant else f"; {result.divergence}"),
+            result)
 
-    # ------------------------------------------------------ 4. ABV
-    start = time.perf_counter()
-    sim, clocks, device, host = build_la1_system(la1)
-    monitors = attach_read_mode_monitors(sim, device, clocks)
-    functional_cov = psl_cov = None
-    if cover_db is not None:
-        from ..cover import La1FunctionalCoverage, PslAssertionCoverage
 
-        functional_cov = La1FunctionalCoverage(host)
-        psl_cov = PslAssertionCoverage(monitors)
-    _traffic(host, la1, config.traffic, config.seed)
-    sim.run(config.traffic * 20 + 200)
-    abv = summarize(monitors).finish()
-    if functional_cov is not None:
-        functional_cov.detach()
-        psl_cov.detach()
-        functional_cov.harvest(cover_db)
-        psl_cov.harvest(cover_db)
-    report.stages.append(StageResult(
-        "systemc_abv", abv.passed,
-        f"{len(monitors)} monitors, {monitors[0].samples} samples, "
-        f"{len(host.results)} reads completed",
-        time.perf_counter() - start,
-        data=abv,
-    ))
-    if not abv.passed:
-        return report
+def _systemc_abv(la1: La1Config, config: FlowConfig, db) -> Outcome:
+    abv, host = run_abv(la1, config.traffic, config.seed, db)
+    return (abv.passed,
+            f"{len(abv.monitors)} monitors, {abv.monitors[0].samples} "
+            f"samples, {len(host.results)} reads completed",
+            abv)
 
-    # ------------------------------------------------------ 5. RTL
-    start = time.perf_counter()
+
+def _rtl_refinement(la1: La1Config, report: FlowReport) -> Outcome:
     from .rtl_model import build_la1_top_rtl
 
     top = build_la1_top_rtl(la1)
     report.verilog = emit_verilog(top)
-    design = elaborate(top)
-    report.stages.append(StageResult(
-        "rtl_refinement", True,
-        f"{design.stats()['regs']} regs, {design.stats()['nets']} nets, "
-        f"{len(report.verilog.splitlines())} Verilog lines",
-        time.perf_counter() - start,
-        data=design.stats(),
-    ))
+    stats = elaborate(top).stats()
+    return (True,
+            f"{stats['regs']} regs, {stats['nets']} nets, "
+            f"{len(report.verilog.splitlines())} Verilog lines",
+            stats)
 
-    # --------------------------------------------- 5b. static analysis
-    if config.static_lint:
-        from ..lint import lint_la1
 
-        start = time.perf_counter()
-        lint_report = lint_la1(banks=config.banks)
-        counts = lint_report.counts()
-        report.stages.append(StageResult(
-            "static_lint", lint_report.ok,
-            f"{len(lint_report.pass_order)} passes, "
-            f"{counts['error']} errors, {counts['warning']} warnings, "
-            f"{counts['waived']} waived",
-            time.perf_counter() - start,
-            data=lint_report,
-        ))
-        if not lint_report.ok:
-            return report
+def _static_lint(banks: int) -> Outcome:
+    from ..lint import lint_la1
 
-    # ------------------------------------------------ 6. RTL model check
-    if config.rtl_mc is not None:
-        start = time.perf_counter()
-        degraded = ""
-        if config.jobs > 1:
-            # sweep the read-mode conjuncts one process per property;
-            # the conjunction of the per-property verdicts equals the
-            # single-run verdict of read_mode_property(0)
-            from ..mc import sweep_rtl_properties
-            from .properties import read_mode_suite
+    report = lint_la1(banks=banks)
+    counts = report.counts()
+    return (report.ok,
+            f"{len(report.pass_order)} passes, {counts['error']} errors, "
+            f"{counts['warning']} warnings, {counts['waived']} waived",
+            report)
 
-            sweep = sweep_rtl_properties(
-                config.banks,
-                read_mode_suite(1),
-                datapath=(config.rtl_mc == "full"),
-                jobs=config.jobs,
-                shard_attempts=config.shard_attempts,
-                shard_deadline_s=config.shard_deadline_s,
-                engine=config.mc_engine,
-            )
-            mc = sweep.combined()
-            # degraded-run visibility: a sweep that needed the
-            # supervision ladder says so instead of passing silently
-            par = sweep.par_stats
-            notes = []
-            if par.get("retries"):
-                notes.append(f"{par['retries']} retries")
-            if par.get("killed_workers"):
-                notes.append(f"{par['killed_workers']} workers reaped")
-            if sweep.quarantined:
-                notes.append(
-                    f"quarantined: {', '.join(sweep.quarantined)}")
-            if notes:
-                degraded = f" [DEGRADED: {'; '.join(notes)}]"
-        elif config.mc_engine == "sat":
-            from ..sat.bmc import check_read_mode_sat
 
-            mc = check_read_mode_sat(
-                config.banks,
-                datapath=(config.rtl_mc == "full"),
-            )
-        else:
-            if config.mc_engine != "bdd":
-                raise ValueError(
-                    f"unknown mc engine {config.mc_engine!r}")
-            mc = check_read_mode_rtl(
-                config.banks,
-                datapath=(config.rtl_mc == "full"),
-            )
-        cache = ""
-        if mc.bdd_stats and config.mc_engine != "sat":
-            hits = mc.bdd_stats.get("cache_hits", 0)
-            misses = mc.bdd_stats.get("cache_misses", 0)
-            total = hits + misses
-            cache = (
-                f", computed-table {hits}/{total} hits"
-                f" ({mc.bdd_stats.get('cache_clears', 0)} clears)"
-            )
-        size_label = (
-            f"{mc.peak_nodes} clauses, k={mc.iterations}"
-            if config.mc_engine == "sat"
-            else f"{mc.peak_nodes} BDDs, {mc.iterations} iterations"
+def _rtl_model_checking(config: FlowConfig) -> Outcome:
+    datapath = config.rtl_mc == "full"
+    degraded = ""
+    if config.jobs > 1:
+        # sweep the read-mode conjuncts one process per property; the
+        # conjunction of the per-property verdicts equals the
+        # single-run verdict of read_mode_property(0)
+        from ..mc import sweep_rtl_properties
+        from .properties import read_mode_suite
+
+        sweep = sweep_rtl_properties(
+            config.banks,
+            read_mode_suite(1),
+            datapath=datapath,
+            jobs=config.jobs,
+            shard_attempts=config.shard_attempts,
+            shard_deadline_s=config.shard_deadline_s,
+            engine=config.mc_engine,
         )
-        report.stages.append(StageResult(
-            "rtl_model_checking", mc.holds is True,
-            f"{'full datapath' if config.rtl_mc == 'full' else 'control'} "
-            f"model, " + size_label
-            + cache
+        mc = sweep.combined()
+        # degraded-run visibility: a sweep that needed the supervision
+        # ladder says so instead of passing silently
+        par = sweep.par_stats
+        notes = []
+        if par.get("retries"):
+            notes.append(f"{par['retries']} retries")
+        if par.get("killed_workers"):
+            notes.append(f"{par['killed_workers']} workers reaped")
+        if sweep.quarantined:
+            notes.append(f"quarantined: {', '.join(sweep.quarantined)}")
+        if notes:
+            degraded = f" [DEGRADED: {'; '.join(notes)}]"
+    elif config.mc_engine == "sat":
+        from ..sat.bmc import check_read_mode_sat
+
+        mc = check_read_mode_sat(config.banks, datapath=datapath)
+    else:
+        mc = check_read_mode_rtl(config.banks, datapath=datapath)
+    cache = ""
+    if mc.bdd_stats and config.mc_engine != "sat":
+        hits = mc.bdd_stats.get("cache_hits", 0)
+        misses = mc.bdd_stats.get("cache_misses", 0)
+        cache = (f", computed-table {hits}/{hits + misses} hits"
+                 f" ({mc.bdd_stats.get('cache_clears', 0)} clears)")
+    size_label = (
+        f"{mc.peak_nodes} clauses, k={mc.iterations}"
+        if config.mc_engine == "sat"
+        else f"{mc.peak_nodes} BDDs, {mc.iterations} iterations"
+    )
+    return (mc.holds is True,
+            f"{'full datapath' if datapath else 'control'} model, "
+            + size_label + cache
             + (" [STATE EXPLOSION]" if mc.exploded else "")
             + (" [DEADLINE]" if mc.truncated else "")
             + degraded,
-            time.perf_counter() - start,
-            data=mc,
-        ))
-        if mc.holds is not True:
-            return report
+            mc)
 
-    # ------------------------------------------------------ 7. OVL
-    start = time.perf_counter()
-    ovl_top = build_la1_top_with_ovl(la1)
-    if config.lanes > 1:
-        ovl_sim = RtlSimulator(elaborate(ovl_top), backend="bitpar",
-                               lanes=config.lanes)
-    else:
-        ovl_sim = RtlSimulator(elaborate(ovl_top),
-                               backend=config.rtl_backend)
-    ovl_host = RtlHost(ovl_sim, la1)
-    toggle_cov = ovl_cov = None
-    if cover_db is not None:
-        from ..cover import OvlAssertionCoverage, ToggleCollector
 
-        toggle_cov = ToggleCollector(ovl_sim)
-        ovl_cov = OvlAssertionCoverage(ovl_sim)
-    patterns_used = 1
-    if config.lanes > 1 and config.patterns > 1:
-        # pattern-packed OVL: lane p drives stimulus pattern p (shared
-        # command schedule, per-lane addr/data), spare lanes replay
-        # pattern 0
-        from .rtl_testbench import LaneVec
-        from .traffic import schedule_values, traffic_schedule
+def _rtl_ovl_simulation(la1: La1Config, config: FlowConfig,
+                        db) -> Outcome:
+    sim = RtlSimulator(elaborate(build_la1_top_with_ovl(la1)),
+                       backend="compiled")
+    host = run_ovl(sim, la1, config.traffic, config.seed, db)
+    return (sim.ok,
+            f"{sim.backend} backend, {len(sim.design.monitors)} OVL "
+            f"monitors, {sim.edge_count} edges, {len(host.results)} reads"
+            + ("" if sim.ok else f"; failures: {sim.failures[:3]}"),
+            sim.stats())
 
-        patterns_used = min(config.patterns, config.lanes)
-        pad = config.lanes - patterns_used
-        schedule = traffic_schedule(la1, config.traffic, config.seed)
-        values = [schedule_values(la1, schedule, config.seed, p)
-                  for p in range(patterns_used)]
-        for t, (is_read, bank, __a, __w) in enumerate(schedule):
-            addr = [v[t][0] for v in values]
-            addr = LaneVec(addr + addr[:1] * pad)
-            if is_read:
-                ovl_host.read(bank, addr)
-            else:
-                word = [v[t][1] for v in values]
-                ovl_host.write(bank, addr,
-                               LaneVec(word + word[:1] * pad))
-    else:
-        _traffic(ovl_host, la1, config.traffic, config.seed)
-    ovl_host.run_until_idle()
-    if toggle_cov is not None:
-        toggle_cov.detach()
-        ovl_cov.detach()
-        toggle_cov.harvest(cover_db)
-        ovl_cov.harvest(cover_db)
-    lane_failures = {
-        lane: names
-        for lane in range(1, patterns_used)
-        if (names := ovl_sim.lane_failure_names(lane))
-    }
-    ovl_ok = ovl_sim.ok and not lane_failures
-    report.stages.append(StageResult(
-        "rtl_ovl_simulation", ovl_ok,
-        f"{ovl_sim.backend} backend, "
-        + (f"{patterns_used} stimulus patterns, "
-           if patterns_used > 1 else "")
-        + f"{len(ovl_sim.design.monitors)} OVL monitors, "
-        f"{ovl_sim.edge_count} edges, {len(ovl_host.results)} reads"
-        + ("" if ovl_sim.ok else f"; failures: {ovl_sim.failures[:3]}")
-        + ("" if not lane_failures
-           else f"; pattern-lane failures: {sorted(lane_failures)[:3]}"),
-        time.perf_counter() - start,
-        data=ovl_sim.stats(),
-    ))
-    if not ovl_ok:
-        return report
 
-    # ------------------------------------------------ 8. coverage closure
-    if cover_db is not None:
-        start = time.perf_counter()
-        covered, total = cover_db.counts()
-        per_level = ", ".join(
-            f"{level} {cover_db.coverage(level):.0%}"
-            for level in cover_db.levels()
-        )
-        report.stages.append(StageResult(
-            "coverage", cover_db.coverage() >= config.coverage_threshold,
-            f"{cover_db.coverage():.1%} ({covered}/{total} points; "
-            f"{per_level})",
-            time.perf_counter() - start,
-            data=cover_db,
-        ))
-    return report
+def _coverage(db) -> Outcome:
+    covered, total = db.counts()
+    per_level = ", ".join(
+        f"{level} {db.coverage(level):.0%}" for level in db.levels())
+    return (db.coverage() >= COVERAGE_THRESHOLD,
+            f"{db.coverage():.1%} ({covered}/{total} points; {per_level})",
+            db)
+
+
+def run_flow(config: Optional[FlowConfig] = None) -> FlowReport:
+    """Execute the Figure 2 flow; stops at the first failing stage."""
+    config = config or FlowConfig()
+    report = FlowReport(f"LA-1 flow ({config.banks} banks):", config=config)
+    la1 = la1_config(config.banks)
+    db = None
+    if config.coverage:
+        from ..cover import CoverageDB
+
+        db = CoverageDB(meta={"flow": f"la1_{config.banks}banks",
+                              "seed": config.seed})
+    stages = [
+        ("uml", _uml),
+        ("asm_model_checking",
+         lambda: _asm_model_checking(config.banks, db)),
+        ("asm_to_systemc_conformance", lambda: _conformance(config)),
+        ("systemc_abv", lambda: _systemc_abv(la1, config, db)),
+        ("rtl_refinement", lambda: _rtl_refinement(la1, report)),
+    ]
+    if config.static_lint:
+        stages.append(("static_lint", lambda: _static_lint(config.banks)))
+    if config.rtl_mc is not None:
+        stages.append(("rtl_model_checking",
+                       lambda: _rtl_model_checking(config)))
+    stages.append(("rtl_ovl_simulation",
+                   lambda: _rtl_ovl_simulation(la1, config, db)))
+    if db is not None:
+        stages.append(("coverage", lambda: _coverage(db)))
+    return run_stages(report, stages)

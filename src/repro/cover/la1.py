@@ -16,9 +16,12 @@ one :class:`CoverageDB`:
   :class:`~repro.cover.asm_cov.AsmCoverage` with the LA-1 state
   predicates.
 
-This is the engine behind ``python -m repro.cover`` and the flow's
-coverage stage; the smoke invariant (two seeds merge losslessly) runs
-over exactly these collections.
+This is the engine behind ``python -m repro.cover``; the smoke
+invariant (two seeds merge losslessly) runs over exactly these
+collections.  The kernel-level and RTL runs are the flow's own ABV and
+OVL runs (:func:`repro.core.flow.run_abv` and
+:func:`~repro.core.flow.run_ovl`), so the flow's coverage stage collects
+the same points.
 """
 
 from __future__ import annotations
@@ -26,20 +29,14 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from ..abv import summarize
 from ..asm.machine import AsmMachine
 from ..core.asm_model import La1AsmConfig, build_la1_asm
-from ..core.monitors import attach_read_mode_monitors
+from ..core.flow import la1_config, run_abv, run_ovl
 from ..core.ovl_bindings import build_la1_top_with_ovl
-from ..core.rtl_testbench import RtlHost
-from ..core.spec import La1Config
-from ..core.sysc_model import build_la1_system
+from ..core.traffic import queue_traffic
 from ..rtl import RtlSimulator, elaborate
 from .asm_cov import AsmCoverage, la1_state_predicates
-from .assertion import OvlAssertionCoverage, PslAssertionCoverage
 from .db import CoverageDB
-from .functional import La1FunctionalCoverage
-from .rtl_cov import ToggleCollector
 
 __all__ = [
     "random_traffic",
@@ -51,18 +48,9 @@ __all__ = [
 ]
 
 
-def random_traffic(host, config: La1Config, count: int, seed: int) -> None:
-    """Queue ``count`` seeded random read/write transactions (the same
-    distribution the flow's ABV and OVL stages drive)."""
-    rng = random.Random(seed)
-    word_max = (1 << config.word_bits) - 1
-    for __ in range(count):
-        bank = rng.randrange(config.banks)
-        addr = rng.randrange(config.mem_words)
-        if rng.random() < 0.5:
-            host.read(bank, addr)
-        else:
-            host.write(bank, addr, rng.randint(0, word_max))
+#: queue ``count`` seeded random read/write transactions onto a host
+#: (the stream the flow's ABV and OVL stages drive)
+random_traffic = queue_traffic
 
 
 def random_asm_walk(machine: AsmMachine, steps: int, seed: int) -> int:
@@ -79,28 +67,13 @@ def random_asm_walk(machine: AsmMachine, steps: int, seed: int) -> int:
     return fired
 
 
-def _la1_config(banks: int) -> La1Config:
-    return La1Config(banks=banks, beat_bits=16, addr_bits=4)
-
-
 def collect_sysc_coverage(banks: int = 2, traffic: int = 24,
                           seed: int = 2004,
                           db: Optional[CoverageDB] = None) -> CoverageDB:
     """Kernel-level run: functional (``func.*``) + PSL assertion
-    (``assert.psl.*``) coverage."""
+    (``assert.psl.*``) coverage -- the flow's ABV run."""
     db = db if db is not None else CoverageDB()
-    config = _la1_config(banks)
-    sim, clocks, device, host = build_la1_system(config)
-    monitors = attach_read_mode_monitors(sim, device, clocks)
-    functional = La1FunctionalCoverage(host)
-    assertion = PslAssertionCoverage(monitors)
-    random_traffic(host, config, traffic, seed)
-    sim.run(traffic * 20 + 200)
-    summarize(monitors).finish()
-    functional.detach()
-    assertion.detach()
-    functional.harvest(db)
-    assertion.harvest(db)
+    run_abv(la1_config(banks), traffic, seed, db)
     return db
 
 
@@ -109,7 +82,7 @@ def collect_rtl_coverage(banks: int = 2, traffic: int = 24,
                          db: Optional[CoverageDB] = None,
                          lanes: int = 1) -> CoverageDB:
     """RTL run with OVL checkers loaded: toggle (``rtl.toggle.*``) +
-    OVL assertion (``assert.ovl.*``) coverage.
+    OVL assertion (``assert.ovl.*``) coverage -- the flow's OVL run.
 
     ``lanes > 1`` switches to the bit-parallel backend (``backend`` is
     then ignored) with the traffic broadcast into every lane and lane 0
@@ -117,22 +90,13 @@ def collect_rtl_coverage(banks: int = 2, traffic: int = 24,
     is exactly what lets campaigns and walk scoring swap the backends
     freely underneath the coverage arithmetic."""
     db = db if db is not None else CoverageDB()
-    config = _la1_config(banks)
+    config = la1_config(banks)
+    design = elaborate(build_la1_top_with_ovl(config))
     if lanes > 1:
-        sim = RtlSimulator(elaborate(build_la1_top_with_ovl(config)),
-                           backend="bitpar", lanes=lanes)
+        sim = RtlSimulator(design, backend="bitpar", lanes=lanes)
     else:
-        sim = RtlSimulator(elaborate(build_la1_top_with_ovl(config)),
-                           backend=backend)
-    host = RtlHost(sim, config)
-    toggles = ToggleCollector(sim)
-    ovl = OvlAssertionCoverage(sim)
-    random_traffic(host, config, traffic, seed)
-    host.run_until_idle()
-    toggles.detach()
-    ovl.detach()
-    toggles.harvest(db)
-    ovl.harvest(db)
+        sim = RtlSimulator(design, backend=backend)
+    run_ovl(sim, config, traffic, seed, db)
     return db
 
 

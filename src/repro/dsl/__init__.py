@@ -26,7 +26,7 @@ from .elab import (
     elaborate,
     netlist_fingerprint,
 )
-from .flow import DslFlowReport, run_dsl_flow
+from .flow import run_dsl_flow
 from .lang import (
     C,
     Array,
@@ -51,7 +51,6 @@ __all__ = [
     "Channel",
     "Design",
     "DslError",
-    "DslFlowReport",
     "DslInterp",
     "DslModule",
     "ElaboratedDesign",

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 
+from ..cli import MC_ENGINES
 from .zoo import build_elaborated, zoo_names, zoo_properties
 
 
@@ -94,7 +95,7 @@ def main(argv=None) -> int:
     p_verify = sub.add_parser("verify", help="full flow on one design")
     p_verify.add_argument("design", choices=zoo_names())
     p_verify.add_argument("--seed", type=int, default=2004)
-    p_verify.add_argument("--mc-engine", choices=("sat", "bdd"),
+    p_verify.add_argument("--mc-engine", choices=MC_ENGINES,
                           default="sat")
     p_verify.add_argument("--stages", default=None,
                           help="comma-separated subset, e.g. "

@@ -24,7 +24,6 @@ ASM machine against the RTL and SystemC lowerings through
 from __future__ import annotations
 
 import hashlib
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..asm.machine import AsmMachine
@@ -51,7 +50,6 @@ from .lang import (
     DExpr,
     Sig,
     design_step,
-    initial_state,
 )
 
 __all__ = [
@@ -748,28 +746,3 @@ def netlist_fingerprint(elab: ElaboratedDesign) -> str:
 
     text = emit_verilog(elab.rtl)
     return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
-
-
-def interp_reference_run(elab: ElaboratedDesign, cycles: int = 32,
-                         seed: int = 2004) -> Tuple[float, list]:
-    """Drive the reference interpreter with seeded random stimulus;
-    returns (cpu_time, per-cycle output log).  Used by benchmarks."""
-    import random
-
-    from .lang import DslInterp
-
-    rng = random.Random(seed)
-    interp = DslInterp(elab.design)
-    ports = elab.design.input_ports()
-    log = []
-    start = time.perf_counter()
-    for _ in range(cycles):
-        values = {pname: rng.getrandbits(sig.width) for pname, sig in ports}
-        outs = interp.outputs(**values)
-        interp.step(**values)
-        log.append(tuple(sorted(outs.items())))
-    return time.perf_counter() - start, log
-
-
-def _initial_env(design: Design) -> dict:
-    return initial_state(design)

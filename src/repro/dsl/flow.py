@@ -19,99 +19,65 @@ the methodology, unchanged from the LA-1 stack:
    SEU per register) that must detect at least one fault and complete
    without engine errors.
 
-The stage results reuse :class:`repro.core.flow.StageResult`, so flow
-reports read the same either way; like the LA-1 flow, execution stops
-at the first failing stage.
+The flow reports into :class:`repro.core.flow.FlowReport` through
+:func:`repro.core.flow.run_stages`, so it reads and stops exactly like
+the LA-1 flow: at the first failing stage.
 """
 
 from __future__ import annotations
 
 import random
-import time
-from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..core.flow import StageResult
+from ..core.flow import FlowReport, run_stages
 from ..lint import LintConfig, lint_design, lint_machine, lint_properties
 from ..rtl.simulator import RtlSimulator
 from .elab import check_dsl_conformance, netlist_fingerprint
 from .zoo import build_elaborated, conformance_budget, zoo_properties
 
-__all__ = ["DslFlowReport", "run_dsl_flow"]
+__all__ = ["DSL_STAGES", "run_dsl_flow"]
+
+#: the stages after ``elaborate``, in canonical order
+DSL_STAGES = ("lint", "conformance", "model_checking", "coverage",
+              "campaign")
+
+#: the RTL backend of the conformance, coverage and campaign stages
+RTL_BACKEND = "interp"
+#: SAT induction depth bound and per-property wall-clock budget of the
+#: model-checking stage
+MC_MAX_K = 40
+MC_DEADLINE_S = 120.0
+#: seeded RTL cycles of the coverage run, and the fraction of the
+#: covergroup's bins it must hit
+COVERAGE_CYCLES = 64
+COVERAGE_THRESHOLD = 0.25
+#: RTL cycles per fault and fault-list cap of the campaign smoke
+CAMPAIGN_CYCLES = 32
+CAMPAIGN_MAX_FAULTS = 16
 
 
-@dataclass
-class DslFlowReport:
-    """All stage results of one zoo-design flow run."""
-
-    design: str
-    stages: List[StageResult] = field(default_factory=list)
-    fingerprint: str = ""
-
-    @property
-    def ok(self) -> bool:
-        """True when every executed stage passed."""
-        return all(stage.ok for stage in self.stages)
-
-    def stage(self, name: str) -> Optional[StageResult]:
-        for stage in self.stages:
-            if stage.name == name:
-                return stage
-        return None
-
-    def render(self) -> str:
-        lines = [f"dsl flow [{self.design}]"
-                 + (f" fingerprint {self.fingerprint}" if self.fingerprint
-                    else "")]
-        for stage in self.stages:
-            flag = "PASS" if stage.ok else "FAIL"
-            lines.append(
-                f"  [{flag}] {stage.name:<16} {stage.cpu_time:7.2f}s  "
-                f"{stage.detail}"
-            )
-        lines.append(f"  overall: {'PASS' if self.ok else 'FAIL'}")
-        return "\n".join(lines)
-
-
-def _lint_stage(name: str, elab, config: Optional[LintConfig],
-                semantic: bool) -> StageResult:
-    start = time.perf_counter()
-    base = config or LintConfig()
+def _lint(name: str, elab):
     # probe, cover and monitor wires exist to be observed by engines the
     # dataflow pass cannot see (PSL labels, covergroup sampling), so
     # they are observation points, not dead logic
     sinks = tuple(elab.probes.values()) + tuple(
         path for path, __ in elab.covers.values())
-    rtl_config = LintConfig(
-        disabled_rules=base.disabled_rules,
-        waivers=base.waivers,
-        extra_sinks=tuple(base.extra_sinks) + sinks,
-        asm_state_cap=base.asm_state_cap,
-    )
-    report = lint_design(elab.rtl, config=rtl_config, design=elab.flat,
-                         subject=f"dsl:{name}", semantic=semantic)
+    report = lint_design(elab.rtl, config=LintConfig(extra_sinks=sinks),
+                         design=elab.flat, subject=f"dsl:{name}")
     props = [(pname, prop) for pname, prop, __ in zoo_properties(name, elab)]
-    report.extend(lint_properties(props, config=base,
-                                  subject=f"dsl:{name}:properties",
-                                  semantic=semantic))
-    report.extend(lint_machine(elab.rule_machine(), config=base,
-                               semantic=semantic))
+    report.extend(lint_properties(props, subject=f"dsl:{name}:properties"))
+    report.extend(lint_machine(elab.rule_machine()))
     counts = report.counts()
-    return StageResult(
-        "lint", report.ok,
-        f"{len(report.pass_order)} passes, {counts['error']} errors, "
-        f"{counts['warning']} warnings, {counts['waived']} waived",
-        time.perf_counter() - start,
-        data=report,
-    )
+    return (report.ok,
+            f"{len(report.pass_order)} passes, {counts['error']} errors, "
+            f"{counts['warning']} warnings, {counts['waived']} waived",
+            report)
 
 
-def _conformance_stage(name: str, elab, backend: str) -> StageResult:
-    start = time.perf_counter()
-    budget = conformance_budget(name)
+def _conformance(name: str, elab):
     results = check_dsl_conformance(
-        elab, levels=("rtl", "sysc"), backend=backend, **budget)
-    ok = all(r.conformant for r in results.values())
+        elab, levels=("rtl", "sysc"), backend=RTL_BACKEND,
+        **conformance_budget(name))
     detail = ", ".join(
         f"{level} {'ok' if r.conformant else 'DIVERGED'} "
         f"({r.paths_checked} paths)"
@@ -121,13 +87,10 @@ def _conformance_stage(name: str, elab, backend: str) -> StageResult:
            if not r.conformant and r.divergence]
     if bad:
         detail += f"; {bad[0]}"
-    return StageResult("conformance", ok, detail,
-                       time.perf_counter() - start, data=results)
+    return all(r.conformant for r in results.values()), detail, results
 
 
-def _mc_stage(name: str, elab, engine: str, max_k: int,
-              deadline_s: Optional[float]) -> StageResult:
-    start = time.perf_counter()
+def _model_checking(name: str, elab, engine: str):
     outcomes = []
     ok = True
     results = {}
@@ -137,7 +100,7 @@ def _mc_stage(name: str, elab, engine: str, max_k: int,
 
             result = SatModelChecker(
                 elab.flat, prop, labels, name=pname,
-            ).prove(max_k=max_k, deadline_s=deadline_s)
+            ).prove(max_k=MC_MAX_K, deadline_s=MC_DEADLINE_S)
             verdict = (f"proved k={result.k}" if result.holds is True
                        else "FAILS" if result.holds is False
                        else "UNDECIDED")
@@ -148,7 +111,7 @@ def _mc_stage(name: str, elab, engine: str, max_k: int,
             result = SymbolicModelChecker(
                 SymbolicModel(elab.flat, coi_roots=roots)
             ).check_property(prop, labels, name=pname,
-                             deadline_s=deadline_s)
+                             deadline_s=MC_DEADLINE_S)
             verdict = (f"holds ({result.iterations} iters)"
                        if result.holds is True
                        else "FAILS" if result.holds is False
@@ -158,123 +121,84 @@ def _mc_stage(name: str, elab, engine: str, max_k: int,
         results[pname] = result
         ok = ok and result.holds is True
         outcomes.append(f"{pname}: {verdict}")
-    return StageResult(
-        "model_checking", ok,
-        f"{engine} engine; " + "; ".join(outcomes),
-        time.perf_counter() - start, data=results,
-    )
+    return ok, f"{engine} engine; " + "; ".join(outcomes), results
 
 
-def _coverage_stage(name: str, elab, seed: int, cycles: int,
-                    backend: str, threshold: float) -> StageResult:
+def _coverage(name: str, elab, seed: int):
     from ..cover.functional import Covergroup
 
-    start = time.perf_counter()
     group = Covergroup(f"dsl_{name}")
     points = {}
     for cname, (path, width) in sorted(elab.covers.items()):
         bins = [str(v) for v in range(1 << width)]
         points[cname] = (group.coverpoint(cname, bins), path)
-    sim = RtlSimulator(elab.flat, backend=backend)
+    sim = RtlSimulator(elab.flat, backend=RTL_BACKEND)
     sim.reset()
     rng = random.Random(seed)
     inputs = [(net.path, net.width) for net in elab.flat.inputs]
-    for __ in range(cycles):
+    for __ in range(COVERAGE_CYCLES):
         for path, width in inputs:
             sim.set_input(path, rng.getrandbits(width))
         for point, path in points.values():
             point.sample(str(sim.read(path)))
         sim.step("K")
     fraction = group.coverage()
-    ok = not sim.failures and fraction >= threshold
-    return StageResult(
-        "coverage", ok,
-        f"{fraction:.0%} of {sum(len(p.bins) for p in group.points)} bins "
-        f"over {cycles} cycles"
-        + (f"; monitors fired: {[f.name for f in sim.failures[:3]]}"
-           if sim.failures else ""),
-        time.perf_counter() - start, data=group,
-    )
+    return (not sim.failures and fraction >= COVERAGE_THRESHOLD,
+            f"{fraction:.0%} of {sum(len(p.bins) for p in group.points)} "
+            f"bins over {COVERAGE_CYCLES} cycles"
+            + (f"; monitors fired: {[f.name for f in sim.failures[:3]]}"
+               if sim.failures else ""),
+            group)
 
 
-def _campaign_stage(name: str, seed: int, cycles: int, backend: str,
-                    max_faults: Optional[int], lanes: int) -> StageResult:
+def _campaign(name: str, seed: int):
     from ..fault.campaign import CampaignConfig, FaultCampaign
 
-    start = time.perf_counter()
-    config = CampaignConfig(design=name, seed=seed, backend=backend,
-                            rtl_cycles=cycles, max_faults=max_faults)
-    report = FaultCampaign(config).run(lanes=lanes)
+    report = FaultCampaign(CampaignConfig(
+        design=name, seed=seed, backend=RTL_BACKEND,
+        rtl_cycles=CAMPAIGN_CYCLES, max_faults=CAMPAIGN_MAX_FAULTS,
+    )).run()
     counts = report.counts()
     ok = (counts.get("detected", 0) >= 1
           and counts.get("error", 0) == 0
           and counts.get("truncated", 0) == 0)
-    return StageResult(
-        "campaign", ok,
-        f"{len(report.verdicts)} faults: {counts['detected']} detected, "
-        f"{counts['masked']} masked, {counts['silent']} silent, "
-        f"{counts['error']} errors",
-        time.perf_counter() - start, data=report,
-    )
+    return (ok,
+            f"{len(report.verdicts)} faults: {counts['detected']} detected, "
+            f"{counts['masked']} masked, {counts['silent']} silent, "
+            f"{counts['error']} errors",
+            report)
 
 
-def run_dsl_flow(
-    name: str,
-    seed: int = 2004,
-    mc_engine: str = "sat",
-    mc_max_k: int = 40,
-    mc_deadline_s: Optional[float] = 120.0,
-    rtl_backend: str = "interp",
-    coverage_cycles: int = 64,
-    coverage_threshold: float = 0.25,
-    campaign_cycles: int = 32,
-    campaign_max_faults: Optional[int] = 16,
-    campaign_lanes: int = 1,
-    lint_config: Optional[LintConfig] = None,
-    semantic_lint: bool = False,
-    stages: Optional[List[str]] = None,
-) -> DslFlowReport:
+def run_dsl_flow(name: str, seed: int = 2004, mc_engine: str = "sat",
+                 stages: Optional[List[str]] = None) -> FlowReport:
     """Run the verification flow for the zoo design ``name``.
 
-    ``stages`` restricts execution to a subset (in canonical order);
-    elaboration always runs.  Execution stops at the first failing
-    stage, like the LA-1 flow."""
-    report = DslFlowReport(name)
-    wanted = set(stages) if stages is not None else {
-        "lint", "conformance", "model_checking", "coverage", "campaign"}
+    ``stages`` restricts execution to a subset of :data:`DSL_STAGES`
+    (run in canonical order); elaboration always runs.  Execution stops
+    at the first failing stage, like the LA-1 flow."""
+    report = FlowReport(f"dsl flow [{name}]", design=name)
+    wanted = DSL_STAGES if stages is None else stages
 
-    start = time.perf_counter()
-    elab = build_elaborated(name)
-    stats = elab.flat.stats()
-    report.fingerprint = netlist_fingerprint(elab)
-    report.stages.append(StageResult(
-        "elaborate", True,
-        f"{len(elab.design.modules)} modules, {len(elab.asm.rules)} ASM "
-        f"rules, {stats['regs']} regs, {stats['nets']} nets, "
-        f"{stats['monitors']} monitors",
-        time.perf_counter() - start, data=elab,
-    ))
+    def elaborate():
+        elab = build_elaborated(name)
+        stats = elab.flat.stats()
+        report.fingerprint = netlist_fingerprint(elab)
+        return (True,
+                f"{len(elab.design.modules)} modules, "
+                f"{len(elab.asm.rules)} ASM rules, {stats['regs']} regs, "
+                f"{stats['nets']} nets, {stats['monitors']} monitors",
+                elab)
 
-    runners = (
-        ("lint", lambda: _lint_stage(name, elab, lint_config,
-                                     semantic_lint)),
-        ("conformance", lambda: _conformance_stage(name, elab,
-                                                   rtl_backend)),
-        ("model_checking", lambda: _mc_stage(name, elab, mc_engine,
-                                             mc_max_k, mc_deadline_s)),
-        ("coverage", lambda: _coverage_stage(name, elab, seed,
-                                             coverage_cycles, rtl_backend,
-                                             coverage_threshold)),
-        ("campaign", lambda: _campaign_stage(name, seed, campaign_cycles,
-                                             rtl_backend,
-                                             campaign_max_faults,
-                                             campaign_lanes)),
-    )
-    for stage_name, runner in runners:
-        if stage_name not in wanted:
-            continue
-        result = runner()
-        report.stages.append(result)
-        if not result.ok:
-            break
-    return report
+    def elab():
+        # every later stage works on the elaborate stage's design
+        return report.stages[0].data
+
+    bodies = {
+        "lint": lambda: _lint(name, elab()),
+        "conformance": lambda: _conformance(name, elab()),
+        "model_checking": lambda: _model_checking(name, elab(), mc_engine),
+        "coverage": lambda: _coverage(name, elab(), seed),
+        "campaign": lambda: _campaign(name, seed),
+    }
+    return run_stages(report, [("elaborate", elaborate)] + [
+        (stage, bodies[stage]) for stage in DSL_STAGES if stage in wanted])

@@ -99,19 +99,6 @@ class NetlistEncoder:
             for inp in self.design.inputs
         }
 
-    def const_inputs(self, values: Dict[str, int]) -> Dict[str, List[int]]:
-        """Constant input literals from a ``path -> value`` dict
-        (unlisted inputs read 0, like an undriven testbench pin)."""
-        t = self.t
-        out = {}
-        for inp in self.design.inputs:
-            value = values.get(inp.path, 0)
-            out[inp.path] = [
-                t.TRUE if (value >> i) & 1 else t.FALSE
-                for i in range(inp.width)
-            ]
-        return out
-
     # ------------------------------------------------------------------
     # frame encoding
     # ------------------------------------------------------------------
@@ -160,7 +147,3 @@ class NetlistEncoder:
                 self.t, reg.next_expr, reg.scope, frame.bits
             )
         return out
-
-    def net_bits(self, frame: Frame, path: str) -> List[int]:
-        """Literal vector of any live net in ``frame`` by flat path."""
-        return list(frame.bits[self.design.net(path)])

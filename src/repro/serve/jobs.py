@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 from typing import Callable, Optional
 
-from ..cli import BACKENDS, JOBS_RANGE, LANES_RANGE, PATTERNS_RANGE
+from ..cli import BACKENDS, JOBS_RANGE, LANES_RANGE, PATTERNS_RANGE, check_mc_choice
 from .store import content_key
 
 __all__ = ["Job", "CampaignJob", "CoverJob", "McJob", "FlowJob",
@@ -312,7 +312,7 @@ class McJob(Job):
 
     def __init__(self, spec: dict):
         super().__init__(spec)
-        self.banks = int(_get(spec, "banks", 2, (int,)))
+        self.banks = _get_banks(spec)
         self.datapath = bool(_get(spec, "datapath", False, (bool, int)))
 
     def fingerprint(self) -> dict:
@@ -349,7 +349,11 @@ class FlowJob(Job):
         self.traffic = int(_get(spec, "traffic", 40, (int,)))
         self.seed = int(_get(spec, "seed", 2004, (int,)))
         self.rtl_mc = _get(spec, "rtl_mc", "control", (str,))
-        self.mc_engine = str(_get(spec, "mc_engine", "sat", (str,)))
+        # the zoo flow proves its properties by SAT; the LA-1 flow's
+        # RuleBase-style stage defaults to BDD (FlowConfig's default)
+        self.mc_engine = str(_get(spec, "mc_engine",
+                                  "sat" if self.design else "bdd", (str,)))
+        check_mc_choice(self.mc_engine, self.rtl_mc)
         self.coverage = bool(_get(spec, "coverage", True, (bool, int)))
 
     def fingerprint(self) -> dict:
@@ -364,13 +368,18 @@ class FlowJob(Job):
                 "seed": self.seed,
                 "mc_engine": self.mc_engine,
             }
-        return {
+        fingerprint = {
             "banks": self.banks,
             "traffic": self.traffic,
             "seed": self.seed,
             "rtl_mc": self.rtl_mc,
             "coverage": self.coverage,
         }
+        if self.mc_engine != "bdd":
+            # conditional key: BDD submissions keep their pre-engine
+            # content identity (and store entries)
+            fingerprint["mc_engine"] = self.mc_engine
+        return fingerprint
 
     def run(self, emit: Emit, workdir: Optional[str] = None) -> dict:
         if self.design:
@@ -378,33 +387,23 @@ class FlowJob(Job):
 
             report = run_dsl_flow(self.design, seed=self.seed,
                                   mc_engine=self.mc_engine)
-            stages = []
-            for stage in report.stages:
-                emit({"type": "stage", "name": stage.name, "ok": stage.ok})
-                stages.append({
-                    "name": stage.name,
-                    "ok": stage.ok,
-                    "detail": stage.detail,
-                    "cpu_time": round(stage.cpu_time, 4),
-                })
-            return {
-                "ok": report.ok,
-                "design": self.design,
-                "fingerprint": report.fingerprint,
-                "stages": stages,
-            }
-        from ..core.flow import FlowConfig, run_flow
+            result = {"design": self.design,
+                      "fingerprint": report.fingerprint}
+        else:
+            from ..core.flow import FlowConfig, run_flow
 
-        report = run_flow(FlowConfig(
-            banks=self.banks,
-            traffic=self.traffic,
-            seed=self.seed,
-            rtl_mc=self.rtl_mc,
-            coverage=self.coverage,
-            jobs=self.jobs,
-            shard_attempts=self.shard_attempts,
-            shard_deadline_s=self.shard_deadline_s,
-        ))
+            report = run_flow(FlowConfig(
+                banks=self.banks,
+                traffic=self.traffic,
+                seed=self.seed,
+                rtl_mc=self.rtl_mc,
+                mc_engine=self.mc_engine,
+                coverage=self.coverage,
+                jobs=self.jobs,
+                shard_attempts=self.shard_attempts,
+                shard_deadline_s=self.shard_deadline_s,
+            ))
+            result = {"verilog_lines": len(report.verilog.splitlines())}
         stages = []
         for stage in report.stages:
             emit({"type": "stage", "name": stage.name, "ok": stage.ok})
@@ -414,11 +413,7 @@ class FlowJob(Job):
                 "detail": stage.detail,
                 "cpu_time": round(stage.cpu_time, 4),
             })
-        return {
-            "ok": report.ok,
-            "stages": stages,
-            "verilog_lines": len(report.verilog.splitlines()),
-        }
+        return {"ok": report.ok, "stages": stages, **result}
 
 
 JOB_KINDS = {

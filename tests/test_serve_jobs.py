@@ -54,6 +54,11 @@ class TestBuildJob:
         ("cover", {"banks": 0}, "'banks' must be >= 1"),
         ("flow", {"banks": 0}, "'banks' must be >= 1"),
         ("campaign", {"backend": "bogus"}, "unknown campaign backend"),
+        ("mc", {"banks": 0}, "'banks' must be >= 1"),
+        ("flow", {"mc_engine": "bogus"}, "unknown mc engine"),
+        ("flow", {"design": "fifo", "mc_engine": "bogus"},
+         "unknown mc engine"),
+        ("flow", {"rtl_mc": "bogus"}, "unknown rtl_mc model"),
     ])
     def test_spec_the_engine_rejects_raises(self, kind, spec, match):
         # refused at submission (the server's 400), not accepted and

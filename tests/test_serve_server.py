@@ -48,6 +48,18 @@ def server(tmp_path_factory):
     stop()
 
 
+class _RaisingJob(jobs_mod.Job):
+    """Accepted at submission, then raises once it runs."""
+
+    kind = "raising"
+
+    def fingerprint(self) -> dict:
+        return {}
+
+    def run(self, emit, workdir=None) -> dict:
+        raise RuntimeError("adapter raised mid-run")
+
+
 class TestHTTP:
     def test_healthz(self, server):
         __, base, ___ = server
@@ -98,7 +110,7 @@ class TestHTTP:
         assert listing["jobs"]
         assert all("id" in j and "status" in j for j in listing["jobs"])
 
-    def test_error_paths(self, server):
+    def test_error_paths(self, server, monkeypatch):
         __, base, ___ = server
         with pytest.raises(urllib.error.HTTPError) as exc:
             _http("POST", f"{base}/jobs", {"kind": "nope", "spec": {}})
@@ -114,12 +126,18 @@ class TestHTTP:
         assert exc.value.code == 405
         # a job whose adapter raises mid-run lands in status=error
         # (with the traceback) without killing the server
+        monkeypatch.setitem(jobs_mod.JOB_KINDS, "raising", _RaisingJob)
         bad = _http("POST", f"{base}/jobs",
-                    {"kind": "mc", "spec": {"banks": -1}})
+                    {"kind": "raising", "spec": {}})
         record = _wait(base, bad["id"])
         assert record["status"] == "error"
-        assert "banks must be >= 1" in record["error"]
+        assert "adapter raised mid-run" in record["error"]
         assert _http("GET", f"{base}/healthz")["ok"] is True
+        # a spec the engine would reject is refused at submission
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            _http("POST", f"{base}/jobs",
+                  {"kind": "mc", "spec": {"banks": -1}})
+        assert exc.value.code == 400
 
 
     def test_unknown_design_is_400(self, server):
