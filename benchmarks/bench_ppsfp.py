@@ -47,8 +47,11 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.fault import campaign as campaign_mod  # noqa: E402
-from repro.fault.campaign import CampaignConfig, FaultCampaign  # noqa: E402
+from repro.fault.campaign import (  # noqa: E402
+    CampaignConfig,
+    FaultCampaign,
+    la1_design,
+)
 from repro.fault.models import STIM_KINDS, RtlStuckAt, StimulusMutation  # noqa: E402
 
 #: ISSUE acceptance: lanes=64 faults/sec over the per-fault baseline
@@ -148,7 +151,7 @@ def run_point(banks: int, traffic: int, faults, lanes: int,
     # every point starts cold, as in a fresh process: campaigns share
     # the memoised design and its compiled kernels, which would let a
     # later shape skip the elaboration and codegen an earlier one paid
-    campaign_mod._LA1_DESIGNS.clear()
+    la1_design.cache_clear()
     start = time.perf_counter()
     report = FaultCampaign(config).run(
         faults=list(faults), lanes=lanes,

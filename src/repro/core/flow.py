@@ -43,7 +43,7 @@ from .ovl_bindings import build_la1_top_with_ovl
 from .properties import asm_labeling, device_property_suite
 from .rulebase import check_read_mode_rtl
 from .rtl_testbench import RtlHost
-from .spec import La1Config
+from .spec import La1Config, la1_config
 from .sysc_model import build_la1_system
 from .traffic import queue_traffic
 from .uml_spec import (
@@ -177,11 +177,6 @@ def run_stages(report: FlowReport,
         if not ok:
             break
     return report
-
-
-def la1_config(banks: int) -> La1Config:
-    """The concrete scale of the flow's simulation-level models."""
-    return La1Config(banks=banks, beat_bits=16, addr_bits=4)
 
 
 def _harvest(collectors, db) -> None:

@@ -10,6 +10,7 @@ the 4-bank configuration.
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Optional
 
@@ -17,12 +18,12 @@ from ..bdd import BddBudgetExceeded
 from ..mc import SymbolicModel, SymbolicModelChecker
 from ..mc.checker import SymbolicCheckResult
 from ..psl.ast import Property
-from ..rtl import elaborate
+from ..rtl import FlatDesign, elaborate
 from .properties import read_mode_property, rtl_labels
 from .rtl_model import build_la1_top_rtl
 from .spec import La1Config
 
-__all__ = ["check_read_mode_rtl", "MC_SCALE_CONFIG"]
+__all__ = ["check_read_mode_rtl", "mc_design", "MC_SCALE_CONFIG"]
 
 
 def MC_SCALE_CONFIG(banks: int) -> La1Config:
@@ -33,6 +34,15 @@ def MC_SCALE_CONFIG(banks: int) -> La1Config:
     keeps the bit-level control and timing exact.
     """
     return La1Config(banks=banks, beat_bits=1, addr_bits=1)
+
+
+# a serve process sees any bank count, so the memo is bounded
+@functools.lru_cache(maxsize=8)
+def mc_design(config: La1Config, datapath: bool) -> FlatDesign:
+    """The elaborated LA-1 RTL of ``config``, cached per process and
+    shared by every BDD and SAT check of that shape (a check never
+    writes to it: the symbolic encoding is rebuilt per check)."""
+    return elaborate(build_la1_top_rtl(config, datapath=datapath))
 
 
 def check_read_mode_rtl(
@@ -46,7 +56,6 @@ def check_read_mode_rtl(
     property_name: Optional[str] = None,
     deadline_s: Optional[float] = None,
     coi: bool = True,
-    design=None,
 ) -> SymbolicCheckResult:
     """Model check the Read-Mode property on the N-bank RTL.
 
@@ -67,11 +76,8 @@ def check_read_mode_rtl(
     only BDD sizes change.  Pass ``coi=False`` to encode the full
     netlist, e.g. for the ablation benchmark.
 
-    ``design`` accepts a pre-elaborated netlist at the matching scale --
-    the warm-start used by parallel property sweeps, where each worker
-    elaborates once and checks many properties against it (the symbolic
-    encoding itself is still rebuilt per property: checker automata are
-    satellite state and must not accumulate across checks).
+    The netlist comes from :func:`mc_design`, so checks of one shape
+    elaborate once per process.
     """
     config = config or MC_SCALE_CONFIG(banks)
     name = property_name or f"read_mode[{banks}banks]"
@@ -85,11 +91,8 @@ def check_read_mode_rtl(
             path for atom, (path, __) in labels.items() if atom in used
         )
     try:
-        if design is None:
-            top = build_la1_top_rtl(config, datapath=datapath)
-            design = elaborate(top)
         model = SymbolicModel(
-            design,
+            mc_design(config, datapath),
             node_budget=transient_node_budget,
             coi_roots=coi_roots,
         )

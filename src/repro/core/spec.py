@@ -40,6 +40,7 @@ __all__ = [
     "WRITE_ADDR_HALF_CYCLES",
     "WRITE_COMMIT_HALF_CYCLES",
     "La1Config",
+    "la1_config",
     "even_parity_int",
     "merge_byte_lanes",
 ]
@@ -121,3 +122,9 @@ class La1Config:
     def mem_words(self) -> int:
         """Words in each bank's SRAM array."""
         return 1 << self.addr_bits
+
+
+def la1_config(banks: int) -> La1Config:
+    """The simulation scale: 16-bit beats, 4-bit addresses (the flow's
+    simulation-level models, fault campaigns, OVL lint and CEC)."""
+    return La1Config(banks=banks, beat_bits=16, addr_bits=4)

@@ -182,7 +182,7 @@ def _map_walks(model, walk_seeds: list[int], walk_steps: int, lanes: int,
         return [fn(db) for db in model.walk_dbs(walk_seeds, walk_steps,
                                                 lanes)]
     from ..par import ShardError, plan_shards, run_supervised
-    from ..par.workers import testgen_init, testgen_walk_shard
+    from ..par.workers import testgen_walk_shard
 
     shards = plan_shards(list(enumerate(walk_seeds)), jobs)
     shard_seeds = [[seed for __, seed in shard] for shard in shards]
@@ -190,8 +190,6 @@ def _map_walks(model, walk_seeds: list[int], walk_steps: int, lanes: int,
         testgen_walk_shard,
         [(model_spec, seeds, walk_steps, lanes, fn) for seeds in shard_seeds],
         jobs=jobs,
-        initializer=testgen_init,
-        initargs=(model_spec,),
     )
     values = [None] * len(walk_seeds)
     for shard, seeds, shard_values in zip(shards, shard_seeds, results):

@@ -9,7 +9,8 @@ elaborated-netlist content."""
 
 from __future__ import annotations
 
-from typing import Dict, List
+import functools
+from typing import List
 
 from ..elab import ElaboratedDesign, elaborate
 from ..lang import Design, DslError
@@ -30,8 +31,6 @@ __all__ = [
 #: name -> zoo module (each exports NAME, PARAMS, CONFORMANCE,
 #: build(**params) and properties(elab))
 ZOO = {mod.NAME: mod for mod in (fifo, arbiter, qdr, noc)}
-
-_ELAB_CACHE: Dict[str, ElaboratedDesign] = {}
 
 
 def zoo_names() -> List[str]:
@@ -54,12 +53,13 @@ def build_design(name: str, **params) -> Design:
     return entry.build(**merged)
 
 
+# unbounded, yet one entry per ZOO name at most: any other name raises
+# in build_design before anything is stored
+@functools.cache
 def build_elaborated(name: str) -> ElaboratedDesign:
     """The default-parameter elaboration, cached per process -- the
     warm-start object campaign and testgen workers share."""
-    if name not in _ELAB_CACHE:
-        _ELAB_CACHE[name] = elaborate(build_design(name))
-    return _ELAB_CACHE[name]
+    return elaborate(build_design(name))
 
 
 def zoo_properties(name: str, elab: ElaboratedDesign = None):

@@ -34,12 +34,13 @@ without recomputing any collected shard.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
 import traceback
 import warnings
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..asm import AsmModelChecker, ExplorationConfig
 from ..core.asm_model import La1AsmConfig
@@ -47,7 +48,7 @@ from ..core.monitors import attach_read_mode_monitors
 from ..core.ovl_bindings import build_la1_top_with_ovl
 from ..core.properties import asm_labeling, device_property_suite
 from ..core.rtl_testbench import RtlHost
-from ..core.spec import La1Config
+from ..core.spec import La1Config, la1_config
 from ..core.sysc_model import build_la1_system
 from ..psl.monitor import Verdict
 from ..rtl import FlatDesign, RtlSimulator, design_kernel, elaborate
@@ -166,7 +167,7 @@ class CampaignConfig:
 
     def la1(self) -> La1Config:
         """The concrete simulation-scale config (the flow's shape)."""
-        return La1Config(banks=self.banks, beat_bits=16, addr_bits=4)
+        return la1_config(self.banks)
 
     def fingerprint(self) -> dict:
         """The workload identity a checkpoint must match to be resumed
@@ -562,29 +563,15 @@ def default_fault_list(banks: int = 2, include_gap_probes: bool = True,
 # ----------------------------------------------------------------------
 # the shared LA-1 netlist
 # ----------------------------------------------------------------------
-#: how many LA-1 shapes :func:`la1_design` keeps (serve specs may carry
-#: any bank count, so the memo is bounded; the oldest entry goes first)
-LA1_DESIGN_MEMO = 4
-
-_LA1_DESIGNS: Dict[La1Config, FlatDesign] = {}
-
-
+# serve specs may carry any bank count, so the memo is bounded
+@functools.lru_cache(maxsize=4)
 def la1_design(la1: La1Config) -> FlatDesign:
     """The elaborated LA-1-with-OVL netlist of ``la1``, cached per
     process like the zoo's :func:`repro.dsl.zoo.build_elaborated`.
     Designs are immutable after elaboration, so every campaign of one
     shape -- and every shard worker forked after it -- shares the object
     and the simulator kernels compiled for it."""
-    design = _LA1_DESIGNS.get(la1)
-    if design is None:
-        design = elaborate(build_la1_top_with_ovl(la1))
-        # list() snapshots the keys in one step, so a concurrent serve
-        # job that evicts too cannot break the iteration
-        excess = len(_LA1_DESIGNS) + 1 - LA1_DESIGN_MEMO
-        for stale in list(_LA1_DESIGNS)[:max(0, excess)]:
-            _LA1_DESIGNS.pop(stale, None)
-        _LA1_DESIGNS[la1] = design
-    return design
+    return elaborate(build_la1_top_with_ovl(la1))
 
 
 # ----------------------------------------------------------------------
@@ -1066,7 +1053,7 @@ class FaultCampaign:
         collected shard report is durably journaled, so a killed
         coordinator resumes bit-identically without recomputing it."""
         from ..par import ShardError, plan_shards, run_supervised
-        from ..par.workers import campaign_init, campaign_shard
+        from ..par.workers import campaign_shard
 
         config = self.config
         shards = plan_shards(
@@ -1101,8 +1088,6 @@ class FaultCampaign:
                 [(config, shard, lanes, patterns_per_pass)
                  for shard in shards],
                 jobs=jobs,
-                initializer=campaign_init,
-                initargs=(config,),
                 timeout_s=timeout,
                 shard_deadline_s=config.shard_deadline_s,
                 max_attempts=config.shard_attempts,

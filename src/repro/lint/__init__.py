@@ -221,10 +221,10 @@ def lint_la1(
     from ..core.asm_model import La1AsmConfig, build_la1_asm
     from ..core.ovl_bindings import build_la1_top_with_ovl
     from ..core.properties import device_property_suite, rtl_labels
-    from ..core.spec import La1Config
+    from ..core.spec import la1_config
 
-    la1 = La1Config(banks=banks, beat_bits=16, addr_bits=4)
-    top = build_la1_top_with_ovl(la1, parity_checks=parity_checks)
+    top = build_la1_top_with_ovl(la1_config(banks),
+                                 parity_checks=parity_checks)
     sinks = tuple(
         path for path, __ in rtl_labels(top.name, banks).values()
     )

@@ -42,7 +42,7 @@ from ..psl.ast import (
     SuffixImpl,
     Sere,
 )
-from ..psl.automata import CheckerAutomaton, build_checker
+from ..psl.automata import CheckerAutomaton, compiled_checker
 from ..psl.sere import compile_sere
 from .diagnostics import ERROR
 from .manager import LintContext, Pass
@@ -180,7 +180,7 @@ class PslTautologyPass(Pass):
             if not prop.is_safety():
                 continue  # liveness has no finite refutation to look for
             try:
-                checker = build_checker(prop)
+                checker = compiled_checker(prop)
             except PslError:
                 continue  # too many atoms/states for determinisation
             checked += 1

@@ -3,8 +3,8 @@
 Given a symbolically encoded RTL design (:class:`SymbolicModel`) and a PSL
 safety property, this module
 
-1. builds the property's deterministic checker automaton
-   (:func:`repro.psl.automata.build_checker`),
+1. takes the property's deterministic checker automaton from the
+   per-process memo (:func:`repro.psl.automata.compiled_checker`),
 2. embeds the automaton as auxiliary binary-encoded state variables whose
    next-state functions read the design's labelled signals -- exactly how
    RuleBase compiles Sugar/PSL into "satellite" state machines; the
@@ -27,7 +27,7 @@ from typing import Optional, Union
 
 from ..bdd import BddBudgetExceeded, NEXT_SUFFIX
 from ..psl.ast import Property, PslError
-from ..psl.automata import CheckerAutomaton, build_checker
+from ..psl.automata import CheckerAutomaton, compiled_checker
 from .transition import SymbolicModel
 
 __all__ = ["SymbolicCheckResult", "SymbolicModelChecker"]
@@ -182,7 +182,7 @@ class SymbolicModelChecker:
         m = model.manager
         start = time.perf_counter()
         try:
-            checker = build_checker(prop)
+            checker = compiled_checker(prop)
             atom_bdds = self._resolve_labels(checker, labels)
             bad = self._embed_automaton(checker, atom_bdds, name)
             return self._reachability(bad, start, name, max_iterations,

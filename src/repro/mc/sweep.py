@@ -3,8 +3,8 @@
 A RuleBase session checks a *suite* of properties against the same
 netlist; the properties are independent, so the sweep is the natural
 third fan-out axis of :mod:`repro.par`: one process-pool task per
-property, every worker elaborating the design once
-(:func:`repro.par.workers.mc_sweep_init`) and re-encoding the symbolic
+property, forked after the coordinator elaborated the design
+(:func:`repro.core.rulebase.mc_design`), each re-encoding the symbolic
 model per property (checker automata are satellite state variables and
 must not accumulate across checks).
 
@@ -126,11 +126,11 @@ def sweep_rtl_properties(
 
     ``properties`` is a ``[(name, Property), ...]`` suite (e.g.
     :func:`repro.core.properties.read_mode_suite`).  With ``jobs > 1``
-    each property is one process-pool task; workers share a per-process
-    elaborated design via the warm-start initializer.  ``jobs=1`` runs
-    the same tasks inline against a locally cached design -- verdicts
-    are identical either way (BDD reachability is deterministic), only
-    wall-clock differs.  The sweep runs supervised
+    each property is one process-pool task, forked after the
+    coordinator elaborated the design, so every worker shares it.
+    ``jobs=1`` runs the same tasks inline against the same design --
+    verdicts are identical either way (BDD reachability is
+    deterministic), only wall-clock differs.  The sweep runs supervised
     (:func:`repro.par.run_supervised`): a crashed or hung worker is
     reaped and its property retried up to ``shard_attempts`` times
     (``shard_deadline_s`` bounds one property's wall-clock); a property
@@ -145,9 +145,9 @@ def sweep_rtl_properties(
     pass through to the selected checker (budgets, deadline, ``coi``,
     and for SAT ``max_k``/``max_depth``/``method``).
     """
+    from ..core.rulebase import MC_SCALE_CONFIG, mc_design
     from ..par import ShardError, run_supervised
-    from ..par.workers import mc_check_shard, mc_sweep_init, \
-        sat_check_shard
+    from ..par.workers import mc_check_shard, sat_check_shard
 
     if engine not in ("bdd", "sat"):
         raise ValueError(f"unknown mc engine {engine!r}")
@@ -156,12 +156,14 @@ def sweep_rtl_properties(
         (banks, datapath, name, prop, dict(options))
         for name, prop in properties
     ]
+    try:
+        mc_design(MC_SCALE_CONFIG(banks), datapath)
+    except Exception:  # noqa: BLE001 - an optimisation, not a verdict
+        pass  # each shard meets the failure again and is quarantined
     results, stats = run_supervised(
         shard_fn,
         shard_args,
         jobs=jobs,
-        initializer=mc_sweep_init,
-        initargs=(banks, datapath),
         max_attempts=shard_attempts,
         shard_deadline_s=shard_deadline_s,
     )

@@ -15,7 +15,7 @@ the execution layer that exploits that:
   into at most ``jobs`` shards (equal inputs always produce equal plans);
 * :func:`run_supervised` -- the one fan-out runner
   (:mod:`repro.par.supervise`): one killable worker process per
-  in-flight shard with warm start (per-process initializer), per-shard
+  in-flight shard, forked after the caller's warm-up, per-shard
   wall-clock accounting (:class:`ParStats`), retry with exponential
   backoff and deterministic jitter, poison-shard quarantine
   (:class:`ShardError` results instead of aborted runs), hung-worker

@@ -119,14 +119,12 @@ def backoff_delay(seed: int, index: int, attempt: int,
     return min(max_s, base_s * 2.0 ** (attempt - 2)) * jitter
 
 
-def _supervised_worker(result_q, index: int, attempt: int, task, args,
-                       initializer, initargs) -> None:
+def _supervised_worker(result_q, index: int, attempt: int, task,
+                       args) -> None:
     """One shard attempt in its own process: run, report, exit.  Any
-    exception -- including in the initializer -- reports as a structured
-    error message; only the coordinator decides retry vs quarantine."""
+    exception reports as a structured error message; only the
+    coordinator decides retry vs quarantine."""
     try:
-        if initializer is not None:
-            initializer(*initargs)
         wall, value = _timed_call(task, args)
         result_q.put(("ok", index, attempt, wall, value))
     except BaseException as exc:  # noqa: BLE001 - containment boundary
@@ -140,15 +138,12 @@ def _supervised_worker(result_q, index: int, attempt: int, task, args,
 class _Supervisor:
     """Coordinator state of one :func:`run_supervised` call."""
 
-    def __init__(self, task, shard_args, jobs, initializer, initargs,
-                 timeout_s, shard_deadline_s, max_attempts, backoff_base_s,
-                 backoff_max_s, seed, on_result, journal,
-                 journal_fingerprint):
+    def __init__(self, task, shard_args, jobs, timeout_s, shard_deadline_s,
+                 max_attempts, backoff_base_s, backoff_max_s, seed,
+                 on_result, journal, journal_fingerprint):
         self.task = task
         self.shard_args = [tuple(args) for args in shard_args]
         self.jobs = jobs
-        self.initializer = initializer
-        self.initargs = initargs
         self.shard_deadline_s = shard_deadline_s
         self.max_attempts = max(1, max_attempts)
         self.backoff_base_s = backoff_base_s
@@ -245,8 +240,6 @@ class _Supervisor:
 
     # -- inline execution (jobs <= 1) ---------------------------------
     def run_inline(self) -> None:
-        if self.initializer is not None:
-            self.initializer(*self.initargs)
         for index in range(len(self.shard_args)):
             if self.resolved[index]:
                 continue
@@ -291,8 +284,7 @@ class _Supervisor:
             proc = ctx.Process(
                 target=_supervised_worker,
                 args=(result_q, index, self.attempts[index], self.task,
-                      self.shard_args[index], self.initializer,
-                      self.initargs),
+                      self.shard_args[index]),
                 daemon=True,
             )
             proc.start()
@@ -419,8 +411,6 @@ def run_supervised(
     shard_args: Sequence[tuple],
     *,
     jobs: int = 1,
-    initializer: Optional[Callable] = None,
-    initargs: tuple = (),
     timeout_s: Optional[float] = None,
     shard_deadline_s: Optional[float] = None,
     max_attempts: int = 2,
@@ -450,9 +440,9 @@ def run_supervised(
     journal against resuming different work.
     """
     supervisor = _Supervisor(
-        task, shard_args, jobs, initializer, initargs, timeout_s,
-        shard_deadline_s, max_attempts, backoff_base_s, backoff_max_s,
-        seed, on_result, journal, journal_fingerprint,
+        task, shard_args, jobs, timeout_s, shard_deadline_s, max_attempts,
+        backoff_base_s, backoff_max_s, seed, on_result, journal,
+        journal_fingerprint,
     )
     supervisor._replay_journal()
     if not supervisor.shard_args or all(supervisor.resolved):

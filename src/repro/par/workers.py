@@ -1,12 +1,13 @@
 """Module-level worker entry points for :func:`repro.par.run_supervised`.
 
 The task functions live here at module level, so a worker process can
-reach them by reference under any start method, and every expensive
-structure (a fault campaign's simulators, an ASM machine, an elaborated
-netlist) is built *once per worker process* through the matching
-``*_init`` initializer and cached in module globals -- the warm-start
-that keeps per-shard cost at the actual work, not at model
-construction.
+reach them by reference under any start method.  A shard runs only its
+task: what it shares with its siblings (an elaborated netlist and the
+simulator kernels compiled for it, a checker automaton, a rebuilt
+model) comes from a bounded per-process memo on the builder
+(:func:`functools.lru_cache`).  A coordinator fills the memos before it
+forks, so the workers inherit them -- the warm start that keeps
+per-shard cost at the actual work, not at model construction.
 
 Unpicklable objects (machines with closure rules, predicate functions)
 never cross the pipe: callers ship a :class:`ModelSpec` -- a dotted
@@ -18,6 +19,7 @@ worker rebuilds the model locally.  Deterministic factories plus
 
 from __future__ import annotations
 
+import functools
 import importlib
 import json
 import os
@@ -26,17 +28,15 @@ from typing import Optional
 
 __all__ = [
     "ModelSpec",
+    "built_model",
     "apply_chaos",
     "la1_model_spec",
     "build_la1_testgen_model",
     "la1_traffic_model_spec",
     "build_la1_traffic_model",
-    "campaign_init",
     "campaign_shard",
-    "testgen_init",
     "testgen_walk_shard",
     "cover_collect_shard",
-    "mc_sweep_init",
     "mc_check_shard",
     "sat_check_shard",
 ]
@@ -69,8 +69,21 @@ class ModelSpec:
         factory = getattr(importlib.import_module(module_name), attr)
         return factory(**self.kwargs)
 
+    def __eq__(self, other):
+        return isinstance(other, ModelSpec) and self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
+
     def __repr__(self):
         return f"ModelSpec({self.factory!r}, {self.kwargs!r})"
+
+
+@functools.lru_cache(maxsize=8)
+def built_model(spec: ModelSpec):
+    """``spec.build()``, cached per process: every testgen shard of one
+    spec walks the same rebuilt model."""
+    return spec.build()
 
 
 def build_la1_testgen_model(banks: int = 2):
@@ -109,16 +122,6 @@ def la1_traffic_model_spec(banks: int = 2, seed: int = 7) -> ModelSpec:
                      {"banks": banks, "seed": seed})
 
 
-_MODEL_CACHE: dict = {}
-
-
-def _model(spec: ModelSpec):
-    key = spec.key()
-    if key not in _MODEL_CACHE:
-        _MODEL_CACHE[key] = spec.build()
-    return _MODEL_CACHE[key]
-
-
 # ----------------------------------------------------------------------
 # chaos injection (tests / chaos bench / serve --smoke only)
 # ----------------------------------------------------------------------
@@ -154,52 +157,33 @@ def apply_chaos(config) -> None:
 # ----------------------------------------------------------------------
 # fault campaign
 # ----------------------------------------------------------------------
-_CAMPAIGN_CACHE: dict = {}
-
-
-def _campaign(config):
-    from ..fault.campaign import CampaignConfig, FaultCampaign
-
-    key = json.dumps(config.fingerprint(), sort_keys=True)
-    if key not in _CAMPAIGN_CACHE:
-        # workers never checkpoint (the coordinator owns the state file)
-        # and never enforce the whole-campaign deadline (the coordinator
-        # owns the clock); per-fault deadlines still apply locally
-        local = CampaignConfig(
-            banks=config.banks,
-            traffic=config.traffic,
-            seed=config.seed,
-            backend=config.backend,
-            rtl_cycles=config.rtl_cycles,
-            fault_deadline_s=config.fault_deadline_s,
-            design=getattr(config, "design", None),
-            patterns=getattr(config, "patterns", 1),
-        )
-        _CAMPAIGN_CACHE[key] = FaultCampaign(local)
-    return _CAMPAIGN_CACHE[key]
-
-
-def campaign_init(config) -> None:
-    """Warm-start one worker: build the campaign (its simulators and
-    golden runs materialize lazily on the first fault of each layer,
-    over the design and kernels inherited from the coordinator)."""
-    _campaign(config)
-
-
 def campaign_shard(config, faults, lanes: int = 1,
                    patterns_per_pass: Optional[int] = None) -> dict:
-    """Sweep one shard of faults through the campaign's one executor
-    (:meth:`~repro.fault.campaign.FaultCampaign.execute_faults`);
-    returns a mergeable mini
-    :class:`~repro.fault.campaign.CampaignReport` as a dict.  With
-    ``lanes > 1`` the compatible (lane-encodable) faults of the shard
-    run as PPSFP batches on the bitpar backend (verdicts unchanged), so
-    lane parallelism multiplies with the process fan-out;
+    """Sweep one shard of faults through the one executor
+    (:meth:`~repro.fault.campaign.FaultCampaign.execute_faults`) of a
+    campaign of its own; returns a mergeable mini
+    :class:`~repro.fault.campaign.CampaignReport` as a dict, whose
+    engine stats count this shard alone.  With ``lanes > 1`` the
+    compatible (lane-encodable) faults of the shard run as PPSFP
+    batches on the bitpar backend (verdicts unchanged), so lane
+    parallelism multiplies with the process fan-out;
     ``patterns_per_pass`` caps the pattern-group tiling per pass."""
-    from ..fault.campaign import CampaignReport
+    from ..fault.campaign import CampaignConfig, CampaignReport, FaultCampaign
 
     apply_chaos(config)
-    campaign = _campaign(config)
+    # the shard never checkpoints (the coordinator owns the state file)
+    # and never enforces the whole-campaign deadline (the coordinator
+    # owns the clock); per-fault deadlines still apply locally
+    campaign = FaultCampaign(CampaignConfig(
+        banks=config.banks,
+        traffic=config.traffic,
+        seed=config.seed,
+        backend=config.backend,
+        rtl_cycles=config.rtl_cycles,
+        fault_deadline_s=config.fault_deadline_s,
+        design=config.design,
+        patterns=config.patterns,
+    ))
     verdicts = campaign.execute_faults(
         faults, lanes=lanes, patterns_per_pass=patterns_per_pass)
     return CampaignReport(
@@ -211,11 +195,6 @@ def campaign_shard(config, faults, lanes: int = 1,
 # ----------------------------------------------------------------------
 # coverage-driven test generation
 # ----------------------------------------------------------------------
-def testgen_init(spec: ModelSpec) -> None:
-    """Warm-start one worker: rebuild (machine, predicates) once."""
-    _model(spec)
-
-
 def testgen_walk_shard(spec: ModelSpec, walk_seeds, walk_steps: int,
                        lanes: int, fn) -> list:
     """``fn`` of each walk DB of one shard of testgen walks, in seed
@@ -230,7 +209,7 @@ def testgen_walk_shard(spec: ModelSpec, walk_seeds, walk_steps: int,
     """
     from ..cover.testgen import walk_model
 
-    machine, predicates = _model(spec)
+    machine, predicates = built_model(spec)
     model = walk_model(machine, predicates)
     return [fn(db) for db in model.walk_dbs(walk_seeds, walk_steps, lanes)]
 
@@ -248,30 +227,10 @@ def cover_collect_shard(kwargs: dict) -> dict:
 # ----------------------------------------------------------------------
 # symbolic model checking sweeps
 # ----------------------------------------------------------------------
-_DESIGN_CACHE: dict = {}
-
-
-def _mc_design(banks: int, datapath: bool):
-    from ..core.rtl_model import build_la1_top_rtl
-    from ..core.rulebase import MC_SCALE_CONFIG
-    from ..rtl import elaborate
-
-    key = (banks, datapath)
-    if key not in _DESIGN_CACHE:
-        top = build_la1_top_rtl(MC_SCALE_CONFIG(banks), datapath=datapath)
-        _DESIGN_CACHE[key] = elaborate(top)
-    return _DESIGN_CACHE[key]
-
-
-def mc_sweep_init(banks: int, datapath: bool) -> None:
-    """Warm-start one worker: build and elaborate the netlist once; the
-    per-property symbolic encodings reuse it."""
-    _mc_design(banks, datapath)
-
-
 def mc_check_shard(banks: int, datapath: bool, name: str, prop,
                    options: dict) -> dict:
-    """Check one PSL property against the cached design."""
+    """Check one PSL property with the BDD engine against the netlist
+    of :func:`repro.core.rulebase.mc_design`."""
     from ..core.rulebase import check_read_mode_rtl
 
     result = check_read_mode_rtl(
@@ -279,7 +238,6 @@ def mc_check_shard(banks: int, datapath: bool, name: str, prop,
         prop=prop,
         datapath=datapath,
         property_name=name,
-        design=_mc_design(banks, datapath),
         **options,
     )
     return result.to_dict()
@@ -288,7 +246,7 @@ def mc_check_shard(banks: int, datapath: bool, name: str, prop,
 def sat_check_shard(banks: int, datapath: bool, name: str, prop,
                     options: dict) -> dict:
     """Check one PSL property with the SAT engine (BMC + k-induction)
-    against the cached design.  Same signature and result shape as
+    against the same netlist.  Same signature and result shape as
     :func:`mc_check_shard`, so sweeps swap engines without re-sharding."""
     from ..sat.bmc import check_read_mode_sat
 
@@ -297,7 +255,6 @@ def sat_check_shard(banks: int, datapath: bool, name: str, prop,
         prop=prop,
         datapath=datapath,
         property_name=name,
-        design=_mc_design(banks, datapath),
         **options,
     )
     return result.to_dict()

@@ -88,13 +88,11 @@ def _cmd_cec(args) -> int:
     banks = 1 if args.smoke else args.banks
     if args.ovl:
         from ..core.ovl_bindings import build_la1_top_with_ovl
-        from ..core.spec import La1Config
+        from ..core.spec import la1_config
         from ..rtl import elaborate
 
         design = elaborate(build_la1_top_with_ovl(
-            La1Config(banks=banks, beat_bits=16, addr_bits=4),
-            parity_checks=True,
-        ))
+            la1_config(banks), parity_checks=True))
         report = check_equivalence(design, check_proofs=args.check_proofs)
     else:
         report = check_la1_equivalence(

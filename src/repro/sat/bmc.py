@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..mc.checker import SymbolicCheckResult
 from ..psl.ast import Property, PslError
-from ..psl.automata import build_checker
+from ..psl.automata import compiled_checker
 from ..rtl.netlist import FlatDesign
 from .cnf import Tseitin
 from .drat import check_proof
@@ -255,7 +255,7 @@ class SatModelChecker:
         self.name = name
         self.proof_log = proof_log
         self.unique_states = unique_states
-        self.checker = build_checker(prop)
+        self.checker = compiled_checker(prop)
         for atom in self.checker.atoms:
             if atom not in labels:
                 raise PslError(f"no label mapping for atom {atom!r}")
@@ -497,7 +497,6 @@ def check_read_mode_sat(
     property_name: Optional[str] = None,
     datapath: bool = True,
     coi: bool = True,
-    design: Optional[FlatDesign] = None,
     max_k: int = 40,
     max_depth: int = 60,
     check_proofs: bool = False,
@@ -531,9 +530,7 @@ def check_read_mode_sat(
         read_second_beat_property,
         rtl_labels,
     )
-    from ..core.rtl_model import build_la1_top_rtl
-    from ..core.rulebase import MC_SCALE_CONFIG
-    from ..rtl import elaborate
+    from ..core.rulebase import MC_SCALE_CONFIG, mc_design
 
     config = config or MC_SCALE_CONFIG(banks)
     name = property_name or f"read_mode[{banks}banks]"
@@ -546,8 +543,7 @@ def check_read_mode_sat(
             (f"{name}:no_spurious_data", no_spurious_data_property(0)),
         ]
     labels = rtl_labels("la1_top", banks)
-    if design is None:
-        design = elaborate(build_la1_top_rtl(config, datapath=datapath))
+    design = mc_design(config, datapath)
     start = time.perf_counter()
 
     holds: Optional[bool] = True

@@ -13,7 +13,7 @@ import os
 import pytest
 
 from repro.core import La1Config, build_la1_top_with_ovl
-from repro.fault import campaign as campaign_mod
+from repro.core.rulebase import mc_design
 from repro.fault.campaign import CampaignConfig, FaultCampaign, la1_design
 from repro.fault.models import ProtocolMutation, RtlStuckAt, StimulusMutation
 from repro.rtl import RtlSimulator, compile_bitpar, compile_design, elaborate
@@ -35,10 +35,12 @@ def _faults():
 
 
 @pytest.fixture
-def fresh_memo(monkeypatch):
+def fresh_memo():
     """An empty design memo, so this test's campaigns elaborate (and
     compile) from scratch whatever ran before."""
-    monkeypatch.setattr(campaign_mod, "_LA1_DESIGNS", {})
+    la1_design.cache_clear()
+    yield
+    la1_design.cache_clear()
 
 
 def _count_compiles(monkeypatch, log=None):
@@ -120,6 +122,31 @@ class TestCampaignReuse:
             faults=_faults(), jobs=1, lanes=1)
         assert parallel.signature() == serial.signature()
 
+    def test_inline_fallback_reports_the_pool_engine_stats(
+            self, monkeypatch):
+        # each shard sweeps on a campaign of its own, so a shard run in
+        # the coordinator counts only its own simulation, and nothing
+        # from one run leaks into the next run's forked workers
+        def refuse_fork():
+            raise OSError("fork refused")
+
+        def run():
+            report = FaultCampaign(CampaignConfig(**CONFIG)).run(
+                faults=_faults(), jobs=2, lanes=64)
+            stats = dict(report.engine_stats)
+            return stats.pop("par")["mode"], stats, report.signature()
+
+        pool = run()
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.par.supervise._mp_context", refuse_fork)
+            inline = run()
+        again = run()
+        assert [pool[0], inline[0], again[0]] == [
+            "pool", "pool+inline", "pool"]
+        assert pool[1]["ppsfp"]["64"]["lane_passes"] > 0
+        assert pool[1] == inline[1] == again[1]
+        assert pool[2] == inline[2] == again[2]
+
 
 class TestDesignMemo:
     def test_one_design_object_per_shape(self, fresh_memo):
@@ -130,16 +157,34 @@ class TestDesignMemo:
         assert campaign._design() is FaultCampaign(
             CampaignConfig(**CONFIG))._design()
 
-    def test_memo_evicts_the_oldest_at_its_bound(self, monkeypatch,
-                                                 fresh_memo):
-        monkeypatch.setattr(campaign_mod, "LA1_DESIGN_MEMO", 2)
-        shapes = [La1Config(banks=b, beat_bits=8, addr_bits=2)
-                  for b in (1, 2, 3)]
-        first = la1_design(shapes[0])
-        la1_design(shapes[1])
-        assert list(campaign_mod._LA1_DESIGNS) == shapes[:2]
-        la1_design(shapes[2])
-        assert list(campaign_mod._LA1_DESIGNS) == shapes[1:]
+    def test_memo_evicts_the_oldest_at_its_bound(self, fresh_memo):
+        bound = la1_design.cache_info().maxsize
+        shapes = [La1Config(banks=1, beat_bits=8, addr_bits=a)
+                  for a in range(1, bound + 2)]
+        designs = [la1_design(shape) for shape in shapes[:bound]]
+        # a hit makes the first shape the most recently used, so the
+        # second is the oldest when one more shape arrives
+        assert la1_design(shapes[0]) is designs[0]
+        la1_design(shapes[bound])
+        assert la1_design.cache_info().currsize == bound
+        assert la1_design(shapes[0]) is designs[0]
         # an evicted shape elaborates again, into a new object
-        assert la1_design(shapes[0]) is not first
-        assert len(campaign_mod._LA1_DESIGNS) == 2
+        assert la1_design(shapes[1]) is not designs[1]
+        assert la1_design.cache_info().currsize == bound
+
+    def test_mc_design_memo_is_bounded(self):
+        mc_design.cache_clear()
+        try:
+            bound = mc_design.cache_info().maxsize
+            shapes = [La1Config(banks=1, beat_bits=1, addr_bits=a)
+                      for a in range(1, bound + 2)]
+            first = mc_design(shapes[0], False)
+            for shape in shapes[1:]:
+                mc_design(shape, False)
+            assert mc_design.cache_info().currsize == bound
+            assert mc_design(shapes[-1], False) is mc_design(
+                shapes[-1], False)
+            # the least recently used shape went, and elaborates anew
+            assert mc_design(shapes[0], False) is not first
+        finally:
+            mc_design.cache_clear()

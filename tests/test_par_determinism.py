@@ -5,9 +5,12 @@ the undirected baseline, and the MC property sweep -- including under
 pool failure and across checkpoint/resume."""
 
 import json
+import os
 
 import pytest
 
+import repro.rtl
+from repro.core import rulebase
 from repro.core.properties import read_mode_suite
 from repro.fault.campaign import CampaignConfig, FaultCampaign
 from repro.mc import sweep_rtl_properties
@@ -142,6 +145,46 @@ class TestMcSweepDeterminism:
         mono = check_read_mode_rtl(1)
         sweep = sweep_rtl_properties(1, read_mode_suite(1), jobs=2)
         assert sweep.combined().holds == mono.holds
+
+    @pytest.fixture
+    def fresh_design(self):
+        """An empty MC design memo before and after the test."""
+        rulebase.mc_design.cache_clear()
+        yield
+        rulebase.mc_design.cache_clear()
+
+    def test_forked_shards_inherit_the_design(self, fresh_design,
+                                              monkeypatch, tmp_path):
+        log = tmp_path / "elaborations.log"
+        original = repro.rtl.elaborate
+
+        def logged(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return original(*args, **kwargs)
+
+        # both bindings the MC path can elaborate through
+        monkeypatch.setattr(rulebase, "elaborate", logged)
+        monkeypatch.setattr(repro.rtl, "elaborate", logged)
+        sweep = sweep_rtl_properties(1, read_mode_suite(1),
+                                     datapath=False, jobs=2)
+        assert sweep.holds is True
+        assert sweep.par_stats["mode"] == "pool"
+        assert log.read_text().split() == [str(os.getpid())]
+
+    def test_failed_design_build_is_quarantined_at_every_jobs(
+            self, fresh_design, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("netlist build failed")
+
+        monkeypatch.setattr(rulebase, "build_la1_top_rtl", refuse)
+        names = [name for name, __ in read_mode_suite(1)]
+        for jobs in (1, 2):
+            sweep = sweep_rtl_properties(
+                1, read_mode_suite(1), datapath=False, jobs=jobs,
+                shard_attempts=1)
+            assert sweep.holds is None
+            assert sweep.quarantined == names
 
 
 class TestFlowJobs:
