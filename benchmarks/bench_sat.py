@@ -38,15 +38,15 @@ from repro.core.properties import read_mode_suite  # noqa: E402
 from repro.core.rulebase import check_read_mode_rtl  # noqa: E402
 from repro.sat.bmc import check_read_mode_sat  # noqa: E402
 
-# BDD-engine 4-bank full-netlist explosion, measured once on the
-# reference runner (transient node budget 12M): the run the SAT engine
-# exists to get past.  Re-measure live with --wall.
+# BDD-engine 4-bank full-netlist explosion (transient node budget 12M),
+# measured once with --wall on a 2-vCPU runner (2.8 GB max RSS): the
+# run the SAT engine exists to get past.  Re-measure live with --wall.
 PINNED_BDD_WALL = {
     "banks": 4,
     "coi": False,
     "exploded": True,
-    "wall_s": 223.8,
-    "peak_nodes": 3_537_241,
+    "wall_s": 516.5,
+    "peak_nodes": 8_427_369,
     "pinned": True,
 }
 

@@ -23,14 +23,19 @@ or arbitrary pre-built BDDs.
 from __future__ import annotations
 
 import time
-from typing import Optional, Union
+from heapq import heapify, heappop, heappush
+from typing import Iterable, Optional, Sequence, Union
 
 from ..bdd import BddBudgetExceeded, NEXT_SUFFIX
 from ..psl.ast import Property, PslError
 from ..psl.automata import CheckerAutomaton, compiled_checker
 from .transition import SymbolicModel
 
-__all__ = ["SymbolicCheckResult", "SymbolicModelChecker"]
+__all__ = [
+    "SymbolicCheckResult",
+    "SymbolicModelChecker",
+    "quantification_schedule",
+]
 
 
 class SymbolicCheckResult:
@@ -131,6 +136,66 @@ def _budget_exhausted(m, start: float, name: str) -> SymbolicCheckResult:
         m.estimated_memory_bytes() / 1e6, exploded=True,
         property_name=name, bdd_stats=stats,
     )
+
+
+def quantification_schedule(
+    m, partitions: Sequence[int], quantifiable: Iterable[str],
+) -> tuple[list[int], list[list[str]], list[str]]:
+    """Order transition partitions for early quantification (IWLS95).
+
+    Greedy, after Ranjan et al. (IWLS 1995): repeatedly schedule the
+    remaining partition whose support holds the most ``quantifiable``
+    (current-state or input) variables that no other remaining
+    partition reads -- the variables its relational product can
+    quantify out at once.  Ties go to the smaller support, then to the
+    earlier partition.
+
+    Returns ``(ordered, release_at, unused_anywhere)``: the partitions in
+    schedule order; per scheduled partition, the variables to quantify
+    out while conjoining it (each variable at the last scheduled
+    partition that reads it); and the variables no partition reads,
+    which the image step quantifies out of the frontier up front.
+    """
+    quantifiable = list(quantifiable)
+    wanted = set(quantifiable)
+    supports = [m.support(p) & wanted for p in partitions]
+    readers: dict[str, set[int]] = {v: set() for v in quantifiable}
+    for i, support in enumerate(supports):
+        for v in support:
+            readers[v].add(i)
+    # sole[i]: the variables of partition i no other remaining one reads;
+    # it only grows, so stale heap entries are skipped when popped
+    sole = [sum(1 for v in s if len(readers[v]) == 1) for s in supports]
+    heap = [(-sole[i], len(s), i) for i, s in enumerate(supports)]
+    heapify(heap)
+    order: list[int] = []
+    scheduled = [False] * len(partitions)
+    while heap:
+        neg_sole, __, i = heappop(heap)
+        if scheduled[i] or -neg_sole != sole[i]:
+            continue
+        scheduled[i] = True
+        order.append(i)
+        for v in supports[i]:
+            left = readers[v]
+            left.discard(i)
+            if len(left) == 1:
+                (j,) = left
+                sole[j] += 1
+                heappush(heap, (-sole[j], len(supports[j]), j))
+
+    last_use: dict[str, int] = {}
+    for position, i in enumerate(order):
+        for v in supports[i]:
+            last_use[v] = position
+    release_at: list[list[str]] = [[] for __ in order]
+    unused_anywhere: list[str] = []
+    for v in quantifiable:
+        if v in last_use:
+            release_at[last_use[v]].append(v)
+        else:
+            unused_anywhere.append(v)
+    return [partitions[i] for i in order], release_at, unused_anywhere
 
 
 class SymbolicModelChecker:
@@ -253,28 +318,15 @@ class SymbolicModelChecker:
         next_names = [v + NEXT_SUFFIX for v in state_vars]
         rename_back = dict(zip(next_names, state_vars))
 
-        # partitioned transition relation: one conjunct per state bit
-        partitions = []
-        for var in state_vars:
-            nxt = m.var(var + NEXT_SUFFIX)
-            partitions.append(m.xnor(nxt, model.next_functions[var]))
-
-        # early-quantification schedule: a current/input variable can be
-        # quantified out as soon as the last partition reading it has been
-        # conjoined into the relational product (IWLS95-style)
-        quantifiable = set(state_vars) | set(input_vars)
-        supports = [m.support(p) & quantifiable for p in partitions]
-        last_use = {v: -1 for v in quantifiable}
-        for i, support in enumerate(supports):
-            for v in support:
-                last_use[v] = i
-        release_at: list[list[str]] = [[] for __ in partitions]
-        unused_anywhere: list[str] = []
-        for v, i in last_use.items():
-            if i >= 0:
-                release_at[i].append(v)
-            else:
-                unused_anywhere.append(v)
+        # partitioned transition relation: one conjunct per state bit, in
+        # the order that lets the image step quantify out current/input
+        # variables earliest; copy_roots keeps the order across GCs
+        partitions, release_at, unused_anywhere = quantification_schedule(
+            m,
+            [m.xnor(m.var(var + NEXT_SUFFIX), model.next_functions[var])
+             for var in state_vars],
+            state_vars + input_vars,
+        )
 
         reached = model.init
         frontier = model.init

@@ -346,22 +346,31 @@ class SatModelChecker:
     ) -> BmcResult:
         """Search for a violation up to ``max_depth`` frames (inclusive),
         incrementally on one solver.  Counterexamples are replayed on the
-        simulator before being reported."""
+        simulator before being reported.  ``deadline_s`` bounds the
+        search, each solve included; running out of it truncates the
+        result (``stats["budget"] == "deadline_s"``)."""
         start = time.perf_counter()
+        deadline = None if deadline_s is None else start + deadline_s
         run = _Unrolling(self, free_start=False, start_phase=0)
         clean = -1
+
+        def undecided() -> BmcResult:
+            stats = self._stats(run, start)
+            stats["budget"] = "deadline_s"
+            return BmcResult(None, None, clean, None, None, stats,
+                             truncated=True)
+
         for depth in range(max_depth + 1):
-            if deadline_s is not None and \
-                    time.perf_counter() - start > deadline_s:
-                return BmcResult(
-                    None, None, clean, None, None,
-                    self._stats(run, start), truncated=True,
-                )
+            if deadline is not None and time.perf_counter() > deadline:
+                return undecided()
             fail = run.extend()
             if fail == run.t.FALSE:
                 clean = depth
                 continue
-            if run.solver.solve([fail]):
+            answer = run.solver.solve([fail], deadline)
+            if answer is None:
+                return undecided()
+            if answer:
                 inputs = run.decode_inputs(depth)
                 verdict, frame = self.replay(inputs)
                 replay_ok = verdict == "fails" and frame == depth
@@ -389,10 +398,13 @@ class SatModelChecker:
         """Interleaved BMC base case and k-induction step case.
 
         Returns ``proved`` with the inductive depth ``k``, a replayed
-        base-case counterexample, or undecided when ``max_k`` (or the
-        deadline) runs out first.
+        base-case counterexample, or undecided when a budget runs out
+        first; ``stats["budget"]`` then names it: ``"max_k"``, or
+        ``"deadline_s"``, which bounds the whole proof, each solve
+        included.
         """
         start = time.perf_counter()
+        deadline = None if deadline_s is None else start + deadline_s
         base = _Unrolling(self, free_start=False, start_phase=0)
         phases = [0, 1] if base.enc.multi_clock else [None]
         steps = [
@@ -401,22 +413,26 @@ class SatModelChecker:
         ]
 
         def out_of_time() -> bool:
-            return (
-                deadline_s is not None
-                and time.perf_counter() - start > deadline_s
-            )
+            return deadline is not None and time.perf_counter() > deadline
+
+        def undecided(budget: str) -> KInductionResult:
+            stats = self._stats(base, start, steps)
+            stats["budget"] = budget
+            return KInductionResult(False, None, None, stats, truncated=True)
 
         for k in range(1, max_k + 1):
             # base: no counterexample of depth k-1 from init
             while base.depth < k:
                 if out_of_time():
-                    return KInductionResult(
-                        False, None, None,
-                        self._stats(base, start, steps), truncated=True,
-                    )
+                    return undecided("deadline_s")
                 depth = base.depth
                 fail = base.extend()
-                if fail != base.t.FALSE and base.solver.solve([fail]):
+                if fail == base.t.FALSE:
+                    continue
+                answer = base.solver.solve([fail], deadline)
+                if answer is None:
+                    return undecided("deadline_s")
+                if answer:
                     inputs = base.decode_inputs(depth)
                     verdict, frame = self.replay(inputs)
                     cex = BmcResult(
@@ -432,10 +448,7 @@ class SatModelChecker:
             inductive = True
             for run in steps:
                 if out_of_time():
-                    return KInductionResult(
-                        False, None, None,
-                        self._stats(base, start, steps), truncated=True,
-                    )
+                    return undecided("deadline_s")
                 while run.depth < k + 1:
                     run.extend(unique_states=self.unique_states)
                 fail_k = run.fails[k]
@@ -445,7 +458,10 @@ class SatModelChecker:
                 assumptions = [
                     a for a in assumptions if a != run.t.TRUE
                 ]
-                if run.solver.solve(assumptions):
+                answer = run.solver.solve(assumptions, deadline)
+                if answer is None:
+                    return undecided("deadline_s")
+                if answer:
                     inductive = False
                     break
             if inductive:
@@ -459,10 +475,7 @@ class SatModelChecker:
                             )
                     stats["proof_lemmas"] = lemmas
                 return KInductionResult(True, k, None, stats)
-        return KInductionResult(
-            False, None, None, self._stats(base, start, steps),
-            truncated=True,
-        )
+        return undecided("max_k")
 
     # ------------------------------------------------------------------
     def _stats(self, run: _Unrolling, start: float,
@@ -511,9 +524,11 @@ def check_read_mode_sat(
     ``holds=True`` means *proved by k-induction* (``bdd_stats["k"]``
     holds the inductive depth); ``holds=False`` carries a replayed
     counterexample depth; ``holds=None`` with ``truncated=True`` means
-    the ``max_k``/``max_depth``/deadline budget ran out.  SAT statistics
-    travel in ``bdd_stats`` (``engine="sat"``); ``peak_nodes`` reports
-    the total clause count as the size proxy.
+    a budget ran out, and ``bdd_stats["budget"]`` names it:
+    ``"max_k"``, or ``"deadline_s"``, which bounds the whole call (every
+    conjunct and every solve in it).  SAT statistics travel in
+    ``bdd_stats`` (``engine="sat"``); ``peak_nodes`` reports the total
+    clause count as the size proxy.
 
     With no explicit ``prop``, the Read-Mode *conjuncts* (bank-0
     latency, beat order, no-spurious-data) are checked one property at
@@ -532,6 +547,9 @@ def check_read_mode_sat(
     )
     from ..core.rulebase import MC_SCALE_CONFIG, mc_design
 
+    deadline = (
+        None if deadline_s is None else time.perf_counter() + deadline_s
+    )
     config = config or MC_SCALE_CONFIG(banks)
     name = property_name or f"read_mode[{banks}banks]"
     if prop is not None:
@@ -548,7 +566,7 @@ def check_read_mode_sat(
 
     holds: Optional[bool] = True
     cex_depth: Optional[int] = None
-    truncated = False
+    budgets: dict = {}          # distinct budget names, in conjunct order
     iterations = 0
     stats: dict = {
         "engine": "sat",
@@ -567,60 +585,53 @@ def check_read_mode_sat(
         mc = SatModelChecker(
             design, part_prop, labels, name=part_name, coi=coi,
         )
+        left = None if deadline is None else deadline - time.perf_counter()
         if method == "bmc":
-            bres = mc.bmc(
-                max_depth, check_proofs=check_proofs,
-                deadline_s=deadline_s,
+            res = mc.bmc(
+                max_depth, check_proofs=check_proofs, deadline_s=left,
             )
-            part_holds = bres.holds
-            part_cex = bres.failed_at
-            part_iter = (
-                bres.clean_depth if part_cex is None else part_cex
-            )
-            part_trunc = bres.truncated
-            _merge(bres.stats)
+            part_cex = res.failed_at
+            part_iter = res.clean_depth if part_cex is None else part_cex
             stats["clean_depth"] = min(
-                stats.get("clean_depth", bres.clean_depth),
-                bres.clean_depth,
+                stats.get("clean_depth", res.clean_depth),
+                res.clean_depth,
             )
-            if bres.replayed is not None:
-                stats["replayed"] = bres.replayed
+            if res.replayed is not None:
+                stats["replayed"] = res.replayed
         else:
-            kres = mc.prove(
-                max_k=max_k, check_proofs=check_proofs,
-                deadline_s=deadline_s,
+            res = mc.prove(
+                max_k=max_k, check_proofs=check_proofs, deadline_s=left,
             )
-            part_holds = kres.holds
-            part_cex = (
-                kres.cex.failed_at if kres.cex is not None else None
-            )
-            part_iter = (
-                kres.k if kres.k is not None else kres.stats["frames"]
-            )
-            part_trunc = kres.truncated
-            _merge(kres.stats)
-            stats["k"] = max(stats.get("k") or 0, kres.k or 0) or None
-            if kres.cex is not None:
-                stats["replayed"] = kres.cex.replayed
+            part_cex = res.cex.failed_at if res.cex is not None else None
+            part_iter = res.k if res.k is not None else res.stats["frames"]
+            stats["k"] = max(stats.get("k") or 0, res.k or 0) or None
+            if res.cex is not None:
+                stats["replayed"] = res.cex.replayed
+        _merge(res.stats)
         # conjunction semantics: a refuted conjunct refutes the set, an
         # inconclusive one blocks a True verdict
-        if part_holds is False:
+        if res.holds is False:
             holds = False
             cex_depth = (
                 part_cex if cex_depth is None
                 else min(cex_depth, part_cex)
             )
-        elif part_holds is not True and holds is not False:
+        elif res.holds is not True and holds is not False:
             holds = None
-        truncated = truncated or part_trunc
+        if res.truncated:
+            budgets[res.stats["budget"]] = None
         iterations = max(iterations, part_iter or 0)
-        if holds is False:
+        # a spent deadline leaves no time for the remaining conjuncts
+        if holds is False or res.stats.get("budget") == "deadline_s":
             break
     stats.setdefault("replayed", None)
     if method != "bmc":
         stats.setdefault("k", None)
     stats["proof_checked"] = "proof_lemmas" in stats
     stats["properties"] = len(work)
+    truncated = bool(budgets) and holds is None
+    if truncated:
+        stats["budget"] = ",".join(budgets)
     elapsed = time.perf_counter() - start
     return SymbolicCheckResult(
         holds,
@@ -632,6 +643,6 @@ def check_read_mode_sat(
         exploded=False,
         counterexample_depth=cex_depth,
         property_name=name,
-        truncated=truncated and holds is None,
+        truncated=truncated,
         bdd_stats=stats,
     )

@@ -19,6 +19,7 @@ certificate.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Sequence
 
 __all__ = ["DratError", "check_proof", "check_unsat"]
@@ -29,59 +30,61 @@ class DratError(Exception):
 
 
 class _Propagator:
-    """Counter-based unit propagation with O(1) undo to a mark.
+    """Counter-based unit propagation over flat, var-indexed arrays.
 
-    Tracks, per clause, how many of its literals are currently false;
-    a clause whose false-count reaches ``len - 1`` is scanned for a unit
-    or a conflict.  Assignments append to a trail (and their counter
-    increments to a parallel ops trail) so a failed RUP probe unwinds
-    exactly.
+    ``value[v]`` is 1 (true), -1 (false) or 0 (unassigned), and
+    ``occ[lit + n]`` lists the clauses that contain ``lit`` (``n`` is
+    the largest variable).  ``n_false`` counts, per clause, how many of
+    its literals are currently false; a clause whose count reaches
+    ``len - 1`` is scanned for a unit or a conflict.  Assignments append
+    to a trail (and their counter increments to a parallel one) so a
+    failed RUP probe unwinds exactly.
     """
 
-    def __init__(self):
+    def __init__(self, num_vars: int):
+        self.n = num_vars
         self.clauses: list = []
-        self.occ: dict = {}            # lit -> [clause indices]
+        self.limit: list = []          # len - 1, per clause
         self.n_false: list = []
-        self.value: dict = {}          # var -> bool
+        self.occ: list = [[] for __ in range(2 * num_vars + 1)]
+        self.value: list = [0] * (num_vars + 1)
         self.trail: list = []          # assigned literals, in order
         self.inc_trail: list = []      # clause indices incremented
         self.contradiction = False     # db propagates to conflict on its own
 
-    def _value_of(self, lit: int):
-        v = self.value.get(abs(lit))
-        if v is None:
-            return None
-        return v if lit > 0 else not v
-
-    def add_clause(self, clause: Sequence[int]) -> int:
+    def add_clause(self, clause: Sequence[int]) -> None:
+        """Add a clause and persistently propagate it if it forces
+        anything under the current persistent assignment."""
         index = len(self.clauses)
-        self.clauses.append(clause)
-        for lit in clause:
-            self.occ.setdefault(lit, []).append(index)
+        occ = self.occ
+        n = self.n
+        value = self.value
         count = 0
+        size = 0
         for lit in clause:
-            if self._value_of(lit) is False:
+            hits = occ[lit + n]
+            if hits and hits[-1] == index:
+                continue               # a repeated literal counts once
+            hits.append(index)
+            size += 1
+            if (value[lit] if lit > 0 else -value[-lit]) < 0:
                 count += 1
+        if size != len(clause):
+            clause = tuple(dict.fromkeys(clause))
+        self.clauses.append(clause)
+        self.limit.append(size - 1)
         self.n_false.append(count)
-        return index
-
-    def _assign(self, lit: int, pending: list) -> bool:
-        """Make ``lit`` true; returns False on immediate conflict."""
-        v = self._value_of(lit)
-        if v is not None:
-            return v
-        self.value[abs(lit)] = lit > 0
-        self.trail.append(lit)
-        occ = self.occ.get(-lit)
-        if occ:
-            n_false = self.n_false
-            inc = self.inc_trail
-            for ci in occ:
-                n_false[ci] += 1
-                inc.append(ci)
-                if n_false[ci] >= len(self.clauses[ci]) - 1:
-                    pending.append(ci)
-        return True
+        if self.contradiction or count < size - 1:
+            return
+        unit = 0
+        for lit in clause:
+            v = value[lit] if lit > 0 else -value[-lit]
+            if v > 0:
+                return
+            if v == 0:
+                unit = lit
+        if not unit or self.propagate((unit,)):
+            self.contradiction = True
 
     def propagate(self, lits: Sequence[int]) -> bool:
         """Assert ``lits`` and propagate to fixpoint.
@@ -89,32 +92,46 @@ class _Propagator:
         Returns True when a conflict is reached.  Call :meth:`mark` /
         :meth:`undo` around it to scope the assignments.
         """
-        pending: list = []
-        for lit in lits:
-            if not self._assign(lit, pending):
-                return True
-        while pending:
-            ci = pending.pop()
-            clause = self.clauses[ci]
-            unit = None
-            count = 0
-            satisfied = False
-            for lit in clause:
-                v = self._value_of(lit)
-                if v is True:
-                    satisfied = True
-                    break
-                if v is None:
-                    count += 1
-                    unit = lit
-                    if count > 1:
-                        break
-            if satisfied or count > 1:
+        value = self.value
+        occ = self.occ
+        n = self.n
+        clauses = self.clauses
+        limit = self.limit
+        n_false = self.n_false
+        trail = self.trail
+        inc = self.inc_trail
+        queue = list(lits)
+        while queue:
+            lit = queue.pop()
+            if lit > 0:
+                var, sign = lit, 1
+            else:
+                var, sign = -lit, -1
+            current = value[var]
+            if current:
+                if current != sign:
+                    return True
                 continue
-            if count == 0:
-                return True
-            if not self._assign(unit, pending):
-                return True
+            value[var] = sign
+            trail.append(lit)
+            hits = occ[n - lit]
+            inc.extend(hits)
+            for ci in hits:
+                n_false[ci] += 1
+            for ci in hits:
+                if n_false[ci] < limit[ci]:
+                    continue
+                unit = 0
+                for other in clauses[ci]:
+                    v = value[other] if other > 0 else -value[-other]
+                    if v > 0 or (v == 0 and unit):
+                        break          # satisfied, or two free literals
+                    if v == 0:
+                        unit = other
+                else:
+                    if not unit:
+                        return True
+                    queue.append(unit)
         return False
 
     def mark(self) -> tuple:
@@ -122,29 +139,16 @@ class _Propagator:
 
     def undo(self, mark: tuple) -> None:
         trail_mark, inc_mark = mark
-        while len(self.inc_trail) > inc_mark:
-            self.n_false[self.inc_trail.pop()] -= 1
-        while len(self.trail) > trail_mark:
-            del self.value[abs(self.trail.pop())]
-
-    def commit_units(self, clause: Sequence[int]) -> None:
-        """Persistently propagate a newly added clause if it forces
-        anything under the current persistent assignment."""
-        if self.contradiction:
-            return
-        unit = None
-        count = 0
-        for lit in clause:
-            v = self._value_of(lit)
-            if v is True:
-                return
-            if v is None:
-                count += 1
-                unit = lit
-                if count > 1:
-                    return
-        if count == 0 or self.propagate((unit,)):
-            self.contradiction = True
+        n_false = self.n_false
+        inc = self.inc_trail
+        for ci in inc[inc_mark:]:
+            n_false[ci] -= 1
+        del inc[inc_mark:]
+        value = self.value
+        trail = self.trail
+        for lit in trail[trail_mark:]:
+            value[lit if lit > 0 else -lit] = 0
+        del trail[trail_mark:]
 
 
 def check_proof(
@@ -158,14 +162,15 @@ def check_proof(
     the first lemma that is not RUP, on an empty proof, or -- when
     ``require_empty`` -- if the final lemma is not the empty clause.
     """
-    prop = _Propagator()
-    for clause in clauses:
-        tclause = tuple(clause)
-        prop.add_clause(tclause)
-        prop.commit_units(tclause)
+    clauses = [tuple(clause) for clause in clauses]
     lemmas = [tuple(lemma) for lemma in proof]
     if not lemmas:
         raise DratError("empty proof log: nothing to certify")
+    prop = _Propagator(max(
+        map(abs, chain.from_iterable(chain(clauses, lemmas))), default=0,
+    ))
+    for clause in clauses:
+        prop.add_clause(clause)
     for index, lemma in enumerate(lemmas):
         if len(set(abs(lit) for lit in lemma)) != len(lemma):
             raise DratError(
@@ -181,7 +186,6 @@ def check_proof(
                     f"(negation propagates without conflict)"
                 )
         prop.add_clause(lemma)
-        prop.commit_units(lemma)
     if require_empty and lemmas[-1] != ():
         raise DratError(
             f"final lemma {lemmas[-1]!r} is not the empty clause"

@@ -17,6 +17,7 @@ contract of the whole subsystem: no UNSAT verdict is trusted unchecked.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from time import perf_counter
 from typing import Iterable, Optional, Sequence
 
 __all__ = ["Solver", "luby"]
@@ -139,7 +140,6 @@ class Solver:
                 return False
             return True
         self._attach(live)
-        self.clauses_attached = True
         return True
 
     def _attach(self, clause: list) -> None:
@@ -429,12 +429,17 @@ class Solver:
     # ------------------------------------------------------------------
     # search
     # ------------------------------------------------------------------
-    def solve(self, assumptions: Sequence[int] = ()) -> bool:
+    def solve(self, assumptions: Sequence[int] = (),
+              deadline: Optional[float] = None) -> Optional[bool]:
         """Decide satisfiability under ``assumptions``.
 
         On True, :attr:`model` holds a full assignment; on False,
         :attr:`final_conflict` is the subset of assumptions (negated)
         responsible -- empty when the formula itself is UNSAT.
+        ``deadline`` is an absolute :func:`time.perf_counter` instant,
+        checked at each conflict: once it has passed, the solver
+        backtracks to level 0 and returns None (undecided).  What it
+        learned so far stays attached and in the proof log.
         """
         self.final_conflict = []
         if not self.ok:
@@ -454,6 +459,9 @@ class Solver:
                         self.proof.append(())
                     self.final_conflict = []
                     return False
+                if deadline is not None and perf_counter() > deadline:
+                    self._cancel_until(0)
+                    return None
                 learnt, bt_level = self._analyze(conflict)
                 self._cancel_until(bt_level)
                 if self.proof is not None:

@@ -391,12 +391,12 @@ class TestRelationalProduct:
 @pytest.mark.parametrize(
     "banks,datapath,iterations,reached_size,peak_nodes",
     [
-        pytest.param(1, False, 10, 99, 11_863, id="1-99"),
-        pytest.param(2, False, 10, 128, 19_453, id="2-128"),
-        pytest.param(3, False, 10, 157, 26_666, id="3-157"),
-        pytest.param(4, False, 10, 186, 34_929, id="4-186"),
-        # Table 2's 1-bank full-datapath point (about 2 s)
-        pytest.param(1, True, 21, 919, 406_213, id="full-1-919"),
+        pytest.param(1, False, 10, 99, 10_980, id="1-99"),
+        pytest.param(2, False, 10, 128, 16_766, id="2-128"),
+        pytest.param(3, False, 10, 157, 22_471, id="3-157"),
+        pytest.param(4, False, 10, 186, 29_249, id="4-186"),
+        # Table 2's 1-bank full-datapath point (about 1 s)
+        pytest.param(1, True, 21, 919, 166_910, id="full-1-919"),
     ],
 )
 def test_image_step_keeps_table2_control_results(

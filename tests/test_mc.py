@@ -1,12 +1,17 @@
-"""Unit tests for the symbolic model checker: encoding and reachability."""
+"""Unit tests for the symbolic model checker: encoding, the image
+step's quantification schedule, and reachability."""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bdd import BddBudgetExceeded
+from repro.bdd import NEXT_SUFFIX, BddBudgetExceeded, BddManager
 from repro.mc import PHASE_VAR, SymbolicModel, SymbolicModelChecker
+from repro.mc.checker import quantification_schedule
 from repro.psl import PslError, parse_property
 from repro.rtl import C, Mux, RtlModule, RtlSimulator, elaborate
+from tests.test_sat_encode import _random_module
 
 
 def _counter(width=3, clock="K"):
@@ -129,6 +134,163 @@ class TestSymbolicVsSimulation:
                     if assignment[f"ddr.{reg}[{i}]"]
                 )
                 assert symbolic == sim.read(f"ddr.{reg}"), (step, reg)
+
+
+def _relation(model):
+    """The image step's inputs: manager, per-state-bit partitions in
+    ``state_bits`` order, and the quantifiable variables."""
+    m = model.manager
+    partitions = [
+        m.xnor(m.var(v + NEXT_SUFFIX), model.next_functions[v])
+        for v in model.state_bits
+    ]
+    return m, partitions, model.state_bits + model.input_bits
+
+
+def _random_model(seed):
+    rng = random.Random(2300 + seed)
+    module = _random_module(rng, width=rng.choice((2, 3, 4)))
+    return SymbolicModel(elaborate(module)), rng
+
+
+def _random_states(m, state_bits, rng, cubes=3):
+    """A random set of current states: a union of random cubes."""
+    states = m.FALSE
+    for __ in range(cubes):
+        cube = m.TRUE
+        for v in state_bits:
+            pick = rng.random()
+            if pick < 0.4:
+                cube = m.and_(cube, m.var(v))
+            elif pick < 0.8:
+                cube = m.and_(cube, m.not_(m.var(v)))
+        states = m.or_(states, cube)
+    return states
+
+
+def _chained_image(m, frontier, ordered, release_at, unused_anywhere):
+    """The image step of ``SymbolicModelChecker`` (before renaming)."""
+    product = m.exists(unused_anywhere, frontier)
+    for part, released in zip(ordered, release_at):
+        product = m.and_exists(product, part, released)
+    return product
+
+
+def _assert_released_at_last_use(m, ordered, release_at, unused_anywhere,
+                                 quantifiable):
+    supports = [m.support(p) for p in ordered]
+    released = [v for group in release_at for v in group] + unused_anywhere
+    assert sorted(released) == sorted(quantifiable)
+    for position, group in enumerate(release_at):
+        for v in group:
+            assert v in supports[position], (v, position)
+            assert not any(v in s for s in supports[position + 1:]), (
+                v, position)
+    for v in unused_anywhere:
+        assert not any(v in s for s in supports), v
+
+
+def _release_one_early(release_at):
+    """Move one released variable to the partition before its last
+    reader: an unsound schedule the checks below must reject.  None when
+    only the first partition releases anything."""
+    early = [list(group) for group in release_at]
+    for position in range(1, len(early)):
+        if early[position]:
+            early[position - 1].append(early[position].pop())
+            return early
+    return None
+
+
+class TestQuantificationSchedule:
+    """The greedy IWLS95 order of the image step's relational products."""
+
+    def test_greedy_rule_and_its_tie_breaks(self):
+        m = BddManager()
+        a, b, u, v, w, x, y, __ = (m.add_var(n) for n in "abuvwxyz")
+        partitions = [
+            m.and_(x, a),           # sole reader of x
+            y,                      # sole reader of y, smaller support
+            m.or_(a, b),            # sole reader of a once 0 is in
+            b,                      # sole reader of b once 2 is in
+            m.and_all([u, v, w]),   # sole reader of three: first
+        ]
+        ordered, release_at, unused = quantification_schedule(
+            m, partitions, "abuvwxyz")
+        assert ordered == [partitions[i] for i in (4, 1, 0, 2, 3)]
+        assert release_at == [["u", "v", "w"], ["y"], ["x"], ["a"], ["b"]]
+        assert unused == ["z"]
+
+    def test_equal_scores_keep_the_state_bit_order(self):
+        m = BddManager()
+        a, b, c = (m.add_var(n) for n in "abc")
+        ordered, release_at, unused = quantification_schedule(
+            m, [b, a], ["a", "b", "c"])
+        assert ordered == [b, a]
+        assert release_at == [["b"], ["a"]]
+        assert unused == ["c"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_order_is_a_deterministic_permutation(self, seed):
+        orders = []
+        for __ in range(2):
+            model, __ = _random_model(seed)
+            m, partitions, quantifiable = _relation(model)
+            ordered, __, __ = quantification_schedule(
+                m, partitions, quantifiable)
+            assert sorted(ordered) == sorted(partitions)
+            orders.append([partitions.index(p) for p in ordered])
+        assert orders[0] == orders[1]
+
+    def test_la1_control_model_schedule(self):
+        from repro.core.rulebase import MC_SCALE_CONFIG, mc_design
+
+        model = SymbolicModel(mc_design(MC_SCALE_CONFIG(2), False))
+        m, partitions, quantifiable = _relation(model)
+        ordered, release_at, unused = quantification_schedule(
+            m, partitions, quantifiable)
+        assert sorted(ordered) == sorted(partitions)
+        assert ordered != partitions     # the schedule does reorder
+        _assert_released_at_last_use(m, ordered, release_at, unused,
+                                     quantifiable)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_chained_image_equals_the_monolithic_image(self, seed):
+        model, rng = _random_model(seed)
+        m, partitions, quantifiable = _relation(model)
+        schedule = quantification_schedule(m, partitions, quantifiable)
+        _assert_released_at_last_use(m, *schedule, quantifiable)
+        for frontier in (model.init, _random_states(
+                m, model.state_bits, rng)):
+            monolithic = m.exists(
+                quantifiable, m.and_all([frontier] + partitions))
+            assert _chained_image(m, frontier, *schedule) == monolithic
+
+    def test_early_release_is_caught(self):
+        """Quantifying a variable one partition before its last reader
+        fails the release check, and changes the image of some seeded
+        netlists."""
+        mutated = changed = 0
+        for seed in range(12):
+            model, rng = _random_model(seed)
+            m, partitions, quantifiable = _relation(model)
+            ordered, release_at, unused = quantification_schedule(
+                m, partitions, quantifiable)
+            early = _release_one_early(release_at)
+            if early is None:
+                continue
+            mutated += 1
+            with pytest.raises(AssertionError):
+                _assert_released_at_last_use(m, ordered, early, unused,
+                                             quantifiable)
+            for frontier in (model.init, _random_states(
+                    m, model.state_bits, rng)):
+                monolithic = m.exists(
+                    quantifiable, m.and_all([frontier] + partitions))
+                if _chained_image(m, frontier, ordered, early,
+                                  unused) != monolithic:
+                    changed += 1
+        assert mutated >= 6 and changed >= mutated, (mutated, changed)
 
 
 class TestReachabilityChecking:

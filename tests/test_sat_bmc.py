@@ -1,6 +1,8 @@
 """Tests for SAT-based bounded model checking and k-induction, and
 their integration with the sweep/flow layers."""
 
+import time
+
 import pytest
 
 from repro.core.properties import read_mode_suite, rtl_labels
@@ -132,6 +134,59 @@ class TestCheckReadModeSat:
             assert result.holds is True, f"{name}: {result!r}"
             assert (stats["k"], stats["vars"], stats["clauses"],
                     stats["proof_lemmas"]) == pinned[name.split("[")[0]]
+
+
+class TestBudgetNaming:
+    """Every truncated SAT result names the budget that ran out."""
+
+    def test_max_k(self):
+        # read_latency needs k=4 at 1 bank: one step decides nothing
+        result = check_read_mode_sat(1, max_k=1)
+        assert result.holds is None and result.truncated
+        assert result.bdd_stats["budget"] == "max_k"
+        assert result.bdd_stats["properties"] == 3
+        design = _design()
+        name, prop = read_mode_suite(1)[0]
+        kres = SatModelChecker(design, prop, rtl_labels("la1_top", 1),
+                               name=name).prove(max_k=1)
+        assert kres.truncated and kres.stats["budget"] == "max_k"
+
+    @pytest.mark.parametrize("method", ["prove", "bmc"])
+    def test_deadline_reaches_the_solver(self, method, monkeypatch):
+        # the solver's clock runs past any deadline, the frame loop's does
+        # not: only the check inside Solver.solve can stop this run
+        monkeypatch.setattr("repro.sat.solver.perf_counter",
+                            lambda: float("inf"))
+        result = check_read_mode_sat(1, method=method, max_depth=8,
+                                     deadline_s=3600.0)
+        assert result.holds is None and result.truncated
+        assert result.bdd_stats["budget"] == "deadline_s"
+        assert result.bdd_stats["conflicts"] == 1
+
+    def test_deadline_bounds_the_whole_call(self, monkeypatch):
+        # the first conjunct spends the whole budget; the next one must
+        # not get a fresh one, and the last one must not run at all
+        budgets = []
+        prove = SatModelChecker.prove
+
+        def prove_then_spend(self, max_k, check_proofs, deadline_s):
+            budgets.append(deadline_s)
+            result = prove(self, max_k=max_k, check_proofs=check_proofs,
+                           deadline_s=deadline_s)
+            if len(budgets) == 1:
+                time.sleep(deadline_s)
+            return result
+
+        monkeypatch.setattr(SatModelChecker, "prove", prove_then_spend)
+        result = check_read_mode_sat(1, max_k=20, deadline_s=1.0)
+        assert result.holds is None and result.truncated
+        assert result.bdd_stats["budget"] == "deadline_s"
+        assert len(budgets) == 2 and budgets[1] < 0
+
+    def test_decided_runs_name_no_budget(self):
+        result = check_read_mode_sat(1, max_k=20, deadline_s=3600.0)
+        assert result.holds is True
+        assert "budget" not in result.bdd_stats
 
 
 class TestSweepIntegration:

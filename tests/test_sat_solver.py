@@ -3,6 +3,7 @@ RUP/DRAT-style proof checker."""
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -84,6 +85,16 @@ class TestSolverBasics:
                     assert any(s.model_value(lit) for lit in clause)
             else:
                 check_unsat(s)
+
+    def test_deadline_stops_the_search_at_level_zero(self):
+        s = Solver(proof_log=True)
+        _pigeonhole(s, 6, 5)
+        assert s.solve(deadline=time.perf_counter() - 1.0) is None
+        assert s.stats["conflicts"] == 1
+        assert not s.trail_lim and s.ok
+        # the interrupted run left a sound state and proof log behind
+        assert s.solve() is False
+        assert check_unsat(s) > 0
 
 
 class TestAssumptions:
