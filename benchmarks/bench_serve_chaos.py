@@ -4,19 +4,22 @@ A plain script (not a pytest benchmark).  It drives the supervised
 campaign/testgen stack through every containment tier of the failure
 model -- an injected worker kill, an injected worker hang (reaped by
 the per-shard deadline), and a coordinator kill + restart resuming from
-the shard journal -- and asserts the *determinism contract* after each:
-the chaotic run's campaign signature is bit-identical to the
+the campaign checkpoint -- and asserts the *determinism contract* after
+each: the chaotic run's campaign signature is bit-identical to the
 undisturbed ``jobs=1`` baseline, retries/reaps show up only in the
-timing stats, and a resumed coordinator replays completed shards from
-the journal instead of recomputing them (the journal hit count is
-asserted, not just reported).  Coverage-driven testgen rides along with
-a jobs=2 vs jobs=1 parity check on the full coverage DB.
+timing stats, and a resumed coordinator adopts the verdicts the
+checkpoint holds instead of recomputing them (the adopted count is
+asserted, not just reported, and no adopted fault reaches
+``on_verdict`` again).  Coverage-driven testgen rides along with a
+jobs=2 vs jobs=1 parity check on the full coverage DB.
 
-Chaos is injected with exactly-once marker files (O_CREAT|O_EXCL): the
-first worker to claim the kill marker dies with ``os._exit(137)``
-mid-shard, the first to claim the hang marker sleeps for an hour and
-must be killed by the supervisor.  Everything is therefore
-deterministic: the bench either proves the contract or fails loudly.
+Worker chaos is injected by wrapping the campaign's shard task before
+the fork (:func:`repro.serve.__main__.strike_first_shard`) with an
+exactly-once marker file (O_CREAT|O_EXCL): the first worker to claim
+the kill marker dies with ``os._exit(137)``, the first to claim the
+hang marker sleeps for an hour and must be killed by the supervisor.
+Everything is therefore deterministic: the bench either proves the
+contract or fails loudly.
 
 ``--smoke`` (CI) uses the 1-bank campaign; the default adds the 4-bank
 campaign whose heavy ASM shards make the retry/reap windows realistic.
@@ -29,16 +32,19 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import tempfile
 import time
+import zlib
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.cover.testgen import undirected_suite  # noqa: E402
 from repro.fault.campaign import CampaignConfig, FaultCampaign  # noqa: E402
 from repro.par.workers import la1_model_spec  # noqa: E402
+from repro.serve.__main__ import strike_first_shard  # noqa: E402
 
 
 class Killed(Exception):
@@ -46,7 +52,9 @@ class Killed(Exception):
 
 
 def _signature(report) -> int:
-    return hash(report.signature()) & 0xFFFFFFFF
+    """A CRC of the campaign signature: unlike ``hash`` of its strings,
+    equal in every process, so committed records compare across runs."""
+    return zlib.crc32(json.dumps(report.signature()).encode())
 
 
 def _run(config: CampaignConfig, jobs: int, on_verdict=None) -> tuple:
@@ -69,9 +77,8 @@ def chaos_campaign(banks: int, traffic: int, rtl_cycles: int,
     # -- tier 1: a worker killed mid-shard is retried ------------------
     print(f"campaign banks={banks}: worker kill ...", flush=True)
     marker = os.path.join(workdir, f"kill.{banks}")
-    report, wall = _run(CampaignConfig(
-        **base, chaos_kill_marker=marker,
-        journal_path=os.path.join(workdir, f"kill.{banks}.wal")), jobs)
+    with strike_first_shard(marker, lambda: os._exit(137)):
+        report, wall = _run(CampaignConfig(**base), jobs)
     par = report.engine_stats["par"]
     assert os.path.exists(marker), "chaos kill was never claimed"
     assert par["retries"] >= 1, "the killed shard was not retried"
@@ -87,9 +94,10 @@ def chaos_campaign(banks: int, traffic: int, rtl_cycles: int,
         print(f"campaign banks={banks}: worker hang + reap ...",
               flush=True)
         marker = os.path.join(workdir, f"hang.{banks}")
-        report, wall = _run(CampaignConfig(
-            **base, chaos_hang_marker=marker,
-            shard_deadline_s=hang_deadline_s, shard_attempts=3), jobs)
+        with strike_first_shard(marker, lambda: time.sleep(3600)):
+            report, wall = _run(CampaignConfig(
+                **base, shard_deadline_s=hang_deadline_s,
+                shard_attempts=3), jobs)
         par = report.engine_stats["par"]
         assert os.path.exists(marker), "chaos hang was never claimed"
         assert par["killed_workers"] >= 1, \
@@ -101,28 +109,31 @@ def chaos_campaign(banks: int, traffic: int, rtl_cycles: int,
     # -- tier 3: coordinator killed between callbacks, then resumed ----
     print(f"campaign banks={banks}: coordinator kill + restart ...",
           flush=True)
-    journal = os.path.join(workdir, f"restart.{banks}.wal")
+    checkpoint = os.path.join(workdir, f"restart.{banks}.json")
+    config = CampaignConfig(**base, checkpoint_path=checkpoint)
 
     def die_on_first(verdict):
         raise Killed(verdict.fault_id)
 
     start = time.perf_counter()
     try:
-        FaultCampaign(CampaignConfig(
-            **base, journal_path=journal)).run(
-            jobs=jobs, on_verdict=die_on_first)
+        FaultCampaign(config).run(jobs=jobs, on_verdict=die_on_first)
         raise AssertionError("the injected coordinator kill misfired")
     except Killed:
         pass
-    report, __ = _run(CampaignConfig(**base, journal_path=journal), jobs)
+    with open(checkpoint) as fh:
+        adopted = set(json.load(fh)["verdicts"])
+    rerun = []
+    report, __ = _run(config, jobs, on_verdict=lambda v: rerun.append(
+        v.fault_id))
     wall = round(time.perf_counter() - start, 3)
-    par = report.engine_stats["par"]
-    assert par["journal_hits"] >= 1, \
-        "resume recomputed shards the journal already held"
+    assert adopted, "the killed run checkpointed nothing"
+    assert adopted.isdisjoint(rerun), \
+        "resume recomputed verdicts the checkpoint already held"
     assert _signature(report) == want, "coordinator restart changed verdicts"
     scenarios["coordinator_restart"] = {
         "wall_s": wall, "signature": _signature(report),
-        "journal_hits": par["journal_hits"], "par": par,
+        "adopted_verdicts": len(adopted), "par": report.engine_stats["par"],
     }
     return scenarios
 

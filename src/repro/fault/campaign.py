@@ -19,17 +19,19 @@ error      the engine itself raised; campaigns contain the exception
 
 Robustness contract: a campaign never crashes (per-fault exception
 containment), honours per-fault and whole-campaign wall-clock deadlines
-with structured ``truncated`` verdicts, and checkpoints every verdict to
-a JSON state file -- written atomically (temp file + ``os.replace`` +
-fsync) -- so a killed campaign resumes, skipping completed faults, to
-the same final report (:meth:`CampaignReport.signature`).  Under
-``jobs > 1`` the sweep runs on the supervised pool
-(:func:`repro.par.run_supervised`): crashed or hung workers are reaped
-and their shards retried with backoff, a deterministically-failing
-shard is quarantined into structured ``error`` verdicts after its
-``shard_attempts`` budget instead of aborting the run, and an optional
-``journal_path`` write-ahead journal lets a killed coordinator resume
-without recomputing any collected shard.
+with structured ``truncated`` verdicts, and checkpoints every decided
+verdict (``detected``, ``silent``, ``masked``) to a JSON state file --
+written atomically (temp file + ``os.replace`` + fsync) after every
+collected batch or shard -- so a killed campaign resumes at any
+``jobs``, skipping completed faults and re-running every fault no
+engine decided, to the same final report
+(:meth:`CampaignReport.signature`).  The checkpoint is the campaign's
+one resume record.  Under ``jobs > 1`` the sweep runs on the supervised
+pool (:func:`repro.par.run_supervised`): crashed or hung workers are
+reaped and their shards retried with backoff, and a
+deterministically-failing shard is quarantined into structured
+``error`` verdicts after its ``shard_attempts`` budget instead of
+aborting the run.
 """
 
 from __future__ import annotations
@@ -80,6 +82,10 @@ __all__ = [
 
 OUTCOMES = ("detected", "silent", "masked", "truncated", "error")
 
+#: the outcomes an engine decided, the only ones a checkpoint keeps: a
+#: ``truncated`` or ``error`` stub is re-run on resume
+_DECIDED = ("detected", "silent", "masked")
+
 #: the faults the RTL engines run: the ones the pattern axis sweeps and
 #: the only ones a PPSFP lane can carry
 _RTL_LEVEL = (RtlStuckAt, RtlBitFlip, StimulusMutation)
@@ -117,9 +123,6 @@ class CampaignConfig:
         shard_attempts: int = 2,
         shard_deadline_s: Optional[float] = None,
         retry_backoff_s: float = 0.05,
-        journal_path: Optional[str] = None,
-        chaos_kill_marker: Optional[str] = None,
-        chaos_hang_marker: Optional[str] = None,
         design: Optional[str] = None,
         patterns: int = 1,
     ):
@@ -142,14 +145,6 @@ class CampaignConfig:
         self.shard_attempts = shard_attempts
         self.shard_deadline_s = shard_deadline_s
         self.retry_backoff_s = retry_backoff_s
-        #: write-ahead journal for jobs > 1: collected shard reports are
-        #: durably appended as they land, so a killed coordinator
-        #: resumes without recomputing any collected shard
-        self.journal_path = journal_path
-        #: chaos-injection markers (tests / bench / serve --smoke only):
-        #: the first worker to claim one dies / hangs exactly once
-        self.chaos_kill_marker = chaos_kill_marker
-        self.chaos_hang_marker = chaos_hang_marker
         #: PPSFP's second axis: sweep each stimulus-sensitive fault
         #: (RTL state faults, stimulus mutations) under this many
         #: stimulus patterns -- pattern 0 is the base stream, pattern
@@ -881,6 +876,7 @@ class FaultCampaign:
             "verdicts": {
                 fault_id: verdict.to_dict()
                 for fault_id, verdict in completed.items()
+                if verdict.outcome in _DECIDED
             },
         }
         # atomic and durable: a coordinator killed at any instant leaves
@@ -1048,11 +1044,13 @@ class FaultCampaign:
         is reaped and its shard retried with backoff
         (``shard_attempts`` budget); a shard that fails every attempt is
         quarantined into structured ``error`` verdicts while every other
-        shard completes; a campaign deadline turns uncollected shards
-        into ``truncated`` verdicts; and with a ``journal_path`` every
-        collected shard report is durably journaled, so a killed
+        shard completes; and a campaign deadline turns uncollected
+        shards into ``truncated`` verdicts.  ``collect`` checkpoints
+        each shard's verdicts the moment it lands, so a killed
         coordinator resumes bit-identically without recomputing it."""
         from ..par import ShardError, plan_shards, run_supervised
+        # looked up per run, so a wrapper installed before the fork
+        # (repro.serve.__main__.strike_first_shard) reaches the workers
         from ..par.workers import campaign_shard
 
         config = self.config
@@ -1066,41 +1064,19 @@ class FaultCampaign:
                 0.0,
                 config.campaign_deadline_s - (time.perf_counter() - start),
             )
-        journal = None
-        if config.journal_path:
-            from ..serve.journal import Journal
-
-            journal = Journal(config.journal_path)
-
-        journal_fingerprint = {
-            "campaign": config.fingerprint(),
-            "lanes": lanes,
-            "plan": [[f.fault_id for f in shard] for shard in shards],
-        }
-        # execution knob, journaled only when set so pre-existing
-        # journals (and the default) keep their fingerprint
-        if patterns_per_pass is not None:
-            journal_fingerprint["patterns_per_pass"] = patterns_per_pass
         self._warm_kernels(pending, lanes)
-        try:
-            results, stats = run_supervised(
-                campaign_shard,
-                [(config, shard, lanes, patterns_per_pass)
-                 for shard in shards],
-                jobs=jobs,
-                timeout_s=timeout,
-                shard_deadline_s=config.shard_deadline_s,
-                max_attempts=config.shard_attempts,
-                backoff_base_s=config.retry_backoff_s,
-                seed=config.seed,
-                on_result=lambda index, report: collect(
-                    [FaultVerdict.from_dict(v) for v in report["faults"]]),
-                journal=journal,
-                journal_fingerprint=journal_fingerprint,
-            )
-        finally:
-            if journal is not None:
-                journal.close()
+        results, stats = run_supervised(
+            campaign_shard,
+            [(config, shard, lanes, patterns_per_pass) for shard in shards],
+            jobs=jobs,
+            timeout_s=timeout,
+            shard_deadline_s=config.shard_deadline_s,
+            max_attempts=config.shard_attempts,
+            backoff_base_s=config.retry_backoff_s,
+            seed=config.seed,
+            on_result=lambda index, report: collect(
+                [FaultVerdict.from_dict(v) for v in report["faults"]]),
+        )
         engine_stats: dict = {}
         for shard, result in zip(shards, results):
             if isinstance(result, ShardError):
@@ -1132,8 +1108,9 @@ class FaultCampaign:
         """Sweep ``faults`` (default: :func:`default_fault_list`).
 
         With ``resume`` (default) and a configured ``checkpoint_path``,
-        verdicts recorded by an earlier -- possibly killed -- invocation
-        with the same workload fingerprint are reused instead of re-run.
+        the decided verdicts recorded by an earlier -- possibly killed
+        -- invocation with the same workload fingerprint are reused
+        instead of re-run, at any ``jobs``.
 
         Equivalent RTL stuck-ats are collapsed onto their shared state
         bit first (:func:`repro.fault.rtl_inject.collapse_faults`): only

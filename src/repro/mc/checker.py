@@ -51,6 +51,10 @@ class SymbolicCheckResult:
     reports; an undecided run also names the budget that ran out in
     ``bdd_stats["budget"]``: ``"transient_node_budget"``,
     ``"live_node_budget"``, ``"deadline_s"`` or ``"max_iterations"``.
+
+    ``memory_mb`` is Table 2's memory column, ``peak_nodes`` x 88 bytes
+    (:meth:`repro.bdd.BddManager.estimated_memory_bytes`).  It
+    understates the process: measured max RSS runs 3.4-3.8x higher.
     """
 
     def __init__(

@@ -20,10 +20,10 @@ the execution layer that exploits that:
   backoff and deterministic jitter, poison-shard quarantine
   (:class:`ShardError` results instead of aborted runs), hung-worker
   reaping on a per-shard deadline, an overall timeout, out-of-order
-  collection, optional write-ahead journaling so a killed coordinator
-  resumes without recomputing a single collected shard, and an inline
-  fallback when the process machinery itself fails, so a parallel
-  caller can never do worse than finish sequentially.
+  collection (the caller's ``on_result`` checkpoints each shard the
+  moment it lands), and an inline fallback when the process machinery
+  itself fails, so a parallel caller can never do worse than finish
+  sequentially.
 
 The determinism contract: for a fixed work list and configuration,
 ``jobs=1`` and ``jobs=N`` produce identical *merged* results -- only

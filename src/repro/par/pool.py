@@ -81,9 +81,6 @@ class ParStats:
         #: worker processes forcibly terminated (hung-shard reaping and
         #: overall-timeout cleanup)
         self.killed_workers = 0
-        #: shards answered from a write-ahead journal instead of being
-        #: recomputed (resume)
-        self.journal_hits = 0
 
     @property
     def critical_path_s(self) -> float:
@@ -118,7 +115,6 @@ class ParStats:
             "retries": self.retries,
             "quarantined": list(self.quarantined),
             "killed_workers": self.killed_workers,
-            "journal_hits": self.journal_hits,
         }
 
     def __repr__(self):

@@ -1,13 +1,14 @@
-"""Supervised shard execution: retry, quarantine, reap, journal, resume.
+"""Supervised shard execution: retry, quarantine, reap.
 
 :func:`run_supervised` is the one fan-out runner of :mod:`repro.par`:
 every parallel caller -- the fault campaign, coverage collection and
 testgen, the MC property sweep -- runs its shards through it.  A
 long-lived verification service needs fine containment: a worker that
 segfaults on one poisoned shard must not drag thirty healthy shards
-back to sequential execution, a hung shard must be *killed* (not
-politely cancelled) and retried elsewhere, and a coordinator restart
-must resume from durable state instead of recomputing finished shards.
+back to sequential execution, and a hung shard must be *killed* (not
+politely cancelled) and retried elsewhere.  Resuming after a
+coordinator restart is the caller's: ``on_result`` is where the fault
+campaign saves its checkpoint.
 
 :func:`run_supervised` provides that ladder.  It manages one worker
 :class:`multiprocessing.Process` per in-flight shard (a shard plan has
@@ -28,34 +29,27 @@ task):
   process killed (``stats.killed_workers``), immediately freeing the
   slot; cancelled-but-running CPU burners cannot exist;
 * **out-of-order collection** -- ``on_result`` fires the moment any
-  shard lands, so checkpoint hooks never queue behind a slow shard 0;
-* **write-ahead journal** -- with ``journal=`` every collected result
-  is durably appended before the next scheduling decision; a killed
-  coordinator re-running the same call replays the journal
-  (``stats.journal_hits``), refires ``on_result`` for replayed shards,
-  and computes only what was never collected.  Results being
-  deterministic, the resumed run's merged output is bit-identical to an
-  undisturbed one;
+  shard lands, before the next scheduling decision, so checkpoint hooks
+  never queue behind a slow shard 0;
 * **overall deadline** -- at ``timeout_s`` every running worker is
   killed (``stats.killed_workers``) and every unresolved shard yields
   ``None`` (``stats.timed_out``);
 * **infrastructure fallback** -- a failure of the process machinery
   itself (fork refusal, queue teardown) finishes the unresolved shards
   inline (``mode="pool+inline"``).  An exception from the caller's
-  ``on_result`` or journal is the caller's, not the pool's: it
-  propagates once the workers are reaped, and no shard is recomputed.
+  ``on_result`` is the caller's, not the pool's: it propagates once
+  the workers are reaped, and no shard is recomputed.
 
 Retries never change *what* is computed -- a shard's task and args are
 immutable across attempts -- so verdict content is attempt-count
 invariant; only the timing fields of :class:`~repro.par.pool.ParStats`
-differ.  ``jobs <= 1`` applies the same retry/quarantine/journal ladder
-inline (no per-shard deadline: a coordinator cannot kill itself).
+differ.  ``jobs <= 1`` applies the same retry/quarantine ladder inline
+(no per-shard deadline: a coordinator cannot kill itself).
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from collections import deque
 from queue import Empty
 from typing import Callable, Optional, Sequence
@@ -89,20 +83,6 @@ class ShardError:
         #: "deadline" (shard exceeded shard_deadline_s and was killed)
         self.kind = kind
         self.detail = detail
-
-    def to_dict(self) -> dict:
-        return {
-            "shard_error": True,
-            "index": self.index,
-            "attempts": self.attempts,
-            "kind": self.kind,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ShardError":
-        return cls(data["index"], data["attempts"], data["kind"],
-                   data["detail"])
 
     def __repr__(self):
         return (f"ShardError(shard {self.index}: {self.kind} after "
@@ -140,7 +120,7 @@ class _Supervisor:
 
     def __init__(self, task, shard_args, jobs, timeout_s, shard_deadline_s,
                  max_attempts, backoff_base_s, backoff_max_s, seed,
-                 on_result, journal, journal_fingerprint):
+                 on_result):
         self.task = task
         self.shard_args = [tuple(args) for args in shard_args]
         self.jobs = jobs
@@ -150,93 +130,34 @@ class _Supervisor:
         self.backoff_max_s = backoff_max_s
         self.seed = seed
         self.on_result = on_result
-        self.journal = journal
-        self.journal_fingerprint = journal_fingerprint or {}
         self.stats = ParStats(jobs, len(self.shard_args))
         self.start = time.perf_counter()
         self.deadline = (None if timeout_s is None
                          else self.start + timeout_s)
         n = len(self.shard_args)
         self.results: list = [None] * n
-        self.resolved = [False] * n  # collected, quarantined or journaled
-        #: set while the journal append or ``on_result`` runs: an
-        #: exception escaping then is the caller's, never a pool failure
+        self.resolved = [False] * n  # collected or quarantined
+        #: set while ``on_result`` runs: an exception escaping then is
+        #: the caller's, never a pool failure
         self.in_caller = False
         self.attempts = [0] * n
         self.stats.shard_wall_s = [0.0] * n
 
     # -- shared resolution paths --------------------------------------
-    def _collect(self, index: int, wall: float, value,
-                 from_journal: bool = False) -> None:
+    def _collect(self, index: int, wall: float, value) -> None:
         self.results[index] = value
         self.resolved[index] = True
         self.stats.shard_wall_s[index] = wall
-        self.in_caller = True
-        if from_journal:
-            self.stats.journal_hits += 1
-        elif self.journal is not None:
-            self.journal.append({
-                "type": "shard", "index": index, "wall": wall,
-                "value": value,
-            })
         if self.on_result is not None:
-            self.on_result(index, value)
-        self.in_caller = False
-
-    def _quarantine(self, index: int, kind: str, detail: str) -> None:
-        error = ShardError(index, self.attempts[index], kind, detail)
-        self.results[index] = error
-        self.resolved[index] = True
-        self.stats.quarantined.append(index)
-        if self.journal is not None:
             self.in_caller = True
-            self.journal.append({
-                "type": "quarantine", "index": index,
-                "value": error.to_dict(),
-            })
+            self.on_result(index, value)
             self.in_caller = False
 
-    def _replay_journal(self) -> None:
-        """Adopt every intact shard record of a matching journal; write
-        the header on a fresh one.  A journal written for different work
-        is ignored wholesale (fingerprint guard)."""
-        if self.journal is None:
-            return
-        records = list(self.journal.replay())
-        if not records:
-            self.journal.append({
-                "type": "header",
-                "fingerprint": self.journal_fingerprint,
-                "shards": len(self.shard_args),
-            })
-            return
-        header = records[0]
-        if (header.get("type") != "header"
-                or header.get("fingerprint") != self.journal_fingerprint
-                or header.get("shards") != len(self.shard_args)):
-            warnings.warn(
-                "supervised journal was written for different work "
-                "(fingerprint/shard-count mismatch); ignoring it and "
-                "running without journaling",
-                stacklevel=2,
-            )
-            self.journal = None
-            return
-        for record in records[1:]:
-            index = record.get("index")
-            if not isinstance(index, int) or not (
-                    0 <= index < len(self.shard_args)):
-                continue
-            if self.resolved[index]:
-                continue
-            if record.get("type") == "shard":
-                self._collect(index, float(record.get("wall", 0.0)),
-                              record.get("value"), from_journal=True)
-            elif record.get("type") == "quarantine":
-                # a quarantined shard is retried by the resumed run: the
-                # failure may have been environmental (journal replays
-                # it as *pending*, not as a verdict)
-                continue
+    def _quarantine(self, index: int, kind: str, detail: str) -> None:
+        self.results[index] = ShardError(
+            index, self.attempts[index], kind, detail)
+        self.resolved[index] = True
+        self.stats.quarantined.append(index)
 
     # -- inline execution (jobs <= 1) ---------------------------------
     def run_inline(self) -> None:
@@ -272,9 +193,7 @@ class _Supervisor:
         result_q = ctx.Queue()
         #: (index, eligible_at) of shards waiting for a worker slot
         pending = deque(
-            (index, 0.0) for index in range(len(self.shard_args))
-            if not self.resolved[index]
-        )
+            (index, 0.0) for index in range(len(self.shard_args)))
         #: proc -> (index, attempt, started_at, dead_since or None)
         running: dict = {}
         workers = max(1, self.jobs)
@@ -329,7 +248,7 @@ class _Supervisor:
                 if owner is not None:
                     release(owner)
                 if self.resolved[index]:
-                    continue  # stale attempt beaten by journal/quarantine
+                    continue  # stale attempt of a resolved shard
                 if status == "ok":
                     self._collect(index, wall, value)
                 else:
@@ -418,8 +337,6 @@ def run_supervised(
     backoff_max_s: float = 2.0,
     seed: int = 0,
     on_result: Optional[Callable[[int, object], None]] = None,
-    journal=None,
-    journal_fingerprint: Optional[dict] = None,
 ) -> tuple[list, ParStats]:
     """Run ``task(*args)`` per shard under supervision (see module doc).
 
@@ -427,27 +344,14 @@ def run_supervised(
     task's value, a :class:`ShardError` (quarantined after
     ``max_attempts``), or ``None`` (abandoned by ``timeout_s``,
     recorded in ``stats.timed_out``).  ``on_result(index, value)``
-    fires in completion order the moment a shard lands -- including
-    once per shard replayed from ``journal``.  An exception raised by
-    ``on_result`` or the journal propagates, after the workers are
-    reaped.
-
-    ``journal`` is any object with ``append(dict)`` and ``replay()``
-    (:class:`repro.serve.journal.Journal`); journaled values must be
-    JSON-serializable -- note JSON turns tuples into lists, so resumed
-    and fresh results agree only for JSON-shaped payloads, which all
-    repro.par worker tasks return.  ``journal_fingerprint`` guards the
-    journal against resuming different work.
+    fires in completion order the moment a shard lands.  An exception
+    raised by ``on_result`` propagates, after the workers are reaped.
     """
     supervisor = _Supervisor(
         task, shard_args, jobs, timeout_s, shard_deadline_s, max_attempts,
-        backoff_base_s, backoff_max_s, seed, on_result, journal,
-        journal_fingerprint,
+        backoff_base_s, backoff_max_s, seed, on_result,
     )
-    supervisor._replay_journal()
-    if not supervisor.shard_args or all(supervisor.resolved):
-        pass
-    elif jobs <= 1 or len(supervisor.shard_args) <= 1:
+    if jobs <= 1 or len(supervisor.shard_args) <= 1:
         supervisor.run_inline()
     else:
         try:

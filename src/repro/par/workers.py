@@ -22,14 +22,11 @@ from __future__ import annotations
 import functools
 import importlib
 import json
-import os
-import time
 from typing import Optional
 
 __all__ = [
     "ModelSpec",
     "built_model",
-    "apply_chaos",
     "la1_model_spec",
     "build_la1_testgen_model",
     "la1_traffic_model_spec",
@@ -123,38 +120,6 @@ def la1_traffic_model_spec(banks: int = 2, seed: int = 7) -> ModelSpec:
 
 
 # ----------------------------------------------------------------------
-# chaos injection (tests / chaos bench / serve --smoke only)
-# ----------------------------------------------------------------------
-def _claim_marker(path: Optional[str]) -> bool:
-    """Atomically claim a chaos marker file: True for exactly one
-    claimant across all workers and attempts, False ever after -- which
-    is what makes an induced fault strike exactly once per marker."""
-    if not path:
-        return False
-    try:
-        os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-    except FileExistsError:
-        return False
-    return True
-
-
-def apply_chaos(config) -> None:
-    """Honour the chaos knobs a campaign config may carry.
-
-    ``chaos_kill_marker``: the first worker to claim the marker dies
-    instantly (``os._exit``), simulating an OOM kill or segfault;
-    ``chaos_hang_marker``: the first claimant wedges, simulating a hung
-    engine the supervisor must reap.  Both strike exactly once, so a
-    retried attempt proceeds normally -- the supervised determinism
-    story the chaos bench asserts.
-    """
-    if _claim_marker(getattr(config, "chaos_kill_marker", None)):
-        os._exit(137)
-    if _claim_marker(getattr(config, "chaos_hang_marker", None)):
-        time.sleep(3600)
-
-
-# ----------------------------------------------------------------------
 # fault campaign
 # ----------------------------------------------------------------------
 def campaign_shard(config, faults, lanes: int = 1,
@@ -170,7 +135,6 @@ def campaign_shard(config, faults, lanes: int = 1,
     ``patterns_per_pass`` caps the pattern-group tiling per pass."""
     from ..fault.campaign import CampaignConfig, CampaignReport, FaultCampaign
 
-    apply_chaos(config)
     # the shard never checkpoints (the coordinator owns the state file)
     # and never enforces the whole-campaign deadline (the coordinator
     # owns the clock); per-fault deadlines still apply locally

@@ -106,6 +106,8 @@ class Solver:
         """Add a problem clause; returns ``False`` on immediate level-0
         conflict (the solver is then permanently UNSAT)."""
         assert not self.trail_lim, "add_clause requires decision level 0"
+        if self.proof is not None:
+            lits = tuple(lits)  # a tautology is logged whole, as given
         out: list = []
         seen = set()
         for lit in lits:
@@ -113,7 +115,7 @@ class Solver:
                 continue
             if -lit in seen:
                 if self.proof is not None:
-                    self.clauses.append(tuple(lits))
+                    self.clauses.append(lits)
                 return True            # tautology: x | ~x
             seen.add(lit)
             out.append(lit)

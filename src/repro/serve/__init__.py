@@ -6,9 +6,9 @@ a shared environment: an asyncio, stdlib-only HTTP front-end
 model-checking and full-flow jobs (:mod:`repro.serve.jobs`), dedupes
 them by content fingerprint into a crash-safe content-addressed result
 store (:mod:`repro.serve.store`), and streams incremental verdicts as
-shards land.  Durability rests on the write-ahead journal
-(:mod:`repro.serve.journal`) shared with the supervised execution layer
-in :mod:`repro.par.supervise`.
+shards land.  Durability rests on the server's write-ahead journal
+(:mod:`repro.serve.journal`) of submissions and completions, and on
+each campaign job's checkpoint.
 
 Quick start::
 

@@ -13,19 +13,24 @@ Two modes:
   ``jobs=1`` goldens computed in-process.  Exercises the whole ladder:
   HTTP parsing, job adapters, supervised retry after a worker crash,
   the content-addressed store (a resubmission must be a cache hit) and
-  event streaming.
+  event streaming.  The server runs in this process, so the kill is
+  injected with :func:`strike_first_shard`, which the chaos bench and
+  the tests use too.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import json
+import os
 import sys
 import tempfile
 import time
 import urllib.error
 import urllib.request
+from typing import Callable
 
 
 def _http(method: str, url: str, payload: dict | None = None) -> dict:
@@ -61,9 +66,41 @@ def _check(label: str, ok: bool) -> None:
         raise SystemExit(f"smoke failed: {label}")
 
 
-def smoke() -> int:
-    import os
+@contextlib.contextmanager
+def strike_first_shard(marker: str, strike: Callable[[], None]):
+    """Inject one worker failure into the campaigns run in this block.
 
+    Wraps :func:`repro.par.workers.campaign_shard`, which a campaign
+    looks up when it fans out, so the shard workers it forks inherit
+    the wrapper.  The first worker to claim ``marker`` (an
+    ``O_CREAT|O_EXCL`` file: exactly one claimant across workers and
+    attempts) calls ``strike`` before its shard runs -- ``os._exit`` for
+    a killed worker, a long sleep for a hung one -- so the retried
+    attempt runs normally.  The coordinator process never strikes.
+    """
+    from ..par import workers
+
+    shard, coordinator = workers.campaign_shard, os.getpid()
+
+    def struck(*args):
+        if os.getpid() != coordinator:
+            try:
+                os.close(os.open(marker,
+                                 os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                pass
+            else:
+                strike()
+        return shard(*args)
+
+    workers.campaign_shard = struck
+    try:
+        yield
+    finally:
+        workers.campaign_shard = shard
+
+
+def smoke() -> int:
     from ..fault.campaign import CampaignConfig, FaultCampaign
     from ..par.workers import la1_model_spec
     from .server import serve_in_thread
@@ -90,20 +127,22 @@ def smoke() -> int:
             _check("healthz responds", health.get("ok") is True)
 
             # campaign over HTTP, parallel, with one induced worker
-            # kill: the first worker to claim the marker dies with
-            # os._exit(137) mid-shard and supervision must retry it
+            # kill: the first shard worker to claim the marker dies with
+            # os._exit(137) and supervision must retry its shard
             kill_marker = os.path.join(root, "chaos.kill")
-            submitted = _http("POST", f"{base}/jobs", {
-                "kind": "campaign",
-                "spec": {**campaign_spec, "jobs": 2,
-                         "chaos_kill_marker": kill_marker},
-            })
-            record = _wait_terminal(base, submitted["id"])
+            with strike_first_shard(kill_marker, lambda: os._exit(137)):
+                submitted = _http("POST", f"{base}/jobs", {
+                    "kind": "campaign",
+                    "spec": {**campaign_spec, "jobs": 2},
+                })
+                record = _wait_terminal(base, submitted["id"])
             _check("campaign finished clean",
                    record["status"] == "done")
             report = record["result"]
             _check("induced worker kill was claimed",
                    os.path.exists(kill_marker))
+            _check("the killed shard was retried",
+                   report["engine_stats"]["par"]["retries"] >= 1)
             _check("campaign verdicts match inline golden",
                    _campaign_signature(report)
                    == _campaign_signature(golden_campaign.to_dict()))

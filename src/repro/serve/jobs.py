@@ -9,7 +9,7 @@ methods:
 * :meth:`Job.fingerprint` -- the *content identity* of the work: every
   field that can change the result (design shape, stimulus seed,
   workload config) and none that cannot (process/lane fan-out, retry
-  budgets, chaos markers).  Two submissions with equal fingerprints are
+  budgets).  Two submissions with equal fingerprints are
   the same work, so the server dedupes them onto one computation and
   one content-addressed store entry (:func:`repro.serve.store.content_key`
   of ``(kind, fingerprint)``).
@@ -17,9 +17,9 @@ methods:
   ``emit`` callback as shards land (campaign verdicts the moment their
   shard is collected -- the supervised pool's out-of-order
   ``on_result``), returning the JSON result payload.
-* per-key work directories -- a job given a ``workdir`` places its
-  checkpoint and write-ahead journal there under its content key, so a
-  job interrupted by a server crash resumes on resubmission without
+* per-key work directories -- a campaign job given a ``workdir``
+  places its checkpoint there under its content key, so a job
+  interrupted by a server crash resumes on resubmission without
   recomputing collected work.
 """
 
@@ -145,12 +145,6 @@ class CampaignJob(Job):
         self.patterns_per_pass = _get(spec, "patterns_per_pass", None,
                                       (int,))
         self.deadline_s = _get(spec, "deadline_s", None, (int, float))
-        # chaos markers ride the spec (smoke/bench only) but are
-        # execution-side: they must not perturb the content identity
-        self.chaos_kill_marker = _get(
-            spec, "chaos_kill_marker", None, (str,))
-        self.chaos_hang_marker = _get(
-            spec, "chaos_hang_marker", None, (str,))
 
     def fingerprint(self) -> dict:
         fingerprint = {
@@ -191,11 +185,8 @@ class CampaignJob(Job):
             patterns=self.patterns,
             campaign_deadline_s=self.deadline_s,
             checkpoint_path=self._spool(workdir, "ckpt.json"),
-            journal_path=self._spool(workdir, "wal.jsonl"),
             shard_attempts=self.shard_attempts,
             shard_deadline_s=self.shard_deadline_s,
-            chaos_kill_marker=self.chaos_kill_marker,
-            chaos_hang_marker=self.chaos_hang_marker,
         )
         report = FaultCampaign(config).run(
             jobs=self.jobs,

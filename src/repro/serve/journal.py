@@ -1,8 +1,8 @@
-"""Crash-safe write-ahead journaling for coordinators and the server.
+"""Crash-safe write-ahead journaling for the verification server.
 
 A :class:`Journal` is an append-only JSONL file with one durability
 guarantee: :meth:`append` returns only after the record's bytes are
-flushed *and* fsync'd, so a coordinator killed at any instant finds
+flushed *and* fsync'd, so a server killed at any instant finds
 every record it ever appended -- except possibly a torn final line,
 which a crash mid-``write`` can leave behind.  :meth:`replay` therefore
 treats a truncated or corrupt *tail* line as the end of the journal
@@ -14,15 +14,7 @@ replay yields (newline-terminating that record if the crash took only
 its newline), so a record appended after a crash is never glued onto
 the torn line -- where the next replay would drop it.
 
-The first record of a journal is conventionally a ``header`` carrying a
-fingerprint of the work the journal describes.  :meth:`matches` lets a
-resuming coordinator refuse a journal written for different work (the
-records would be meaningless) without crashing: a mismatched journal
-simply replays as empty.
-
-Used by :func:`repro.par.supervise.run_supervised` to make shard
-results durable the moment they are collected, and by
-:class:`repro.serve.server.VerificationServer` to persist job
+Used by :class:`repro.serve.server.VerificationServer` to persist job
 submissions and completions across restarts.
 """
 
@@ -128,16 +120,6 @@ class Journal:
                         stacklevel=3,
                     )
                 return
-
-    def matches(self, fingerprint: dict) -> bool:
-        """True when the journal is empty/new or its header record's
-        fingerprint equals ``fingerprint`` -- the guard a resuming
-        coordinator uses before trusting replayed shard results."""
-        for record in self.replay():
-            if record.get("type") == "header":
-                return record.get("fingerprint") == fingerprint
-            return False  # first record is not a header: unknown origin
-        return True
 
     def __repr__(self):
         return f"Journal({self.path!r}, appended={self.appended})"

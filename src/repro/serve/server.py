@@ -25,8 +25,8 @@ contained by the supervised pool *inside* a job
 lands in status ``error`` with the traceback, never taking the server
 down; and the server journals every submission and completion to its
 write-ahead journal, so a crashed-and-restarted server knows which jobs
-were interrupted -- their per-key checkpoints and shard journals under
-the spool directory make resubmission resume instead of recompute.
+were interrupted -- a campaign's per-key checkpoint under the spool
+directory makes resubmission resume instead of recompute.
 
 Requests are bounded: a body longer than :data:`MAX_BODY_BYTES` is
 refused with 413 before any of it is read, a malformed
@@ -152,8 +152,8 @@ class VerificationServer:
     def _recover(self) -> None:
         """Replay the server journal: submissions without a matching
         completion were interrupted by a crash.  Their records resurface
-        as ``interrupted`` -- resubmitting the same work resumes from
-        the per-key checkpoint/journal in the spool directory."""
+        as ``interrupted`` -- resubmitting the same campaign resumes
+        from its per-key checkpoint in the spool directory."""
         open_jobs: dict[str, dict] = {}
         last_id = 0
         for record in self.journal.replay():

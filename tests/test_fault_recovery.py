@@ -1,15 +1,18 @@
 """Crash-safety tests for the fault campaign: atomic checkpoints,
-coordinator-kill recovery through checkpoint and shard journal, chaos
-determinism, and the supervision stats surfaced in reports."""
+coordinator-kill recovery through the checkpoint (the campaign's one
+resume record, at every ``jobs``), chaos determinism, and the
+supervision stats surfaced in reports."""
 
 import json
 import os
+import warnings
 
 import pytest
 
 from repro.fault.campaign import CampaignConfig, FaultCampaign
 from repro.mc.sweep import PropertySweepReport
 from repro.par import ParStats
+from repro.serve.__main__ import strike_first_shard
 
 SMALL = dict(banks=1, traffic=6, rtl_cycles=100, max_faults=6)
 
@@ -20,6 +23,26 @@ def _campaign(**overrides):
 
 class Killed(Exception):
     """Stands in for the coordinator dying between callbacks."""
+
+
+def _die_on_first_verdict(verdict):
+    raise Killed(verdict.fault_id)
+
+
+def _saved_ids(path):
+    with open(path) as fh:
+        return set(json.load(fh)["verdicts"])
+
+
+def _resume_quietly(path, jobs):
+    """Resume from the checkpoint at ``path`` with every warning an
+    error; returns the report and the fault ids ``on_verdict`` saw."""
+    seen = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = _campaign(checkpoint_path=path).run(
+            jobs=jobs, on_verdict=lambda v: seen.append(v.fault_id))
+    return report, seen
 
 
 # ----------------------------------------------------------------------
@@ -67,18 +90,15 @@ class TestCoordinatorKillRecovery:
         golden = _campaign().run(jobs=1)
         path = str(tmp_path / "ckpt.json")
 
-        def die_on_first_verdict(verdict):
-            raise Killed(verdict.fault_id)
-
         with pytest.raises(Killed):
             _campaign(checkpoint_path=path).run(
-                jobs=1, on_verdict=die_on_first_verdict)
+                jobs=1, on_verdict=_die_on_first_verdict)
         # the kill struck after the atomic save: state is durable
-        with open(path) as fh:
-            saved = len(json.load(fh)["verdicts"])
-        assert saved >= 1
-        resumed = _campaign(checkpoint_path=path).run(jobs=1)
+        saved = _saved_ids(path)
+        assert len(saved) >= 1
+        resumed, rerun = _resume_quietly(path, jobs=1)
         assert resumed.signature() == golden.signature()
+        assert saved.isdisjoint(rerun)  # no saved fault recomputed
 
         def content(report):  # everything except the timing fields
             return [{k: v for k, v in verdict.to_dict().items()
@@ -86,37 +106,73 @@ class TestCoordinatorKillRecovery:
 
         assert content(resumed) == content(golden)
 
-    def test_journal_resume_skips_completed_shards(
-            self, tmp_path, monkeypatch):
-        # journal-only config (no checkpoint): the shard journal alone
-        # must make a killed jobs=N coordinator resume without
-        # recomputing collected shards -- journal hits prove it
+    def test_checkpoint_resume_skips_completed_shards(self, tmp_path):
+        # the checkpoint alone makes a killed jobs=N coordinator resume
+        # without recomputing the shard it collected
         golden = _campaign().run(jobs=1)
-        path = str(tmp_path / "wal.jsonl")
-
-        calls = []
-
-        def die_on_second_shards_verdicts(verdict):
-            calls.append(verdict.fault_id)
-            raise Killed(verdict.fault_id)
-
+        path = str(tmp_path / "ckpt.json")
         with pytest.raises(Killed):
-            _campaign(journal_path=path).run(
-                jobs=2, on_verdict=die_on_second_shards_verdicts)
-        assert os.path.exists(path)  # first shard journaled durably
-        resumed = _campaign(journal_path=path).run(jobs=2)
+            _campaign(checkpoint_path=path).run(
+                jobs=2, on_verdict=_die_on_first_verdict)
+        saved = _saved_ids(path)
+        assert 1 <= len(saved) < len(golden.verdicts)
+        resumed, rerun = _resume_quietly(path, jobs=2)
         assert resumed.signature() == golden.signature()
+        assert saved.isdisjoint(rerun)
+        assert sorted(saved | set(rerun)) == sorted(
+            v.fault_id for v in golden.verdicts)
         par = resumed.engine_stats["par"]
-        assert par["journal_hits"] == 1  # shard 0 replayed, not re-run
         assert par["retries"] == 0 and par["quarantined"] == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_deadline_stubs_are_rerun_on_resume(self, tmp_path, jobs):
+        # a truncated verdict is no engine's decision: the checkpoint
+        # keeps none, and the resumed run computes every such fault
+        golden = _campaign().run(jobs=1)
+        path = str(tmp_path / "ckpt.json")
+        cut = _campaign(checkpoint_path=path,
+                        campaign_deadline_s=0.0).run(jobs=jobs)
+        assert cut.counts()["truncated"] == len(golden.verdicts)
+        assert _saved_ids(path) == set()
+        resumed, rerun = _resume_quietly(path, jobs=jobs)
+        assert resumed.signature() == golden.signature()
+        assert len(rerun) == len(golden.verdicts)
+
+    def test_quarantined_shard_is_rerun_on_resume(self, tmp_path,
+                                                  monkeypatch):
+        # a shard that failed every attempt leaves error stubs in the
+        # report, not in the checkpoint: the resumed run retries it
+        from repro.par import workers
+
+        golden = _campaign().run(jobs=1)
+        poison = golden.verdicts[0].fault_id
+        shard = workers.campaign_shard
+
+        def poisoned(config, faults, *rest):
+            if any(f.fault_id == poison for f in faults):
+                raise RuntimeError("poisoned shard")
+            return shard(config, faults, *rest)
+
+        path = str(tmp_path / "ckpt.json")
+        monkeypatch.setattr(workers, "campaign_shard", poisoned)
+        first = _campaign(checkpoint_path=path, shard_attempts=1).run(
+            jobs=2)
+        monkeypatch.undo()
+        errors = {v.fault_id for v in first.verdicts
+                  if v.outcome == "error"}
+        assert poison in errors
+        assert first.engine_stats["par"]["quarantined"]
+        assert _saved_ids(path).isdisjoint(errors)
+        resumed, rerun = _resume_quietly(path, jobs=2)
+        assert resumed.signature() == golden.signature()
+        assert set(rerun) == errors
 
     def test_chaos_kill_does_not_change_verdicts(self, tmp_path):
         # an induced worker kill mid-campaign perturbs only timing
         golden = _campaign().run(jobs=1)
         marker = str(tmp_path / "chaos.kill")
-        report = _campaign(chaos_kill_marker=marker,
-                           journal_path=str(tmp_path / "wal.jsonl")).run(
-            jobs=2)
+        with strike_first_shard(marker, lambda: os._exit(137)):
+            report = _campaign().run(jobs=2)
         assert os.path.exists(marker)  # the kill really happened
         assert report.signature() == golden.signature()
         assert report.engine_stats["par"]["retries"] >= 1
@@ -131,18 +187,15 @@ class TestStatsSurfaced:
         stats.retries = 2
         stats.quarantined = [1]
         stats.killed_workers = 1
-        stats.journal_hits = 3
         d = stats.to_dict()
         assert d["retries"] == 2
         assert d["quarantined"] == [1]
         assert d["killed_workers"] == 1
-        assert d["journal_hits"] == 3
 
     def test_campaign_report_carries_par_stats(self):
         report = _campaign(max_faults=4).run(jobs=2)
         par = report.engine_stats["par"]
-        for key in ("retries", "quarantined", "killed_workers",
-                    "journal_hits"):
+        for key in ("retries", "quarantined", "killed_workers"):
             assert key in par
         assert json.dumps(report.to_dict())  # JSON-serializable whole
 

@@ -1,6 +1,6 @@
-"""Unit tests for repro.par.supervise: the retry / quarantine / reap /
-journal ladder underneath the verification service.  Chaos (worker
-crashes, hangs) is injected with exactly-once marker files claimed via
+"""Unit tests for repro.par.supervise: the retry / quarantine / reap
+ladder underneath the verification service.  Chaos (worker crashes,
+hangs) is injected with exactly-once marker files claimed via
 O_CREAT|O_EXCL, so every scenario is deterministic."""
 
 import os
@@ -9,19 +9,12 @@ import time
 import pytest
 
 from repro.par import ShardError, backoff_delay, run_supervised
-from repro.serve.journal import Journal
 
 
 # ----------------------------------------------------------------------
 # module-level tasks (must be picklable / importable in workers)
 # ----------------------------------------------------------------------
 def _square(values):
-    return [v * v for v in values]
-
-
-def _count_and_square(values, count_path):
-    with open(count_path, "a") as handle:
-        handle.write(f"{values}\n")
     return [v * v for v in values]
 
 
@@ -61,10 +54,6 @@ def _hang_once(values, marker):
     if "hang" in values and _claim(marker):
         time.sleep(600)
     return [v * v for v in values if v != "hang"]
-
-
-def _tolerant(values):
-    return [v for v in values]
 
 
 def _hang_always(values):
@@ -217,75 +206,9 @@ class TestRunSupervised:
             assert chaotic_stats.retries == 1 and clean_stats.retries == 0
 
 
-# ----------------------------------------------------------------------
-# the write-ahead journal and resume
-# ----------------------------------------------------------------------
-class TestJournalResume:
-    FP = {"work": "squares", "n": 3}
-
-    def test_resume_replays_without_recompute(self, tmp_path):
-        journal_path = str(tmp_path / "wal.jsonl")
-        count_path = str(tmp_path / "count.log")
-        args = [([i], count_path) for i in range(3)]
-        with Journal(journal_path) as journal:
-            first, s1 = run_supervised(
-                _count_and_square, args, jobs=1, journal=journal,
-                journal_fingerprint=self.FP)
-        assert s1.journal_hits == 0
-        with Journal(journal_path) as journal:
-            second, s2 = run_supervised(
-                _count_and_square, args, jobs=1, journal=journal,
-                journal_fingerprint=self.FP)
-        assert second == first == [[0], [1], [4]]
-        assert s2.journal_hits == 3
-        # every shard was computed exactly once across both runs
-        with open(count_path) as handle:
-            assert len(handle.readlines()) == 3
-
-    def test_coordinator_killed_mid_run_resumes_bit_identically(
-            self, tmp_path):
-        # simulate the coordinator dying between on_result callbacks:
-        # the journal already holds the collected shards durably
-        journal_path = str(tmp_path / "wal.jsonl")
-        count_path = str(tmp_path / "count.log")
-        args = [([i], count_path) for i in range(5)]
-
-        class Killed(Exception):
-            pass
-
-        collected = []
-
-        def die_after_two(index, value):
-            collected.append(index)
-            if len(collected) == 2:
-                raise Killed()
-
-        journal = Journal(journal_path)
-        with pytest.raises(Killed):
-            run_supervised(_count_and_square, args, jobs=1,
-                           journal=journal, journal_fingerprint=self.FP,
-                           on_result=die_after_two)
-        journal.close()
-
-        replayed = []
-        with Journal(journal_path) as journal:
-            resumed, stats = run_supervised(
-                _count_and_square, args, jobs=1, journal=journal,
-                journal_fingerprint=self.FP,
-                on_result=lambda i, v: replayed.append(i))
-        undisturbed, __ = run_supervised(
-            _square, [([i],) for i in range(5)], jobs=1)
-        assert resumed == undisturbed  # bit-identical final results
-        assert stats.journal_hits == 2
-        assert sorted(replayed) == [0, 1, 2, 3, 4]  # replays refire too
-        # no completed shard was recomputed after the resume
-        with open(count_path) as handle:
-            assert len(handle.readlines()) == 5
-
     def test_on_result_exception_is_not_a_pool_failure(self, tmp_path):
         # the caller's on_result raising must escape once: no shard is
-        # re-run in the coordinator, none is journaled twice
-        journal_path = str(tmp_path / "wal.jsonl")
+        # re-run in the coordinator
         log_path = str(tmp_path / "pids.log")
         args = [([i], log_path) for i in range(4)]
 
@@ -298,46 +221,9 @@ class TestJournalResume:
             calls.append(index)
             raise Killed()
 
-        with Journal(journal_path) as journal:
-            with pytest.raises(Killed):
-                run_supervised(_log_pid_and_square, args, jobs=2,
-                               journal=journal, journal_fingerprint=self.FP,
-                               on_result=die_on_first)
+        with pytest.raises(Killed):
+            run_supervised(_log_pid_and_square, args, jobs=2,
+                           on_result=die_on_first)
         assert len(calls) == 1
         with open(log_path) as handle:
             assert str(os.getpid()) not in handle.read().split()
-        with Journal(journal_path) as journal:
-            shards = [r for r in journal.replay() if r["type"] == "shard"]
-        assert len(shards) == 1
-
-    def test_foreign_journal_is_ignored_with_warning(self, tmp_path):
-        journal_path = str(tmp_path / "wal.jsonl")
-        args = [([i],) for i in range(2)]
-        with Journal(journal_path) as journal:
-            run_supervised(_square, args, jobs=1, journal=journal,
-                           journal_fingerprint={"work": "a"})
-        with Journal(journal_path) as journal:
-            with pytest.warns(UserWarning, match="different work"):
-                results, stats = run_supervised(
-                    _square, args, jobs=1, journal=journal,
-                    journal_fingerprint={"work": "b"})
-        assert results == [[0], [1]]
-        assert stats.journal_hits == 0
-
-    def test_quarantine_is_replayed_as_pending(self, tmp_path):
-        # a shard quarantined last run (maybe an environmental failure)
-        # must be *retried* on resume, not adopted as a verdict
-        journal_path = str(tmp_path / "wal.jsonl")
-        fingerprint = {"work": "poison"}
-        with Journal(journal_path) as journal:
-            results, __ = run_supervised(
-                _poison, [(["bad"],), ([2],)], jobs=1, max_attempts=1,
-                journal=journal, journal_fingerprint=fingerprint)
-        assert isinstance(results[0], ShardError)
-        # "the environment heals": same journal, now the task succeeds
-        with Journal(journal_path) as journal:
-            results, stats = run_supervised(
-                _tolerant, [(["bad"],), ([2],)], jobs=1, max_attempts=1,
-                journal=journal, journal_fingerprint=fingerprint)
-        assert results == [["bad"], [4]]
-        assert stats.journal_hits == 1  # shard 1 replayed, shard 0 reran

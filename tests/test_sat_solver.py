@@ -52,6 +52,18 @@ class TestSolverBasics:
         # every learned clause (plus the final one) must be RUP-derivable
         assert check_proof(s.clauses, s.proof) > 0
 
+    @pytest.mark.parametrize("make", [
+        list, iter, lambda clause: (lit for lit in clause),
+    ], ids=["list", "iterator", "generator"])
+    def test_clause_log_keeps_the_given_tautology(self, make):
+        # the log is what the proof checker certifies against: a
+        # one-shot iterable must be logged whole, not as its tail
+        s = Solver(proof_log=True)
+        for __ in range(2):
+            s.new_var()
+        assert s.add_clause(make([1, -1, 2]))
+        assert s.clauses == [(1, -1, 2)]
+
     def test_pigeonhole_sat_when_enough_holes(self):
         s = Solver()
         _pigeonhole(s, 4, 4)

@@ -75,12 +75,11 @@ class TestBuildJob:
 
 class TestFingerprints:
     def test_execution_knobs_do_not_change_identity(self):
-        # same work at different parallelism/chaos must share one
-        # computation and one store entry
+        # same work at different parallelism or retry budgets must
+        # share one computation and one store entry
         a = CampaignJob({"banks": 1, "seed": 7})
         b = CampaignJob({"banks": 1, "seed": 7, "jobs": 8, "lanes": 4,
-                         "shard_attempts": 5, "shard_deadline_s": 1.0,
-                         "chaos_kill_marker": "/tmp/x"})
+                         "shard_attempts": 5, "shard_deadline_s": 1.0})
         assert a.key() == b.key()
 
     def test_semantic_fields_change_identity(self):
@@ -118,10 +117,21 @@ class TestRun:
         assert len(verdicts) == len(report["faults"]) == 4
         assert {v["fault_id"] for v in verdicts} \
             == {f["fault_id"] for f in report["faults"]}
-        # the spool holds this key's checkpoint + shard journal
+        # the spool holds this key's checkpoint, its one resume record
         spooled = {name.split(".", 1)[1]
                    for name in os.listdir(str(tmp_path))}
-        assert "ckpt.json" in spooled
+        assert spooled == {"ckpt.json"}
+
+    def test_spec_names_no_path_a_worker_creates(self, tmp_path):
+        # a spec is client input: no field of it makes a shard worker
+        # create a file, die or sleep
+        marker = str(tmp_path / "planted")
+        job = CampaignJob({"banks": 1, "traffic": 6, "rtl_cycles": 100,
+                           "max_faults": 4, "jobs": 2,
+                           "chaos_kill_marker": marker})
+        report = job.run(lambda event: None)
+        assert not os.path.exists(marker)
+        assert report["engine_stats"]["par"]["retries"] == 0
 
     def test_cover_job_emits_rounds(self):
         job = CoverJob({"banks": 1, "mode": "undirected", "max_tests": 3,

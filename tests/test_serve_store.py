@@ -158,15 +158,6 @@ class TestJournal:
             records = list(Journal(path).replay())
         assert len(records) == 2  # everything before the tear is intact
 
-    def test_matches_guards_fingerprint(self, tmp_path):
-        path = str(tmp_path / "wal.jsonl")
-        journal = Journal(path)
-        assert journal.matches({"x": 1})  # empty journal matches anything
-        journal.append({"type": "header", "fingerprint": {"x": 1}})
-        journal.close()
-        assert Journal(path).matches({"x": 1})
-        assert not Journal(path).matches({"x": 2})
-
     def test_append_after_replay_appends_not_truncates(self, tmp_path):
         path = str(tmp_path / "wal.jsonl")
         with Journal(path) as journal:
