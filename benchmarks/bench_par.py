@@ -25,9 +25,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
+import zlib
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -44,7 +46,9 @@ def run_point(banks: int, traffic: int, jobs: int) -> dict:
         "wall_s": round(wall, 3),
         "cpu_time_s": round(report.cpu_time, 3),
         "faults": len(report.verdicts),
-        "signature": hash(report.signature()) & 0xFFFFFFFF,
+        # a CRC, unlike ``hash`` of strings, is equal in every process,
+        # so committed values compare across runs
+        "signature": zlib.crc32(json.dumps(report.signature()).encode()),
         "counts": report.counts(),
     }
     par = report.engine_stats.get("par")

@@ -42,6 +42,7 @@ import os
 import time
 import traceback
 import warnings
+from contextlib import suppress
 from typing import Callable, List, Optional
 
 from ..asm import AsmModelChecker, ExplorationConfig
@@ -74,6 +75,7 @@ __all__ = [
     "CampaignReport",
     "FaultCampaign",
     "default_fault_list",
+    "golden_logs",
     "judge",
     "la1_design",
     "log_signature",
@@ -104,6 +106,20 @@ ZOO_SILENT = ("output log diverged from golden run with no design "
 
 #: the detail of a fault that acted without moving the log
 NO_DIVERGENCE = "no observable divergence"
+
+#: the shard planner's cost model: measured wall-clock (ms) of one
+#: execution unit at 1, 2, 3 and 4 banks with warm memos (DESIGN.md §6)
+#: -- one fault of the SystemC and ASM runners, one scalar RTL run of an
+#: RTL-level fault (per stimulus pattern), and one PPSFP lane pass with
+#: its per-fault fallbacks.  Beyond 4 banks the 4-bank column stands:
+#: the ASM faults then outweigh every other unit by far, which is all
+#: the planner needs.
+UNIT_COST_MS = {
+    "sysc": (16, 20, 29, 31),
+    "asm": (20, 170, 890, 3400),
+    "rtl": (3, 8, 9, 13),
+    "lanes": (23, 44, 48, 71),
+}
 
 
 class CampaignConfig:
@@ -569,6 +585,22 @@ def la1_design(la1: La1Config) -> FlatDesign:
     return elaborate(build_la1_top_with_ovl(la1))
 
 
+# one entry per workload a process has run: a serve process sees a new
+# seed per job, so the memo is bounded
+@functools.lru_cache(maxsize=16)
+def golden_logs(workload: tuple) -> dict:
+    """The golden-run logs of one workload (the sorted items of its
+    :meth:`CampaignConfig.fingerprint`, which names everything a golden
+    run depends on), memoised per process: ``"sysc"`` is the SystemC
+    golden, ``("rtl", p)`` the scalar RTL golden of stimulus pattern
+    ``p`` and ``("lanes", p)`` its PPSFP golden-pass log.  Campaigns
+    fill the dict as they run their goldens and store a log only once
+    it passed its checks, so a failing golden is run again, never
+    reused.  A coordinator fills it before its pool forks, so no shard
+    worker runs a golden run."""
+    return {}
+
+
 # ----------------------------------------------------------------------
 # the runner
 # ----------------------------------------------------------------------
@@ -581,10 +613,11 @@ class FaultCampaign:
         self._rtl_sim: Optional[RtlSimulator] = None
         self._flat_design = None
         self._ppsfp_sims: dict = {}
-        self._rtl_goldens: dict = {}  # pattern -> golden log signature
-        self._rtl_lane_goldens: dict = {}  # pattern -> golden-pass log
-        self._sysc_golden: Optional[tuple] = None
         self._zoo_stim: Optional[list] = None
+
+    def _goldens(self) -> dict:
+        """This workload's entry of the :func:`golden_logs` memo."""
+        return golden_logs(tuple(sorted(self.config.fingerprint().items())))
 
     # -- workload ------------------------------------------------------
     def _schedule(self):
@@ -631,15 +664,16 @@ class FaultCampaign:
                 functional.harvest().covered_keys())
 
     def _sysc_golden_run(self) -> tuple:
-        if self._sysc_golden is None:
+        goldens = self._goldens()
+        if "sysc" not in goldens:
             failed, __, log, __ = self._sysc_run()
             if failed:
                 raise RuntimeError(
                     f"golden SystemC run fails assertions {failed}; "
                     "campaign verdicts would be meaningless"
                 )
-            self._sysc_golden = log
-        return self._sysc_golden
+            goldens["sysc"] = log
+        return goldens["sysc"]
 
     def _run_sysc(self, fault: ProtocolMutation) -> FaultVerdict:
         golden = self._sysc_golden_run()
@@ -703,16 +737,16 @@ class FaultCampaign:
         return sim
 
     def _rtl_golden_run(self, pattern: int = 0) -> tuple:
-        golden = self._rtl_goldens.get(pattern)
-        if golden is None:
+        goldens = self._goldens()
+        if ("rtl", pattern) not in goldens:
             failed, __, golden, __ = self._rtl_run(pattern=pattern)
             if failed:
                 raise RuntimeError(
                     f"golden RTL run (pattern {pattern}) fires monitors "
                     f"{failed[:3]}; campaign verdicts would be meaningless"
                 )
-            self._rtl_goldens[pattern] = golden
-        return golden
+            goldens["rtl", pattern] = golden
+        return goldens["rtl", pattern]
 
     def _rtl_run(self, fault: Optional[Fault] = None,
                  pattern: int = 0) -> tuple:
@@ -779,6 +813,15 @@ class FaultCampaign:
         return judge(fault, failed, triggered, log != golden, silent, points)
 
     # -- ASM layer -----------------------------------------------------
+    def _asm_suite(self, bank: int) -> list:
+        """The device properties of ``bank``, which an ASM perturbation
+        of that bank is checked against."""
+        return [
+            (name, prop)
+            for name, prop in device_property_suite(self.config.banks)
+            if name.endswith(f"[{bank}]")
+        ]
+
     def _run_asm(self, fault: AsmPerturbation) -> FaultVerdict:
         from ..cover.asm_cov import AsmCoverage, la1_state_predicates
 
@@ -789,11 +832,7 @@ class FaultCampaign:
         # observer sees every transition the checker takes
         asm_cov = AsmCoverage(machine, la1_state_predicates(self.config.banks))
         labeling = asm_labeling(self.config.banks)
-        suite = [
-            (name, prop)
-            for name, prop in device_property_suite(self.config.banks)
-            if name.endswith(f"[{fault.bank}]")
-        ]
+        suite = self._asm_suite(fault.bank)
         deadline = self.config.fault_deadline_s
         start = time.perf_counter()
         detected_by: List[str] = []
@@ -923,6 +962,21 @@ class FaultCampaign:
         design = self._design()
         return [f for f in faults if ppsfp_compatible(design, f)]
 
+    def _units(self, faults: List[Fault], lanes: int) -> List[tuple]:
+        """The execution units of ``faults`` at ``lanes``, in run order:
+        ``(True, batch)`` for each PPSFP lane batch of up to ``lanes - 1``
+        compatible faults, then ``(False, [fault])`` for every other
+        fault.  The batches are consecutive slices of the compatible
+        faults, so any subsequence of them, concatenated in order,
+        slices back into the same batches."""
+        lane_faults = self._lane_faults(faults, lanes)
+        on_lanes = {f.fault_id for f in lane_faults}
+        width = max(1, lanes - 1)
+        units = [(True, lane_faults[i:i + width])
+                 for i in range(0, len(lane_faults), width)]
+        units += [(False, [f]) for f in faults if f.fault_id not in on_lanes]
+        return units
+
     def execute_faults(
         self, faults: List[Fault], lanes: int = 1,
         patterns_per_pass: Optional[int] = None,
@@ -931,12 +985,13 @@ class FaultCampaign:
     ) -> List[FaultVerdict]:
         """The campaign's one executor: verdicts for ``faults``, in order.
 
-        It plans the batches once -- the PPSFP-compatible faults (RTL
-        state faults, lane-encodable stimulus mutations) in lane batches
-        of up to ``lanes - 1`` (:mod:`repro.fault.ppsfp`), then every
-        other fault alone through :meth:`execute_fault` -- and runs them
-        in that order.  Verdicts are bit-identical whatever the plan
-        (only ``cpu_time`` differs).  ``patterns_per_pass`` caps how
+        It plans the batches once (:meth:`_units`) -- the
+        PPSFP-compatible faults (RTL state faults, lane-encodable
+        stimulus mutations) in lane batches of up to ``lanes - 1``
+        (:mod:`repro.fault.ppsfp`), then every other fault alone through
+        :meth:`execute_fault` -- and runs them in that order.  Verdicts
+        are bit-identical whatever the plan (only ``cpu_time``
+        differs).  ``patterns_per_pass`` caps how
         many stimulus-pattern groups one pass tiles (an execution knob;
         None auto-fits the lane budget).  ``should_stop`` is asked
         before each batch: once it answers True the sweep ends and the
@@ -945,14 +1000,8 @@ class FaultCampaign:
         """
         from .ppsfp import run_ppsfp_batches
 
-        lane_faults = self._lane_faults(faults, lanes)
-        on_lanes = {f.fault_id for f in lane_faults}
-        width = max(1, lanes - 1)
-        plan = [(True, lane_faults[i:i + width])
-                for i in range(0, len(lane_faults), width)]
-        plan += [(False, [f]) for f in faults if f.fault_id not in on_lanes]
         done: dict = {}
-        for lane_batch, batch in plan:
+        for lane_batch, batch in self._units(faults, lanes):
             if should_stop is not None and should_stop():
                 break
             if lane_batch:
@@ -1007,35 +1056,99 @@ class FaultCampaign:
             )
         return fanned
 
-    #: relative per-fault cost by layer, used by the deterministic shard
-    #: planner: the ASM perturbations each re-model-check a property
-    #: suite and dominate a campaign (about 90% of the 4-bank wall
-    #: clock), so spreading them across shards is what makes jobs=N scale
-    LAYER_WEIGHTS = {"asm": 60.0, "sysc": 2.0, "rtl": 1.0, "stim": 1.0}
+    def _unit_cost(self, unit: tuple, lanes: int,
+                   patterns_per_pass: Optional[int] = None) -> float:
+        """The cost model of the shard planner: the expected wall-clock
+        (ms) of one :meth:`_units` unit under this workload, from the
+        measured :data:`UNIT_COST_MS` row of its bank count.  A lane
+        batch costs one lane pass per pattern chunk it sweeps, an
+        RTL-level fault one scalar run per stimulus pattern."""
+        from .ppsfp import groups_per_pass
 
-    def _warm_kernels(self, faults: List[Fault], lanes: int) -> None:
-        """Elaborate the design and compile the simulator kernels the
-        shards of ``faults`` will run on, before the pool forks: every
-        worker then inherits them instead of compiling its own copy.
-        That is the ``config.backend`` kernel for any RTL-level fault,
-        plus bitpar at ``lanes`` when a fault can ride the lanes.  A
-        failure here is left to the workers, which contain it as
-        per-fault ``error`` verdicts."""
+        config = self.config
+        row = min(config.banks, len(UNIT_COST_MS["lanes"])) - 1
+        lane_batch, batch = unit
+        if lane_batch:
+            groups = groups_per_pass(len(batch) + 1, lanes, patterns_per_pass)
+            return UNIT_COST_MS["lanes"][row] * -(-config.patterns // groups)
+        fault = batch[0]
+        if isinstance(fault, ProtocolMutation):
+            return UNIT_COST_MS["sysc"][row]
+        if isinstance(fault, AsmPerturbation):
+            return UNIT_COST_MS["asm"][row]
+        return UNIT_COST_MS["rtl"][row] * config.patterns
+
+    def shard_plan(self, faults: List[Fault], jobs: int, lanes: int = 1,
+                   patterns_per_pass: Optional[int] = None
+                   ) -> List[List[Fault]]:
+        """The deterministic shards of ``faults`` for ``jobs`` workers:
+        :meth:`_units` packed by :func:`repro.par.plan_shards` under
+        :meth:`_unit_cost`, so a lane batch stays whole, each shard keeps
+        the submission order, and a shard's own :meth:`execute_faults`
+        plans the same lane batches again."""
+        from ..par import plan_shards
+
+        packed = plan_shards(
+            self._units(faults, lanes), jobs,
+            weight=lambda unit: self._unit_cost(unit, lanes,
+                                                patterns_per_pass))
+        shards = []
+        for units in packed:
+            ids = {f.fault_id for __, batch in units for f in batch}
+            shards.append([f for f in faults if f.fault_id in ids])
+        return shards
+
+    def _prepare(self, faults: List[Fault], lanes: int) -> None:
+        """Fill, before the pool forks, everything the shards of
+        ``faults`` will read, so every forked worker inherits it: per
+        layer, the modules its runner imports, the checker automata it
+        compiles (:func:`~repro.psl.automata.compiled_checker`) and its
+        golden runs (:func:`golden_logs`).  That is the SystemC golden
+        for a protocol mutation; the property suite of each perturbed
+        bank for an ASM perturbation; for an RTL-level fault the
+        ``config.backend`` kernel and the golden run of every stimulus
+        pattern, plus the bitpar kernel at ``lanes`` -- and the lane
+        golden pass when ``config.patterns > 1`` -- once a fault can
+        ride the lanes.  Each step is an optimisation, not a verdict: one
+        that raises is skipped, and the shards meet the failure again
+        and contain it as per-fault ``error`` verdicts."""
+        # every runner imports repro.cover (coverage observers) and
+        # execute_faults imports the PPSFP module
+        from ..cover import asm_cov  # noqa: F401 - imported for the shards
+        from ..psl.automata import compiled_checker
+        from .ppsfp import _pattern_goldens
+
+        config = self.config
+        if any(isinstance(f, ProtocolMutation) for f in faults):
+            with suppress(Exception):
+                self._sysc_golden_run()
+        for bank in sorted({f.bank for f in faults
+                            if isinstance(f, AsmPerturbation)}):
+            with suppress(Exception):
+                for __, prop in self._asm_suite(bank):
+                    compiled_checker(prop)
         if not any(isinstance(f, _RTL_LEVEL) for f in faults):
             return
-        try:
-            design = self._design()
-            design_kernel(design, self.config.backend)
-            if self._lane_faults(faults, lanes):
+        design = self._design()
+        with suppress(Exception):
+            design_kernel(design, config.backend)
+        for pattern in range(config.patterns):
+            with suppress(Exception):
+                self._rtl_golden_run(pattern)
+        if self._lane_faults(faults, lanes):
+            with suppress(Exception):
                 design_kernel(design, "bitpar", lanes=lanes)
-        except Exception:  # noqa: BLE001 - an optimisation, not a verdict
-            pass
+            if config.patterns > 1:
+                with suppress(Exception):
+                    _pattern_goldens(self, list(range(config.patterns)),
+                                     lanes)
 
     def _run_parallel(self, pending: List[Fault], collect, jobs: int,
                       start: float, lanes: int = 1,
                       patterns_per_pass: Optional[int] = None) -> dict:
         """Fan the pending faults out over the *supervised* process pool
-        (one shard per weight-balanced fault group,
+        (one shard per cost-balanced group of execution units,
+        :meth:`shard_plan`, forked after :meth:`_prepare`;
         :func:`repro.par.run_supervised`), each worker running
         :meth:`execute_faults` on its shard
         (:func:`repro.par.workers.campaign_shard`).  ``collect`` receives
@@ -1048,23 +1161,21 @@ class FaultCampaign:
         shards into ``truncated`` verdicts.  ``collect`` checkpoints
         each shard's verdicts the moment it lands, so a killed
         coordinator resumes bit-identically without recomputing it."""
-        from ..par import ShardError, plan_shards, run_supervised
+        from ..par import ShardError, run_supervised
         # looked up per run, so a wrapper installed before the fork
         # (repro.serve.__main__.strike_first_shard) reaches the workers
         from ..par.workers import campaign_shard
 
         config = self.config
-        shards = plan_shards(
-            pending, jobs,
-            weight=lambda f: self.LAYER_WEIGHTS.get(f.layer, 1.0),
-        )
+        shards = self.shard_plan(pending, jobs, lanes, patterns_per_pass)
+        self._prepare(pending, lanes)
+        # the prepare step spends the campaign's own deadline
         timeout = None
         if config.campaign_deadline_s is not None:
             timeout = max(
                 0.0,
                 config.campaign_deadline_s - (time.perf_counter() - start),
             )
-        self._warm_kernels(pending, lanes)
         results, stats = run_supervised(
             campaign_shard,
             [(config, shard, lanes, patterns_per_pass) for shard in shards],
@@ -1121,9 +1232,10 @@ class FaultCampaign:
         and runs the batches, and one collector records each batch's
         verdicts (merge, atomic checkpoint, ``on_verdict``).
         ``jobs > 1`` shards the pending faults across a process pool
-        (:mod:`repro.par`): one deterministic weight-balanced shard per
-        worker, each worker running the same executor over the design
-        and simulator kernels the coordinator compiled before forking.
+        (:mod:`repro.par`): one deterministic cost-balanced shard per
+        worker (:meth:`shard_plan`), each worker running the same
+        executor over what the coordinator prepared before forking --
+        design, kernels, imports, checker automata and golden runs.
         ``lanes > 1`` batches the PPSFP-compatible RTL faults into
         lane-parallel bitpar passes, multiplying with the process
         fan-out.  With ``config.patterns > 1`` those passes additionally

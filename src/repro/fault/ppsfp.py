@@ -127,15 +127,8 @@ class _LaneProbeHost(RtlHost):
         (golden-comparable shape)."""
         return log_signature(self._group_results[index])
 
-    def _settled(self):
-        sim = self.sim
-        if sim._inputs_dirty:
-            sim._settle()
-            sim._inputs_dirty = False
-        return sim._v
-
     def _stat(self, bank: int, name: str) -> int:
-        v = self._settled()
+        v = self.sim._settled()
         M = self._M
         used = self._used
         value = 0
@@ -149,7 +142,7 @@ class _LaneProbeHost(RtlHost):
         return value
 
     def _sample_bus(self) -> list:
-        v = self._settled()
+        v = self.sim._settled()
         return [[v[slot] for slot in self._data_slots],
                 [v[slot] for slot in self._par_slots]]
 
@@ -243,56 +236,75 @@ def _queue_group_traffic(host, config, schedule, group_values,
             )
 
 
+def _golden_pass(campaign, chunk: List[int], lanes: int) -> list:
+    """The golden transaction logs of stimulus patterns ``chunk`` (at
+    most ``lanes``) from one bitpar pass that drives pattern ``chunk[i]``
+    on lane ``i`` with no fault injected (group size 1).  Raises when a
+    monitor fires, a lane's status diverges from lane 0, or lane 0
+    carrying pattern 0 does not replay the compiled scalar golden run
+    bit for bit."""
+    from ..core.traffic import schedule_values
+
+    config = campaign.config
+    la1 = config.la1()
+    schedule = campaign._schedule()
+    sim = campaign._ppsfp_simulator(lanes)
+    sim.reset()
+    groups = [(i, 1 << i) for i in range(len(chunk))]
+    host = _LaneProbeHost(sim, la1, groups=groups)
+    group_values = [schedule_values(la1, schedule, config.seed, p)
+                    for p in chunk]
+    _queue_group_traffic(host, la1, schedule, group_values, [], lanes, 1)
+    host.run_cycles(config.rtl_cycles)
+    if sim.failures:
+        raise RuntimeError("PPSFP golden pass lane 0 raised a monitor")
+    invalid = host.invalid_lanes | sim.conflict_lanes
+    for i, p in enumerate(chunk):
+        if ((invalid >> i) & 1) or sim.lane_failure_names(i):
+            raise RuntimeError(
+                f"PPSFP golden pass lane {i} (pattern {p}) "
+                "diverged on a status or monitor net")
+    logs = [host.group_log(i) for i in range(len(chunk))]
+    if chunk[0] == 0 and logs[0] != campaign._rtl_golden_run(0):
+        raise RuntimeError(
+            "PPSFP golden pass lane 0 diverged from the compiled golden run")
+    sim.note_pass_occupancy(len(chunk))
+    return logs
+
+
 def _pattern_goldens(campaign, pats: List[int], lanes: int) -> list:
     """Per-pattern golden transaction logs, computed lanes-at-a-time.
 
     A short session under many stimulus patterns would otherwise spend
     more wall-clock on per-pattern compiled golden runs than on the
-    packed fault passes they validate.  Instead, one *golden pass*
-    drives pattern ``p`` on lane ``p`` with no faults injected (group
-    size 1): every configured pattern's golden log costs one bitpar
-    pass per ``lanes`` patterns.  The cross-backend anchor is kept --
-    lane 0 carries pattern 0 and must replay the compiled scalar
-    golden run bit-for-bit, and control invariance (LA-1 status nets
-    depend only on the shared command schedule) extends that trust to
-    the sibling lanes, whose monitors and status bits are still checked
-    individually.
+    packed fault passes they validate.  Instead, one golden pass
+    (:func:`_golden_pass`) yields the golden logs of ``lanes`` patterns
+    at once.  The cross-backend anchor is kept -- lane 0 carries pattern
+    0 and must replay the compiled scalar golden run bit-for-bit, and
+    control invariance (LA-1 status nets depend only on the shared
+    command schedule) extends that trust to the sibling lanes, whose
+    monitors and status bits are still checked individually.  The logs
+    live in the workload's :func:`~repro.fault.campaign.golden_logs`
+    entry, stored only once their pass checked out.
     """
-    from ..core.traffic import schedule_values
+    goldens = campaign._goldens()
+    todo = [p for p in range(campaign.config.patterns)
+            if ("lanes", p) not in goldens]
+    for start in range(0, len(todo), lanes):
+        chunk = todo[start:start + lanes]
+        for p, log in zip(chunk, _golden_pass(campaign, chunk, lanes)):
+            goldens["lanes", p] = log
+    return [goldens["lanes", p] for p in pats]
 
-    cache = campaign._rtl_lane_goldens
-    if any(p not in cache for p in pats):
-        config = campaign.config
-        la1 = config.la1()
-        schedule = campaign._schedule()
-        todo = [p for p in range(config.patterns) if p not in cache]
-        for start in range(0, len(todo), lanes):
-            chunk = todo[start:start + lanes]
-            sim = campaign._ppsfp_simulator(lanes)
-            sim.reset()
-            groups = [(i, 1 << i) for i in range(len(chunk))]
-            host = _LaneProbeHost(sim, la1, groups=groups)
-            group_values = [schedule_values(la1, schedule, config.seed, p)
-                            for p in chunk]
-            _queue_group_traffic(host, la1, schedule, group_values, [],
-                                 lanes, 1)
-            host.run_cycles(config.rtl_cycles)
-            if sim.failures:
-                raise RuntimeError(
-                    "PPSFP golden pass lane 0 raised a monitor")
-            invalid = host.invalid_lanes | sim.conflict_lanes
-            for i, p in enumerate(chunk):
-                if ((invalid >> i) & 1) or sim.lane_failure_names(i):
-                    raise RuntimeError(
-                        f"PPSFP golden pass lane {i} (pattern {p}) "
-                        "diverged on a status or monitor net")
-                cache[p] = host.group_log(i)
-            if chunk[0] == 0 and cache[0] != campaign._rtl_golden_run(0):
-                raise RuntimeError(
-                    "PPSFP golden pass lane 0 diverged from the "
-                    "compiled golden run")
-            sim.note_pass_occupancy(len(chunk))
-    return [cache[p] for p in pats]
+
+def groups_per_pass(group_size: int, lanes: int,
+                    patterns_per_pass: Optional[int] = None) -> int:
+    """How many stimulus-pattern groups of ``group_size`` lanes one pass
+    tiles onto ``lanes`` (at least one; at most ``patterns_per_pass``)."""
+    groups = max(1, lanes // group_size)
+    if patterns_per_pass is not None:
+        groups = max(1, min(groups, patterns_per_pass))
+    return groups
 
 
 def _run_batch(campaign, batch: List[Fault], lanes: int,
@@ -308,9 +320,7 @@ def _run_batch(campaign, batch: List[Fault], lanes: int,
     la1 = config.la1()
     group_size = len(batch) + 1
     patterns = config.patterns
-    groups_max = max(1, lanes // group_size)
-    if patterns_per_pass is not None:
-        groups_max = max(1, min(groups_max, patterns_per_pass))
+    groups_max = groups_per_pass(group_size, lanes, patterns_per_pass)
     schedule = campaign._schedule()
     rtl_faults = [(k, f) for k, f in enumerate(batch)
                   if isinstance(f, (RtlStuckAt, RtlBitFlip))]
@@ -322,7 +332,7 @@ def _run_batch(campaign, batch: List[Fault], lanes: int,
     for chunk in range(0, patterns, groups_max):
         pats = list(range(chunk, min(chunk + groups_max, patterns)))
         G = len(pats)
-        # golden logs first (cached per pattern across batches): a pass
+        # golden logs first (memoised per workload): a pass
         # can only be validated against them.  Single-pattern campaigns
         # diff directly against the compiled scalar golden; multi-pattern
         # sessions amortise the goldens through a bitpar golden pass

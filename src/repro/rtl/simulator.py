@@ -100,35 +100,11 @@ class MonitorRecord:
         )
 
 
-class _SlotValues:
-    """Dict-like view of the slot array keyed by :class:`FlatNet`.
-
-    Keeps ``sim.values[net]`` working (tracers and tests use it) now that
-    the state of record is a flat ``list[int]`` indexed by ``net.slot``.
-    """
-
-    __slots__ = ("_v",)
-
-    def __init__(self, v: list[int]):
-        self._v = v
-
-    def __getitem__(self, net: FlatNet) -> int:
-        return self._v[net.slot]
-
-    def __setitem__(self, net: FlatNet, value: int) -> None:
-        self._v[net.slot] = value
-
-    def __len__(self) -> int:
-        return len(self._v)
-
-
-class _LaneSlotValues:
-    """The :class:`FlatNet`-keyed view for the bitpar backend.
-
-    Reads assemble lane 0 (the golden lane) from the bit-sliced words;
-    writes broadcast a scalar value into every lane, matching what
-    :meth:`RtlSimulator.set_input` does for scalar drives.
-    """
+class _NetValues:
+    """Read-only dict-like view of the settled net values keyed by
+    :class:`FlatNet` (``sim.values[net]``, which tracers and tests use):
+    :meth:`RtlSimulator.read` of the net, so every backend settles
+    pending input changes first, and bitpar answers lane 0."""
 
     __slots__ = ("_sim",)
 
@@ -136,10 +112,7 @@ class _LaneSlotValues:
         self._sim = sim
 
     def __getitem__(self, net: FlatNet) -> int:
-        return self._sim.read_lane(net.path, 0)
-
-    def __setitem__(self, net: FlatNet, value: int) -> None:
-        self._sim._broadcast(net, value)
+        return self._sim.read(net.path)
 
     def __len__(self) -> int:
         return len(self._sim.design.nets)
@@ -210,6 +183,7 @@ class RtlSimulator:
         self._cover_probe_calls = 0
         self._cover_collectors: list[object] = []
         self._cover_tracked_nets = 0
+        self.values = _NetValues(self)
         self.reset()
 
     # ------------------------------------------------------------------
@@ -219,7 +193,6 @@ class RtlSimulator:
         """Return every register to its init value and re-settle logic."""
         if self._bitpar is not None:
             self._v = list(self._bitpar.init)
-            self.values = _LaneSlotValues(self)
             # ctx[0]: tristate conflict lane word; ctx[1:]: activity
             # guard flags, all raised so the first settle computes
             # every guarded net
@@ -230,12 +203,19 @@ class RtlSimulator:
             for flat in self.design.regs:
                 v[flat.slot] = flat.init
             self._v = v
-            self.values = _SlotValues(v)
         self.edge_count = 0
         self.failures = []
         self.firings = []
         self._inputs_dirty = False
         self._settle()
+
+    def _settled(self) -> list[int]:
+        """The slot array with pending input changes settled: the one
+        path every reader and the next edge go through."""
+        if self._inputs_dirty:
+            self._settle()
+            self._inputs_dirty = False
+        return self._v
 
     def _broadcast(self, flat: FlatNet, value: int) -> bool:
         """Drive ``value`` into every lane of a bit-sliced net; True when
@@ -322,12 +302,10 @@ class RtlSimulator:
         the updated logic rather than the pre-update values.  On the
         bitpar backend this returns lane 0 (the golden lane).
         """
-        if self._inputs_dirty:
-            self._settle()
-            self._inputs_dirty = False
+        v = self._settled()
         if self._bitpar is not None:
             return self._assemble(path, 0)
-        return self._v[self._slots[path]]
+        return v[self._slots[path]]
 
     def _assemble(self, path: str, lane: int) -> int:
         slots = self._bitpar.bit_slots[path]
@@ -341,19 +319,14 @@ class RtlSimulator:
         """Read one lane's value of a net (bitpar only)."""
         if self._bitpar is None:
             raise HdlError("read_lane requires backend='bitpar'")
-        if self._inputs_dirty:
-            self._settle()
-            self._inputs_dirty = False
+        self._settled()
         return self._assemble(path, lane)
 
     def read_lanes(self, path: str) -> list[int]:
         """Read every lane's value of a net as a list (bitpar only)."""
         if self._bitpar is None:
             raise HdlError("read_lanes requires backend='bitpar'")
-        if self._inputs_dirty:
-            self._settle()
-            self._inputs_dirty = False
-        v = self._v
+        v = self._settled()
         words = [v[slot] for slot in self._bitpar.bit_slots[path]]
         return [
             sum(((word >> lane) & 1) << b for b, word in enumerate(words))
@@ -365,10 +338,7 @@ class RtlSimulator:
         of the result is ``path[bit]`` in lane *i*."""
         if self._bitpar is None:
             raise HdlError("lane_word requires backend='bitpar'")
-        if self._inputs_dirty:
-            self._settle()
-            self._inputs_dirty = False
-        return self._v[self._bitpar.bit_slots[path][bit]]
+        return self._settled()[self._bitpar.bit_slots[path][bit]]
 
     def add_edge_hook(self, hook: Callable[[str, "RtlSimulator"], None]) -> None:
         """Register ``hook(edge_name, sim)`` called after every edge settles."""
@@ -498,9 +468,7 @@ class RtlSimulator:
         currently settled values, commit them simultaneously, re-settle
         combinational logic, then check assertion monitors.
         """
-        if self._inputs_dirty:
-            self._settle()
-            self._inputs_dirty = False
+        self._settled()
         if self._bitpar is not None:
             step_fn = self._bitpar.steps.get(edge)
             lane_fired: list[tuple[int, int]] = []
@@ -591,9 +559,7 @@ class RtlSimulator:
         only; lane 0 conflicts raise instead, like the scalar backends)."""
         if self._bitpar is None:
             return 0
-        if self._inputs_dirty:
-            self._settle()
-            self._inputs_dirty = False
+        self._settled()
         return self._ctx[0]
 
     def monitor_lane_word(self, index: int) -> int:

@@ -37,48 +37,13 @@ __all__ = ["Job", "CampaignJob", "CoverJob", "McJob", "FlowJob",
 Emit = Callable[[dict], None]
 
 
-def _get(spec: dict, key: str, default, kinds) -> object:
-    value = spec.get(key, default)
-    if value is not None and not isinstance(value, kinds):
-        raise ValueError(f"job field {key!r} must be {kinds}, "
-                         f"got {type(value).__name__}")
-    return value
-
-
-def _get_bounded(spec: dict, key: str, bounds: tuple) -> int:
-    """An integer field (default 1) within the inclusive range the CLIs
-    enforce for the same option."""
-    value = int(_get(spec, key, 1, (int,)))
-    lo, hi = bounds
-    if not lo <= value <= hi:
-        raise ValueError(f"job field {key!r} must be between {lo} and "
-                         f"{hi}, got {value}")
-    return value
-
-
-def _get_banks(spec: dict) -> int:
-    """The LA-1 bank count, refused below 1 at submission instead of
-    inside the engine once the job was accepted."""
-    banks = int(_get(spec, "banks", 2, (int,)))
-    if banks < 1:
-        raise ValueError(f"job field 'banks' must be >= 1, got {banks}")
-    return banks
-
-
-def _get_design(spec: dict) -> Optional[str]:
-    """A ``repro.dsl.zoo`` design name (None: the LA-1 workload)."""
-    design = _get(spec, "design", None, (str,))
-    if design:
-        from ..dsl.zoo import zoo_names
-
-        if design not in zoo_names():
-            raise ValueError(f"unknown design {design!r}; expected one "
-                             f"of {zoo_names()}")
-    return design
-
-
 class Job:
-    """One unit of verification work behind the service."""
+    """One unit of verification work behind the service.
+
+    A kind declares each spec field once, by the :meth:`_field` call
+    that reads it with its type and default; :func:`build_job` refuses
+    a spec that names any other field.
+    """
 
     kind = "abstract"
 
@@ -86,12 +51,53 @@ class Job:
         if not isinstance(spec, dict):
             raise ValueError("job spec must be a JSON object")
         self.spec = dict(spec)
+        #: the spec fields this kind reads
+        self.fields: set = set()
         # execution knobs: shape the *how*, never the result content
-        self.jobs = _get_bounded(spec, "jobs", JOBS_RANGE)
-        self.lanes = _get_bounded(spec, "lanes", LANES_RANGE)
-        self.shard_attempts = int(_get(spec, "shard_attempts", 2, (int,)))
-        self.shard_deadline_s = _get(
-            spec, "shard_deadline_s", None, (int, float))
+        self.jobs = self._bounded("jobs", JOBS_RANGE)
+        self.lanes = self._bounded("lanes", LANES_RANGE)
+        self.shard_attempts = int(self._field("shard_attempts", 2, (int,)))
+        self.shard_deadline_s = self._field(
+            "shard_deadline_s", None, (int, float))
+
+    def _field(self, key: str, default, kinds) -> object:
+        """Spec field ``key`` (``default`` when absent), which must be
+        None or of ``kinds``."""
+        self.fields.add(key)
+        value = self.spec.get(key, default)
+        if value is not None and not isinstance(value, kinds):
+            raise ValueError(f"job field {key!r} must be {kinds}, "
+                             f"got {type(value).__name__}")
+        return value
+
+    def _bounded(self, key: str, bounds: tuple) -> int:
+        """An integer field (default 1) within the inclusive range the
+        CLIs enforce for the same option."""
+        value = int(self._field(key, 1, (int,)))
+        lo, hi = bounds
+        if not lo <= value <= hi:
+            raise ValueError(f"job field {key!r} must be between {lo} and "
+                             f"{hi}, got {value}")
+        return value
+
+    def _banks(self) -> int:
+        """The LA-1 bank count, refused below 1 at submission instead of
+        inside the engine once the job was accepted."""
+        banks = int(self._field("banks", 2, (int,)))
+        if banks < 1:
+            raise ValueError(f"job field 'banks' must be >= 1, got {banks}")
+        return banks
+
+    def _zoo_design(self) -> Optional[str]:
+        """A ``repro.dsl.zoo`` design name (None: the LA-1 workload)."""
+        design = self._field("design", None, (str,))
+        if design:
+            from ..dsl.zoo import zoo_names
+
+            if design not in zoo_names():
+                raise ValueError(f"unknown design {design!r}; expected one "
+                                 f"of {zoo_names()}")
+        return design
 
     def fingerprint(self) -> dict:
         raise NotImplementedError
@@ -122,29 +128,28 @@ class CampaignJob(Job):
         super().__init__(spec)
         # a repro.dsl.zoo design name switches the campaign workload
         # from the LA-1 transaction host to the open-loop DSL stimulus
-        self.design = _get_design(spec)
-        self.banks = _get_banks(spec)
-        self.traffic = int(_get(spec, "traffic", 24, (int,)))
-        self.seed = int(_get(spec, "seed", 2004, (int,)))
-        self.backend = str(_get(spec, "backend",
-                                "interp" if self.design else "compiled",
-                                (str,)))
+        self.design = self._zoo_design()
+        self.banks = self._banks()
+        self.traffic = int(self._field("traffic", 24, (int,)))
+        self.seed = int(self._field("seed", 2004, (int,)))
+        self.backend = str(self._field(
+            "backend", "interp" if self.design else "compiled", (str,)))
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown campaign backend {self.backend!r}; "
                              f"expected one of {list(BACKENDS)}")
-        self.rtl_cycles = int(_get(spec, "rtl_cycles",
-                                   32 if self.design else 160, (int,)))
-        self.max_faults = _get(spec, "max_faults", None, (int,))
+        self.rtl_cycles = int(self._field(
+            "rtl_cycles", 32 if self.design else 160, (int,)))
+        self.max_faults = self._field("max_faults", None, (int,))
         # stimulus patterns per fault are workload content (verdicts
         # merge across patterns); the per-pass tiling cap is not
-        self.patterns = _get_bounded(spec, "patterns", PATTERNS_RANGE)
+        self.patterns = self._bounded("patterns", PATTERNS_RANGE)
         if self.design and self.patterns > 1:
             raise ValueError("job field 'patterns' must be 1 for a zoo "
                              f"design (open-loop stimulus), got "
                              f"{self.patterns}")
-        self.patterns_per_pass = _get(spec, "patterns_per_pass", None,
-                                      (int,))
-        self.deadline_s = _get(spec, "deadline_s", None, (int, float))
+        self.patterns_per_pass = self._field("patterns_per_pass", None,
+                                             (int,))
+        self.deadline_s = self._field("deadline_s", None, (int, float))
 
     def fingerprint(self) -> dict:
         fingerprint = {
@@ -217,20 +222,20 @@ class CoverJob(Job):
 
     def __init__(self, spec: dict):
         super().__init__(spec)
-        self.banks = _get_banks(spec)
-        self.mode = str(_get(spec, "mode", "directed", (str,)))
+        self.banks = self._banks()
+        self.mode = str(self._field("mode", "directed", (str,)))
         if self.mode not in ("directed", "undirected"):
             raise ValueError(f"unknown cover mode {self.mode!r}")
-        self.vehicle = str(_get(spec, "vehicle", "asm", (str,)))
+        self.vehicle = str(self._field("vehicle", "asm", (str,)))
         if self.vehicle not in ("asm", "traffic"):
             raise ValueError(f"unknown cover vehicle {self.vehicle!r}")
-        self.seed = int(_get(spec, "seed", 0, (int,)))
-        self.max_tests = int(_get(spec, "max_tests", 8, (int,)))
-        self.walk_steps = int(_get(spec, "walk_steps", 16, (int,)))
+        self.seed = int(self._field("seed", 0, (int,)))
+        self.max_tests = int(self._field("max_tests", 8, (int,)))
+        self.walk_steps = int(self._field("walk_steps", 16, (int,)))
         self.candidates_per_round = int(
-            _get(spec, "candidates_per_round", 8, (int,)))
-        self.target = float(_get(spec, "target", 1.0, (int, float)))
-        self.plateau_rounds = int(_get(spec, "plateau_rounds", 3, (int,)))
+            self._field("candidates_per_round", 8, (int,)))
+        self.target = float(self._field("target", 1.0, (int, float)))
+        self.plateau_rounds = int(self._field("plateau_rounds", 3, (int,)))
 
     def fingerprint(self) -> dict:
         fingerprint = {
@@ -303,8 +308,8 @@ class McJob(Job):
 
     def __init__(self, spec: dict):
         super().__init__(spec)
-        self.banks = _get_banks(spec)
-        self.datapath = bool(_get(spec, "datapath", False, (bool, int)))
+        self.banks = self._banks()
+        self.datapath = bool(self._field("datapath", False, (bool, int)))
 
     def fingerprint(self) -> dict:
         return {"banks": self.banks, "datapath": self.datapath}
@@ -335,17 +340,17 @@ class FlowJob(Job):
         super().__init__(spec)
         # a repro.dsl.zoo design name runs the DSL flow
         # (repro.dsl.flow.run_dsl_flow) instead of the LA-1 Figure-2 flow
-        self.design = _get_design(spec)
-        self.banks = _get_banks(spec)
-        self.traffic = int(_get(spec, "traffic", 40, (int,)))
-        self.seed = int(_get(spec, "seed", 2004, (int,)))
-        self.rtl_mc = _get(spec, "rtl_mc", "control", (str,))
+        self.design = self._zoo_design()
+        self.banks = self._banks()
+        self.traffic = int(self._field("traffic", 40, (int,)))
+        self.seed = int(self._field("seed", 2004, (int,)))
+        self.rtl_mc = self._field("rtl_mc", "control", (str,))
         # the zoo flow proves its properties by SAT; the LA-1 flow's
         # RuleBase-style stage defaults to BDD (FlowConfig's default)
-        self.mc_engine = str(_get(spec, "mc_engine",
-                                  "sat" if self.design else "bdd", (str,)))
+        self.mc_engine = str(self._field(
+            "mc_engine", "sat" if self.design else "bdd", (str,)))
         check_mc_choice(self.mc_engine, self.rtl_mc)
-        self.coverage = bool(_get(spec, "coverage", True, (bool, int)))
+        self.coverage = bool(self._field("coverage", True, (bool, int)))
 
     def fingerprint(self) -> dict:
         if self.design:
@@ -414,7 +419,8 @@ JOB_KINDS = {
 
 def build_job(kind: str, spec: dict) -> Job:
     """Instantiate and validate one job; raises ``ValueError`` for an
-    unknown kind or malformed spec (the server's 400 path)."""
+    unknown kind, a malformed spec or a field the kind does not read
+    (the server's 400 path)."""
     try:
         factory = JOB_KINDS[kind]
     except KeyError:
@@ -422,4 +428,9 @@ def build_job(kind: str, spec: dict) -> Job:
             f"unknown job kind {kind!r}; expected one of "
             f"{sorted(JOB_KINDS)}"
         ) from None
-    return factory(spec)
+    job = factory(spec)
+    unknown = sorted(set(job.spec) - job.fields)
+    if unknown:
+        raise ValueError(f"unknown {kind} job field(s) {unknown}; "
+                         f"expected some of {sorted(job.fields)}")
+    return job

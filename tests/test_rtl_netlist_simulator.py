@@ -223,6 +223,32 @@ class TestBackendBehaviors:
         assert sim.read("deep.q") == 0
 
 
+@pytest.mark.parametrize("backend", ["interp", "compiled", "bitpar"])
+class TestValuesView:
+    """``sim.values[net]`` reads like ``sim.read`` on every backend."""
+
+    def test_view_settles_pending_inputs(self, backend):
+        m = RtlModule("m")
+        a = m.input("a", 4)
+        q = m.output("q", 4)
+        m.assign(q, ~a.ref())
+        sim = RtlSimulator(m, backend=backend)
+        net = sim.design.net("m.q")
+        assert sim.values[net] == 0b1111
+        sim.set_input("m.a", 0b1010)
+        assert sim.values[net] == sim.read("m.q") == 0b0101
+
+    def test_view_is_read_only(self, backend):
+        # a write used to reach the register on bitpar only (read back
+        # 5 there, 0 on interp and compiled): now every backend refuses
+        sim = RtlSimulator(_counter_module(), backend=backend)
+        with pytest.raises(TypeError):
+            sim.values[sim.design.net("cnt.value")] = 5
+        sim.set_input("cnt.en", 1)
+        sim.cycle(3)
+        assert sim.values[sim.design.net("cnt.q")] == sim.read("cnt.q") == 3
+
+
 class TestVerilogEmission:
     def test_emits_all_modules_once(self):
         child = _counter_module()

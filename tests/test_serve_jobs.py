@@ -73,6 +73,76 @@ class TestBuildJob:
         assert (job.jobs, job.lanes) == (1, 1)
 
 
+#: every field each job kind reads, each with an accepted value, and
+#: the content key of that whole spec
+FULL_SPECS = {
+    "campaign": ({
+        "banks": 2, "traffic": 24, "seed": 7, "backend": "interp",
+        "rtl_cycles": 80, "max_faults": 3, "patterns": 4,
+        "patterns_per_pass": 2, "deadline_s": 5, "jobs": 2, "lanes": 64,
+        "shard_attempts": 3, "shard_deadline_s": 1.5, "design": None,
+    }, "2e28fd3f6df09306d3d5df1605a810b5"),
+    "cover": ({
+        "banks": 2, "mode": "undirected", "vehicle": "traffic", "seed": 3,
+        "max_tests": 4, "walk_steps": 8, "candidates_per_round": 4,
+        "target": 0.9, "plateau_rounds": 2, "jobs": 2, "lanes": 8,
+        "shard_attempts": 3, "shard_deadline_s": 1.5,
+    }, "2741af1324fb96572e4013f349ff8cdb"),
+    "mc": ({
+        "banks": 1, "datapath": True, "jobs": 2, "lanes": 1,
+        "shard_attempts": 3, "shard_deadline_s": 1.5,
+    }, "d7facec9cdd1dae4a32c49a2f8a3c6dc"),
+    "flow": ({
+        "banks": 2, "traffic": 10, "seed": 3, "rtl_mc": "control",
+        "mc_engine": "sat", "coverage": False, "design": None, "jobs": 2,
+        "lanes": 1, "shard_attempts": 3, "shard_deadline_s": 1.5,
+    }, "b7cfd4f7b9750189f604c1c53de1547c"),
+}
+
+
+class TestFields:
+    @pytest.mark.parametrize("kind", sorted(FULL_SPECS))
+    def test_every_field_of_each_kind_is_accepted(self, kind):
+        spec, key = FULL_SPECS[kind]
+        job = build_job(kind, spec)
+        assert job.fields == set(spec)
+        assert job.key() == key
+
+    @pytest.mark.parametrize("kind, spec, key", [
+        ("campaign", {"banks": 1}, "98b54c7166eff8504bc6a83d164afeda"),
+        ("campaign", {"banks": 1, "traffic": 24, "seed": 7, "lanes": 64,
+                      "jobs": 2}, "995f652f1938ab9ac953fd630e56d02b"),
+        ("campaign", {"design": "fifo"}, "a61c3da28f1a30f19826aba1b3a3186e"),
+        ("cover", {"banks": 2}, "d50beaf36e74f7b9a925ad18be1af20b"),
+        ("flow", {"banks": 1}, "4fa4bcec09034edcbabaf8ca78bed084"),
+        ("flow", {"design": "fifo", "seed": 5},
+         "ef2eb9cca926aeb3abe7987d778d2ee3"),
+    ])
+    def test_content_keys_are_unchanged(self, kind, spec, key):
+        assert build_job(kind, spec).key() == key
+
+    def test_misspelt_field_raises(self):
+        # max_fault for max_faults: before, the job ran every fault
+        # under the key of {"banks": 1}
+        with pytest.raises(ValueError, match=r"\['max_fault'\]"):
+            build_job("campaign", {"banks": 1, "max_fault": 3})
+
+    @pytest.mark.parametrize("field", ["chaos_kill_marker",
+                                       "chaos_hang_marker", "journal_path"])
+    def test_leftover_field_raises(self, field):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            build_job("campaign", {"banks": 1, field: "/tmp/marker"})
+
+    @pytest.mark.parametrize("kind", sorted(FULL_SPECS))
+    def test_a_field_of_another_kind_raises(self, kind):
+        others = set().union(*(spec for other, (spec, __) in
+                               FULL_SPECS.items() if other != kind))
+        for field in sorted(others - set(FULL_SPECS[kind][0])):
+            with pytest.raises(ValueError, match="unknown"):
+                build_job(kind, {field: FULL_SPECS["campaign"][0].get(
+                    field, 1)})
+
+
 class TestFingerprints:
     def test_execution_knobs_do_not_change_identity(self):
         # same work at different parallelism or retry budgets must

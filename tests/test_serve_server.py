@@ -149,6 +149,18 @@ class TestHTTP:
         error = json.loads(exc.value.read().decode())["error"]
         assert "unknown design 'nope'" in error
 
+    @pytest.mark.parametrize("field", ["max_fault", "chaos_kill_marker"])
+    def test_unknown_spec_field_is_400(self, server, field):
+        # a misspelt field, or one a past version read, would otherwise
+        # be dropped: the job would run other work under another key
+        __, base, ___ = server
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            _http("POST", f"{base}/jobs", {
+                "kind": "campaign", "spec": {"banks": 1, field: 3}})
+        assert exc.value.code == 400
+        error = json.loads(exc.value.read().decode())["error"]
+        assert f"unknown campaign job field(s) ['{field}']" in error
+
     def test_out_of_range_execution_knob_is_400(self, server):
         __, base, ___ = server
         with pytest.raises(urllib.error.HTTPError) as exc:
@@ -219,8 +231,12 @@ class _GatedJob(jobs_mod.Job):
     kind = "gated"
     GATE = threading.Event()
 
+    def __init__(self, spec: dict):
+        super().__init__(spec)
+        self.n = self._field("n", None, (int,))
+
     def fingerprint(self) -> dict:
-        return {"n": self.spec.get("n")}
+        return {"n": self.n}
 
     def run(self, emit, workdir=None) -> dict:
         emit({"type": "tick", "n": 0})
