@@ -1,6 +1,6 @@
 """Throughput curves of dual-axis PPSFP fault batching (repro.fault.ppsfp).
 
-A plain script (not a pytest benchmark) with three scenarios:
+A plain script (not a pytest benchmark) with four scenarios:
 
 * **sweep** -- the PR6 fault-axis curve: the same datapath stuck-at
   campaign at ``--lanes 1, 8, 32, 64``, faults/sec and speedup over the
@@ -9,10 +9,10 @@ A plain script (not a pytest benchmark) with three scenarios:
   per-bank datapath state (SRAM array words, fetched-word / beat /
   address / byte-enable registers), which is the PPSFP-friendly
   population -- datapath corruption rides the lanes without perturbing
-  the control handshake, so batches stay full.  (A control-stage fault
-  that changes the polled status bits invalidates its lane and falls
-  back to the per-fault path; that ladder is exercised by the shipped
-  smoke list and pinned in ``tests/test_fault_ppsfp.py``.)
+  the control handshake, so every lane stays in lane 0's class.
+  (Control-stage faults change the polled status bits; their lanes
+  split into lane classes of their own, which the ``control`` scenario
+  measures.)
 * **short_session** -- the pattern axis: an 8-fault session (far below
   the 64-lane budget) under 64 stimulus patterns.  Half the faults are
   detected in their lanes (OVL-checker stuck-ats), half end silent
@@ -26,10 +26,16 @@ A plain script (not a pytest benchmark) with three scenarios:
   stimulus mutations (``STIM_KINDS`` x banks x occurrences) run
   lane-encoded at lanes=64 against the per-fault lanes=1 path, gated
   at >= 4x.
+* **control** -- every stuck-at on the control state the host polls:
+  the read- and write-pipeline status registers (``read_port.st_*``,
+  ``write_port.st_*``) and the DDR phase tracker (``tk``, ``tks``), at
+  lanes=64 against lanes=1.  Each of these faults moves its lane's
+  control, so the pass keeps its lanes in lane classes of their own
+  (:mod:`repro.fault.ppsfp`).  Gated on determinism only.
 
 The determinism contract is asserted on every run: within each
 scenario every execution shape must produce the identical campaign
-signature.  ``--smoke`` (CI) uses 2-bank models with small fault
+signature, recorded as the CRC-32 of its JSON form.  ``--smoke`` (CI) uses 2-bank models with small fault
 lists; it checks determinism, not the speedup floors (CI runners are
 too noisy to gate on wall-clock ratios).
 
@@ -41,9 +47,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
+import zlib
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -106,9 +114,8 @@ def short_session_fault_list(banks: int, count: int):
     cycling through checkers and banks.  That checker then fires
     spuriously, so the fault is ``detected`` by it, and the DUT's status
     nets never diverge.  Stuck-ats on the DUT's own read-pipeline
-    stages are detected too, but they change the polled status, so
-    their lanes fall back to the per-fault path and would turn this
-    scenario into a per-fault benchmark.
+    stages are detected too, but they change the polled status; the
+    ``control`` scenario covers them.
     """
     datapath = datapath_fault_list(banks)
     checkers = [
@@ -129,6 +136,20 @@ def stim_fault_list(banks: int, occurrences: int = 3):
         for bank in range(banks)
         for kind in STIM_KINDS
         for occurrence in range(1, occurrences + 1)
+    ]
+
+
+def control_fault_list(banks: int):
+    """Both stuck-ats on every bit of the control state the host polls:
+    each bank's read- and write-pipeline status registers and the DDR
+    phase tracker, in netlist order."""
+    design = la1_design(CampaignConfig(banks=banks).la1())
+    return [
+        RtlStuckAt(reg.path, bit, value)
+        for reg in design.regs
+        if reg.path in ("la1_top.tk", "la1_top.tks")
+        or ".read_port.st_" in reg.path or ".write_port.st_" in reg.path
+        for bit in range(reg.width) for value in (0, 1)
     ]
 
 
@@ -162,7 +183,7 @@ def run_point(banks: int, traffic: int, faults, lanes: int,
         "wall_s": round(wall, 3),
         "faults": len(report.verdicts),
         "faults_per_s": round(len(report.verdicts) / wall, 2),
-        "signature": hash(report.signature()) & 0xFFFFFFFF,
+        "signature": zlib.crc32(json.dumps(report.signature()).encode()),
         "counts": report.counts(),
     }
     if patterns != 1:
@@ -276,6 +297,33 @@ def stim_scenario(smoke: bool) -> dict:
     }
 
 
+def control_scenario(smoke: bool) -> dict:
+    banks = 2 if smoke else 4
+    traffic = 24
+    faults = control_fault_list(banks)
+
+    points = []
+    for label, lanes in (("per-fault", 1), ("lane classes", 64)):
+        print(f"control: banks={banks} faults={len(faults)} "
+              f"lanes={lanes} ...", flush=True)
+        point = run_point(banks, traffic, faults, lanes)
+        point["shape"] = label
+        print(f"  wall={point['wall_s']}s  "
+              f"faults/s={point['faults_per_s']}")
+        points.append(point)
+
+    return {
+        "banks": banks,
+        "traffic": traffic,
+        "fault_list": "status-register and phase-tracker stuck-ats",
+        "faults": len(faults),
+        "deterministic": len({p["signature"] for p in points}) == 1,
+        "control_speedup": round(
+            points[1]["faults_per_s"] / points[0]["faults_per_s"], 3),
+        "points": points,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--smoke", action="store_true",
@@ -289,9 +337,10 @@ def main(argv=None) -> int:
     sweep = sweep_scenario(args.smoke)
     short = short_session_scenario(args.smoke)
     stim = stim_scenario(args.smoke)
+    control = control_scenario(args.smoke)
 
     deterministic = (sweep["deterministic"] and short["deterministic"]
-                     and stim["deterministic"])
+                     and stim["deterministic"] and control["deterministic"])
     gates = {
         "deterministic": deterministic,
         "short_session_detected": short["detected"],
@@ -301,6 +350,7 @@ def main(argv=None) -> int:
         "packed_gate": None if args.smoke else PACKED_GATE,
         "stim_speedup": stim["stim_speedup"],
         "stim_gate": None if args.smoke else STIM_GATE,
+        "control_speedup": control["control_speedup"],
     }
 
     from bench_schema import write_bench
@@ -310,8 +360,10 @@ def main(argv=None) -> int:
         config={"smoke": bool(args.smoke), "traffic": 24,
                 "sweep_banks": sweep["banks"],
                 "short_session_patterns": short["patterns"],
-                "stim_faults": stim["faults"]},
-        metrics={"sweep": sweep, "short_session": short, "stim": stim},
+                "stim_faults": stim["faults"],
+                "control_banks": control["banks"]},
+        metrics={"sweep": sweep, "short_session": short, "stim": stim,
+                 "control": control},
         gates=gates,
     )
     print(f"wrote {args.json_path} (deterministic={deterministic})")

@@ -151,7 +151,7 @@ class RtlHost:
     def _sample_bus(self) -> list:
         """Sample the shared data/parity buses at a collection point.
 
-        Split out so subclasses (e.g. the lane-probing PPSFP host in
+        Split out so subclasses (e.g. the lane-class hosts of
         :mod:`repro.fault.ppsfp`) can capture per-lane words instead of
         the scalar (lane-0) values."""
         return [self.sim.read(self._data_bus), self.sim.read(self._par_bus)]
@@ -200,8 +200,17 @@ class RtlHost:
     # -- one full clock period ----------------------------------------------
     def cycle(self) -> None:
         """Drive one K edge then one K# edge, issuing and collecting."""
-        sim = self.sim
-        # ---- set up the K edge ----
+        self.setup_k()
+        self.sim.step("K")
+        self.observe_k()
+        self.setup_k_sharp()
+        self.sim.step("K#")
+        self.observe_k_sharp()
+
+    def setup_k(self) -> None:
+        """Set up the K edge: issue the head read or write when the
+        pipelines allow it, and drive the second beat of a write in its
+        data phase."""
         r_sel_bits = 0
         w_sel_bits = 0
         read_busy = self._any_read_busy()
@@ -234,23 +243,29 @@ class RtlHost:
             self._in("bw", (bw >> self.config.byte_lanes)
                      & ((1 << self.config.byte_lanes) - 1))
             self._pending_write = None
-        sim.step("K")
+
+    def observe_k(self) -> None:
+        """After the K edge: sample the first beat of the watched read."""
         self.half_cycles += 1
-        # post-K observations: first beats
         for b in range(self.config.banks):
             if self._stat(b, "stat_data_valid") and self._read_watch \
                     and self._read_watch[0][0] == b:
                 self._collecting = self._sample_bus()
-        # ---- set up the K# edge ----
+
+    def setup_k_sharp(self) -> None:
+        """Set up the K# edge: the address, first beat and its byte
+        enables of a write in its select phase."""
         if self._pending_write is not None and self._pending_write[4] == "sel":
             bank, addr, word, bw, __ = self._pending_write
             self._in("addr", addr)
             self._in("wdata", self._beat_of(word, 0))
             self._in("bw", bw & ((1 << self.config.byte_lanes) - 1))
             self._pending_write = (bank, addr, word, bw, "data")
-        sim.step("K#")
+
+    def observe_k_sharp(self) -> None:
+        """After the K# edge: sample the second beat and complete the
+        watched read."""
         self.half_cycles += 1
-        # post-K# observations: second beats
         for b in range(self.config.banks):
             if self._stat(b, "stat_data_valid2") and self._read_watch \
                     and self._read_watch[0][0] == b \

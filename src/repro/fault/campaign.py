@@ -110,15 +110,15 @@ NO_DIVERGENCE = "no observable divergence"
 #: the shard planner's cost model: measured wall-clock (ms) of one
 #: execution unit at 1, 2, 3 and 4 banks with warm memos (DESIGN.md §6)
 #: -- one fault of the SystemC and ASM runners, one scalar RTL run of an
-#: RTL-level fault (per stimulus pattern), and one PPSFP lane pass with
-#: its per-fault fallbacks.  Beyond 4 banks the 4-bank column stands:
-#: the ASM faults then outweigh every other unit by far, which is all
-#: the planner needs.
+#: RTL-level fault (per stimulus pattern), and one PPSFP lane pass, which
+#: decides every fault of the default batch on its lanes.  Beyond 4
+#: banks the 4-bank column stands: the ASM faults then outweigh every
+#: other unit by far, which is all the planner needs.
 UNIT_COST_MS = {
     "sysc": (16, 20, 29, 31),
     "asm": (20, 170, 890, 3400),
     "rtl": (3, 8, 9, 13),
-    "lanes": (23, 44, 48, 71),
+    "lanes": (15, 20, 27, 34),
 }
 
 

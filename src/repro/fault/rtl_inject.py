@@ -227,7 +227,7 @@ class RtlFaultInjector:
         conflict must raise from inside the step, exactly where a real
         per-fault run would see it.  On bitpar the settle is deferred to
         the dirty-inputs flag instead: every reader (``read*``,
-        ``lane_word``, ``conflict_lanes``, the campaign probe host) and
+        ``lane_word``, ``conflict_lanes``, the campaign's lane pass) and
         the next ``step`` settle on demand, so forcing the same bit on
         consecutive edges costs one settle, not two.
         """

@@ -9,7 +9,7 @@ datapath fields (address, write data, byte enables) of one transaction,
 so the mutated stream keeps the base command schedule bit for bit --
 which is exactly the invariant PPSFP pattern lanes rely on: the mutation
 lowers to a per-lane divergent input drive
-(:meth:`~repro.rtl.simulator.RtlSimulator.set_input_lanes`) instead of a
+(:meth:`~repro.rtl.simulator.RtlSimulator.set_input_words`) instead of a
 dedicated compiled run.  The schedule-changing kinds (``drop_read``,
 ``duplicate_read``) cannot be lane-encoded and demonstrate the
 degradation ladder: they always run per-fault.

@@ -44,7 +44,7 @@ from .hdl import HdlError, RtlModule
 from .netlist import FlatDesign, FlatMonitor, FlatNet, elaborate
 
 __all__ = ["AssertionFailure", "MonitorRecord", "RtlSimulator",
-           "design_kernel"]
+           "design_kernel", "pack_lanes"]
 
 
 def design_kernel(design: FlatDesign, backend: str,
@@ -70,6 +70,25 @@ def design_kernel(design: FlatDesign, backend: str,
             kernel = compile_design(design, detect_bus_conflicts)
         design.kernels[key] = kernel
     return kernel
+
+
+def pack_lanes(values) -> list:
+    """Per-lane values packed into bit-parallel lane words: word *b* has
+    bit *i* set when bit *b* of ``values[i]`` is set (the layout
+    :meth:`RtlSimulator.set_input_words` drives).  Lanes that share a
+    value are packed together."""
+    lanes_of: dict = {}
+    for lane, value in enumerate(values):
+        lanes_of[value] = lanes_of.get(value, 0) | (1 << lane)
+    words = [0] * max(values).bit_length()
+    for value, lanes in lanes_of.items():
+        b = 0
+        while value:
+            if value & 1:
+                words[b] |= lanes
+            value >>= 1
+            b += 1
+    return words
 
 
 class AssertionFailure(Exception):
@@ -168,12 +187,14 @@ class RtlSimulator:
         self._slots: dict[str, int] = {
             path: flat.slot for path, flat in self.design.nets.items()
         }
-        # lane-word accounting (cumulative across resets, like the
-        # coverage counters below)
+        # edge and lane-word accounting (cumulative across resets, like
+        # the coverage counters below; ``edge_count`` is the current
+        # run's, which SEU injection and monitor records time by)
         self._lane_passes = 0
         self._words_evaluated = 0
         self._occupied_lanes = 0
         self._occupancy_passes = 0
+        self._edges = 0
         self.edge_count = 0
         self.failures: list[MonitorRecord] = []
         self.firings: list[MonitorRecord] = []
@@ -267,28 +288,43 @@ class RtlSimulator:
         """
         if self._bitpar is None:
             raise HdlError("set_input_lanes requires backend='bitpar'")
-        flat = self.design.net(path)
-        if flat.kind != "input":
-            raise HdlError(f"{path} is not a free input ({flat.kind})")
         if len(values) != self.lanes:
             raise HdlError(
                 f"expected {self.lanes} lane values for {path}, "
                 f"got {len(values)}"
             )
-        limit = 1 << flat.width
+        width = self.design.net(path).width
+        limit = 1 << width
         for value in values:
             if value < 0 or value >= limit:
                 raise HdlError(
-                    f"value {value} does not fit {flat.width}-bit {path}")
+                    f"value {value} does not fit {width}-bit {path}")
+        self.set_input_words(path, pack_lanes(values), self.lane_mask)
+
+    def set_input_words(self, path: str, words, mask: int) -> None:
+        """Drive packed lane words into the lanes ``mask`` selects of a
+        free input (bitpar only): ``words[b]`` is the lane word of bit
+        *b*, so lane *i* of the net takes bit *i* of each word, and every
+        lane outside ``mask`` keeps its value.  Missing words read 0;
+        words past the net's width must be empty on ``mask``.
+        """
+        if self._bitpar is None:
+            raise HdlError("set_input_words requires backend='bitpar'")
+        flat = self.design.net(path)
+        if flat.kind != "input":
+            raise HdlError(f"{path} is not a free input ({flat.kind})")
+        if any(word & mask for word in words[flat.width:]):
+            raise HdlError(f"lane words do not fit {flat.width}-bit {path}")
         slots = self._bitpar.bit_slots[flat.path]
         v = self._v
+        keep = ~mask
         changed = False
-        for b in range(flat.width):
-            word = 0
-            for lane, value in enumerate(values):
-                word |= ((value >> b) & 1) << lane
-            if v[slots[b]] != word:
-                v[slots[b]] = word
+        for b, slot in enumerate(slots):
+            word = v[slot] & keep
+            if b < len(words):
+                word |= words[b] & mask
+            if v[slot] != word:
+                v[slot] = word
                 changed = True
         if changed:
             self._raise_guards(flat.path)
@@ -391,8 +427,9 @@ class RtlSimulator:
 
         The returned dict has exactly the keys of :data:`STATS_KEYS`,
         independent of the backend: design size from
-        :meth:`FlatDesign.stats`, run accounting (``edges``,
-        ``firings``, ``failures``), and the coverage-probe overhead
+        :meth:`FlatDesign.stats`, run accounting (``edges`` -- cumulative
+        across resets; ``firings``, ``failures`` -- since the last
+        reset), and the coverage-probe overhead
         counters (``cover_probe_calls`` -- cumulative probe invocations
         across resets; ``cover_tracked_nets`` / ``cover_collectors`` --
         currently attached instrumentation).
@@ -400,7 +437,7 @@ class RtlSimulator:
         stats = dict(self.design.stats())
         stats.update(
             backend=self.backend,
-            edges=self.edge_count,
+            edges=self._edges,
             firings=len(self.firings),
             failures=len(self.failures),
             cover_probe_calls=self._cover_probe_calls,
@@ -507,6 +544,7 @@ class RtlSimulator:
             self._settle()
             self.edge_count += 1
             self._check_monitors(edge)
+        self._edges += 1
         for hook in self._edge_hooks:
             hook(edge, self)
 

@@ -171,3 +171,16 @@ class TestSimulatorInstrumentation:
             assert stats["backend"] == backend
             assert stats["edges"] == sim.edge_count > 0
             assert {"failures", "firings", "regs", "nets"} <= set(stats)
+
+    def test_stats_edges_accumulate_across_resets(self):
+        # like lane_passes: edge_count restarts with each run, because
+        # SEU injection and monitor records time by it
+        design = elaborate(build_la1_top_with_ovl(
+            La1Config(banks=1, beat_bits=8, addr_bits=2)))
+        for backend in ("interp", "compiled", "bitpar"):
+            sim = RtlSimulator(design, backend=backend, lanes=4)
+            sim.cycle(2)
+            sim.reset()
+            sim.cycle(3)
+            assert sim.edge_count == 6
+            assert sim.stats()["edges"] == 10

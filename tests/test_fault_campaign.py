@@ -13,6 +13,7 @@ from repro.fault import (
     RtlStuckAt,
     default_fault_list,
 )
+from repro.fault.campaign import golden_logs
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +73,17 @@ class TestSmokeCampaign:
         assert stats["backend"] == "compiled"
         assert stats["edges"] > 0
         assert "regs" in stats
+
+    def test_engine_edges_count_every_run(self):
+        # stats()["edges"] accumulates across the simulator's resets: the
+        # golden run plus one run per RTL-level fault
+        golden_logs.cache_clear()
+        config = CampaignConfig()
+        faults = [f for f in default_fault_list() if f.layer in ("rtl", "stim")]
+        report = FaultCampaign(config).run(faults=faults, jobs=1, lanes=1,
+                                           resume=False)
+        edges = report.engine_stats["rtl_sim"]["edges"]
+        assert edges == 2 * config.rtl_cycles * (1 + len(faults))
 
     def test_render_mentions_coverage(self, smoke_report):
         text = smoke_report.render()

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import La1Config, build_la1_top_with_ovl
 from repro.core.rulebase import mc_design
-from repro.fault.campaign import CampaignConfig, FaultCampaign, la1_design
+from repro.fault.campaign import CampaignConfig, FaultCampaign, golden_logs, la1_design
 from repro.fault.models import ProtocolMutation, RtlStuckAt, StimulusMutation
 from repro.rtl import RtlSimulator, compile_bitpar, compile_design, elaborate
 from repro.rtl import simulator as simulator_mod
@@ -36,11 +36,14 @@ def _faults():
 
 @pytest.fixture
 def fresh_memo():
-    """An empty design memo, so this test's campaigns elaborate (and
-    compile) from scratch whatever ran before."""
+    """Empty design and golden memos, so this test's campaigns elaborate
+    (and compile) from scratch and run their own golden runs whatever
+    ran before."""
     la1_design.cache_clear()
+    golden_logs.cache_clear()
     yield
     la1_design.cache_clear()
+    golden_logs.cache_clear()
 
 
 def _count_compiles(monkeypatch, log=None):
