@@ -5,7 +5,11 @@ State variables + guarded update rules with atomic update sets
 bounded reachability generating FSMs (:mod:`exploration`),
 exploration-based PSL model checking with counterexamples
 (:mod:`checker`) and model/implementation conformance co-execution
-(:mod:`conformance`).
+(:mod:`conformance`).  All of them, and the lint sweep of
+:mod:`repro.lint.asm_rules`, run one breadth-first search,
+:func:`exploration.search`, each stepping its own monitor component: a
+recorded FSM, a property bank or cover automaton, or the action path an
+implementation replays.
 """
 
 from .domains import BoolDomain, Domain, EnumDomain, ExplicitDomain, IntRange

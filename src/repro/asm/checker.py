@@ -27,14 +27,13 @@ through the bank's step, memoised on (automaton states, label).
 from __future__ import annotations
 
 import time
-from collections import deque
 from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
 from ..psl.ast import Property, PslError, Sere
 from ..psl.automata import CheckerAutomaton, PropertyBank
 from ..psl.sere import compile_sere
-from .exploration import ExplorationConfig
+from .exploration import ExplorationConfig, search
 from .machine import AsmMachine
 
 __all__ = ["Labeling", "ModelCheckResult", "CoverResult", "AsmModelChecker"]
@@ -73,6 +72,8 @@ class ModelCheckResult:
 
     ``holds`` is True (proved), False (violated -- see
     :attr:`counterexample`) or None (bounds hit, no violation found).
+    ``failures`` maps the index (into the checked properties) of each
+    property that failed to its counterexample.
     """
 
     def __init__(
@@ -81,7 +82,7 @@ class ModelCheckResult:
         num_nodes: int,
         num_transitions: int,
         cpu_time: float,
-        counterexample: Optional[list] = None,
+        failures: Optional[dict] = None,
         property_name: str = "property",
         truncated_reason: str = "",
     ):
@@ -89,10 +90,18 @@ class ModelCheckResult:
         self.num_nodes = num_nodes
         self.num_transitions = num_transitions
         self.cpu_time = cpu_time
-        self.counterexample = counterexample
+        self.failures: dict = failures or {}
         self.property_name = property_name
-        #: "" for a decided run; "bounds" / "deadline" when holds is None
+        #: "" when every property is decided; "bounds" / "deadline" when
+        #: the search was truncated before the ones not in ``failures``
+        #: were proved
         self.truncated_reason = truncated_reason
+
+    @property
+    def counterexample(self) -> Optional[list]:
+        """The first failure found, as ``(action label, state)`` steps
+        from the initial state; None when no property failed."""
+        return next(iter(self.failures.values()), None)
 
     def __repr__(self):
         verdict = {True: "HOLDS", False: "FAILS", None: "UNKNOWN"}[self.holds]
@@ -155,7 +164,14 @@ class AsmModelChecker:
         """Check several properties in one product exploration.
 
         This mirrors Table 1, which reports "the CPU time required to
-        verify all the interface properties combined together".
+        verify all the interface properties combined together".  A
+        property that fails retires with its counterexample, the
+        shortest there is, and the search steps the rest: the result's
+        ``failures`` holds every property that fails within the bounds,
+        and :attr:`~ModelCheckResult.counterexample` is the first found.
+        So a run over several properties stops early only when every
+        property has failed; one with a holding property counts the
+        whole search.
 
         ``assumptions`` are environment constraints (PSL ``assume``
         directives): executions that would violate an assumption are
@@ -163,7 +179,8 @@ class AsmModelChecker:
         assumption-consistent behaviours -- the standard way RuleBase
         users modelled a constrained host.
         """
-        for prop in tuple(props) + tuple(assumptions):
+        props = tuple(props)
+        for prop in props + tuple(assumptions):
             if not prop.is_safety():
                 raise PslError(
                     f"{prop!r} is not a safety property; exploration-based "
@@ -171,14 +188,14 @@ class AsmModelChecker:
                 )
         start = time.perf_counter()
         num_assumptions = len(assumptions)
-        bank = PropertyBank(tuple(assumptions) + tuple(props))
+        bank = PropertyBank(tuple(assumptions) + props)
         machine = self.machine
         machine.reset()
         observations = [self.labeling.function(atom, machine.state)
                         for atom in bank.atoms]
         fail = CheckerAutomaton.FAIL_STATE
 
-        def step(chk_states: tuple) -> tuple:
+        def step(chk_states: tuple, action=None) -> tuple:
             # label the machine's live state: one bool per bank atom
             state = machine.state
             return bank.step(chk_states,
@@ -187,29 +204,41 @@ class AsmModelChecker:
         def assumption_violated(chk_states: tuple) -> bool:
             return fail in chk_states[:num_assumptions]
 
-        def property_violated(chk_states: tuple) -> bool:
-            return fail in chk_states[num_assumptions:]
+        # property index -> (node, action, snapshot) of its first failure,
+        # in the order found; FAIL is absorbing, so a retired property's
+        # slot stays FAIL and is skipped below
+        failed: dict = {}
 
-        initial_chk = step(bank.initial)
-        if assumption_violated(initial_chk):
+        def retire(src, action, dst, chk_states: tuple) -> bool:
+            if fail not in chk_states:  # assumption failures are pruned
+                return False
+            for index in range(len(props)):
+                if (chk_states[num_assumptions + index] == fail
+                        and index not in failed):
+                    failed[index] = (src, action, machine.snapshot())
+            return len(failed) == len(props)
+
+        initial = step(bank.initial)
+        if assumption_violated(initial):
             # no assumption-consistent behaviour exists: vacuously true
             return ModelCheckResult(True, 0, 0, time.perf_counter() - start,
                                     property_name=name)
-        if property_violated(initial_chk):
+        if retire(None, None, None, initial):
             return ModelCheckResult(
                 False, 1, 0, time.perf_counter() - start,
-                counterexample=[("initial", dict(machine.snapshot()))],
-                property_name=name,
+                failures=_counterexamples({}, failed), property_name=name,
             )
-        trace, nodes, transitions, reason = self._search(
-            start, initial_chk, step, property_violated, assumption_violated)
-        elapsed = time.perf_counter() - start
-        if trace is not None:
-            return ModelCheckResult(False, nodes, transitions, elapsed,
-                                    counterexample=trace, property_name=name)
+        parents, transitions, reason = search(
+            machine, self.config, initial, step, retire,
+            assumption_violated if num_assumptions else None)
+        # the last property to fail ended the search on its failing
+        # successor, which counts as a node
+        ended = bool(failed) and len(failed) == len(props)
         return ModelCheckResult(
-            None if reason else True, nodes, transitions, elapsed,
-            property_name=name, truncated_reason=reason,
+            False if failed else None if reason else True,
+            len(parents) + ended, transitions, time.perf_counter() - start,
+            failures=_counterexamples(parents, failed), property_name=name,
+            truncated_reason="" if ended else reason,
         )
 
     # ------------------------------------------------------------------
@@ -222,7 +251,7 @@ class AsmModelChecker:
         machine = self.machine
         machine.reset()
 
-        def step(runs: frozenset) -> frozenset:
+        def step(runs: frozenset, action=None) -> frozenset:
             # NFA runs start fresh at every cycle (cover matches anywhere)
             valuation = self.labeling.valuation(machine.state, atoms)
             return nfa.step(runs | nfa.initial, valuation)
@@ -232,100 +261,36 @@ class AsmModelChecker:
             return CoverResult(True, 1, 0, time.perf_counter() - start,
                                witness=[("initial", dict(machine.snapshot()))],
                                name=name)
-        witness, nodes, transitions, reason = self._search(
-            start, initial_runs, step, nfa.accepts_now)
-        covered = True if witness is not None else (None if reason else False)
-        return CoverResult(covered, nodes, transitions,
-                           time.perf_counter() - start, witness=witness,
-                           name=name)
+        match: list = []
 
-    # ------------------------------------------------------------------
-    def _search(self, start: float, initial, step, goal, prune=None):
-        """Breadth-first search of the machine x monitor product.
+        def matched(src, action, dst, runs: frozenset) -> bool:
+            if not nfa.accepts_now(runs):
+                return False
+            match.append((src, action, machine.snapshot()))
+            return True
 
-        ``initial`` is the monitor component of the machine's initial
-        state and ``step(component)`` the component after a transition
-        into the machine's live state.  Successors whose component meets
-        ``prune`` are dropped; the first meeting ``goal`` ends the search.
-        Returns ``(trace, nodes, transitions, reason)``: the path to that
-        successor (None when none is reached) and the truncation reason,
-        "" for a complete search, else "deadline" or "bounds".
-        """
-        machine = self.machine
-        config = self.config
-        snapshot = machine.snapshot()
-        key = (self._project(snapshot), initial)
-        # parents: product_key -> (parent_key, action_label, snapshot)
-        parents: dict = {key: (None, None, snapshot)}
-        queue: deque = deque([(snapshot, initial, key, 0)])
-        visited = {key}
-        num_transitions = 0
-        reason = ""
-        deadline = (
-            None if getattr(config, "deadline_s", None) is None
-            else start + config.deadline_s
-        )
-        while queue:
-            if deadline is not None and time.perf_counter() > deadline:
-                reason = "deadline"
-                break
-            snapshot, component, key, depth = queue.popleft()
-            if config.max_depth is not None and depth >= config.max_depth:
-                reason = reason or "bounds"
-                continue
-            machine.restore(snapshot)
-            actions = machine.enabled_actions()
-            if config.action_filter is not None:
-                actions = [a for a in actions if config.action_filter(a)]
-            for action in actions:
-                if (
-                    config.max_transitions is not None
-                    and num_transitions >= config.max_transitions
-                ):
-                    reason = reason or "bounds"
-                    break
-                machine.restore(snapshot)
-                machine.fire(action)
-                succ_snapshot = machine.snapshot()
-                succ = step(component)
-                succ_key = (self._project(succ_snapshot), succ)
-                num_transitions += 1
-                if prune is not None and prune(succ):
-                    continue  # pruned: outside the assumed environment
-                if succ_key not in parents:
-                    parents[succ_key] = (key, action.label, succ_snapshot)
-                if goal(succ):
-                    machine.reset()
-                    return (self._trace(parents, succ_key), len(visited) + 1,
-                            num_transitions, reason)
-                if succ_key in visited:
-                    continue
-                if (
-                    config.max_states is not None
-                    and len(visited) >= config.max_states
-                ):
-                    reason = reason or "bounds"
-                    continue
-                visited.add(succ_key)
-                queue.append((succ_snapshot, succ, succ_key, depth + 1))
-        machine.reset()
-        return None, len(visited), num_transitions, reason
+        parents, transitions, reason = search(machine, self.config,
+                                              initial_runs, step, matched)
+        elapsed = time.perf_counter() - start
+        if match:
+            return CoverResult(True, len(parents) + 1, transitions, elapsed,
+                               witness=_path(parents, *match[0]), name=name)
+        return CoverResult(None if reason else False, len(parents),
+                           transitions, elapsed, name=name)
 
-    # ------------------------------------------------------------------
-    def _project(self, snapshot: tuple) -> tuple:
-        projection = self.config.state_projection
-        if projection is None:
-            return snapshot
-        as_dict = dict(snapshot)
-        return tuple((v, as_dict[v]) for v in projection)
 
-    @staticmethod
-    def _trace(parents: dict, key) -> list:
-        """Reconstruct the counterexample path to ``key``."""
-        steps = []
-        while key is not None:
-            parent, label, snapshot = parents[key]
-            steps.append((label or "initial", dict(snapshot)))
-            key = parent
-        steps.reverse()
-        return steps
+def _path(parents: dict, src, action, snapshot: tuple) -> list:
+    """The path, as ``(action label, state)`` steps, from the initial
+    state through the search node ``src`` and then ``action`` into
+    ``snapshot``; the initial state alone when ``src`` is None."""
+    steps = [(action.label if action else "initial", dict(snapshot))]
+    while src is not None:
+        src, action, snapshot = parents[src]
+        steps.append((action.label if action else "initial", dict(snapshot)))
+    steps.reverse()
+    return steps
+
+
+def _counterexamples(parents: dict, failed: dict) -> dict:
+    """Each failed property's counterexample, in the order found."""
+    return {index: _path(parents, *where) for index, where in failed.items()}

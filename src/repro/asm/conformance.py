@@ -16,9 +16,9 @@ LA-1 model to.
 from __future__ import annotations
 
 import time
-from collections import deque
 from typing import Callable, Optional, Sequence
 
+from .exploration import ExplorationConfig, search
 from .machine import Action, AsmMachine
 
 __all__ = ["Implementation", "Divergence", "ConformanceResult", "check_conformance"]
@@ -103,93 +103,49 @@ def check_conformance(
     this phase "is sometimes time consuming, however, it is quite
     important to make sure the ASM to SystemC mapping preserves the
     system's properties".
+
+    The search's monitor component is the path of fired actions: the
+    implementation has no snapshot to merge states by, so every path is
+    its own node and is replayed, action by action, on a freshly reset
+    implementation.
     """
     start = time.perf_counter()
     machine.reset()
 
-    def model_obs(snapshot: tuple) -> dict:
-        state = dict(snapshot)
-        return {name: state[name] for name in observables}
+    def model_obs() -> dict:
+        return {name: machine.state[name] for name in observables}
 
-    # each queue entry: (model snapshot, action-label path)
-    initial = machine.snapshot()
-    queue: deque = deque([(initial, [])])
-    paths_checked = 0
-    steps_executed = 0
-
-    # compare initial observation
     implementation.reset()
     first_impl = implementation.observe()
-    first_model = model_obs(initial)
+    first_model = model_obs()
     if first_impl != first_model:
         elapsed = time.perf_counter() - start
         return ConformanceResult(
             False, 1, 0, elapsed, Divergence([], first_model, first_impl)
         )
 
-    while queue:
-        snapshot, path = queue.popleft()
-        if len(path) >= max_depth:
-            continue
-        machine.restore(snapshot)
-        actions = machine.enabled_actions()
-        if action_filter is not None:
-            actions = [a for a in actions if action_filter(a)]
-        for action in actions:
-            if paths_checked >= max_paths:
-                break
-            machine.restore(snapshot)
-            machine.fire(action)
-            succ = machine.snapshot()
-            new_path = path + [action.label]
-            paths_checked += 1
-            # replay the full path on a fresh implementation
-            implementation.reset()
-            machine.restore(snapshot)
-            for replay_action, replay_args in _decode_path(machine, new_path):
-                implementation.apply(replay_action, replay_args)
-                steps_executed += 1
-            impl_observation = implementation.observe()
-            model_observation = model_obs(succ)
-            if impl_observation != model_observation:
-                elapsed = time.perf_counter() - start
-                machine.reset()
-                return ConformanceResult(
-                    False,
-                    paths_checked,
-                    steps_executed,
-                    elapsed,
-                    Divergence(new_path, model_observation, impl_observation),
-                )
-            queue.append((succ, new_path))
+    steps_executed = 0
+    divergence: Optional[Divergence] = None
 
-    machine.reset()
+    def replay(src, action, dst, path: tuple) -> bool:
+        nonlocal steps_executed, divergence
+        implementation.reset()
+        for fired in path:
+            implementation.apply(fired.rule.name, fired.args)
+            steps_executed += 1
+        impl_observation = implementation.observe()
+        model_observation = model_obs()
+        if impl_observation == model_observation:
+            return False
+        divergence = Divergence([a.label for a in path], model_observation,
+                                impl_observation)
+        return True
+
+    config = ExplorationConfig(max_states=None, max_transitions=max_paths,
+                               max_depth=max_depth,
+                               action_filter=action_filter)
+    __, paths_checked, __ = search(
+        machine, config, (), lambda path, action: path + (action,), replay)
     elapsed = time.perf_counter() - start
-    return ConformanceResult(True, paths_checked, steps_executed, elapsed)
-
-
-def _decode_path(machine: AsmMachine, labels: list[str]):
-    """Decode action labels back into (rule_name, args) pairs.
-
-    Labels have the shape ``rule`` or ``rule(k=v, ...)`` as produced by
-    :attr:`repro.asm.machine.Action.label`; argument values are parsed
-    with ``eval`` over a bare namespace (they are ints/bools/strs
-    produced by repr-compatible domains).
-    """
-    decoded = []
-    for label in labels:
-        if "(" not in label:
-            decoded.append((label, {}))
-            continue
-        name, __, rest = label.partition("(")
-        rest = rest.rstrip(")")
-        args = {}
-        if rest:
-            for pair in rest.split(", "):
-                key, __, value = pair.partition("=")
-                try:
-                    args[key] = eval(value, {"__builtins__": {}}, {})
-                except Exception:
-                    args[key] = value
-        decoded.append((name, args))
-    return decoded
+    return ConformanceResult(divergence is None, paths_checked,
+                             steps_executed, elapsed, divergence)

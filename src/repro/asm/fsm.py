@@ -12,27 +12,35 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .machine import Action
+
 __all__ = ["Fsm", "Transition"]
 
 
 class Transition:
-    """One explored transition: source state, action label, target state."""
+    """One explored transition: source state, fired action, target state."""
 
-    __slots__ = ("src", "label", "dst")
+    __slots__ = ("src", "action", "dst")
 
-    def __init__(self, src: int, label: str, dst: int):
+    def __init__(self, src: int, action: Action, dst: int):
         self.src = src
-        self.label = label
+        self.action = action
         self.dst = dst
+
+    @property
+    def label(self) -> str:
+        """The fired action's label."""
+        return self.action.label
 
     def __eq__(self, other):
         return (
             isinstance(other, Transition)
-            and (other.src, other.label, other.dst) == (self.src, self.label, self.dst)
+            and (other.src, other.action, other.dst)
+            == (self.src, self.action, self.dst)
         )
 
     def __hash__(self):
-        return hash((self.src, self.label, self.dst))
+        return hash((self.src, self.action, self.dst))
 
     def __repr__(self):
         return f"{self.src} --{self.label}--> {self.dst}"
@@ -53,9 +61,9 @@ class Fsm:
         self.states.append(snapshot)
         return len(self.states) - 1
 
-    def add_transition(self, src: int, label: str, dst: int) -> None:
+    def add_transition(self, src: int, action: Action, dst: int) -> None:
         """Record a transition."""
-        self.transitions.append(Transition(src, label, dst))
+        self.transitions.append(Transition(src, action, dst))
 
     @property
     def num_nodes(self) -> int:

@@ -184,20 +184,19 @@ def replay_suite(
     observables: Sequence[str],
 ) -> ReplayReport:
     """Run every case of ``suite`` on model and implementation in
-    lockstep, comparing the observable projection after each step."""
-    from .conformance import _decode_path
-
+    lockstep, comparing the observable projection after each step.  Each
+    step fires the action the exploration recorded on its transition."""
     start = time.perf_counter()
     steps_run = 0
-    for case_index, labels in enumerate(suite.labels()):
+    for case_index, case in enumerate(suite.cases):
         machine.reset()
         implementation.reset()
         executed: list[str] = []
-        for label in labels:
-            (rule_name, args), = _decode_path(machine, [label])
-            machine.fire_named(rule_name, **args)
-            implementation.apply(rule_name, args)
-            executed.append(label)
+        for transition in case:
+            action = transition.action
+            machine.fire(action)
+            implementation.apply(action.rule.name, action.args)
+            executed.append(transition.label)
             steps_run += 1
             model_obs = {
                 name: machine.state[name] for name in observables

@@ -7,9 +7,11 @@ environments actually catch a broken implementation?*  It injects
 faults at each layer (netlist stuck-ats/SEUs, LA-1 protocol mutations,
 guarded-rule perturbations), sweeps them under the Table-3 workload
 shape, and reports detection coverage per monitor -- with hardened
-engines underneath (wall-clock deadlines, BDD-budget degradation,
+engines underneath (wall-clock deadlines, exploration bounds,
 checkpoint/resume, exception containment) so a campaign always ends in
-a structured report.
+a structured report.  An ASM perturbation costs one exploration: the
+model checker retires each bank property at its first failure and
+steps the rest.
 """
 
 from .campaign import (
@@ -19,7 +21,6 @@ from .campaign import (
     FaultVerdict,
     default_fault_list,
 )
-from .degrade import DegradationResult, check_read_mode_degraded
 from .models import (
     ASM_KINDS,
     PROTOCOL_GAP_KINDS,
@@ -41,7 +42,6 @@ __all__ = [
     "AsmPerturbation",
     "CampaignConfig",
     "CampaignReport",
-    "DegradationResult",
     "Fault",
     "FaultCampaign",
     "FaultVerdict",
@@ -51,7 +51,6 @@ __all__ = [
     "RtlFaultInjector",
     "RtlStuckAt",
     "build_perturbed_la1_asm",
-    "check_read_mode_degraded",
     "default_fault_list",
     "expected_asm_detectors",
 ]

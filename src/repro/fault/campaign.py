@@ -12,7 +12,8 @@ silent     the fault corrupted observable behaviour (transaction log
            no monitor fired -- an assertion-coverage gap
 masked     the fault was injected but never perturbed observable
            behaviour under this workload
-truncated  a wall-clock deadline expired before the verdict
+truncated  a wall-clock deadline expired, or an ASM exploration hit
+           its bounds, before the verdict
 error      the engine itself raised; campaigns contain the exception
            and keep sweeping (the diagnostic lands in ``detail``)
 ========== ==========================================================
@@ -116,7 +117,7 @@ NO_DIVERGENCE = "no observable divergence"
 #: other unit by far, which is all the planner needs.
 UNIT_COST_MS = {
     "sysc": (16, 20, 29, 31),
-    "asm": (20, 170, 890, 3400),
+    "asm": (6, 43, 233, 982),
     "rtl": (3, 8, 9, 13),
     "lanes": (15, 20, 27, 34),
 }
@@ -831,35 +832,26 @@ class FaultCampaign:
         # exploration drives the machine through fire(), so the coverage
         # observer sees every transition the checker takes
         asm_cov = AsmCoverage(machine, la1_state_predicates(self.config.banks))
-        labeling = asm_labeling(self.config.banks)
         suite = self._asm_suite(fault.bank)
-        deadline = self.config.fault_deadline_s
-        start = time.perf_counter()
-        detected_by: List[str] = []
-        truncated = False
-        for name, prop in suite:
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - (time.perf_counter() - start)
-                if remaining <= 0:
-                    truncated = True
-                    break
-            checker = AsmModelChecker(
-                machine, labeling,
-                ExplorationConfig(max_states=50_000,
-                                  max_transitions=500_000,
-                                  deadline_s=remaining),
-            )
-            result = checker.check(prop, name)
-            if result.holds is False:
-                detected_by.append(name)
-            elif result.holds is None and result.truncated_reason == "deadline":
-                truncated = True
+        config = ExplorationConfig(max_states=50_000, max_transitions=500_000,
+                                   deadline_s=self.config.fault_deadline_s)
+        # one exploration checks the whole bank suite: a failed property
+        # retires and the search steps the rest
+        result = AsmModelChecker(
+            machine, asm_labeling(self.config.banks), config,
+        ).check_combined([prop for __, prop in suite], name=fault.fault_id)
         asm_cov.detach()
+        detected_by = [suite[index][0] for index in sorted(result.failures)]
         if detected_by:
             outcome, detail = "detected", ""
-        elif truncated:
+        elif result.truncated_reason == "deadline":
             outcome, detail = "truncated", "per-fault deadline expired"
+        elif result.truncated_reason:
+            outcome = "truncated"
+            detail = (f"exploration bounds hit (max_states="
+                      f"{config.max_states}, max_transitions="
+                      f"{config.max_transitions}) with no property of "
+                      f"bank {fault.bank} violated")
         else:
             outcome = "silent"
             detail = (f"no property of bank {fault.bank} violated by the "

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from ..asm.exploration import ExplorationConfig, search
 from ..asm.machine import AsmError, AsmMachine
 from .diagnostics import ERROR
 from .manager import LintContext, Pass
@@ -34,35 +35,25 @@ def sweep_states(machine: AsmMachine, cap: int):
     """Bounded BFS over reachable snapshots.
 
     Returns ``(snapshots, capped)`` -- the visited snapshot list in BFS
-    order and whether the cap cut the sweep short.
+    order and whether the cap cut the sweep short.  An action whose
+    update set cannot be computed is not fired: the rules pass reports
+    it.  The machine's state is restored afterwards.
     """
+    def consistent(action) -> bool:
+        try:
+            machine.compute_updates(action)
+        except AsmError:
+            return False
+        return True
+
     saved = machine.snapshot()
-    machine.reset()
-    root = machine.snapshot()
-    seen = {root}
-    order = [root]
-    frontier = [root]
-    capped = False
-    while frontier:
-        snapshot = frontier.pop(0)
-        machine.restore(snapshot)
-        for action in machine.enabled_actions():
-            machine.restore(snapshot)
-            try:
-                updates = machine.compute_updates(action)
-            except AsmError:
-                continue  # reported by the rules pass, not the sweep
-            machine.state.update(updates)
-            succ = machine.snapshot()
-            if succ not in seen:
-                if len(seen) >= cap:
-                    capped = True
-                    continue
-                seen.add(succ)
-                order.append(succ)
-                frontier.append(succ)
+    parents, __, reason = search(
+        machine,
+        ExplorationConfig(max_states=cap, max_transitions=None,
+                          action_filter=consistent),
+        None, lambda component, action: None)
     machine.restore(saved)
-    return order, capped
+    return [snapshot for __, __, snapshot in parents.values()], bool(reason)
 
 
 class AsmRulesPass(Pass):

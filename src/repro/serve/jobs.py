@@ -108,6 +108,11 @@ class Job:
     def run(self, emit: Emit, workdir: Optional[str] = None) -> dict:
         raise NotImplementedError
 
+    def storable(self, result: dict) -> bool:
+        """Whether ``result`` is this job's final answer, which the
+        store then gives every later submission of the content key."""
+        return True
+
     def _spool(self, workdir: Optional[str], suffix: str) -> Optional[str]:
         """A durable per-content-key scratch path under ``workdir``."""
         if not workdir:
@@ -205,6 +210,12 @@ class CampaignJob(Job):
             }),
         )
         return report.to_dict()
+
+    def storable(self, result: dict) -> bool:
+        # a truncated or error verdict is an answer of this run's
+        # deadline or crash, not of the content key: never cache it
+        counts = result["counts"]
+        return not (counts["truncated"] or counts["error"])
 
 
 class CoverJob(Job):

@@ -37,7 +37,10 @@ the client.
 Deduplication is content-addressed: submissions with equal ``(kind,
 fingerprint)`` share one computation while in flight (the second
 submitter receives the first one's job id) and one stored result
-forever after (the store hit path).
+forever after (the store hit path).  Only a final result is stored
+(``Job.storable``): a campaign with a ``truncated`` or ``error``
+verdict keeps its result on its record, and the next submission of its
+key runs again.
 """
 
 from __future__ import annotations
@@ -229,7 +232,8 @@ class VerificationServer:
                 record.status = "error"
                 record.error = traceback.format_exc(limit=5)
             else:
-                self.store.put(record.key, result)
+                if job.storable(result):
+                    self.store.put(record.key, result)
                 record.result = result
                 record.status = "done"
             record.finished_at = time.time()

@@ -1,6 +1,6 @@
 """Hardened-engine contracts: exception containment in the SystemC
-kernel, wall-clock deadlines in the exploration and symbolic checkers,
-and the symbolic -> exploration degradation ladder."""
+kernel and wall-clock deadlines in the exploration and symbolic
+checkers."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.core.ovl_bindings import build_la1_top_with_ovl
 from repro.core.properties import asm_labeling, device_property_suite
 from repro.core.rulebase import check_read_mode_rtl
 from repro.core.spec import La1Config
-from repro.fault import check_read_mode_degraded
 from repro.rtl import RtlSimulator, elaborate
 from repro.sysc.kernel import (
     MethodProcess,
@@ -125,26 +124,6 @@ class TestSymbolicDeadlines:
         assert mc.holds is True
         assert not mc.truncated
         assert "cache_hits" in mc.bdd_stats
-
-
-class TestDegradationLadder:
-    def test_symbolic_rung_when_budget_suffices(self):
-        result = check_read_mode_degraded(1)
-        assert result.holds is True
-        assert result.rung == "symbolic"
-        assert not result.degraded
-        assert [rung for rung, __ in result.attempts] == ["symbolic"]
-
-    def test_exploded_budget_degrades_to_exploration(self):
-        result = check_read_mode_degraded(
-            1, transient_node_budget=10, live_node_budget=10)
-        assert result.degraded
-        assert result.rung == "exploration"
-        assert result.holds is True  # exploration completes on 1 bank
-        assert [rung for rung, __ in result.attempts] \
-            == ["symbolic", "exploration"]
-        symbolic = result.attempts[0][1]
-        assert symbolic.holds is None
 
 
 class TestSimulatorInstrumentation:

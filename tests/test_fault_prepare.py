@@ -238,11 +238,11 @@ class TestShardPlan:
 
     def test_cost_model_is_bank_aware(self):
         assert all(len(costs) == 4 for costs in UNIT_COST_MS.values())
-        # an ASM fault costs about a SystemC fault at 1 bank and two
-        # orders of magnitude more at 4
+        # an ASM fault costs less than a SystemC fault at 1 bank and over
+        # an order of magnitude more at 4
         ratio = [asm / sysc for asm, sysc in
                  zip(UNIT_COST_MS["asm"], UNIT_COST_MS["sysc"])]
-        assert ratio == sorted(ratio) and ratio[0] < 2 < 50 < ratio[-1]
+        assert ratio == sorted(ratio) and ratio[0] < 1 < 10 < ratio[-1]
         # beyond the measured range the 4-bank column stands
         asm = [f for f in default_fault_list(8) if f.layer == "asm"]
         big = FaultCampaign(CampaignConfig(banks=8))

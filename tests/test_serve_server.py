@@ -91,6 +91,29 @@ class TestHTTP:
         assert other["status"] != "cached"
         _wait(base, other["id"])
 
+    def test_truncated_result_is_not_stored(self, server):
+        # deadline_s is not part of the content key, so a stored partial
+        # result would answer the same spec without a deadline
+        __, base, ___ = server
+        spec = {**CAMPAIGN, "seed": 57}
+        partial = _http("POST", f"{base}/jobs", {
+            "kind": "campaign", "spec": {**spec, "deadline_s": 0.0}})
+        record = _wait(base, partial["id"])
+        assert record["status"] == "done"
+        assert record["result"]["counts"]["truncated"] == 4
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            _http("GET", f"{base}/store/{partial['key']}")
+        assert exc.value.code == 404
+        full = _http("POST", f"{base}/jobs", {"kind": "campaign",
+                                              "spec": spec})
+        assert full["key"] == partial["key"]
+        assert full["status"] != "cached"
+        record = _wait(base, full["id"])
+        assert record["status"] == "done"
+        outcomes = {v["outcome"] for v in record["result"]["faults"]}
+        assert outcomes <= {"detected", "silent", "masked"}
+        assert _http("GET", f"{base}/store/{full['key']}") == record["result"]
+
     def test_event_stream_carries_verdicts_then_done(self, server):
         __, base, ___ = server
         submitted = _http("POST", f"{base}/jobs", {
