@@ -70,10 +70,12 @@ def zoo_log_run(campaign, sim) -> Tuple:
 def run_zoo_batch(campaign, batch: List[Fault], lanes: int) -> tuple:
     """One PPSFP pass over a zoo design: fault *k* in lane ``k+1``,
     lane 0 golden.  Divergence is accumulated with the lane-word trick
-    (XOR every lane word against the broadcast of lane 0); verdicts are
-    bit-identical to the campaign's per-fault RTL run.  Returns
-    ``(verdicts, fallbacks)`` like ``repro.fault.ppsfp._run_batch``."""
-    from ..fault.campaign import ZOO_SILENT, judge
+    (XOR every lane word against the broadcast of lane 0); a lane that
+    hit a bus conflict is detected by ``bus_conflict`` alone, as its
+    per-fault run is, so verdicts are bit-identical to the campaign's
+    per-fault RTL run.  Returns ``(verdicts, fallbacks)`` like
+    ``repro.fault.ppsfp._run_batch`` (here no lane falls back)."""
+    from ..fault.campaign import BUS_CONFLICT, ZOO_SILENT, judge
 
     golden = campaign._rtl_golden_run()
     sim = campaign._ppsfp_simulator(lanes)
@@ -106,15 +108,13 @@ def run_zoo_batch(campaign, batch: List[Fault], lanes: int) -> tuple:
             sim.step("K")
     finally:
         injector.detach()
-    invalid = sim.conflict_lanes
+    conflicts = sim.conflict_lanes
     verdicts: dict = {}
-    fallbacks: List[Fault] = []
     for index, fault in enumerate(batch):
         lane = lane_map[index]
-        if (invalid >> lane) & 1:
-            fallbacks.append(fault)
-            continue
+        detected_by = (list(BUS_CONFLICT) if (conflicts >> lane) & 1
+                       else sim.lane_failure_names(lane))
         verdicts[fault.fault_id] = judge(
-            fault, sim.lane_failure_names(lane), injector.lane_triggered(lane),
+            fault, detected_by, injector.lane_triggered(lane),
             (diverged >> lane) & 1, ZOO_SILENT)
-    return verdicts, fallbacks
+    return verdicts, []

@@ -7,6 +7,8 @@ taxonomy:
 
 ========== ==========================================================
 detected   some assertion monitor fired; ``detected_by`` names them
+           (an RTL run in which two tristate drivers enabled one bus
+           ends there, detected by ``bus_conflict`` alone)
 silent     the fault corrupted observable behaviour (transaction log
            differs from the golden run / a property is violated) but
            no monitor fired -- an assertion-coverage gap
@@ -55,7 +57,13 @@ from ..core.rtl_testbench import RtlHost
 from ..core.spec import La1Config, la1_config
 from ..core.sysc_model import build_la1_system
 from ..psl.monitor import Verdict
-from ..rtl import FlatDesign, RtlSimulator, design_kernel, elaborate
+from ..rtl import (
+    BusConflict,
+    FlatDesign,
+    RtlSimulator,
+    design_kernel,
+    elaborate,
+)
 from .asm_perturb import build_perturbed_la1_asm
 from .models import (
     PROTOCOL_KINDS,
@@ -108,6 +116,11 @@ ZOO_SILENT = ("output log diverged from golden run with no design "
 #: the detail of a fault that acted without moving the log
 NO_DIVERGENCE = "no observable divergence"
 
+#: the ``detected_by`` of an RTL run that drove one bus from two
+#: tristate drivers: the run stops at the conflict, so the conflict is
+#: its only detection (a lane runs on, and names it alone too)
+BUS_CONFLICT = ("bus_conflict",)
+
 #: the shard planner's cost model: measured wall-clock (ms) of one
 #: execution unit at 1, 2, 3 and 4 banks with warm memos (DESIGN.md §6)
 #: -- one fault of the SystemC and ASM runners, one scalar RTL run of an
@@ -118,8 +131,8 @@ NO_DIVERGENCE = "no observable divergence"
 UNIT_COST_MS = {
     "sysc": (16, 20, 29, 31),
     "asm": (6, 43, 233, 982),
-    "rtl": (3, 8, 9, 13),
-    "lanes": (15, 20, 27, 34),
+    "rtl": (3, 5, 8, 11),
+    "lanes": (14, 16, 25, 39),
 }
 
 
@@ -757,9 +770,10 @@ class FaultCampaign:
         injected: a netlist fault through an injector, a stimulus
         mutation as a mutated queue whose log drops the issued address
         (:func:`~repro.fault.stim_inject.reduce_log_signature`).  None is
-        the golden run, which attaches no injector (even an empty one
-        hooks every edge).  Returns ``(failing monitors, triggered, log,
-        coverage points)``."""
+        the golden run, which attaches no injector.  A faulty run that
+        drives one bus from two tristate drivers ends at the conflict,
+        failing :data:`BUS_CONFLICT` alone (a golden run raises).
+        Returns ``(failing monitors, triggered, log, coverage points)``."""
         from ..core.traffic import schedule_values
         from ..cover.functional import La1FunctionalCoverage
 
@@ -774,7 +788,7 @@ class FaultCampaign:
         if fault is not None and mutation is None:
             injector = RtlFaultInjector(sim, [fault])
             injector.attach()
-        triggered, points = False, None
+        triggered, points, log = False, None, None
         try:
             if config.design:
                 from ..dsl.faults import zoo_log_run
@@ -793,17 +807,24 @@ class FaultCampaign:
                     triggered = queue_mutated_traffic(
                         host, la1, schedule, values, mutation)
                 functional.detach()
+                # functional coverage samples at queue time: harvested
+                # before the run, it holds even for a run a conflict ends
+                points = functional.harvest().covered_keys()
                 host.run_cycles(config.rtl_cycles)
                 log = log_signature(host.results)
                 if mutation is not None:
                     log = reduce_log_signature(log)
-                points = functional.harvest().covered_keys()
+            failed = sorted({r.name for r in sim.failures})
+        except BusConflict:
+            if fault is None:
+                raise
+            failed = list(BUS_CONFLICT)
         finally:
             if injector is not None:
                 injector.detach()
         if injector is not None:
             triggered = injector.triggered
-        return sorted({r.name for r in sim.failures}), triggered, log, points
+        return failed, triggered, log, points
 
     def _run_rtl(self, fault: Fault, pattern: int = 0) -> FaultVerdict:
         golden = self._rtl_golden_run(pattern)

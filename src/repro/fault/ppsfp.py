@@ -51,13 +51,17 @@ of the lane's group golden log -- bank, beats and parities, address-free
 like :func:`~repro.fault.stim_inject.reduce_log_signature` -- and a
 class that ends with another read count has diverged.
 
+A lane that drove one bus from two tristate drivers is *detected* by
+``bus_conflict`` alone (:data:`~repro.fault.campaign.BUS_CONFLICT`),
+whatever its monitors did afterwards: its own per-fault run stops at
+the conflict and reports the same.
+
 **Degradation ladder.**  Each group's golden lane must stay in lane 0's
-class and replay its golden log, or the whole pass raises; any engine
-exception does the same, and the batch re-runs fault by fault.  Two
-kinds of lane leave their pass for the ordinary per-fault run (the whole
-fault, every pattern): a lane that hit a tristate bus conflict, whose
-scalar run raises into an ``error`` verdict, and a stimulus lane whose
-monitor fires.  Fault classes that cannot be lane-encoded at all --
+class and replay its golden log, without a bus conflict, or the whole
+pass raises; any engine exception does the same, and the batch re-runs
+fault by fault.  A stimulus lane whose monitor fires leaves its pass for
+the ordinary per-fault run (the whole fault, every pattern).  Fault
+classes that cannot be lane-encoded at all --
 protocol/ASM mutations, targets without register/input support, and the
 schedule-changing stimulus kinds
 (:data:`~repro.fault.models.STIM_LADDER_KINDS`) -- never enter a batch.
@@ -72,7 +76,12 @@ from typing import List, Optional
 from ..core.rtl_testbench import RtlHost
 from ..rtl.hdl import HdlError
 from ..rtl.simulator import pack_lanes
-from .campaign import RTL_SILENT, judge, merge_pattern_verdicts
+from .campaign import (
+    BUS_CONFLICT,
+    RTL_SILENT,
+    judge,
+    merge_pattern_verdicts,
+)
 from .models import STIM_KINDS, Fault, RtlBitFlip, RtlStuckAt, StimulusMutation
 from .rtl_inject import RtlFaultInjector, resolve_state_bit
 from .stim_inject import StimulusApplicator, full_byte_enables
@@ -601,16 +610,16 @@ def _run_batch(campaign, batch: List[Fault], lanes: int,
                 if fault.fault_id in fallback_ids:
                     continue
                 lane = base_lane + 1 + k
-                detected_by = sim.lane_failure_names(lane)
                 state = stim_by_k.get(k)
-                # a bus conflict raises in the fault's own run (an
-                # ``error`` verdict), and a monitor firing on a stimulus
-                # lane (legal traffic) would be new information: both
-                # take the per-fault path
-                if (conflicts >> lane) & 1 or (state is not None
-                                                and detected_by):
-                    fallback_ids.add(fault.fault_id)
-                    continue
+                if (conflicts >> lane) & 1:
+                    detected_by = list(BUS_CONFLICT)
+                else:
+                    detected_by = sim.lane_failure_names(lane)
+                    # a monitor firing on a stimulus lane (legal
+                    # traffic) would be new information: per-fault path
+                    if state is not None and detected_by:
+                        fallback_ids.add(fault.fault_id)
+                        continue
                 triggered = (injector.lane_triggered(lane) if state is None
                              else state.triggered)
                 per_pattern[fault.fault_id][pattern] = judge(
@@ -637,9 +646,9 @@ def run_ppsfp_batches(campaign, faults: List[Fault], lanes: int,
     """Verdicts for one PPSFP batch, in order.
 
     ``faults`` are at most ``lanes - 1`` :func:`ppsfp_compatible` faults
-    (the batch :meth:`FaultCampaign.execute_faults` planned).  Lanes
-    that hit a bus conflict, stimulus lanes whose monitor fires, and the
-    whole batch when its pass raises are re-run through
+    (the batch :meth:`FaultCampaign.execute_faults` planned).  Stimulus
+    lanes whose monitor fires, and the whole batch when its pass raises,
+    are re-run through
     :meth:`FaultCampaign.execute_fault`, so every verdict is
     bit-identical to a per-fault sweep regardless of lane count, batch
     boundaries or pattern tiling.  ``patterns_per_pass`` caps how many

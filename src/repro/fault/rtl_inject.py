@@ -1,14 +1,19 @@
 """Backend-agnostic netlist fault injection for the RTL simulator.
 
-Faults are applied through the simulator's public edge-hook mechanism so
-that the *same* injector drives the ``"interp"``, ``"compiled"`` and
-``"bitpar"`` backends: the hook mutates the shared slot array after each
-edge settles and re-runs ``settle`` so downstream combinational logic
-(including the OVL checker cones, which live in the same netlist)
-observes the corrupted value.  The differential suite in
-``tests/test_fault_models.py`` holds the scalar backends bit-identical
-under every fault model; ``tests/test_fault_ppsfp.py`` extends the
-contract to the lane-parallel backend.
+The *same* injector drives the ``"interp"``, ``"compiled"`` and
+``"bitpar"`` backends through the simulator's shared slot array.  A
+stuck-at is part of the simulated step: the injector installs one
+stuck-at table in the simulator (:meth:`RtlSimulator.install_forces
+<repro.rtl.simulator.RtlSimulator.install_forces>`), which forces each
+faulty bit at every register commit -- before the step's settle, so the
+downstream combinational logic and the OVL checkers, which live in the
+same netlist, sample the stuck value at the edge -- and on every input
+drive, so the host's next drive cannot overwrite a stuck input.  A
+single-event upset is a one-off flip: an edge hook toggles the bit after
+the edge it is due at and re-settles.  The differential suite in
+``tests/test_fault_models.py`` holds the backends bit-identical under
+every fault model; ``tests/test_fault_ppsfp.py`` extends the contract to
+the lane-parallel passes.
 
 Only ``reg`` and ``input`` nets hold state across a settle pass: a
 corrupted combinational net would simply be recomputed by the next
@@ -26,7 +31,8 @@ scalar values.  With a ``lane_map`` each fault is confined to its own
 simulation lane (fault *k* active only in lane ``lane_map[k]``, lane 0
 kept golden) -- the PPSFP encoding :mod:`repro.fault.ppsfp` batches
 campaigns with.  Without a ``lane_map`` the fault is broadcast into
-every lane.
+every lane.  A batch's stuck-ats on one bit merge into one table entry,
+whatever their lanes and polarities.
 """
 
 from __future__ import annotations
@@ -81,9 +87,12 @@ class RtlFaultInjector:
     Usage::
 
         injector = RtlFaultInjector(sim, [RtlStuckAt("la1_top.bank0...", 0, 1)])
-        injector.attach()      # applies stuck-ats immediately
+        injector.attach()      # installs the stuck-ats, which act at once
         ... drive traffic ...
         injector.detach()      # releases the simulator (faults stop acting)
+
+    One injector at a time may hold a simulator: attaching installs its
+    stuck-at table in place of any other.
 
     The injector validates every target path and bit index at
     construction time so campaigns fail fast on stale fault lists.
@@ -95,7 +104,7 @@ class RtlFaultInjector:
     all of them at once (pattern packing runs the same fault against
     several stimulus variants, one lane per pattern group); lane 0 is
     reserved for the golden machine.  :attr:`triggered_lanes` then
-    accumulates, per lane, whether an application actually changed that
+    accumulates, per lane, whether a force or flip actually changed that
     lane's state bit.
     """
 
@@ -104,11 +113,12 @@ class RtlFaultInjector:
         self.sim = sim
         self.faults = list(faults)
         self._attached = False
-        #: True once some application actually changed a state bit (a
+        #: True once a force or flip actually changed a state bit (a
         #: stuck-at matching the fault-free value never does -- such a
-        #: run is reported *masked* rather than silent)
+        #: run is reported *masked* rather than silent); the forces'
+        #: share is read back from the simulator at :meth:`detach`
         self.triggered = False
-        #: bitpar backend: lane word of lanes where an application
+        #: bitpar backend: lane word of lanes where a force or flip
         #: changed a state bit (the per-lane ``triggered``)
         self.triggered_lanes = 0
         bitpar = sim.backend == "bitpar"
@@ -136,7 +146,11 @@ class RtlFaultInjector:
                     raise HdlError("empty lane list in lane_map")
                 lane_masks.append(mask)
         self._bitpar = bitpar
-        self._plan = []  # (fault, slot, mask) over the backend state array
+        #: the stuck-at table: slot -> (keep, put) over the backend state
+        #: array, a later fault on the same bits and lanes overriding
+        self._table: dict = {}
+        #: SEUs still to flip: (fault, slot, mask, guard flags)
+        self._pending_flips = []
         for index, fault in enumerate(self.faults):
             if not isinstance(fault, (RtlStuckAt, RtlBitFlip)):
                 raise HdlError(
@@ -144,20 +158,22 @@ class RtlFaultInjector:
                 )
             flat, bit = resolve_state_bit(sim.design, fault.path, fault.bit)
             if bitpar:
-                # one lane word per net bit: select the fault's lane(s);
-                # flags are the activity guards watching the forced net
+                # one lane word per net bit: select the fault's lane(s)
                 slot = sim._bitpar.bit_slots[flat.path][bit]
                 mask = (lane_masks[index] if lane_masks is not None
                         else sim.lane_mask)
-                flags = sim._bitpar.state_guards.get(flat.path, ())
             else:
                 slot = flat.slot
                 mask = 1 << bit
-                flags = ()
-            self._plan.append((fault, slot, mask, flags))
-        self._pending_flips = [
-            entry for entry in self._plan if isinstance(entry[0], RtlBitFlip)
-        ]
+            if isinstance(fault, RtlBitFlip):
+                # a flip raises the activity guards watching its net
+                flags = (sim._bitpar.state_guards.get(flat.path, ())
+                         if bitpar else ())
+                self._pending_flips.append((fault, slot, mask, flags))
+                continue
+            keep, put = self._table.get(slot, (-1, 0))
+            self._table[slot] = (keep & ~mask,
+                                 (put & ~mask) | (mask if fault.value else 0))
 
     # ------------------------------------------------------------------
     def lane_triggered(self, lane: int) -> bool:
@@ -166,71 +182,49 @@ class RtlFaultInjector:
 
     # ------------------------------------------------------------------
     def attach(self) -> None:
-        """Start injecting: force stuck-ats now and hook every edge."""
+        """Start injecting: install the stuck-at table, which acts at
+        once, and hook the edges when an SEU is still to flip."""
         if self._attached:
             return
-        self.sim.add_edge_hook(self._on_edge)
         self._attached = True
-        if self._apply_stuck_ats():
-            self._resettle(self.sim)
+        if self._table:
+            self.sim.install_forces(self._table)
+        if self._pending_flips:
+            self.sim.add_edge_hook(self._on_edge)
 
     def detach(self) -> None:
-        """Stop injecting and release the (possibly shared) simulator."""
-        if self._attached:
-            self.sim.remove_edge_hook(self._on_edge)
-            self._attached = False
+        """Stop injecting and release the (possibly shared) simulator;
+        the bits the stuck-ats changed join :attr:`triggered`."""
+        if not self._attached:
+            return
+        self._attached = False
+        if self._table:
+            self._note_triggered(self.sim.remove_forces())
+        self.sim.remove_edge_hook(self._on_edge)
 
     # ------------------------------------------------------------------
-    def _apply_stuck_ats(self) -> bool:
-        v = self.sim._v
-        ctx = self.sim._ctx if self._bitpar else None
-        changed = 0
-        for fault, slot, mask, flags in self._plan:
-            if not isinstance(fault, RtlStuckAt):
-                continue
-            old = v[slot]
-            new = (old | mask) if fault.value else (old & ~mask)
-            if new != old:
-                v[slot] = new
-                changed |= old ^ new
-                for flag in flags:
-                    ctx[flag] = 1
+    def _note_triggered(self, changed: int) -> None:
         if changed:
             self.triggered = True
             if self._bitpar:
                 self.triggered_lanes |= changed
-        return bool(changed)
 
     def _on_edge(self, edge: str, sim: RtlSimulator) -> None:
-        changed = self._apply_stuck_ats()
-        done = []
-        for entry in self._pending_flips:
+        due = [entry for entry in self._pending_flips
+               if sim.edge_count >= entry[0].at_edge]
+        if not due:
+            return
+        for entry in due:
             fault, slot, mask, flags = entry
-            if sim.edge_count >= fault.at_edge:
-                sim._v[slot] ^= mask
-                changed = True
-                self.triggered = True
-                if self._bitpar:
-                    self.triggered_lanes |= mask
-                    for flag in flags:
-                        sim._ctx[flag] = 1
-                done.append(entry)
-        for entry in done:
+            sim._v[slot] ^= mask
+            self._note_triggered(mask)
+            for flag in flags:
+                sim._ctx[flag] = 1
             self._pending_flips.remove(entry)
-        if changed:
-            self._resettle(sim)
-
-    def _resettle(self, sim: RtlSimulator) -> None:
-        """Propagate a forced state bit into combinational logic.
-
-        The scalar backends settle eagerly -- a post-force tristate
-        conflict must raise from inside the step, exactly where a real
-        per-fault run would see it.  On bitpar the settle is deferred to
-        the dirty-inputs flag instead: every reader (``read*``,
-        ``lane_word``, ``conflict_lanes``, the campaign's lane pass) and
-        the next ``step`` settle on demand, so forcing the same bit on
-        consecutive edges costs one settle, not two.
-        """
+        # the scalar backends settle eagerly -- a post-flip tristate
+        # conflict must raise from inside the step, exactly where a
+        # real per-fault run would see it; on bitpar every reader and
+        # the next step settle on demand
         if self._bitpar:
             sim._inputs_dirty = True
         else:

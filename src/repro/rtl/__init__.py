@@ -9,6 +9,7 @@ Table 3) and rendered to Verilog text by :func:`emit_verilog`.
 
 from .hdl import (
     BinOp,
+    BusConflict,
     C,
     Concat,
     Const,
@@ -58,6 +59,7 @@ __all__ = [
     "TristateDriver",
     "RtlModule",
     "HdlError",
+    "BusConflict",
     "FlatNet",
     "FlatMonitor",
     "FlatDesign",

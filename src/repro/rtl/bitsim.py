@@ -44,18 +44,27 @@ deep select tree (the SRAM read mux above all) is recomputed only when
 one of its support nets -- the registers and free inputs its expression
 transitively reads -- actually changed since the last settle.  Each
 guarded net owns a dirty flag in ``ctx``; register commits that change
-a watched net, input drives, and fault-injector forces raise the flags
-of the guards they feed, and a clean flag lets settle skip the whole
-block (its output slots still hold the previous, still-correct words).
-The guard is conservative (flags may be raised without a value change)
-so skipping never alters a single lane bit.
+a watched net, input drives, and stuck-at forces raise the flags of the
+guards they feed, and a clean flag lets settle skip the whole block (its
+output slots still hold the previous, still-correct words).  The guard
+is conservative (flags may be raised without a value change) so
+skipping never alters a single lane bit.
+
+Stuck-at faults are part of the step, not a patch applied after it:
+each ``step_<edge>`` takes the simulator's
+:class:`~repro.rtl.compile.Forces` table and applies it to the committed
+lane words before its one settle, with masks that are lane words, so
+each faulty lane's checkers sample the stuck value at the edge it
+holds, and a faulty edge costs the same single settle as a golden one.
+The simulator applies the same table to every input drive and at reset.
 
 Lane count is arbitrary (Python ints are unbounded); 64 is the default
 because one native machine word per slot is the classic PPSFP sweet
 spot.  Tristate conflicts are tracked *per lane*: a conflict in lane 0
 raises exactly like the compiled backend (the golden machine is the
 reference), while conflicts confined to faulty lanes are accumulated in
-``ctx[0]`` so campaign code can degrade those lanes to per-fault runs.
+``ctx[0]``, which a fault campaign reads as those lanes' ``bus_conflict``
+detections.
 """
 
 from __future__ import annotations
@@ -63,7 +72,7 @@ from __future__ import annotations
 import sys
 from typing import Callable, Optional
 
-from .compile import _Emitter, _make_conflict, mangle_edge
+from .compile import _Emitter, _make_conflict, apply_forces, mangle_edge
 from .hdl import (
     BinOp,
     Concat,
@@ -660,29 +669,32 @@ class BitparDesign:
 
     ``settle(v, ctx)`` re-evaluates all combinational bit words in
     topological order (``ctx[0]`` accumulates the lane word of tristate
-    conflicts); ``steps[edge](v, fired, ctx)`` applies one clock edge --
-    ``fired`` collects ``(monitor_index, lane_word)`` pairs for every
-    monitor whose fire word is non-zero in any lane.  ``bit_slots`` maps
-    net path to the tuple of that net's per-bit slots -- pure-routing
-    alias bits share their source's slot, so the tuple need not be
-    contiguous; ``init`` is the power-up lane word of every bit slot
-    (register init bits broadcast to all lanes).  ``work`` counts the
-    word assignments per generated function for the ``words_evaluated``
-    statistic.  ``num_guards`` activity guards occupy ``ctx[1:]`` (all
+    conflicts); ``steps[edge](v, fired, ctx, forces)`` applies one clock
+    edge -- commit, the :class:`~repro.rtl.compile.Forces` table, settle,
+    monitors -- and ``fired`` collects ``(monitor_index, lane_word)``
+    pairs for every monitor whose fire word is non-zero in any lane.
+    ``bit_slots`` maps net path to the tuple of that net's per-bit slots
+    -- pure-routing alias bits share their source's slot, so the tuple
+    need not be contiguous; ``init`` is the power-up lane word of every
+    bit slot (register init bits broadcast to all lanes).  ``work``
+    counts the word assignments per generated function for the
+    ``words_evaluated`` statistic.  ``num_guards`` activity guards occupy ``ctx[1:]`` (all
     raised at reset); ``state_guards`` maps a watched register/input
     path to the guard flags that must be raised when external code --
-    input drives, fault forces -- changes its bits.
+    input drives, fault forces -- changes its bits, and ``slot_guards``
+    maps each bit slot of such a net to the same flags.
     """
 
     __slots__ = ("design", "lanes", "lane_mask", "detect_bus_conflicts",
                  "settle", "steps", "init", "source", "bit_slots",
-                 "num_bit_slots", "work", "num_guards", "state_guards")
+                 "num_bit_slots", "work", "num_guards", "state_guards",
+                 "slot_guards")
 
     def __init__(self, design: FlatDesign, lanes: int,
                  detect_bus_conflicts: bool, settle: Callable,
                  steps: dict, init: tuple, source: str, bit_slots: dict,
                  num_bit_slots: int, work: dict, num_guards: int,
-                 state_guards: dict):
+                 state_guards: dict, slot_guards: dict):
         self.design = design
         self.lanes = lanes
         self.lane_mask = (1 << lanes) - 1
@@ -696,6 +708,7 @@ class BitparDesign:
         self.work = work
         self.num_guards = num_guards
         self.state_guards = state_guards
+        self.slot_guards = slot_guards
 
 
 def _count_work(lines: list, start: int) -> int:
@@ -860,7 +873,7 @@ def _compile_bitpar(design: FlatDesign, detect_bus_conflicts: bool,
         trial = _Emitter()
         next_state(_LaneLowerer(trial, bit_slots, True, edge_counts), trial)
         emit.w()
-        emit.w(f"def {name}(v, fired, ctx):")
+        emit.w(f"def {name}(v, fired, ctx, forces):")
         mark = len(emit.lines)
         temps, holds = next_state(
             _LaneLowerer(emit, bit_slots, False, edge_counts), emit)
@@ -890,6 +903,7 @@ def _compile_bitpar(design: FlatDesign, detect_bus_conflicts: bool,
                     hold_flags[flag] = True
             for flag in hold_flags:
                 emit.w(f"        ctx[{flag}] = 1")
+        emit.w(f"    _force(v, forces, ctx, {edge!r})")
         emit.w("    settle(v, ctx)")
         for index, monitor in enumerate(design.monitors):
             if monitor.clock != edge:
@@ -907,6 +921,7 @@ def _compile_bitpar(design: FlatDesign, detect_bus_conflicts: bool,
         "__builtins__": {},
         "M": lane_mask,
         "_conflict": _make_conflict(tuple(conflict_paths)),
+        "_force": apply_forces,
     }
     exec(compile(source, "<repro.rtl.bitsim>", "exec"), namespace)
 
@@ -929,4 +944,5 @@ def _compile_bitpar(design: FlatDesign, detect_bus_conflicts: bool,
         work,
         len(guarded),
         watched,
+        watched_slots,
     )

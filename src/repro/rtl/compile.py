@@ -12,10 +12,12 @@ closures), and compiles the result with ``compile()``/``exec()`` into
   order, each a single ``v[slot] = <expr>`` statement (tristate nets
   lower to ``if``/``elif`` priority ladders, mirroring the interpreter's
   driver ordering and conflict detection);
-* one ``step_<edge>(v, fired)`` function per clock edge (``step_K``,
-  ``step_Ksharp``, ...) -- next-state temporaries, simultaneous commit,
-  a ``settle`` call, then the edge's assertion monitors lowered to
-  inline guard checks appending monitor indices to ``fired``.
+* one ``step_<edge>(v, fired, forces)`` function per clock edge
+  (``step_K``, ``step_Ksharp``, ...) -- next-state temporaries,
+  simultaneous commit, the simulator's stuck-at table applied to the
+  committed state (``_force``, see :class:`Forces`), a ``settle`` call,
+  then the edge's assertion monitors lowered to inline guard checks
+  appending monitor indices to ``fired``.
 
 Lowering performs constant folding (any subtree without net references
 becomes a literal) and width-mask elision: the invariant is that every
@@ -31,6 +33,7 @@ from typing import Callable, Optional
 
 from .hdl import (
     BinOp,
+    BusConflict,
     Concat,
     Const,
     Expr,
@@ -44,7 +47,8 @@ from .hdl import (
 )
 from .netlist import FlatDesign, FlatNet
 
-__all__ = ["CompiledDesign", "compile_design", "mangle_edge"]
+__all__ = ["CompiledDesign", "Forces", "apply_forces", "compile_design",
+           "mangle_edge"]
 
 
 def _mask(width: int) -> int:
@@ -265,9 +269,66 @@ def _emit_comb(emit: _Emitter, flat: FlatNet, detect: bool,
         emit.w(f"{indent}    v[{flat.slot}] = 0")
 
 
+class Forces:
+    """A simulator's stuck-at table, the last argument of every generated
+    step function.
+
+    ``at`` maps a clock edge to the entries its register commit forces,
+    and ``None`` to the entries of free inputs, which every drive
+    forces.  An entry is ``(slot, keep, put, flags)``: the forced slot
+    holds ``(value & keep) | put``, so one entry forces any mix of bits
+    (or, on the bitpar backend, of lanes) to 0 and to 1, and a change
+    raises the bitpar activity-guard ``flags``.  ``hits`` ORs together
+    every bit a force changed -- the fault's ``triggered`` word.
+    """
+
+    __slots__ = ("at", "inputs", "hits")
+
+    def __init__(self, at: Optional[dict] = None):
+        self.at = at or {}
+        #: forced input slot -> (keep, put), for the drive path
+        self.inputs = {slot: (keep, put)
+                       for slot, keep, put, __ in self.at.get(None, ())}
+        self.hits = 0
+
+    def word(self, slot: int, value: int) -> int:
+        """``value`` as input slot ``slot`` holds it under the table."""
+        entry = self.inputs.get(slot)
+        if entry is None:
+            return value
+        forced = (value & entry[0]) | entry[1]
+        self.hits |= value ^ forced
+        return forced
+
+
+def apply_forces(v: list, forces: Forces, ctx: Optional[list],
+                 edge: Optional[str]) -> None:
+    """Force the entries of ``edge`` (``None``: the free inputs) in
+    ``v``, raising the activity-guard flags in ``ctx`` (bitpar) of each
+    slot that changes.  The generated steps call it as ``_force``
+    between the register commit and the settle, so the settle and the
+    monitors see the forced state; the symbolic executor of
+    :mod:`repro.sat.symexec` skips the call, which models the
+    fault-free kernel."""
+    entries = forces.at.get(edge)
+    if not entries:
+        return
+    hits = 0
+    for slot, keep, put, flags in entries:
+        old = v[slot]
+        new = old & keep | put
+        if new != old:
+            v[slot] = new
+            hits |= old ^ new
+            for flag in flags:
+                ctx[flag] = 1
+    if hits:
+        forces.hits |= hits
+
+
 def _make_conflict(paths: tuple[str, ...]) -> Callable[[int], None]:
     def _conflict(index: int) -> None:
-        raise HdlError(
+        raise BusConflict(
             f"bus conflict on {paths[index]}: multiple tristate "
             "drivers enabled"
         )
@@ -279,11 +340,11 @@ class CompiledDesign:
     """The executable form of a flattened design.
 
     ``settle(v)`` re-evaluates all combinational nets in topological
-    order; ``steps[edge](v, fired)`` applies one rising edge of the named
-    clock (simultaneous register commit, settle, monitor guards --
-    ``fired`` collects indices into ``design.monitors``).  ``init`` is
-    the power-up value of every slot; ``source`` keeps the generated
-    Python for inspection and tests.
+    order; ``steps[edge](v, fired, forces)`` applies one rising edge of
+    the named clock (simultaneous register commit, the :class:`Forces`
+    table, settle, monitor guards -- ``fired`` collects indices into
+    ``design.monitors``).  ``init`` is the power-up value of every slot;
+    ``source`` keeps the generated Python for inspection and tests.
     """
 
     __slots__ = ("design", "detect_bus_conflicts", "settle", "steps",
@@ -322,7 +383,7 @@ def compile_design(design: FlatDesign,
             name += "_"
         step_names[edge] = name
         emit.w()
-        emit.w(f"def {name}(v, fired):")
+        emit.w(f"def {name}(v, fired, forces):")
         regs = [flat for flat in design.regs if flat.clock == edge]
         temps = []
         for flat in regs:
@@ -332,6 +393,7 @@ def compile_design(design: FlatDesign,
             emit.w(f"    {temp} = {src}  # next {flat.path}")
         for flat, temp in zip(regs, temps):
             emit.w(f"    v[{flat.slot}] = {temp}")
+        emit.w(f"    _force(v, forces, None, {edge!r})")
         emit.w("    settle(v)")
         for index, monitor in enumerate(design.monitors):
             if monitor.clock != edge:
@@ -343,6 +405,7 @@ def compile_design(design: FlatDesign,
     namespace: dict = {
         "__builtins__": {},
         "_conflict": _make_conflict(tuple(conflict_paths)),
+        "_force": apply_forces,
     }
     exec(compile(source, "<repro.rtl.compile>", "exec"), namespace)
 

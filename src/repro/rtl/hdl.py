@@ -45,12 +45,19 @@ __all__ = [
     "TristateDriver",
     "RtlModule",
     "HdlError",
+    "BusConflict",
     "C",
 ]
 
 
 class HdlError(Exception):
     """Raised on malformed RTL (width mismatches, duplicate drivers, ...)."""
+
+
+class BusConflict(HdlError):
+    """Raised by a simulator when two tristate drivers enable one bus in
+    the same settle (a real bus would go ``X``): the design, not the
+    engine, misbehaved, so a fault campaign reports it as a detection."""
 
 
 def _mask(width: int) -> int:

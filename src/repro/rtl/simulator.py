@@ -28,6 +28,12 @@ The generated kernels are cached on the :class:`FlatDesign`
 it once per backend; :func:`~repro.rtl.compile.compile_design` and
 :func:`~repro.rtl.bitsim.compile_bitpar` themselves stay uncached.
 
+A simulator can hold a stuck-at table (:meth:`RtlSimulator.install_forces`,
+a :class:`~repro.rtl.compile.Forces`): every backend applies it to the
+committed registers inside each step, before the settle the monitors
+sample, and to every input drive and reset, so a forced bit holds
+whenever the logic or a checker reads it.
+
 The simulator steps at half-cycle granularity.  With the LA-1 clock pair,
 edge ``"K"`` is the rising edge of the K master clock and edge ``"K#"``
 the rising edge of its complement; :meth:`RtlSimulator.cycle` performs one
@@ -36,11 +42,11 @@ full clock period (K edge then K# edge).
 
 from __future__ import annotations
 
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 from .bitsim import compile_bitpar
-from .compile import compile_design
-from .hdl import HdlError, RtlModule
+from .compile import Forces, apply_forces, compile_design
+from .hdl import BusConflict, HdlError, RtlModule
 from .netlist import FlatDesign, FlatMonitor, FlatNet, elaborate
 
 __all__ = ["AssertionFailure", "MonitorRecord", "RtlSimulator",
@@ -199,6 +205,8 @@ class RtlSimulator:
         self.failures: list[MonitorRecord] = []
         self.firings: list[MonitorRecord] = []
         self._edge_hooks: list[Callable[[str, "RtlSimulator"], None]] = []
+        self._forces = Forces()
+        self._owners: Optional[dict] = None
         # coverage-probe accounting (cumulative across resets, like the
         # wall-clock of a campaign that reuses one simulator)
         self._cover_probe_calls = 0
@@ -224,6 +232,8 @@ class RtlSimulator:
             for flat in self.design.regs:
                 v[flat.slot] = flat.init
             self._v = v
+            self._ctx = None
+        self._force_all()
         self.edge_count = 0
         self.failures = []
         self.firings = []
@@ -245,9 +255,12 @@ class RtlSimulator:
         slots = self._bitpar.bit_slots[flat.path]
         mask = self._bitpar.lane_mask
         v = self._v
+        forces = self._forces if self._forces.inputs else None
         changed = False
         for b in range(flat.width):
             word = mask if (value >> b) & 1 else 0
+            if forces is not None:
+                word = forces.word(slots[b], word)
             if v[slots[b]] != word:
                 v[slots[b]] = word
                 changed = True
@@ -256,8 +269,8 @@ class RtlSimulator:
         return changed
 
     def _raise_guards(self, path: str) -> None:
-        """Flag the activity guards watching ``path`` after an external
-        write (input drive, fault force) changed one of its bits."""
+        """Flag the activity guards watching ``path`` after an input
+        drive changed one of its bits."""
         for flag in self._bitpar.state_guards.get(path, ()):
             self._ctx[flag] = 1
 
@@ -265,7 +278,8 @@ class RtlSimulator:
         """Drive a free (testbench) input net by hierarchical path.
 
         On the bitpar backend the scalar value is broadcast into every
-        lane (use :meth:`set_input_lanes` for per-lane stimulus).
+        lane (use :meth:`set_input_lanes` for per-lane stimulus).  A
+        stuck-at on the input holds over the driven value.
         """
         flat = self.design.net(path)
         if flat.kind != "input":
@@ -276,6 +290,8 @@ class RtlSimulator:
             if self._broadcast(flat, value):
                 self._inputs_dirty = True
             return
+        if self._forces.inputs:
+            value = self._forces.word(flat.slot, value)
         if self._v[flat.slot] != value:
             self._v[flat.slot] = value
             self._inputs_dirty = True
@@ -318,11 +334,14 @@ class RtlSimulator:
         slots = self._bitpar.bit_slots[flat.path]
         v = self._v
         keep = ~mask
+        forces = self._forces if self._forces.inputs else None
         changed = False
         for b, slot in enumerate(slots):
             word = v[slot] & keep
             if b < len(words):
                 word |= words[b] & mask
+            if forces is not None:
+                word = forces.word(slot, word)
             if v[slot] != word:
                 v[slot] = word
                 changed = True
@@ -375,6 +394,54 @@ class RtlSimulator:
         if self._bitpar is None:
             raise HdlError("lane_word requires backend='bitpar'")
         return self._settled()[self._bitpar.bit_slots[path][bit]]
+
+    def install_forces(self, table: dict) -> None:
+        """Hold the slots of ``table`` stuck: ``{slot: (keep, put)}``, a
+        forced slot holding ``(value & keep) | put`` (on bitpar, a slot
+        is a bit slot of ``bit_slots`` and the masks are lane words).
+
+        The table replaces any installed one and acts at once, then at
+        every register commit -- inside the step, before the settle the
+        monitors sample -- at every input drive and at every reset,
+        until :meth:`remove_forces`.  A slot that holds no register or
+        free input raises :class:`HdlError`."""
+        owners = self._slot_owners()
+        guards = self._bitpar.slot_guards if self._bitpar is not None else {}
+        at: dict = {}
+        for slot, (keep, put) in table.items():
+            if slot not in owners:
+                raise HdlError(f"slot {slot} holds no register or input")
+            at.setdefault(owners[slot], []).append(
+                (slot, keep, put, guards.get(slot, ())))
+        self._forces = Forces(at)
+        self._force_all()
+        if self._forces.hits:
+            self._inputs_dirty = True
+
+    def _slot_owners(self) -> dict:
+        """Register/input slot -> the clock edge that commits it (None
+        for a free input), built once per simulator."""
+        if self._owners is None:
+            bit_slots = self._bitpar.bit_slots if self._bitpar else None
+            self._owners = {
+                slot: flat.clock if flat.kind == "reg" else None
+                for flat in self.design.regs + self.design.inputs
+                for slot in (bit_slots[flat.path] if bit_slots
+                             else (flat.slot,))
+            }
+        return self._owners
+
+    def _force_all(self) -> None:
+        for edge in self._forces.at:
+            apply_forces(self._v, self._forces, self._ctx, edge)
+
+    def remove_forces(self) -> int:
+        """Remove the stuck-at table; returns the OR of every bit its
+        forces changed while installed (on bitpar, the lane word of the
+        lanes where a force changed some slot)."""
+        hits = self._forces.hits
+        self._forces = Forces()
+        return hits
 
     def add_edge_hook(self, hook: Callable[[str, "RtlSimulator"], None]) -> None:
         """Register ``hook(edge_name, sim)`` called after every edge settles."""
@@ -473,7 +540,7 @@ class RtlSimulator:
             for driver in flat.tristate:
                 if driver.enable.evaluate(read):
                     if driven is not None and self.detect_bus_conflicts:
-                        raise HdlError(
+                        raise BusConflict(
                             f"bus conflict on {flat.path}: multiple tristate "
                             "drivers enabled"
                         )
@@ -502,15 +569,16 @@ class RtlSimulator:
         """Apply one rising clock edge of domain ``edge``.
 
         Sequence: sample next-state of all regs in the domain from the
-        currently settled values, commit them simultaneously, re-settle
-        combinational logic, then check assertion monitors.
+        currently settled values, commit them simultaneously, apply the
+        stuck-at table, re-settle combinational logic, then check
+        assertion monitors.
         """
         self._settled()
         if self._bitpar is not None:
             step_fn = self._bitpar.steps.get(edge)
             lane_fired: list[tuple[int, int]] = []
             if step_fn is not None:
-                step_fn(self._v, lane_fired, self._ctx)
+                step_fn(self._v, lane_fired, self._ctx, self._forces)
                 self._words_evaluated += self._bitpar.work[edge]
             else:  # edge without regs or monitors: just re-settle
                 self._bitpar.settle(self._v, self._ctx)
@@ -523,7 +591,7 @@ class RtlSimulator:
             step_fn = self._compiled.steps.get(edge)
             fired: list[int] = []
             if step_fn is not None:
-                step_fn(self._v, fired)
+                step_fn(self._v, fired, self._forces)
             else:  # edge without regs or monitors: just re-settle
                 self._compiled.settle(self._v)
             self.edge_count += 1
@@ -541,6 +609,7 @@ class RtlSimulator:
                 nexts.append((flat, flat.next_expr.evaluate(read)))
             for flat, value in nexts:
                 v[flat.slot] = value
+            apply_forces(v, self._forces, None, edge)
             self._settle()
             self.edge_count += 1
             self._check_monitors(edge)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence
 
-from ..rtl.compile import compile_design, mangle_edge
+from ..rtl.compile import Forces, compile_design, mangle_edge
 from ..rtl.bitsim import compile_bitpar
 from ..rtl.netlist import FlatDesign
 from .cnf import Tseitin
@@ -128,12 +128,13 @@ class _BackendView:
         return self.net_reader(self.settle_args, flat)
 
     def step(self, step_name: str):
-        """Run one edge on a copy of the settled arrays; returns the
-        arrays after commit + resettle."""
+        """Run one edge, with no stuck-at installed, on a copy of the
+        settled arrays; returns the arrays after commit + resettle."""
         arrays = [list(a) if isinstance(a, list) else a
                   for a in self.settle_args]
         fired: List = []
-        self.executor.call(step_name, [arrays[0], fired] + arrays[1:])
+        self.executor.call(step_name,
+                           [arrays[0], fired] + arrays[1:] + [Forces()])
         return arrays
 
     def reg_lits(self, arrays, flat) -> List[int]:

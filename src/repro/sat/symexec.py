@@ -17,9 +17,11 @@ encoding -- ready for a miter.
 The executor is deliberately a *dumb* interpreter of the Python ``ast``:
 it understands only the statement and expression forms the two emitters
 produce (straight-line assignments, ``if``/``elif`` ladders, calls to
-``settle``/``_conflict``/``fired.append``, ``bit_count() & 1``) and
-raises :class:`SymexecError` on anything else, so codegen drift is
-caught instead of silently mis-modelled.
+``settle``/``_conflict``/``_force``/``fired.append``, ``bit_count() &
+1``) and raises :class:`SymexecError` on anything else, so codegen drift
+is caught instead of silently mis-modelled.  The stuck-at table a step
+applies through ``_force`` is modelled as empty: the equivalence checker
+checks the fault-free kernel.
 
 Python ints are modelled as :class:`Bv` -- an LSB-first literal vector
 plus a *tail* literal giving the value of every bit above the vector
@@ -241,6 +243,8 @@ class SymbolicExecutor:
         if isinstance(func, ast.Name):
             if func.id == "_conflict":      # bus-conflict raise: the
                 return                      # miter ignores error lanes
+            if func.id == "_force":         # stuck-at table: empty in
+                return                      # the fault-free kernel
             callee = self.functions.get(func.id)
             if callee is not None:          # step functions call settle
                 self.call(func.id, [self._eval(a, env) for a in node.args])

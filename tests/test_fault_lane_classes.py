@@ -4,8 +4,9 @@ A stuck-at on a status register the host polls changes when its lane's
 host would issue or collect.  The lane pass keeps one host per class of
 lanes whose polled status has agreed so far, so such a fault is decided
 in its pass, with the verdict its own per-fault run gives.  Only a
-pass that raises, a lane with a bus conflict and a stimulus lane whose
-monitor fires take the per-fault run.
+pass that raises and a stimulus lane whose monitor fires take the
+per-fault run; a lane with a bus conflict is detected by
+``bus_conflict``, as its per-fault run is.
 """
 
 import random
@@ -14,10 +15,11 @@ import pytest
 
 from repro.core import La1Config, build_la1_top_with_ovl
 from repro.fault import ppsfp
+from repro.dsl.faults import run_zoo_batch
 from repro.fault.campaign import CampaignConfig, FaultCampaign
 from repro.fault.models import RtlStuckAt
 from repro.fault.rtl_inject import RtlFaultInjector
-from repro.rtl import RtlSimulator, elaborate
+from repro.rtl import BusConflict, C, RtlModule, RtlSimulator, elaborate
 from repro.rtl.hdl import HdlError
 
 SMALL = dict(traffic=8, rtl_cycles=80)
@@ -130,7 +132,7 @@ class TestLadder:
         assert calls == [f.fault_id for f in faults]
         assert _content(verdicts) == _content(reference)
 
-    def test_bus_conflict_lane_keeps_its_error_verdict(self, monkeypatch):
+    def test_bus_conflict_lane_is_detected_on_its_lane(self, monkeypatch):
         # at this seed a stuck-at-1 on bank 0's st_req or st_out0 makes
         # two drivers enable the data bus
         config = CampaignConfig(banks=2, seed=2005, **SMALL)
@@ -141,11 +143,75 @@ class TestLadder:
                   conflicting[1],
                   RtlStuckAt("la1_top.bank0.write_port.st_sel", 0, 1)]
         reference = _scalar(config, faults)
-        assert [v.outcome for v in reference].count("error") == 2
+        # the per-fault run stops at the conflict and names it alone
+        for fault, verdict in zip(faults, reference):
+            if fault in conflicting:
+                assert (verdict.outcome, verdict.detected_by) \
+                    == ("detected", ["bus_conflict"])
+        campaign = FaultCampaign(config)
         calls = _spy_per_fault(monkeypatch)
-        verdicts = ppsfp.run_ppsfp_batches(FaultCampaign(config), faults, 64)
-        assert calls == [f.fault_id for f in conflicting]
+        verdicts = ppsfp.run_ppsfp_batches(campaign, faults, 64)
+        # both lanes conflicted and were judged on them
+        assert campaign._ppsfp_simulator(64).conflict_lanes == 0b1010
+        assert calls == []
         assert _content(verdicts) == _content(reference)
+
+
+def _conflict_design():
+    """Two tristate drivers on one output, enabled by two hold
+    registers of which only ``en0`` starts set: a stuck-at-1 on ``en1``
+    drives the bus twice, a stuck-at-0 on ``en0`` leaves it undriven."""
+    m = RtlModule("tri")
+    a = m.input("a", 1)
+    q = m.output("q", 1)
+    en0 = m.reg("en0", 1, clock="K", init=1)
+    en1 = m.reg("en1", 1, clock="K", init=0)
+    m.sync(en0, en0.ref())
+    m.sync(en1, en1.ref())
+    m.tristate(q, en0.ref(), a.ref())
+    m.tristate(q, en1.ref(), ~a.ref())
+    return elaborate(m)
+
+
+class TestZooBusConflict:
+    """The zoo runners on a design with a tristate bus: the per-fault run
+    and the lane pass both judge a conflict as ``bus_conflict``."""
+
+    @pytest.fixture
+    def campaign(self):
+        campaign = FaultCampaign(CampaignConfig(
+            design="fifo", backend="compiled", rtl_cycles=12))
+        campaign._flat_design = _conflict_design()
+        goldens: dict = {}   # kept out of the process-wide golden memo
+        campaign._goldens = lambda: goldens
+        return campaign
+
+    def test_both_rungs_detect_the_conflict(self, campaign):
+        conflict = RtlStuckAt("tri.en1", 0, 1)
+        undriven = RtlStuckAt("tri.en0", 0, 0)
+        per_fault = [campaign.execute_fault(f) for f in (conflict, undriven)]
+        assert [(v.outcome, v.detected_by) for v in per_fault] \
+            == [("detected", ["bus_conflict"]), ("silent", [])]
+        verdicts, fallbacks = run_zoo_batch(campaign, [conflict, undriven], 4)
+        assert fallbacks == []
+        assert campaign._ppsfp_simulator(4).conflict_lanes == 0b10
+        assert _content([verdicts[f.fault_id] for f in (conflict, undriven)]) \
+            == _content(per_fault)
+
+    def test_golden_conflict_still_raises(self, campaign):
+        sim = campaign._rtl_simulator()
+        sim.reset()
+        sim.set_input("tri.a", 1)
+        injector = RtlFaultInjector(sim, [RtlStuckAt("tri.en1", 0, 1)])
+        injector.attach()
+        with pytest.raises(BusConflict, match="bus conflict on tri.q"):
+            sim.read("tri.q")
+        injector.detach()
+        # the golden run attaches no injector; a conflict there is an
+        # engine error, never a verdict
+        sim.install_forces({sim.design.net("tri.en1").slot: (0, 1)})
+        with pytest.raises(BusConflict):
+            campaign._rtl_run()
 
 
 class TestMaskedDrive:

@@ -294,6 +294,6 @@ def test_compiled_design_source_and_folding():
     design = elaborate(m)
     compiled = compile_design(design)
     assert "def settle(v):" in compiled.source
-    assert "def step_Ksharp(v, fired):" in compiled.source  # "#" mangled
+    assert "def step_Ksharp(v, fired, forces):" in compiled.source  # "#" mangled
     slot = design.net("m.folded").slot
     assert f"v[{slot}] = 8" in compiled.source
