@@ -9,12 +9,16 @@ each: the chaotic run's campaign signature is bit-identical to the
 undisturbed ``jobs=1`` baseline, retries/reaps show up only in the
 timing stats, and a resumed coordinator adopts the verdicts the
 checkpoint holds instead of recomputing them.  The coordinator dies
-once half of the fault list has been collected, so the resume check has
-the same strength on every run: the resumed run must adopt every
-decided verdict collected before the kill -- at least half the list
-when the baseline decides every fault -- and no adopted fault reaches
-``on_verdict`` again.  Coverage-driven testgen rides along with a
-jobs=2 vs jobs=1 parity check on the full coverage DB.
+at a fixed count of collected verdicts, so the resume check has the
+same strength on every run: once half of the fault list has been
+collected at 4 banks, and right after the first shard is collected at
+1 bank, whose two shards would otherwise take the half-list kill in the
+last one and leave the resume nothing to run.  The resumed run must
+adopt every decided verdict collected before the kill -- at least the
+kill count when the baseline decides every fault -- no adopted fault
+reaches ``on_verdict`` again, and the faults left over are re-planned
+onto the pool.  Coverage-driven testgen rides along with a jobs=2 vs
+jobs=1 parity check on the full coverage DB.
 
 Worker chaos is injected by wrapping the campaign's shard task before
 the fork (:func:`repro.serve.__main__.strike_first_shard`) with an
@@ -72,7 +76,9 @@ def _run(config: CampaignConfig, jobs: int, on_verdict=None) -> tuple:
 
 def chaos_campaign(banks: int, traffic: int, rtl_cycles: int,
                    max_faults, jobs: int, workdir: str,
-                   hang_deadline_s=15.0) -> dict:
+                   hang_deadline_s=15.0, kill_after=None) -> dict:
+    """The three chaos tiers on one campaign; the coordinator dies once
+    ``kill_after`` verdicts are collected (default: half the list)."""
     base = dict(banks=banks, traffic=traffic, rtl_cycles=rtl_cycles,
                 max_faults=max_faults)
     print(f"campaign banks={banks}: baseline jobs=1 ...", flush=True)
@@ -115,22 +121,23 @@ def chaos_campaign(banks: int, traffic: int, rtl_cycles: int,
         scenarios["worker_hang"] = {"wall_s": wall, "signature":
                                     _signature(report), "par": par}
 
-    # -- tier 3: coordinator killed at half the list, then resumed -----
+    # -- tier 3: coordinator killed mid-list, then resumed -------------
     print(f"campaign banks={banks}: coordinator kill + restart ...",
           flush=True)
     checkpoint = os.path.join(workdir, f"restart.{banks}.json")
     config = CampaignConfig(**base, checkpoint_path=checkpoint)
-    half = (len(collected_at_baseline) + 1) // 2
+    if kill_after is None:
+        kill_after = (len(collected_at_baseline) + 1) // 2
     collected = []
 
-    def die_at_half(verdict):
+    def die(verdict):
         collected.append(verdict)
-        if len(collected) >= half:
+        if len(collected) >= kill_after:
             raise Killed(verdict.fault_id)
 
     start = time.perf_counter()
     try:
-        FaultCampaign(config).run(jobs=jobs, on_verdict=die_at_half)
+        FaultCampaign(config).run(jobs=jobs, on_verdict=die)
         raise AssertionError("the injected coordinator kill misfired")
     except Killed:
         pass
@@ -144,12 +151,15 @@ def chaos_campaign(banks: int, traffic: int, rtl_cycles: int,
     assert decided <= adopted, \
         "the checkpoint lost decided verdicts collected before the kill"
     if all(v.outcome in DECIDED for v in collected_at_baseline):
-        assert len(adopted) >= half, "resume adopted under half the list"
+        assert len(adopted) >= kill_after, \
+            "resume adopted fewer verdicts than were collected"
     assert adopted.isdisjoint(rerun), \
         "resume recomputed verdicts the checkpoint already held"
     assert _signature(report) == want, "coordinator restart changed verdicts"
-    # a kill in the last collected shard leaves at most one fault to
-    # recompute, which the resumed run does inline, without a pool
+    par = report.engine_stats.get("par") or {}
+    assert len(rerun) >= 1, "the kill left the resumed run nothing to do"
+    assert par.get("mode") == "pool", \
+        "the resumed run did not re-plan its faults onto the pool"
     scenarios["coordinator_restart"] = {
         "wall_s": wall, "signature": _signature(report),
         "adopted_verdicts": len(adopted), "recomputed": len(rerun),
@@ -195,13 +205,15 @@ def main(argv=None) -> int:
 
     result = {}
     with tempfile.TemporaryDirectory(prefix="la1-chaos-") as workdir:
+        # the 1-bank list runs in two shards: the coordinator dies as
+        # the first one is collected
         if args.smoke:
             result["campaign banks=1"] = chaos_campaign(
-                1, 8, 120, None, jobs=2, workdir=workdir)
+                1, 8, 120, None, jobs=2, workdir=workdir, kill_after=1)
             result["testgen banks=1"] = testgen_parity(1, jobs=2)
         else:
             result["campaign banks=1"] = chaos_campaign(
-                1, 8, 120, None, jobs=2, workdir=workdir)
+                1, 8, 120, None, jobs=2, workdir=workdir, kill_after=1)
             result["campaign banks=4"] = chaos_campaign(
                 4, 24, 160, None, jobs=4, workdir=workdir,
                 hang_deadline_s=None)

@@ -13,7 +13,7 @@ implementation replays.
 """
 
 from .domains import BoolDomain, Domain, EnumDomain, ExplicitDomain, IntRange
-from .machine import Action, AsmError, AsmMachine, Rule, UpdateConflict
+from .machine import Action, AsmError, AsmMachine, Rule
 from .fsm import Fsm, Transition
 from .exploration import ExplorationConfig, ExplorationResult, Explorer
 from .checker import AsmModelChecker, CoverResult, Labeling, ModelCheckResult
@@ -38,7 +38,6 @@ __all__ = [
     "ExplicitDomain",
     "AsmMachine",
     "AsmError",
-    "UpdateConflict",
     "Rule",
     "Action",
     "Fsm",

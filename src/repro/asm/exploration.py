@@ -159,7 +159,8 @@ def search(
     and a truthy return ends the search.
 
     Only this function reads ``config``: its bounds, deadline, state
-    projection and action filter.  A new successor past
+    projection and action filter, which sees each expanded state's
+    enabled actions with that state live.  A new successor past
     ``max_states`` is not admitted; ``max_transitions`` counts every
     transition fired, pruned ones included.
 

@@ -10,9 +10,11 @@ Concretely:
   precondition (the AsmL ``require`` clause that "defines the rules
   filtering the states where the method can be executed") and an effect
   producing an *update set*;
-* firing applies the whole update set atomically; two updates assigning
-  different values to one location is an ASM consistency violation and
-  raises :class:`UpdateConflict`;
+* firing applies the whole update set atomically; an effect returns one
+  value per location, so a single rule's update set is consistent by
+  construction (two co-enabled rules writing one location differently
+  is the ``asm-conflicting-updates`` lint rule's,
+  :mod:`repro.lint.asm_rules`);
 * rule parameters are drawn from finite :class:`~repro.asm.domains.Domain`
   collections, which is where the explorer's nondeterminism comes from
   (AsmL's ``any x in {...}``).
@@ -24,15 +26,11 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .domains import Domain
 
-__all__ = ["AsmError", "UpdateConflict", "Rule", "Action", "AsmMachine"]
+__all__ = ["AsmError", "Rule", "Action", "AsmMachine"]
 
 
 class AsmError(Exception):
     """Raised on ASM misuse (unknown variables, firing a disabled rule)."""
-
-
-class UpdateConflict(AsmError):
-    """Two updates in one step assign different values to one location."""
 
 
 class Rule:
@@ -189,7 +187,6 @@ class AsmMachine:
                 f"rule {action.label} fired with unsatisfied require clause"
             )
         updates = dict(action.rule.effect(self.state, **action.args))
-        seen: dict[str, object] = {}
         for key, value in updates.items():
             if key not in self.state:
                 raise AsmError(f"rule {action.label} updates unknown var {key}")
@@ -199,11 +196,6 @@ class AsmMachine:
                 raise AsmError(
                     f"rule {action.label} writes unhashable value to {key}"
                 ) from None
-            if key in seen and seen[key] != value:
-                raise UpdateConflict(
-                    f"rule {action.label}: conflicting updates to {key}"
-                )
-            seen[key] = value
         return updates
 
     def fire(self, action: Action) -> None:

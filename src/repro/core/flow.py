@@ -35,13 +35,13 @@ from typing import Callable, Iterable, Optional, Tuple
 from ..abv import summarize
 from ..asm import AsmModelChecker, ExplorationConfig
 from ..cli import check_mc_choice
+from ..mc import sweep_rtl_properties
 from ..rtl import RtlSimulator, elaborate, emit_verilog
 from .asm_model import La1AsmConfig, build_la1_asm
 from .conformance import check_la1_conformance
 from .monitors import attach_read_mode_monitors
 from .ovl_bindings import build_la1_top_with_ovl
-from .properties import asm_labeling, device_property_suite
-from .rulebase import check_read_mode_rtl
+from .properties import asm_labeling, device_property_suite, read_mode_suite
 from .rtl_testbench import RtlHost
 from .spec import La1Config, la1_config
 from .sysc_model import build_la1_system
@@ -90,15 +90,16 @@ class FlowConfig:
     #: collect cross-level coverage (repro.cover) during the ASM, ABV
     #: and OVL stages and append a merged closure stage to the report
     coverage: bool = True
-    #: process-pool width for the parallelizable stages (repro.par);
-    #: jobs > 1 sweeps the RTL model-checking stage's read-mode
-    #: conjuncts one process per property -- verdicts are identical to
-    #: jobs=1, which checks their conjunction in a single run
+    #: process-pool width for the parallelizable stages (repro.par):
+    #: the RTL model-checking stage sweeps the read-mode conjuncts one
+    #: property per shard at every jobs, inline at jobs=1 and one
+    #: process per property at jobs > 1, so the stage reports the same
+    #: detail and statistics at every jobs
     jobs: int = 1
     #: service-grade supervision knobs for the sharded stages
-    #: (repro.par.supervise; jobs > 1 only): attempts each shard gets
-    #: before quarantine, and the per-shard wall-clock after which a
-    #: hung worker is killed and the shard retried.  A quarantined
+    #: (repro.par.supervise): attempts each shard gets before
+    #: quarantine, and (jobs > 1 only) the per-shard wall-clock after
+    #: which a hung worker is killed and the shard retried.  A quarantined
     #: MC property degrades the stage to inconclusive (FAIL), never to
     #: a silent pass
     shard_attempts: int = 2
@@ -303,43 +304,29 @@ def _static_lint(banks: int) -> Outcome:
 
 
 def _rtl_model_checking(config: FlowConfig) -> Outcome:
+    # the read-mode conjuncts, swept one property per shard; their
+    # conjunction is the Read-Mode property of Table 2
     datapath = config.rtl_mc == "full"
-    degraded = ""
-    if config.jobs > 1:
-        # sweep the read-mode conjuncts one process per property; the
-        # conjunction of the per-property verdicts equals the
-        # single-run verdict of read_mode_property(0)
-        from ..mc import sweep_rtl_properties
-        from .properties import read_mode_suite
-
-        sweep = sweep_rtl_properties(
-            config.banks,
-            read_mode_suite(1),
-            datapath=datapath,
-            jobs=config.jobs,
-            shard_attempts=config.shard_attempts,
-            shard_deadline_s=config.shard_deadline_s,
-            engine=config.mc_engine,
-        )
-        mc = sweep.combined()
-        # degraded-run visibility: a sweep that needed the supervision
-        # ladder says so instead of passing silently
-        par = sweep.par_stats
-        notes = []
-        if par.get("retries"):
-            notes.append(f"{par['retries']} retries")
-        if par.get("killed_workers"):
-            notes.append(f"{par['killed_workers']} workers reaped")
-        if sweep.quarantined:
-            notes.append(f"quarantined: {', '.join(sweep.quarantined)}")
-        if notes:
-            degraded = f" [DEGRADED: {'; '.join(notes)}]"
-    elif config.mc_engine == "sat":
-        from ..sat.bmc import check_read_mode_sat
-
-        mc = check_read_mode_sat(config.banks, datapath=datapath)
-    else:
-        mc = check_read_mode_rtl(config.banks, datapath=datapath)
+    sweep = sweep_rtl_properties(
+        config.banks,
+        read_mode_suite(1),
+        datapath=datapath,
+        jobs=config.jobs,
+        shard_attempts=config.shard_attempts,
+        shard_deadline_s=config.shard_deadline_s,
+        engine=config.mc_engine,
+    )
+    mc = sweep.combined(f"read_mode[{config.banks}banks]")
+    # degraded-run visibility: a sweep that needed the supervision
+    # ladder says so instead of passing silently
+    par = sweep.par_stats
+    notes = []
+    if par.get("retries"):
+        notes.append(f"{par['retries']} retries")
+    if par.get("killed_workers"):
+        notes.append(f"{par['killed_workers']} workers reaped")
+    if sweep.quarantined:
+        notes.append(f"quarantined: {', '.join(sweep.quarantined)}")
     cache = ""
     if mc.bdd_stats and config.mc_engine != "sat":
         hits = mc.bdd_stats.get("cache_hits", 0)
@@ -356,7 +343,7 @@ def _rtl_model_checking(config: FlowConfig) -> Outcome:
             + size_label + cache
             + (" [STATE EXPLOSION]" if mc.exploded else "")
             + (" [DEADLINE]" if mc.truncated else "")
-            + degraded,
+            + (f" [DEGRADED: {'; '.join(notes)}]" if notes else ""),
             mc)
 
 

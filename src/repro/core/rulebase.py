@@ -11,15 +11,13 @@ the 4-bank configuration.
 from __future__ import annotations
 
 import functools
-import time
 from typing import Optional
 
-from ..bdd import BddBudgetExceeded
-from ..mc import SymbolicModel, SymbolicModelChecker
 from ..mc.checker import SymbolicCheckResult
+from ..mc.sweep import check_la1_property
 from ..psl.ast import Property
 from ..rtl import FlatDesign, elaborate
-from .properties import read_mode_property, rtl_labels
+from .properties import read_mode_property
 from .rtl_model import build_la1_top_rtl
 from .spec import La1Config
 
@@ -76,43 +74,13 @@ def check_read_mode_rtl(
     only BDD sizes change.  Pass ``coi=False`` to encode the full
     netlist, e.g. for the ablation benchmark.
 
-    The netlist comes from :func:`mc_design`, so checks of one shape
-    elaborate once per process.
+    One check of the conjunction (or of ``prop``) through the engine
+    dispatch :func:`repro.mc.sweep.check_property`, on the netlist of
+    :func:`mc_design`, so checks of one shape elaborate once per process.
     """
-    config = config or MC_SCALE_CONFIG(banks)
-    name = property_name or f"read_mode[{banks}banks]"
-    start = time.perf_counter()
-    the_prop = prop if prop is not None else read_mode_property(0)
-    labels = rtl_labels("la1_top", banks)
-    coi_roots = None
-    if coi:
-        used = the_prop.atoms()
-        coi_roots = sorted(
-            path for atom, (path, __) in labels.items() if atom in used
-        )
-    try:
-        model = SymbolicModel(
-            mc_design(config, datapath),
-            node_budget=transient_node_budget,
-            coi_roots=coi_roots,
-        )
-        checker = SymbolicModelChecker(
-            model,
-            live_node_budget=live_node_budget,
-            gc_threshold=gc_threshold,
-        )
-        return checker.check_property(
-            the_prop,
-            labels,
-            name,
-            deadline_s=deadline_s,
-        )
-    except BddBudgetExceeded:
-        # the encoding itself outgrew the budget, before any checking
-        elapsed = time.perf_counter() - start
-        budget = transient_node_budget or 0
-        return SymbolicCheckResult(
-            None, elapsed, budget, 0, 0, budget * 88 / 1e6,
-            exploded=True, property_name=name,
-            bdd_stats={"budget": "transient_node_budget"},
-        )
+    return check_la1_property(
+        banks, read_mode_property(0) if prop is None else prop,
+        property_name or f"read_mode[{banks}banks]", "bdd", datapath, config,
+        transient_node_budget=transient_node_budget,
+        live_node_budget=live_node_budget, gc_threshold=gc_threshold,
+        deadline_s=deadline_s, coi=coi)

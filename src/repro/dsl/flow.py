@@ -31,6 +31,7 @@ from typing import List, Optional
 
 from ..core.flow import FlowReport, run_stages
 from ..lint import LintConfig, lint_design, lint_machine, lint_properties
+from ..mc.sweep import PropertySweepReport, check_property
 from ..rtl.simulator import RtlSimulator
 from .elab import check_dsl_conformance, netlist_fingerprint
 from .zoo import build_elaborated, conformance_budget, zoo_properties
@@ -44,7 +45,7 @@ DSL_STAGES = ("lint", "conformance", "model_checking", "coverage",
 #: the RTL backend of the conformance, coverage and campaign stages
 RTL_BACKEND = "interp"
 #: SAT induction depth bound and per-property wall-clock budget of the
-#: model-checking stage
+#: model-checking stage (the BDD engine runs without a node budget)
 MC_MAX_K = 40
 MC_DEADLINE_S = 120.0
 #: seeded RTL cycles of the coverage run, and the fraction of the
@@ -91,37 +92,27 @@ def _conformance(name: str, elab):
 
 
 def _model_checking(name: str, elab, engine: str):
-    outcomes = []
-    ok = True
-    results = {}
-    for pname, prop, labels in zoo_properties(name, elab):
-        if engine == "sat":
-            from ..sat.bmc import SatModelChecker
+    results = [
+        (pname, check_property(elab.flat, prop, labels, pname, engine,
+                               max_k=MC_MAX_K, deadline_s=MC_DEADLINE_S,
+                               transient_node_budget=None,
+                               live_node_budget=None))
+        for pname, prop, labels in zoo_properties(name, elab)
+    ]
+    outcomes = "; ".join(f"{pname}: {_verdict(r)}" for pname, r in results)
+    suite = PropertySweepReport(results)
+    return (suite.holds is True, f"{engine} engine; {outcomes}",
+            suite.combined(name))
 
-            result = SatModelChecker(
-                elab.flat, prop, labels, name=pname,
-            ).prove(max_k=MC_MAX_K, deadline_s=MC_DEADLINE_S)
-            verdict = (f"proved k={result.k}" if result.holds is True
-                       else "FAILS" if result.holds is False
-                       else "UNDECIDED")
-        elif engine == "bdd":
-            from ..mc import SymbolicModel, SymbolicModelChecker
 
-            roots = sorted({path for path, __ in labels.values()})
-            result = SymbolicModelChecker(
-                SymbolicModel(elab.flat, coi_roots=roots)
-            ).check_property(prop, labels, name=pname,
-                             deadline_s=MC_DEADLINE_S)
-            verdict = (f"holds ({result.iterations} iters)"
-                       if result.holds is True
-                       else "FAILS" if result.holds is False
-                       else "UNDECIDED")
-        else:
-            raise ValueError(f"unknown mc engine {engine!r}")
-        results[pname] = result
-        ok = ok and result.holds is True
-        outcomes.append(f"{pname}: {verdict}")
-    return ok, f"{engine} engine; " + "; ".join(outcomes), results
+def _verdict(result) -> str:
+    if result.holds is False:
+        return "FAILS"
+    if result.holds is None:
+        return "UNDECIDED"
+    k = result.bdd_stats.get("k")
+    return (f"proved k={k}" if k is not None
+            else f"holds ({result.iterations} iters)")
 
 
 def _coverage(name: str, elab, seed: int):

@@ -10,8 +10,12 @@ capped by :attr:`~repro.lint.diagnostics.LintConfig.asm_state_cap`):
 * two rules enabled in the same state whose update sets assign different
   values to one location would collide under ASM parallel (``do in
   parallel``) composition -- the update-consistency violation the paper's
-  ASM semantics forbids.  An action whose effect itself raises
-  :class:`~repro.asm.machine.UpdateConflict` is reported the same way.
+  ASM semantics forbids.  An action whose update set cannot be computed
+  at all (an unknown location, an unhashable value) is reported the
+  same way.
+
+The sweep computes each enabled action's update set once, in its action
+filter where the state is live, and both rules read that record.
 
 Rule ids
 --------
@@ -22,6 +26,7 @@ Rule ids
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Optional
 
 from ..asm.exploration import ExplorationConfig, search
 from ..asm.machine import AsmError, AsmMachine
@@ -31,20 +36,34 @@ from .manager import LintContext, Pass
 __all__ = ["AsmRulesPass", "sweep_states"]
 
 
-def sweep_states(machine: AsmMachine, cap: int):
+def sweep_states(machine: AsmMachine, cap: int,
+                 record: Optional[list] = None):
     """Bounded BFS over reachable snapshots.
 
     Returns ``(snapshots, capped)`` -- the visited snapshot list in BFS
     order and whether the cap cut the sweep short.  An action whose
     update set cannot be computed is not fired: the rules pass reports
-    it.  The machine's state is restored afterwards.
+    it.  A ``record`` list receives, for each swept state with an
+    enabled action, in BFS order, its ``[(action, updates)]`` pairs,
+    where ``updates`` is the update set or the :class:`AsmError` that
+    computing it raised.  The machine's state is restored afterwards.
     """
+    record = [] if record is None else record
+    live = None  # the state whose actions the filter is seeing
+
     def consistent(action) -> bool:
+        nonlocal live
+        # search restores each state it expands into a fresh dict, then
+        # filters that state's enabled actions with it live
+        if machine.state is not live:
+            live = machine.state
+            record.append([])
         try:
-            machine.compute_updates(action)
-        except AsmError:
-            return False
-        return True
+            updates = machine.compute_updates(action)
+        except AsmError as exc:
+            updates = exc
+        record[-1].append((action, updates))
+        return not isinstance(updates, AsmError)
 
     saved = machine.snapshot()
     parents, __, reason = search(
@@ -65,33 +84,29 @@ class AsmRulesPass(Pass):
         machine = ctx.machine
         if machine is None:
             return None
-        cap = ctx.config.asm_state_cap
-        snapshots, capped = sweep_states(machine, cap)
+        record: list = []
+        snapshots, capped = sweep_states(
+            machine, ctx.config.asm_state_cap, record)
 
-        saved = machine.snapshot()
         ever_enabled: set[str] = set()
         conflicts_seen: set[tuple] = set()
         broken_effects: set[str] = set()
-        for snapshot in snapshots:
-            machine.restore(snapshot)
-            actions = machine.enabled_actions()
+        for enabled in record:
             updates = []
-            for action in actions:
+            for action, upd in enabled:
                 ever_enabled.add(action.rule.name)
-                machine.restore(snapshot)
-                try:
-                    updates.append((action, machine.compute_updates(action)))
-                except AsmError as exc:
-                    if action.rule.name not in broken_effects:
-                        broken_effects.add(action.rule.name)
-                        ctx.emit(
-                            "asm-conflicting-updates", ERROR,
-                            f"{machine.name}.{action.rule.name}",
-                            f"action {action.label} cannot compute a "
-                            f"consistent update set: {exc}",
-                            fix_hint="make the rule's effect produce one "
-                                     "value per location",
-                        )
+                if not isinstance(upd, AsmError):
+                    updates.append((action, upd))
+                elif action.rule.name not in broken_effects:
+                    broken_effects.add(action.rule.name)
+                    ctx.emit(
+                        "asm-conflicting-updates", ERROR,
+                        f"{machine.name}.{action.rule.name}",
+                        f"action {action.label} cannot compute a "
+                        f"consistent update set: {upd}",
+                        fix_hint="make the rule's effect produce one "
+                                 "value per location",
+                    )
             for (act_a, upd_a), (act_b, upd_b) in combinations(updates, 2):
                 if act_a.rule is act_b.rule:
                     continue  # interleaved alternatives, never one step
@@ -114,7 +129,6 @@ class AsmRulesPass(Pass):
                         fix_hint="make the guards mutually exclusive or "
                                  "reconcile the update sets",
                     )
-        machine.restore(saved)
 
         for rule in machine.rules:
             if rule.name in ever_enabled:

@@ -1,29 +1,142 @@
-"""Parallel PSL property sweeps over one RTL design.
+"""The one place a PSL property suite is checked on an RTL design.
 
-A RuleBase session checks a *suite* of properties against the same
-netlist; the properties are independent, so the sweep is the natural
-third fan-out axis of :mod:`repro.par`: one process-pool task per
-property, forked after the coordinator elaborated the design
-(:func:`repro.core.rulebase.mc_design`), each re-encoding the symbolic
-model per property (checker automata are satellite state variables and
-must not accumulate across checks).
-
-:func:`sweep_rtl_properties` returns a :class:`PropertySweepReport`
-whose :meth:`~PropertySweepReport.combined` collapses the per-property
-results into one :class:`~repro.mc.checker.SymbolicCheckResult` with
-conjunction semantics -- sweeping the three read-mode conjuncts reaches
-the same verdict as checking their conjunction in one run, which is how
-``run_flow(jobs=N)`` parallelizes its RTL model-checking stage.
+:func:`check_property` is the one engine dispatch: one property, BDD
+reachability or SAT (BMC + k-induction), one
+:class:`~repro.mc.checker.SymbolicCheckResult`.
+:func:`sweep_rtl_properties` checks a named suite against the LA-1 RTL
+one supervised shard per property -- inline at ``jobs=1``, forked after
+the coordinator elaborated the design at ``jobs>1`` -- so every
+``jobs`` gives the same report, and
+:meth:`PropertySweepReport.combined` is the one fold of a suite into
+one result with conjunction semantics.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Optional, Sequence, Tuple
 
+from ..bdd import BddBudgetExceeded
+from ..cli import check_mc_choice
 from ..psl.ast import Property
-from .checker import SymbolicCheckResult
+from ..rtl.netlist import FlatDesign
+from .checker import SymbolicCheckResult, SymbolicModelChecker
+from .transition import SymbolicModel
 
-__all__ = ["PropertySweepReport", "sweep_rtl_properties"]
+__all__ = ["PropertySweepReport", "check_la1_property", "check_property",
+           "host_cut", "sweep_rtl_properties"]
+
+#: how the fold combines a ``bdd_stats`` depth or size; any other
+#: number is a counter and adds up
+FOLDS = {"k": max, "peak_nodes": max, "clean_depth": min}
+
+
+
+def check_property(
+    design: FlatDesign,
+    prop: Property,
+    labels: dict,
+    name: str = "property",
+    engine: str = "bdd",
+    *,
+    coi: bool = True,
+    deadline_s: Optional[float] = None,
+    transient_node_budget: Optional[int] = 12_000_000,
+    live_node_budget: Optional[int] = 1_500_000,
+    gc_threshold: int = 2_000_000,
+    method: str = "prove",
+    max_k: int = 40,
+    max_depth: int = 60,
+    check_proofs: bool = False,
+) -> SymbolicCheckResult:
+    """Check the PSL safety property ``prop`` on ``design`` with
+    ``engine``; ``labels`` maps every atom to a ``("net.path", bit)``.
+
+    ``coi`` encodes only the cone of influence of the label nets the
+    property reads.  BDD runs under the node budgets (an exhausted one
+    is the *state explosion* verdict); SAT proves by k-induction up to
+    ``max_k`` or, with ``method="bmc"``, only refutes up to
+    ``max_depth``, and its statistics travel in ``bdd_stats``
+    (``engine="sat"``, ``peak_nodes`` is the clause count).  An
+    undecided result names its budget in ``bdd_stats["budget"]``.
+    """
+    check_mc_choice(engine)
+    start = time.perf_counter()
+    if engine == "sat":
+        from ..sat.bmc import SatModelChecker
+
+        checker = SatModelChecker(design, prop, labels, name=name, coi=coi)
+        if method == "bmc":
+            run = checker.bmc(max_depth, check_proofs=check_proofs,
+                              deadline_s=deadline_s)
+            cex, replayed = run.failed_at, run.replayed
+            depth = {"clean_depth": run.clean_depth}
+            iterations = run.clean_depth if cex is None else cex
+        else:
+            run = checker.prove(max_k=max_k, check_proofs=check_proofs,
+                                deadline_s=deadline_s)
+            cex = run.cex.failed_at if run.cex is not None else None
+            replayed = run.cex.replayed if run.cex is not None else None
+            depth = {"k": run.k}
+            iterations = run.k if run.k is not None else run.stats["frames"]
+        stats = {"method": "bmc" if method == "bmc" else "k-induction",
+                 **run.stats, **depth, "replayed": replayed,
+                 "proof_checked": "proof_lemmas" in run.stats,
+                 "properties": 1}
+        return SymbolicCheckResult(
+            run.holds, time.perf_counter() - start, stats["clauses"], 0,
+            max(iterations, 0), 0.0, counterexample_depth=cex,
+            property_name=name, truncated=run.truncated, bdd_stats=stats,
+        )
+    roots = None
+    if coi:
+        used = prop.atoms()
+        roots = sorted(
+            path for atom, (path, __) in labels.items() if atom in used)
+    try:
+        model = SymbolicModel(design, node_budget=transient_node_budget,
+                              coi_roots=roots)
+    except BddBudgetExceeded:
+        # the encoding itself outgrew the budget, before any checking
+        budget = transient_node_budget or 0
+        return SymbolicCheckResult(
+            None, time.perf_counter() - start, budget, 0, 0,
+            budget * 88 / 1e6, exploded=True, property_name=name,
+            bdd_stats={"budget": "transient_node_budget"},
+        )
+    checker = SymbolicModelChecker(model, live_node_budget=live_node_budget,
+                                   gc_threshold=gc_threshold)
+    return checker.check_property(prop, labels, name, deadline_s=deadline_s)
+
+
+def check_la1_property(banks: int, prop: Property, name: str,
+                       engine: str = "bdd", datapath: bool = True,
+                       config=None, **budgets) -> SymbolicCheckResult:
+    """:func:`check_property` on the N-bank LA-1 RTL of
+    :func:`repro.core.rulebase.mc_design` (``config`` defaults to the
+    model-checking scale), with the LA-1 atom labels."""
+    from ..core.properties import rtl_labels
+    from ..core.rulebase import MC_SCALE_CONFIG, mc_design
+
+    design = mc_design(config or MC_SCALE_CONFIG(banks), datapath)
+    return check_property(design, prop, rtl_labels("la1_top", banks), name,
+                          engine, **budgets)
+
+
+def host_cut(budget: Optional[str]) -> bool:
+    """Whether a ``bdd_stats["budget"]`` list names a budget a run
+    exhausts by its host's speed or health rather than by its spec: a
+    wall-clock deadline, or the attempts of a quarantined shard."""
+    return any(name in ("deadline_s", "shard_attempts")
+               for name in (budget or "").split(","))
+
+
+def _undecided(name: str, budget: str,
+               truncated: bool = False) -> SymbolicCheckResult:
+    """A property the sweep never started, or quarantined."""
+    return SymbolicCheckResult(None, 0.0, 0, 0, 0, 0.0, property_name=name,
+                               truncated=truncated,
+                               bdd_stats={"budget": budget})
 
 
 class PropertySweepReport:
@@ -36,9 +149,8 @@ class PropertySweepReport:
         #: ParStats.to_dict() of the underlying supervised run
         self.par_stats = dict(par_stats or {})
         #: names of properties whose shard was quarantined (worker
-        #: failed every attempt) -- no verdict exists for them, so the
-        #: sweep's conjunction degrades to inconclusive, never to a
-        #: silent pass
+        #: failed every attempt): the conjunction is then inconclusive,
+        #: never a silent pass
         self.quarantined = list(quarantined or [])
 
     @property
@@ -53,34 +165,46 @@ class PropertySweepReport:
             return None
         return True
 
-    def failures(self) -> list:
-        return [(name, r) for name, r in self.results if r.holds is False]
+    def combined(self, name: Optional[str] = None) -> SymbolicCheckResult:
+        """One result named ``name`` with conjunction semantics.
 
-    def combined(self) -> SymbolicCheckResult:
-        """One aggregate result with conjunction semantics: CPU times
-        add (the sequential-equivalent cost), size metrics take the
-        per-property maximum (the worst single encoding), explosion or
-        truncation anywhere taints the whole sweep, and the shallowest
-        counterexample is reported.  Numeric ``bdd_stats`` add up;
-        ``budget`` lists the distinct budgets the exploded or truncated
-        properties ran out of, in property order, comma-separated."""
+        CPU times and counters add up; sizes, ``k`` and ``iterations``
+        take the maximum and depths the minimum (:data:`FOLDS`); an
+        explosion or truncation anywhere taints the suite; a string all
+        properties agree on is kept; ``proof_checked`` holds when every
+        proof was checked; ``replayed`` is the shallowest
+        counterexample's; ``budget`` lists the distinct budgets run out
+        of, in property order, comma-separated."""
         results = [r for __, r in self.results]
-        cex_depths = [
-            r.counterexample_depth for r in results
-            if r.counterexample_depth is not None
-        ]
-        bdd_stats: dict = {}
+        cex = [r for r in results if r.counterexample_depth is not None]
+        shallowest = min(cex, key=lambda r: r.counterexample_depth,
+                         default=None)
+        stats: dict = {}
+        strings: dict = {}
         budgets: dict = {}
         for r in results:
-            for key, value in (r.bdd_stats or {}).items():
-                if isinstance(value, (int, float)) and not isinstance(
-                        value, bool):
-                    bdd_stats[key] = bdd_stats.get(key, 0) + value
-            if (r.exploded or r.truncated) and r.bdd_stats.get("budget"):
-                budgets[r.bdd_stats["budget"]] = None
+            for key, value in r.bdd_stats.items():
+                if key == "budget":
+                    budgets.update(dict.fromkeys(value.split(",")))
+                elif key == "proof_checked":
+                    stats[key] = all(
+                        p.bdd_stats.get(key) is True for p in results)
+                elif key == "replayed":
+                    stats[key] = (None if shallowest is None
+                                  else shallowest.bdd_stats.get(key))
+                elif isinstance(value, str):
+                    strings.setdefault(key, set()).add(value)
+                elif key in FOLDS:
+                    given = [v for v in (stats.get(key), value)
+                             if v is not None]
+                    stats[key] = FOLDS[key](given) if given else None
+                elif not isinstance(value, bool):
+                    stats[key] = stats.get(key, 0) + value
+        stats.update((key, values.pop()) for key, values in strings.items()
+                     if len(values) == 1)
         if budgets:
-            bdd_stats["budget"] = ",".join(budgets)
-        names = ",".join(name for name, __ in self.results)
+            stats["budget"] = ",".join(budgets)
+        names = ",".join(n for n, __ in self.results)
         return SymbolicCheckResult(
             self.holds,
             sum(r.cpu_time for r in results),
@@ -89,10 +213,11 @@ class PropertySweepReport:
             max((r.iterations for r in results), default=0),
             max((r.memory_mb for r in results), default=0.0),
             exploded=any(r.exploded for r in results),
-            counterexample_depth=min(cex_depths, default=None),
-            property_name=f"sweep({names})",
+            counterexample_depth=(shallowest.counterexample_depth
+                                  if shallowest is not None else None),
+            property_name=name or f"sweep({names})",
             truncated=any(r.truncated for r in results),
-            bdd_stats=bdd_stats,
+            bdd_stats=stats,
         )
 
     def to_dict(self) -> dict:
@@ -122,56 +247,59 @@ def sweep_rtl_properties(
     engine: str = "bdd",
     **options,
 ) -> PropertySweepReport:
-    """Check every named property against the N-bank LA-1 RTL.
+    """Check every named property of ``properties`` (e.g.
+    :func:`repro.core.properties.read_mode_suite`) against the N-bank
+    LA-1 RTL with :func:`check_property`, passing ``engine`` and
+    ``options`` (budgets, ``coi``, ``method``, ``config``) through.
+    ``jobs`` only sets the process count; the report is the same.
 
-    ``properties`` is a ``[(name, Property), ...]`` suite (e.g.
-    :func:`repro.core.properties.read_mode_suite`).  With ``jobs > 1``
-    each property is one process-pool task, forked after the
-    coordinator elaborated the design, so every worker shares it.
-    ``jobs=1`` runs the same tasks inline against the same design --
-    verdicts are identical either way (BDD reachability is
-    deterministic), only wall-clock differs.  The sweep runs supervised
-    (:func:`repro.par.run_supervised`): a crashed or hung worker is
-    reaped and its property retried up to ``shard_attempts`` times
-    (``shard_deadline_s`` bounds one property's wall-clock); a property
-    quarantined after the budget lands in
-    :attr:`PropertySweepReport.quarantined` and degrades the sweep to
-    inconclusive rather than aborting it.
-
-    ``engine`` picks the per-property checker: ``"bdd"`` (default)
-    routes through :func:`repro.core.rulebase.check_read_mode_rtl`,
-    ``"sat"`` through :func:`repro.sat.bmc.check_read_mode_sat`
-    (BMC + k-induction past the BDD explosion wall); extra ``options``
-    pass through to the selected checker (budgets, deadline, ``coi``,
-    and for SAT ``max_k``/``max_depth``/``method``).
+    ``deadline_s`` bounds the whole sweep: each property gets what is
+    left of it when it starts, even nothing, and once one comes back
+    undecided on ``deadline_s`` no further property starts (forked
+    shards already running stop at the same instant).  A crashed or hung
+    worker is retried up to ``shard_attempts`` times
+    (``shard_deadline_s`` bounds one forked property), then quarantined.
+    A property never started or quarantined is undecided, naming
+    ``deadline_s`` or ``shard_attempts``, so the suite degrades to
+    inconclusive.  An unknown ``engine`` raises before any property.
     """
     from ..core.rulebase import MC_SCALE_CONFIG, mc_design
     from ..par import ShardError, run_supervised
-    from ..par.workers import mc_check_shard, sat_check_shard
+    from ..par.workers import mc_check_shard
 
-    if engine not in ("bdd", "sat"):
-        raise ValueError(f"unknown mc engine {engine!r}")
-    shard_fn = sat_check_shard if engine == "sat" else mc_check_shard
-    shard_args = [
-        (banks, datapath, name, prop, dict(options))
-        for name, prop in properties
-    ]
+    check_mc_choice(engine)
+    deadline_s = options.pop("deadline_s", None)
+    clock = {"deadline": None if deadline_s is None
+             else time.perf_counter() + deadline_s, "spent": False}
+
+    def on_result(index: int, result: Optional[dict]) -> None:
+        # read by every property that starts after this one
+        if result is not None and (
+                result["bdd_stats"].get("budget") == "deadline_s"):
+            clock["spent"] = True
+
+    shard_args = [(banks, datapath, name, prop, engine, options, clock)
+                  for name, prop in properties]
     try:
-        mc_design(MC_SCALE_CONFIG(banks), datapath)
+        mc_design(options.get("config") or MC_SCALE_CONFIG(banks), datapath)
     except Exception:  # noqa: BLE001 - an optimisation, not a verdict
         pass  # each shard meets the failure again and is quarantined
     results, stats = run_supervised(
-        shard_fn,
+        mc_check_shard,
         shard_args,
         jobs=jobs,
         max_attempts=shard_attempts,
         shard_deadline_s=shard_deadline_s,
+        on_result=on_result,
     )
-    paired = []
-    quarantined = []
+    paired, quarantined = [], []
     for (name, __), result in zip(properties, results):
         if isinstance(result, ShardError):
             quarantined.append(name)
-        elif result is not None:
-            paired.append((name, SymbolicCheckResult.from_dict(result)))
+            result = _undecided(name, "shard_attempts")
+        elif result is None:
+            result = _undecided(name, "deadline_s", truncated=True)
+        else:
+            result = SymbolicCheckResult.from_dict(result)
+        paired.append((name, result))
     return PropertySweepReport(paired, stats.to_dict(), quarantined)

@@ -17,7 +17,6 @@ compute times: ``critical_path_s`` is the longest shard and
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from typing import Callable, Optional, Sequence
 
@@ -134,6 +133,8 @@ def _timed_call(task, args) -> tuple[float, object]:
 def _mp_context():
     """Fork when the platform has it (cheap warm-start: workers inherit
     loaded modules), otherwise the platform default."""
+    import multiprocessing  # only a pool needs it, not inline runs
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms

@@ -11,8 +11,6 @@ so shard order and job count cannot perturb any stream.
 
 from __future__ import annotations
 
-import hashlib
-
 __all__ = ["derive_seed"]
 
 #: seeds are confined to 63 bits so they stay exact in any JSON tooling
@@ -26,6 +24,8 @@ def derive_seed(*parts) -> int:
     ``derive_seed(1)`` and ``derive_seed("1")`` are distinct streams and
     no concatenation ambiguity exists between adjacent parts.
     """
+    import hashlib  # on first use: it maps OpenSSL, about 4 MB of RSS
+
     h = hashlib.blake2b(digest_size=8)
     for part in parts:
         h.update(f"{type(part).__name__}:{part!r}".encode())

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import importlib
 import json
+import time
 from typing import Optional
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "testgen_walk_shard",
     "cover_collect_shard",
     "mc_check_shard",
-    "sat_check_shard",
 ]
 
 
@@ -191,34 +191,23 @@ def cover_collect_shard(kwargs: dict) -> dict:
 # ----------------------------------------------------------------------
 # symbolic model checking sweeps
 # ----------------------------------------------------------------------
-def mc_check_shard(banks: int, datapath: bool, name: str, prop,
-                   options: dict) -> dict:
-    """Check one PSL property with the BDD engine against the netlist
-    of :func:`repro.core.rulebase.mc_design`."""
-    from ..core.rulebase import check_read_mode_rtl
+def mc_check_shard(banks: int, datapath: bool, name: str, prop, engine: str,
+                   options: dict, clock: dict) -> Optional[dict]:
+    """Check one property of a :func:`repro.mc.sweep_rtl_properties`
+    suite with ``engine`` against the netlist of
+    :func:`repro.core.rulebase.mc_design`.
 
-    result = check_read_mode_rtl(
-        banks,
-        prop=prop,
-        datapath=datapath,
-        property_name=name,
-        **options,
-    )
-    return result.to_dict()
+    ``clock`` is the sweep's: ``deadline`` (a ``perf_counter`` instant
+    or None) hands the property what is left of the sweep's budget, and
+    ``spent`` -- set by the coordinator once a property ran out of it,
+    and seen by every property started afterwards -- means the property
+    never starts (None)."""
+    from ..mc.sweep import check_la1_property
 
-
-def sat_check_shard(banks: int, datapath: bool, name: str, prop,
-                    options: dict) -> dict:
-    """Check one PSL property with the SAT engine (BMC + k-induction)
-    against the same netlist.  Same signature and result shape as
-    :func:`mc_check_shard`, so sweeps swap engines without re-sharding."""
-    from ..sat.bmc import check_read_mode_sat
-
-    result = check_read_mode_sat(
-        banks,
-        prop=prop,
-        datapath=datapath,
-        property_name=name,
-        **options,
-    )
-    return result.to_dict()
+    if clock["spent"]:
+        return None
+    if clock["deadline"] is not None:
+        options = {**options,
+                   "deadline_s": clock["deadline"] - time.perf_counter()}
+    return check_la1_property(banks, prop, name, engine, datapath,
+                              **options).to_dict()

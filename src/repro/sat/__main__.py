@@ -31,28 +31,27 @@ import sys
 
 def _cmd_prove(args) -> int:
     from ..core.properties import read_mode_suite
-    from .bmc import check_read_mode_sat
+    from ..mc import sweep_rtl_properties
 
     banks = 2 if args.smoke else args.banks
-    suite = read_mode_suite(banks)
+    sweep = sweep_rtl_properties(
+        banks,
+        read_mode_suite(banks),
+        datapath=args.datapath,
+        engine="sat",
+        coi=not args.no_coi,
+        method=args.method,
+        max_k=args.max_k,
+        max_depth=args.depth,
+        check_proofs=args.check_proofs,
+        deadline_s=args.deadline,
+    )
     ok = True
     rows = []
-    for name, prop in suite:
-        result = check_read_mode_sat(
-            banks,
-            prop=prop,
-            property_name=name,
-            datapath=args.datapath,
-            coi=not args.no_coi,
-            method=args.method,
-            max_k=args.max_k,
-            max_depth=args.depth,
-            check_proofs=args.check_proofs,
-            deadline_s=args.deadline,
-        )
-        stats = result.bdd_stats or {}
+    for name, result in sweep.results:
+        stats = result.bdd_stats
         if args.method == "bmc":
-            good = result.holds is None and not result.truncated
+            good = stats.get("clean_depth") == args.depth
             verdict = (
                 f"clean to depth {stats.get('clean_depth')}"
                 if good else
@@ -72,7 +71,7 @@ def _cmd_prove(args) -> int:
               f"{result.cpu_time:6.2f}s  {stats.get('clauses', 0)} "
               f"clauses, {stats.get('conflicts', 0)} conflicts{proof}")
         rows.append({"name": name, **result.to_dict()})
-    print(f"{len(suite)} properties, banks={banks}, "
+    print(f"{len(rows)} properties, banks={banks}, "
           f"method={args.method}: {'OK' if ok else 'FAIL'}")
     if args.json_path:
         with open(args.json_path, "w") as fh:
@@ -146,7 +145,10 @@ def main(argv=None) -> int:
     prove.add_argument("--check-proofs", action="store_true",
                        help="RUP-certify every UNSAT answer")
     prove.add_argument("--deadline", type=float, default=None,
-                       help="per-property wall-clock budget (seconds)")
+                       help="wall-clock budget of the whole suite "
+                            "(seconds): a property started after it ran "
+                            "out is undecided, and none starts after a "
+                            "property ran out of it")
     prove.add_argument("--smoke", action="store_true",
                        help="CI shape: 2 banks, defaults")
     prove.add_argument("--json", dest="json_path", default=None,

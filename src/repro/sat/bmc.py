@@ -525,124 +525,30 @@ def check_read_mode_sat(
     holds the inductive depth); ``holds=False`` carries a replayed
     counterexample depth; ``holds=None`` with ``truncated=True`` means
     a budget ran out, and ``bdd_stats["budget"]`` names it:
-    ``"max_k"``, or ``"deadline_s"``, which bounds the whole call (every
-    conjunct and every solve in it).  SAT statistics travel in
-    ``bdd_stats`` (``engine="sat"``); ``peak_nodes`` reports the total
-    clause count as the size proxy.
+    ``"max_k"``, or ``"deadline_s"``, which bounds the whole call.  SAT
+    statistics travel in ``bdd_stats`` (``engine="sat"``);
+    ``peak_nodes`` reports the clause count as the size proxy.
 
     With no explicit ``prop``, the Read-Mode *conjuncts* (bank-0
-    latency, beat order, no-spurious-data) are checked one property at
-    a time and the verdicts conjoined -- same verdict as checking the
-    conjunction in a single run (the sweep contract), but each
-    conjunct's checker automaton stays small where the product
-    automaton of the conjunction inflates every unrolled frame.
+    latency, beat order, no-spurious-data) are swept
+    (:func:`repro.mc.sweep_rtl_properties`) and folded into one result
+    named ``read_mode[{banks}banks]`` -- same verdict as checking the
+    conjunction in a single run, but each conjunct's checker automaton
+    stays small where the product automaton of the conjunction inflates
+    every unrolled frame.
 
     ``method="bmc"`` skips induction and only refutes/bounds.
     """
-    from ..core.properties import (
-        no_spurious_data_property,
-        read_latency_property,
-        read_second_beat_property,
-        rtl_labels,
-    )
-    from ..core.rulebase import MC_SCALE_CONFIG, mc_design
+    from ..core.properties import read_mode_suite
+    from ..mc.sweep import check_la1_property, sweep_rtl_properties
 
-    deadline = (
-        None if deadline_s is None else time.perf_counter() + deadline_s
-    )
-    config = config or MC_SCALE_CONFIG(banks)
     name = property_name or f"read_mode[{banks}banks]"
+    options = dict(coi=coi, max_k=max_k, max_depth=max_depth,
+                   check_proofs=check_proofs, deadline_s=deadline_s,
+                   method=method)
     if prop is not None:
-        work = [(name, prop)]
-    else:
-        work = [
-            (f"{name}:read_latency", read_latency_property(0)),
-            (f"{name}:read_second_beat", read_second_beat_property(0)),
-            (f"{name}:no_spurious_data", no_spurious_data_property(0)),
-        ]
-    labels = rtl_labels("la1_top", banks)
-    design = mc_design(config, datapath)
-    start = time.perf_counter()
-
-    holds: Optional[bool] = True
-    cex_depth: Optional[int] = None
-    budgets: dict = {}          # distinct budget names, in conjunct order
-    iterations = 0
-    stats: dict = {
-        "engine": "sat",
-        "method": "bmc" if method == "bmc" else "k-induction",
-    }
-
-    def _merge(part: dict) -> None:
-        for key, value in part.items():
-            if isinstance(value, bool) or not isinstance(
-                value, (int, float)
-            ):
-                continue
-            stats[key] = stats.get(key, 0) + value
-
-    for part_name, part_prop in work:
-        mc = SatModelChecker(
-            design, part_prop, labels, name=part_name, coi=coi,
-        )
-        left = None if deadline is None else deadline - time.perf_counter()
-        if method == "bmc":
-            res = mc.bmc(
-                max_depth, check_proofs=check_proofs, deadline_s=left,
-            )
-            part_cex = res.failed_at
-            part_iter = res.clean_depth if part_cex is None else part_cex
-            stats["clean_depth"] = min(
-                stats.get("clean_depth", res.clean_depth),
-                res.clean_depth,
-            )
-            if res.replayed is not None:
-                stats["replayed"] = res.replayed
-        else:
-            res = mc.prove(
-                max_k=max_k, check_proofs=check_proofs, deadline_s=left,
-            )
-            part_cex = res.cex.failed_at if res.cex is not None else None
-            part_iter = res.k if res.k is not None else res.stats["frames"]
-            stats["k"] = max(stats.get("k") or 0, res.k or 0) or None
-            if res.cex is not None:
-                stats["replayed"] = res.cex.replayed
-        _merge(res.stats)
-        # conjunction semantics: a refuted conjunct refutes the set, an
-        # inconclusive one blocks a True verdict
-        if res.holds is False:
-            holds = False
-            cex_depth = (
-                part_cex if cex_depth is None
-                else min(cex_depth, part_cex)
-            )
-        elif res.holds is not True and holds is not False:
-            holds = None
-        if res.truncated:
-            budgets[res.stats["budget"]] = None
-        iterations = max(iterations, part_iter or 0)
-        # a spent deadline leaves no time for the remaining conjuncts
-        if holds is False or res.stats.get("budget") == "deadline_s":
-            break
-    stats.setdefault("replayed", None)
-    if method != "bmc":
-        stats.setdefault("k", None)
-    stats["proof_checked"] = "proof_lemmas" in stats
-    stats["properties"] = len(work)
-    truncated = bool(budgets) and holds is None
-    if truncated:
-        stats["budget"] = ",".join(budgets)
-    elapsed = time.perf_counter() - start
-    return SymbolicCheckResult(
-        holds,
-        elapsed,
-        stats.get("clauses", 0),
-        0,
-        iterations or 0,
-        0.0,
-        exploded=False,
-        counterexample_depth=cex_depth,
-        property_name=name,
-        truncated=truncated,
-        bdd_stats=stats,
-    )
+        return check_la1_property(banks, prop, name, "sat", datapath,
+                                  config, **options)
+    return sweep_rtl_properties(
+        banks, read_mode_suite(1), datapath, engine="sat", config=config,
+        **options).combined(name)

@@ -341,6 +341,14 @@ class McJob(Job):
             emit({"type": "property", "name": name, "holds": result.holds})
         return sweep.to_dict()
 
+    def storable(self, result: dict) -> bool:
+        # a property quarantined or cut by a wall clock answers for this
+        # run's host, not for the content key
+        from ..mc.sweep import host_cut
+
+        return not any(host_cut(p["bdd_stats"].get("budget"))
+                       for p in result["properties"])
+
 
 class FlowJob(Job):
     """The full Figure-2 flow (:func:`repro.core.flow.run_flow`)."""
@@ -411,16 +419,29 @@ class FlowJob(Job):
                 shard_deadline_s=self.shard_deadline_s,
             ))
             result = {"verilog_lines": len(report.verilog.splitlines())}
+        from ..mc.checker import SymbolicCheckResult
+
         stages = []
         for stage in report.stages:
             emit({"type": "stage", "name": stage.name, "ok": stage.ok})
-            stages.append({
+            entry = {
                 "name": stage.name,
                 "ok": stage.ok,
                 "detail": stage.detail,
                 "cpu_time": round(stage.cpu_time, 4),
-            })
+            }
+            # a model-checking stage names the budgets it ran out of
+            if isinstance(stage.data, SymbolicCheckResult) and (
+                    stage.data.bdd_stats.get("budget")):
+                entry["budget"] = stage.data.bdd_stats["budget"]
+            stages.append(entry)
         return {"ok": report.ok, "stages": stages, **result}
+
+    def storable(self, result: dict) -> bool:
+        from ..mc.sweep import host_cut
+
+        return not any(host_cut(stage.get("budget"))
+                       for stage in result["stages"])
 
 
 JOB_KINDS = {

@@ -66,14 +66,15 @@ class TestFlowFeedbackEdges:
         assert "EdgeK" in report.stages[-1].detail
 
     def test_rtl_mc_explosion_stops_flow(self, monkeypatch):
-        import repro.core.flow as flow_module
+        import repro.mc.sweep as sweep_module
         from repro.mc.checker import SymbolicCheckResult
 
         def exploded(*args, **kwargs):
             return SymbolicCheckResult(None, 1.0, 10, 0, 0, 1.0,
                                        exploded=True)
 
-        monkeypatch.setattr(flow_module, "check_read_mode_rtl", exploded)
+        # the one engine dispatch every property of the stage goes through
+        monkeypatch.setattr(sweep_module, "check_property", exploded)
         report = run_flow(FlowConfig(banks=1, traffic=5))
         assert not report.ok
         assert report.stages[-1].name == "rtl_model_checking"

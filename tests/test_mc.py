@@ -487,6 +487,24 @@ class TestBudgetNaming:
         assert enough.holds is False and enough.counterexample_depth == 3
         assert "budget" not in enough.bdd_stats
 
+    def test_property_never_started_folds_undecided(self):
+        # the first property spends the sweep's deadline; the second is
+        # never started, yet stays in the conjunction as undecided
+        from repro.core.properties import read_mode_suite
+        from repro.mc import sweep_rtl_properties
+
+        report = sweep_rtl_properties(1, read_mode_suite(1)[:2],
+                                      datapath=False, deadline_s=0.0)
+        (__, ran), (second, skipped) = report.results
+        assert ran.truncated and ran.bdd_stats["budget"] == "deadline_s"
+        assert ran.bdd_stats["nodes"] > 0
+        assert skipped.property_name == second
+        assert skipped.holds is None and skipped.truncated
+        assert skipped.bdd_stats == {"budget": "deadline_s"}
+        folded = report.combined()
+        assert folded.holds is None and folded.truncated
+        assert folded.bdd_stats["budget"] == "deadline_s"
+
     @pytest.mark.parametrize("budgets, combined", [
         (["live_node_budget", None, "live_node_budget"],
          "live_node_budget"),

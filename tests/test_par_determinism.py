@@ -188,6 +188,23 @@ class TestMcSweepDeterminism:
 
 
 class TestFlowJobs:
+    @pytest.mark.parametrize("engine", ["bdd", "sat"])
+    def test_rtl_mc_stage_is_the_same_at_every_jobs(self, engine):
+        from repro.core.flow import FlowConfig, run_flow
+
+        def stage(jobs):
+            report = run_flow(FlowConfig(
+                banks=2, traffic=4, static_lint=False, coverage=False,
+                mc_engine=engine, jobs=jobs))
+            mc = report.stage("rtl_model_checking")
+            stats = dict(mc.data.bdd_stats)
+            stats.pop("cpu_time", None)  # a timing field
+            return mc.ok, mc.detail, stats
+
+        serial = stage(1)
+        assert serial[0] is True
+        assert serial == stage(2)
+
     def test_flow_rtl_mc_stage_parallel(self):
         from repro.core.flow import FlowConfig, run_flow
 

@@ -201,6 +201,46 @@ class TestSweepIntegration:
         for __, result in report.results:
             assert result.bdd_stats["engine"] == "sat"
 
+    @staticmethod
+    def _untimed(result) -> dict:
+        data = result.to_dict()
+        for key in ("cpu_time", "property_name"):
+            data.pop(key)
+        data["bdd_stats"].pop("cpu_time")
+        return data
+
+    def test_fold_of_the_2bank_conjuncts(self):
+        from repro.mc import sweep_rtl_properties
+
+        folded = sweep_rtl_properties(
+            2, read_mode_suite(1), datapath=False, engine="sat",
+            check_proofs=True).combined()
+        stats = folded.bdd_stats
+        assert folded.holds is True
+        # k 4, 2 and 11 fold to their maximum, not their sum
+        assert (stats["k"], folded.iterations) == (11, 11)
+        assert (stats["engine"], stats["method"]) == ("sat", "k-induction")
+        assert stats["proof_checked"] is True
+        assert stats["properties"] == 3
+        # the largest single encoding; the clause counter adds up
+        assert (folded.peak_nodes, stats["clauses"]) == (6396, 10499)
+        direct = check_read_mode_sat(2, datapath=False, check_proofs=True)
+        assert direct.property_name == "read_mode[2banks]"
+        assert self._untimed(direct) == self._untimed(folded)
+
+    def test_bmc_fold_keeps_the_shallowest_clean_depth(self):
+        from repro.mc import sweep_rtl_properties
+
+        folded = sweep_rtl_properties(
+            2, read_mode_suite(1), datapath=False, engine="sat",
+            method="bmc", max_depth=10).combined()
+        assert folded.holds is None and not folded.truncated
+        assert folded.bdd_stats["clean_depth"] == 10
+        assert folded.bdd_stats["method"] == "bmc"
+        direct = check_read_mode_sat(2, datapath=False, method="bmc",
+                                     max_depth=10)
+        assert self._untimed(direct) == self._untimed(folded)
+
     def test_sweep_rejects_unknown_engine(self):
         from repro.mc import sweep_rtl_properties
 

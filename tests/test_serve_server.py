@@ -114,6 +114,47 @@ class TestHTTP:
         assert outcomes <= {"detected", "silent", "masked"}
         assert _http("GET", f"{base}/store/{full['key']}") == record["result"]
 
+    @pytest.mark.parametrize("kind, spec, stage", [
+        ("mc", {"banks": 1}, None),
+        ("flow", {"banks": 1, "traffic": 4, "coverage": False,
+                  "seed": 58}, "rtl_model_checking"),
+    ])
+    def test_quarantined_property_is_not_stored(self, server, monkeypatch,
+                                                kind, spec, stage):
+        # shard_attempts is not part of the content key either, so a
+        # stored inconclusive sweep would answer the same spec later
+        from repro.par import workers
+
+        __, base, ___ = server
+
+        def crash(*args):
+            raise RuntimeError("worker lost")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(workers, "mc_check_shard", crash)
+            partial = _http("POST", f"{base}/jobs", {
+                "kind": kind, "spec": {**spec, "shard_attempts": 1}})
+            record = _wait(base, partial["id"])
+        assert record["status"] == "done"
+        if stage is None:
+            assert record["result"]["holds"] is None
+            assert len(record["result"]["quarantined"]) == 3
+        else:
+            last = record["result"]["stages"][-1]
+            assert (last["name"], last["ok"]) == (stage, False)
+            assert last["budget"] == "shard_attempts"
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            _http("GET", f"{base}/store/{partial['key']}")
+        assert exc.value.code == 404
+        full = _http("POST", f"{base}/jobs", {"kind": kind, "spec": spec})
+        assert full["key"] == partial["key"]
+        assert full["status"] != "cached"
+        record = _wait(base, full["id"])
+        assert record["status"] == "done"
+        assert record["result"].get("holds", True) is True
+        assert record["result"].get("ok", True) is True
+        assert _http("GET", f"{base}/store/{full['key']}") == record["result"]
+
     def test_event_stream_carries_verdicts_then_done(self, server):
         __, base, ___ = server
         submitted = _http("POST", f"{base}/jobs", {
