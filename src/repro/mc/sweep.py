@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple
 
 from ..bdd import BddBudgetExceeded
 from ..cli import check_mc_choice
-from ..psl.ast import Property
+from ..psl.ast import Property, PslError
 from ..rtl.netlist import FlatDesign
 from .checker import SymbolicCheckResult, SymbolicModelChecker
 from .transition import SymbolicModel
@@ -261,13 +261,25 @@ def sweep_rtl_properties(
     (``shard_deadline_s`` bounds one forked property), then quarantined.
     A property never started or quarantined is undecided, naming
     ``deadline_s`` or ``shard_attempts``, so the suite degrades to
-    inconclusive.  An unknown ``engine`` raises before any property.
+    inconclusive.  An unknown ``engine``, and a property that is not a
+    safety property or reads an atom the LA-1 labels do not map, raise
+    (a :class:`~repro.psl.PslError` naming the property) before any
+    property starts: a spec error is no crash to retry.
     """
+    from ..core.properties import rtl_labels
     from ..core.rulebase import MC_SCALE_CONFIG, mc_design
     from ..par import ShardError, run_supervised
     from ..par.workers import mc_check_shard
 
     check_mc_choice(engine)
+    labels = rtl_labels("la1_top", banks)
+    for name, prop in properties:
+        if not prop.is_safety():
+            raise PslError(f"{name}: {prop!r} is not a safety property")
+        unmapped = sorted(prop.atoms() - labels.keys())
+        if unmapped:
+            raise PslError(
+                f"{name}: no label mapping for atom {unmapped[0]!r}")
     deadline_s = options.pop("deadline_s", None)
     clock = {"deadline": None if deadline_s is None
              else time.perf_counter() + deadline_s, "spent": False}

@@ -15,7 +15,11 @@ Two consumers share this machinery:
   engines embed it as binary-coded state through one
   :meth:`CheckerAutomaton.encode_step`: into BDD state variables in
   :mod:`repro.mc`, into CNF frames in :mod:`repro.sat` and the semantic
-  lint passes.  A :class:`PropertyBank` steps several of them as one
+  lint passes.  The step is emitted from :attr:`CheckerAutomaton.step_dag`,
+  the fail and next-code functions as one reduced ordered decision
+  DAG (state-code bits on top, then the atoms), so a frame costs one
+  if-then-else gate per DAG node rather than one AND per (state,
+  valuation).  A :class:`PropertyBank` steps several of them as one
   memoised product: the exploration-based model checker
   (:mod:`repro.asm.checker`) composes it with the ASM's FSM, and the
   SystemC assertion monitors (:mod:`repro.abv`) sample through it.
@@ -364,6 +368,67 @@ class CheckerAutomaton:
                         stack.append(dst)
         return seen
 
+    @functools.cached_property
+    def step_dag(self) -> tuple:
+        """The step function as one reduced ordered decision DAG,
+        ``(nodes, roots)``, built on first use.
+
+        The DAG's inputs are the :attr:`code_width` state-code bits (LSB
+        first, on top) followed by the atoms of :attr:`atoms`; a lower
+        input index sits nearer the roots.  Node ids 0 and 1 are FALSE
+        and TRUE, node ``k >= 2`` is ``nodes[k - 2] = (input, low,
+        high)``: ``high`` if the input is set, else ``low``.  ``roots``
+        are the fail function, then each bit of the next code.  Every
+        code has its row, reachable or not: a code past the last state
+        never fails and steps to code 0.
+        """
+        width = self.code_width
+        keys = _keys(len(self.atoms))
+        nodes: list = []
+        unique: dict = {}
+
+        def mk(index: int, low: int, high: int) -> int:
+            if low == high:
+                return low
+            key = (index, low, high)
+            node = unique.get(key)
+            if node is None:
+                node = unique[key] = len(nodes) + 2
+                nodes.append(key)
+            return node
+
+        def outputs(dst: int) -> tuple:
+            if dst == self.FAIL_STATE:
+                return (1,) + (0,) * width
+            return (0,) + tuple(dst >> i & 1 for i in range(width))
+
+        def row(code: int) -> list:
+            """One root per output over the atoms, the code fixed."""
+            if code >= self.num_states:
+                return [0] * (width + 1)
+            # leaves in key order: the last atom varies fastest, so each
+            # pass pairs its two cofactors and moves one input up
+            leaves = [outputs(self._table[(code, key)]) for key in keys]
+            roots = []
+            for out in range(width + 1):
+                level = [leaf[out] for leaf in leaves]
+                for index in reversed(range(width, width + len(self.atoms))):
+                    level = [mk(index, level[i], level[i + 1])
+                             for i in range(0, len(level), 2)]
+                roots.append(level[0])
+            return roots
+
+        def code_roots(bit: int, low_bits: int) -> list:
+            """The roots once code bits below ``bit`` read ``low_bits``."""
+            if bit == width:
+                return row(low_bits)
+            low = code_roots(bit + 1, low_bits)
+            high = code_roots(bit + 1, low_bits | 1 << bit)
+            return [mk(bit, lo, hi) for lo, hi in zip(low, high)]
+
+        roots = code_roots(0, 0)
+        return tuple(nodes), tuple(roots)
+
     def encode_step(self, g, state_bits, atom_bits) -> tuple:
         """One cycle of the checker as gates of the builder ``g`` (a
         :class:`~repro.bdd.BddManager` or :class:`~repro.sat.cnf.Tseitin`,
@@ -373,35 +438,32 @@ class CheckerAutomaton:
         (:attr:`code_width` bits, LSB first) and ``atom_bits`` holds one
         bit per atom of :attr:`atoms`.  Returns ``(fail, next_bits)``:
         the condition under which this cycle's valuation reveals a
-        violation, and the code of the successor state.  Conditions that
-        fold to FALSE are skipped, so a constant state code encodes only
-        its own row of the table.
+        violation, and the code of the successor state.  The
+        :attr:`step_dag` is emitted top-down, one ``g.ite`` per node
+        reached; a constant input takes its one branch, so a constant
+        state code encodes only its own row of the table and constant
+        inputs fold to constants.
         """
-        keys = _keys(len(self.atoms))
-        key_bits = {
-            key: g.and_all([bit if value else g.not_(bit)
-                            for bit, value in zip(atom_bits, key)])
-            for key in keys
-        }
-        fail_terms: list = []
-        next_terms: list = [[] for __ in state_bits]
-        for src in range(self.num_states):
-            src_eq = g.and_all([bit if (src >> i) & 1 else g.not_(bit)
-                                for i, bit in enumerate(state_bits)])
-            if src_eq == g.FALSE:
-                continue
-            for key in keys:
-                cond = g.and_(src_eq, key_bits[key])
-                if cond == g.FALSE:
-                    continue
-                dst = self._table[(src, key)]
-                if dst == self.FAIL_STATE:
-                    fail_terms.append(cond)
-                    continue
-                for i, terms in enumerate(next_terms):
-                    if (dst >> i) & 1:
-                        terms.append(cond)
-        return g.or_all(fail_terms), [g.or_all(terms) for terms in next_terms]
+        nodes, roots = self.step_dag
+        inputs = [*state_bits, *atom_bits]
+        memo = {0: g.FALSE, 1: g.TRUE}
+
+        def emit(node: int):
+            out = memo.get(node)
+            if out is None:
+                index, low, high = nodes[node - 2]
+                sel = inputs[index]
+                if sel == g.TRUE:
+                    out = emit(high)
+                elif sel == g.FALSE:
+                    out = emit(low)
+                else:
+                    out = g.ite(sel, emit(high), emit(low))
+                memo[node] = out
+            return out
+
+        fail, *next_bits = [emit(root) for root in roots]
+        return fail, next_bits
 
     def is_accepting_sink(self, state: int) -> bool:
         """True when the property can no longer fail from ``state``."""

@@ -391,12 +391,12 @@ class TestRelationalProduct:
 @pytest.mark.parametrize(
     "banks,datapath,iterations,reached_size,peak_nodes",
     [
-        pytest.param(1, False, 10, 99, 10_980, id="1-99"),
-        pytest.param(2, False, 10, 128, 16_766, id="2-128"),
-        pytest.param(3, False, 10, 157, 22_471, id="3-157"),
-        pytest.param(4, False, 10, 186, 29_249, id="4-186"),
-        # Table 2's 1-bank full-datapath point (about 1 s)
-        pytest.param(1, True, 21, 919, 166_910, id="full-1-919"),
+        pytest.param(1, False, 10, 99, 5_184, id="1-99"),
+        pytest.param(2, False, 10, 128, 10_970, id="2-128"),
+        pytest.param(3, False, 10, 157, 16_675, id="3-157"),
+        pytest.param(4, False, 10, 186, 23_453, id="4-186"),
+        # Table 2's 1-bank full-datapath point (about 0.5 s)
+        pytest.param(1, True, 21, 919, 161_114, id="full-1-919"),
     ],
 )
 def test_image_step_keeps_table2_control_results(

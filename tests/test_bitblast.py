@@ -5,7 +5,8 @@
 CNF side is checked against the simulators by ``tests/test_sat_encode``;
 these tests check the BDD side the same way (every net of every frame,
 on randomized netlists and the shipped LA-1 top), and the automaton
-encoding on both builders against the automaton's own table.
+encoding on both builders against the automaton's own table and
+against the one-gate-per-(state, valuation) construction it replaced.
 """
 
 import random
@@ -15,6 +16,7 @@ from itertools import product
 import pytest
 
 from repro.bdd import BddManager
+from repro.core.properties import read_mode_property, read_mode_suite
 from repro.mc import PHASE_VAR, SymbolicModel
 from repro.psl import build_checker, parse_property
 from repro.psl.automata import CheckerAutomaton
@@ -129,6 +131,70 @@ def test_encode_step_folds_to_the_transition_table(builder, text):
                 continue
             assert fail == g.FALSE, (src, key)
             assert nxt == _const_bits(g, dst, width), (src, key)
+
+
+def _minterm_step(checker, g, state_bits, atom_bits):
+    """The reference embedding: one AND per (state, valuation), ORed
+    into the fail condition or into every set bit of the next code."""
+    keys = list(product((False, True), repeat=len(checker.atoms)))
+    key_bits = {
+        key: g.and_all([bit if value else g.not_(bit)
+                        for bit, value in zip(atom_bits, key)])
+        for key in keys
+    }
+    fail_terms = []
+    next_terms = [[] for __ in state_bits]
+    for src in range(checker.num_states):
+        src_eq = g.and_all([bit if (src >> i) & 1 else g.not_(bit)
+                            for i, bit in enumerate(state_bits)])
+        for key in keys:
+            cond = g.and_(src_eq, key_bits[key])
+            dst = checker.transition(src, key)
+            if dst == CheckerAutomaton.FAIL_STATE:
+                fail_terms.append(cond)
+                continue
+            for i, terms in enumerate(next_terms):
+                if (dst >> i) & 1:
+                    terms.append(cond)
+    return g.or_all(fail_terms), [g.or_all(terms) for terms in next_terms]
+
+
+_EMBEDDED = (
+    [pytest.param(parse_property(text), id=text) for text in PROPERTIES]
+    + [pytest.param(prop, id=name) for name, prop in read_mode_suite(2)]
+    # the 65-state, 4-atom conjunction Table 2 checks
+    + [pytest.param(read_mode_property(0), id="read_mode[0]")]
+)
+
+
+@pytest.mark.parametrize("prop", _EMBEDDED)
+def test_encode_step_is_the_minterm_function(prop):
+    """Over free code bits and atoms, every output is the very BDD node
+    of the reference construction: every code, reachable or not."""
+    checker = build_checker(prop)
+    m = BddManager()
+    state_bits = [m.add_var(f"code{i}") for i in range(checker.code_width)]
+    atom_bits = [m.add_var(atom) for atom in checker.atoms]
+    fail, nxt = checker.encode_step(m, state_bits, atom_bits)
+    want_fail, want_nxt = _minterm_step(checker, m, state_bits, atom_bits)
+    assert fail == want_fail
+    assert nxt == want_nxt
+
+
+def test_read_latency_step_is_a_few_clauses_per_dag_node():
+    """16 states over 2 atoms: one if-then-else (at most 4 clauses) per
+    node of the reduced step DAG, not one AND per (state, valuation)."""
+    name, prop = read_mode_suite(1)[0]
+    assert name == "read_latency[0]"
+    checker = build_checker(prop)
+    nodes, __ = checker.step_dag
+    solver = Solver()
+    t = Tseitin(solver)
+    state_bits = [t.new_var() for __ in range(checker.code_width)]
+    atom_bits = [t.new_var() for __ in checker.atoms]
+    before = len(solver.clauses)
+    checker.encode_step(t, state_bits, atom_bits)
+    assert len(solver.clauses) - before <= 4 * len(nodes)
 
 
 @pytest.mark.parametrize("text", PROPERTIES)

@@ -526,3 +526,28 @@ class TestBudgetNaming:
                 truncated=budget == "deadline_s", bdd_stats=stats)))
         stats = PropertySweepReport(results).combined().bdd_stats
         assert stats == {"cache_hits": len(budgets), "budget": combined}
+
+
+class TestSweepSpecErrors:
+    """A spec error raises in the coordinator, naming the property,
+    before any property starts; it is never retried into a quarantine."""
+
+    @pytest.mark.parametrize("engine", ["bdd", "sat"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("text, message", [
+        ("always (eventually! true)", "is not a safety property"),
+        ("always (mystery)", "no label mapping for atom 'mystery'"),
+    ], ids=["liveness", "unlabelled"])
+    def test_sweep_raises_before_any_property(self, text, message, jobs,
+                                              engine, monkeypatch):
+        from repro.core.properties import read_mode_suite
+        from repro.mc import sweep_rtl_properties
+
+        def never_run(*args, **kwargs):
+            raise AssertionError("a property started")
+
+        monkeypatch.setattr("repro.par.run_supervised", never_run)
+        suite = read_mode_suite(1)[:1] + [("bad", parse_property(text))]
+        with pytest.raises(PslError, match=f"^bad: .*{message}"):
+            sweep_rtl_properties(1, suite, datapath=False, jobs=jobs,
+                                 engine=engine)

@@ -122,9 +122,9 @@ class TestCheckReadModeSat:
         of BENCH_sat.json.  A change to the bit-level lowering or the
         automaton embedding that moves one gate moves these numbers."""
         pinned = {
-            "read_latency": (4, 2162, 6396, 108),
-            "read_second_beat": (2, 156, 386, 12),
-            "no_spurious_data": (11, 1244, 3717, 56),
+            "read_latency": (4, 406, 1278, 71),
+            "read_second_beat": (2, 84, 176, 5),
+            "no_spurious_data": (11, 686, 2103, 27),
         }
         for name, prop in read_mode_suite(2):
             result = check_read_mode_sat(
@@ -223,7 +223,7 @@ class TestSweepIntegration:
         assert stats["proof_checked"] is True
         assert stats["properties"] == 3
         # the largest single encoding; the clause counter adds up
-        assert (folded.peak_nodes, stats["clauses"]) == (6396, 10499)
+        assert (folded.peak_nodes, stats["clauses"]) == (2103, 3557)
         direct = check_read_mode_sat(2, datapath=False, check_proofs=True)
         assert direct.property_name == "read_mode[2banks]"
         assert self._untimed(direct) == self._untimed(folded)
