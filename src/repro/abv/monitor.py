@@ -15,10 +15,12 @@ the same rules:
   signal to other modules**.
 
 Monitors attached to one simulator with the same triggers share one
-sampler process: each sample reads every distinct bound source once and
-steps the compiled monitors through one
-:class:`~repro.psl.automata.PropertyBank`; the others progress their
-:class:`~repro.psl.monitor.PslMonitor` in the same sampler.
+sampler process: each sample reads every distinct bound source once,
+counts the tuple of values it read and steps the compiled monitors
+through one :class:`~repro.psl.automata.PropertyBank`; the others
+progress their :class:`~repro.psl.monitor.PslMonitor` in the same
+sampler.  A compiled monitor is only settled on the sample at which its
+verdict latches, so a passing run settles none of them.
 """
 
 from __future__ import annotations
@@ -112,17 +114,14 @@ class AssertionMonitor:
         self.reports: list[str] = []
         self.warning: Optional[Signal] = None
         self._sim: Optional[Simulator] = None
-        # set by the sampler: (atom, getter index) reads and bank slot
+        # set by the sampler: (atom, source index) reads, bank slot, and
+        # the sampler's samples this monitor did not take (before it
+        # joined, or cut short by a STOP) per tuple of source values
         self._sampler: Optional[_Sampler] = None
         self._reads: tuple = ()
         self._slot = 0
-        self.samples = 0
-        # sample observers: ``fn(valuation)`` called with the sampled
-        # atom valuation on every sample, decided or not -- the hook
-        # assertion-coverage collectors (:mod:`repro.cover.assertion`)
-        # attach to.  The valuation dict is only materialised for a
-        # compiled monitor when observers are present.
-        self.sample_observers: list[Callable[[dict], None]] = []
+        self._unseen: dict[tuple, int] = {}
+        self._sample_observers: list[Callable[[dict], None]] = []
 
     # ------------------------------------------------------------------
     def attach(self, sim: Simulator, *triggers: Event,
@@ -150,14 +149,45 @@ class AssertionMonitor:
         self._sampler.sample()
         return self.verdict
 
-    def _settle(self, values: list) -> bool:
+    @property
+    def samples(self) -> int:
+        """Samples this monitor took."""
+        sampler = self._sampler
+        if sampler is None:
+            return 0
+        return sampler.count - sum(self._unseen.values())
+
+    @property
+    def sample_observers(self) -> list[Callable[[dict], None]]:
+        """``fn(valuation)`` hooks called with the sampled atom valuation
+        on every sample, decided or not.  A compiled monitor with
+        observers is settled on every sample instead of only when its
+        verdict latches; counting a sampled quantity is cheaper through
+        :meth:`value_counts`."""
+        return self._sample_observers
+
+    def value_counts(self) -> dict[tuple, int]:
+        """How many samples this monitor took of each tuple of its
+        sampler's source values (see :meth:`valuation`)."""
+        sampler = self._sampler
+        if sampler is None:
+            return {}
+        unseen = self._unseen
+        return {values: count - unseen.get(values, 0)
+                for values, count in sampler.counts.items()}
+
+    def valuation(self, values: tuple) -> dict:
+        """The atom valuation this monitor reads from its sampler's
+        source ``values``."""
+        return {atom: values[i] for atom, i in self._reads}
+
+    def _settle(self, values: tuple) -> bool:
         """Account one sample of the sampler's source ``values``: feed the
         observers and latch a new verdict.  True when a firing action
         stopped the simulation."""
-        self.samples += 1
-        if self.sample_observers or self._checker is None:
-            valuation = {atom: values[i] for atom, i in self._reads}
-            for observer in self.sample_observers:
+        if self._sample_observers or self._checker is None:
+            valuation = self.valuation(values)
+            for observer in self._sample_observers:
                 observer(valuation)
         monitor = self.monitor
         if self._checker is None:
@@ -171,7 +201,7 @@ class AssertionMonitor:
         if state == CheckerAutomaton.FAIL_STATE:
             monitor.verdict = Verdict.FAILS
             monitor.failed_at = self.samples - 1
-            return self._fire({atom: values[i] for atom, i in self._reads})
+            return self._fire(self.valuation(values))
         if self._checker.is_accepting_sink(state):
             monitor.verdict = Verdict.HOLDS
         return False
@@ -232,10 +262,25 @@ class AssertionMonitor:
         return f"AssertionMonitor({self.name!r}, {self.verdict.value})"
 
 
+def _decided(checker: CheckerAutomaton, state: int) -> bool:
+    """True when a checker in ``state`` has its verdict decided."""
+    return state == CheckerAutomaton.FAIL_STATE or \
+        checker.is_accepting_sink(state)
+
+
 class _Sampler(Process):
     """The kernel process sampling the monitors attached to one set of
     triggers.  A compiled monitor that binds a bank atom to another source
-    gets a sampler of its own."""
+    gets a sampler of its own.
+
+    A sample reads every bound source once into a tuple of values, counts
+    it in :attr:`counts` and looks up ``(bank states, values)`` in the
+    step memo: the next bank states, and the attach-order positions of
+    the monitors to settle.  Those are the uncompiled monitors and the
+    compiled ones whose checker enters FAIL or an accepting sink -- the
+    only samples at which a compiled verdict latches.  A monitor with
+    sample observers is settled on every sample as well.
+    """
 
     def __init__(self, sim: Simulator, triggers: tuple):
         super().__init__(sim, "abv.sampler")
@@ -247,7 +292,11 @@ class _Sampler(Process):
         self._bound: dict[str, object] = {}  # bank atom -> source
         self._bank = PropertyBank(())
         self._label: tuple = ()  # getter index of each bank atom
+        self._observers: tuple = ()  # each monitor's sample observers
+        self._memo: dict = {}  # (states, values) -> (states, to settle)
         self.states: tuple = ()
+        self.count = 0  # samples taken
+        self.counts: dict[tuple, int] = {}  # samples per source values
 
     def agrees(self, monitor: AssertionMonitor) -> bool:
         """False when ``monitor`` binds a bank atom to another source."""
@@ -262,7 +311,9 @@ class _Sampler(Process):
         monitor._reads = tuple((atom, self._read(monitor._bindings[atom]))
                                for atom in atoms)
         monitor._sampler = self
+        monitor._unseen = dict(self.counts)
         self.monitors.append(monitor)
+        self._observers += (monitor._sample_observers,)
         if checker is not None:
             monitor._slot = len(self.states)
             self._bound.update((atom, monitor._bindings[atom])
@@ -272,6 +323,7 @@ class _Sampler(Process):
             self._label = tuple(self._read(self._bound[atom])
                                 for atom in self._bank.atoms)
             self.states += (0,)
+        self._memo = {}
 
     def _read(self, source) -> int:
         index = self._index.get(id(source))
@@ -286,16 +338,43 @@ class _Sampler(Process):
         if self.trigger is not None:
             self.sample()
 
+    def _step(self, before: tuple, values: tuple) -> tuple:
+        """The memo entry of one ``(states, values)`` sample."""
+        after = self._bank.step(before, tuple(map(values.__getitem__,
+                                                  self._label)))
+        # a slot starts in state 0, which is never decided, and a STOP
+        # rolls back the slots it cuts short: a slot in a decided state
+        # has latched its verdict on the sample that entered it
+        settle = tuple(
+            n for n, monitor in enumerate(self.monitors)
+            if monitor._checker is None
+            or (_decided(monitor._checker, after[monitor._slot])
+                and not _decided(monitor._checker, before[monitor._slot])))
+        return after, settle
+
     def sample(self) -> None:
-        """Read each bound source once, step the bank, then settle every
-        monitor in attach order."""
-        values = [get() for get in self._getters]
+        """Read each bound source once, count the values and step the
+        bank, then settle the monitors that need it in attach order."""
+        values = tuple([get() for get in self._getters])
+        self.count += 1
+        counts = self.counts
+        counts[values] = counts.get(values, 0) + 1
         before = self.states
-        self.states = self._bank.step(
-            before, tuple(map(values.__getitem__, self._label)))
-        for n, monitor in enumerate(self.monitors, 1):
-            if monitor._settle(values):
-                # the stop ends the delta before later monitors sample
-                done = sum(m._checker is not None for m in self.monitors[:n])
+        step = self._memo.get((before, values))
+        if step is None:
+            step = self._memo[before, values] = self._step(before, values)
+        self.states, settle = step
+        if any(self._observers):
+            settle = sorted({*settle, *(n for n, observers
+                                        in enumerate(self._observers)
+                                        if observers)})
+        monitors = self.monitors
+        for n in settle:
+            if monitors[n]._settle(values):
+                # the stop ends the sample for the monitors attached
+                # after this one: they neither count nor step it
+                for later in monitors[n + 1:]:
+                    later._unseen[values] = later._unseen.get(values, 0) + 1
+                done = sum(m._checker is not None for m in monitors[:n + 1])
                 self.states = self.states[:done] + before[done:]
                 return

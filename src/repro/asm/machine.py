@@ -53,17 +53,24 @@ class Rule:
         self.guard = guard
         self.effect = effect
         self.domains: dict[str, Domain] = dict(domains or {})
+        self._combinations: Optional[tuple[dict, ...]] = None
 
-    def argument_combinations(self) -> list[dict]:
-        """All argument dictionaries drawn from this rule's domains."""
-        combos: list[dict] = [{}]
-        for param, domain in self.domains.items():
-            combos = [
-                {**combo, param: value}
-                for combo in combos
-                for value in domain.values()
-            ]
-        return combos
+    def argument_combinations(self) -> tuple[dict, ...]:
+        """All argument dictionaries drawn from this rule's domains.
+
+        Built once per rule: every action of the rule shares these dicts,
+        so callers must not mutate them (domains are fixed collections).
+        """
+        if self._combinations is None:
+            combos: list[dict] = [{}]
+            for param, domain in self.domains.items():
+                combos = [
+                    {**combo, param: value}
+                    for combo in combos
+                    for value in domain.values()
+                ]
+            self._combinations = tuple(combos)
+        return self._combinations
 
     def __repr__(self):
         params = ", ".join(self.domains)

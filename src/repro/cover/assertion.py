@@ -9,7 +9,7 @@ not running the simulation at all.
 
 Two collectors share the ``assert.*`` namespace:
 
-* :class:`PslAssertionCoverage` observes
+* :class:`PslAssertionCoverage` counts
   :class:`~repro.abv.monitor.AssertionMonitor` samples.  Activation
   conditions are extracted from the property AST the same way the lint
   vacuity pass walks it -- implication guards, suffix-implication and
@@ -112,57 +112,77 @@ def activation_guards(prop: Property) -> tuple[list[BoolExpr], bool]:
 class PslAssertionCoverage:
     """Activation/fire/vacuity coverage over ABV assertion monitors.
 
-    Hooks each monitor's sample-observer list; harvest is a snapshot of
-    the run so far (harvest once per collection run).
+    Counted rather than observed: each monitor's sampler counts the
+    tuples of source values it reads (:meth:`AssertionMonitor.value_counts`),
+    so a monitor's activations between :meth:`attach` and :meth:`detach`
+    are the samples of the tuples on which one of its guards holds, each
+    distinct tuple evaluated once.  Harvest is a snapshot of the run so
+    far (harvest once per collection run).
     """
 
     def __init__(self, monitors: Sequence[AssertionMonitor],
                  namespace: str = "assert.psl"):
         self.namespace = namespace
         self.monitors = list(monitors)
-        self.activations = {m.name: 0 for m in self.monitors}
-        self._guards: dict[str, tuple[list[BoolExpr], bool]] = {
-            m.name: activation_guards(m.prop) for m in self.monitors
-        }
-        self._observers: list[tuple[AssertionMonitor, object]] = []
+        self._activations = {m.name: 0 for m in self.monitors}
+        self._guards = [activation_guards(m.prop) for m in self.monitors]
+        # per monitor: activated on a tuple of source values?
+        self._active: list[dict[tuple, bool]] = [{} for __ in self.monitors]
+        # per monitor: the value counts folded into the activations so
+        # far; None while detached
+        self._folded: Optional[list[dict[tuple, int]]] = None
         self.attach()
 
     # ------------------------------------------------------------------
     def attach(self) -> None:
-        """Register a sample observer on every monitor (idempotent)."""
-        if self._observers:
-            return
-        for monitor in self.monitors:
-            observer = self._make_observer(monitor.name)
-            monitor.sample_observers.append(observer)
-            self._observers.append((monitor, observer))
+        """Count the monitors' samples from now on (idempotent)."""
+        if self._folded is None:
+            self._folded = [m.value_counts() for m in self.monitors]
 
     def detach(self) -> None:
-        """Release all sample observers (counts are kept)."""
-        for monitor, observer in self._observers:
-            if observer in monitor.sample_observers:
-                monitor.sample_observers.remove(observer)
-        self._observers.clear()
+        """Stop counting (counts are kept)."""
+        if self._folded is not None:
+            self._fold()
+            self._folded = None
 
-    def _make_observer(self, name: str):
-        guards, always = self._guards[name]
+    @property
+    def activations(self) -> dict[str, int]:
+        """Activated samples per monitor name, up to now."""
+        if self._folded is not None:
+            self._fold()
+        return self._activations
 
-        def observe(valuation: dict) -> None:
-            if always or any(g.evaluate(valuation) for g in guards):
-                self.activations[name] += 1
-
-        return observe
+    def _fold(self) -> None:
+        """Add the samples taken since the last fold to the activations."""
+        for n, monitor in enumerate(self.monitors):
+            counts = monitor.value_counts()
+            folded = self._folded[n]
+            active = self._active[n]
+            guards, always = self._guards[n]
+            for values, count in counts.items():
+                count -= folded.get(values, 0)
+                if not count:
+                    continue
+                hit = active.get(values)
+                if hit is None:
+                    valuation = monitor.valuation(values)
+                    hit = active[values] = always or any(
+                        g.evaluate(valuation) for g in guards)
+                if hit:
+                    self._activations[monitor.name] += count
+            self._folded[n] = counts
 
     # ------------------------------------------------------------------
     def harvest(self, db: Optional[CoverageDB] = None) -> CoverageDB:
         """Snapshot activation/fire/vacuity points into ``db``."""
         db = db if db is not None else CoverageDB()
+        activations = self.activations
         for monitor in self.monitors:
             base = f"{self.namespace}.{monitor.name}"
             db.declare(f"{base}.activated")
             db.declare(f"{base}.fired", goal=0)
             db.declare(f"{base}.vacuous", goal=0)
-            count = self.activations[monitor.name]
+            count = activations[monitor.name]
             if count:
                 db.hit(f"{base}.activated", count)
             fired = monitor.verdict is Verdict.FAILS

@@ -48,14 +48,15 @@ class Event:
     the three SystemC flavours: immediate, delta-delayed and time-delayed.
     """
 
-    __slots__ = ("name", "sim", "_static", "_dynamic")
+    __slots__ = ("name", "sim", "_static", "_dynamic", "_delta_pending")
 
     def __init__(self, sim: "Simulator", name: str = "event"):
         self.name = name
         self.sim = sim
         self._static: list[Process] = []
         self._dynamic: list[Process] = []
-        sim._register_event(self)
+        # set while a delta notification of this event is scheduled
+        self._delta_pending = False
 
     def add_static(self, process: "Process") -> None:
         """Statically sensitise ``process`` to this event."""
@@ -89,12 +90,17 @@ class Event:
             self.sim._schedule_timed_notify(self, delay)
 
     def _fire(self) -> None:
-        waiters = self._dynamic
-        self._dynamic = []
-        for process in self._static:
-            self.sim._make_runnable(process, self)
-        for process in waiters:
-            self.sim._make_runnable(process, self)
+        woken = self._static
+        if self._dynamic:
+            woken = woken + self._dynamic
+            self._dynamic = []
+        # Simulator._make_runnable, inlined: the kernel's hottest loop
+        runnable = self.sim._runnable
+        for process in woken:
+            if not (process._terminated or process._runnable):
+                process._runnable = True
+                process.trigger = self
+                runnable.append(process)
 
     def __repr__(self) -> str:
         return f"Event({self.name!r})"
@@ -185,6 +191,8 @@ class ThreadProcess(Process):
         super().__init__(sim, name)
         self._genfn = genfn
         self._gen: Optional[Generator[_WaitRequest, None, None]] = None
+        # one timeout event, reused by every wait_time of this thread
+        self._timeout: Optional[Event] = None
 
     def run(self) -> None:
         if self._terminated:
@@ -203,7 +211,9 @@ class ThreadProcess(Process):
             for event in request.events:
                 event.add_dynamic(self)
         elif isinstance(request, _WaitTime):
-            wake = Event(self.sim, f"{self.name}.timeout")
+            wake = self._timeout
+            if wake is None:
+                wake = self._timeout = Event(self.sim, f"{self.name}.timeout")
             wake.add_dynamic(self)
             wake.notify(request.delay)
         else:
@@ -238,18 +248,14 @@ class Simulator:
         self._timed: list[tuple[int, int, Event]] = []
         self._seq = 0
         self._processes: list[Process] = []
-        self._events: list[Event] = []
         self._initialized = False
         self._stop_requested = False
         self.stop_reason: Optional[str] = None
         self.abort_reason: Optional[str] = None
 
     # ------------------------------------------------------------------
-    # registration hooks (used by Event / Process / Signal constructors)
+    # registration hook (used by the Process constructor)
     # ------------------------------------------------------------------
-    def _register_event(self, event: Event) -> None:
-        self._events.append(event)
-
     def _register_process(self, process: Process) -> None:
         self._processes.append(process)
 
@@ -264,11 +270,13 @@ class Simulator:
         self._runnable.append(process)
 
     def _schedule_update(self, channel) -> None:
-        if channel not in self._update_queue:
-            self._update_queue.append(channel)
+        # a channel queues itself at most once per update phase (its
+        # ``_pending`` flag), so the queue needs no membership test
+        self._update_queue.append(channel)
 
     def _schedule_delta_notify(self, event: Event) -> None:
-        if event not in self._delta_notifications:
+        if not event._delta_pending:
+            event._delta_pending = True
             self._delta_notifications.append(event)
 
     def _schedule_timed_notify(self, event: Event, delay: int) -> None:
@@ -294,6 +302,8 @@ class Simulator:
         self.stop_reason = diagnostic
         self._runnable.clear()
         self._update_queue.clear()
+        for event in self._delta_notifications:
+            event._delta_pending = False
         self._delta_notifications.clear()
         self._timed.clear()
 
@@ -380,6 +390,7 @@ class Simulator:
             if notifications:
                 self.delta_count += 1
             for event in notifications:
+                event._delta_pending = False
                 event._fire()
 
     def pending_activity(self) -> bool:

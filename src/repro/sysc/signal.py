@@ -91,10 +91,9 @@ class Signal(Generic[T]):
             return
         old, self._current = self._current, self._next
         self.changed.notify()
-        if self._is_true(self._current) and not self._is_true(old):
-            self.posedge.notify()
-        elif self._is_true(old) and not self._is_true(self._current):
-            self.negedge.notify()
+        high = self._is_true(self._current)
+        if high != self._is_true(old):
+            (self.posedge if high else self.negedge).notify()
         for watcher in self._watchers:
             watcher(self.name, old, self._current)
 

@@ -2,6 +2,8 @@
 vacuity detection), the ``python -m repro.cover`` CLI modes, and the
 fault-campaign coverage_points wiring."""
 
+import random
+
 import pytest
 
 from repro.core import (
@@ -20,6 +22,7 @@ from repro.cover import (
 )
 from repro.cover.__main__ import main
 from repro.fault import CampaignConfig, FaultCampaign
+from repro.psl import Verdict
 from repro.psl.ast import (
     Always,
     And,
@@ -105,6 +108,143 @@ class TestPslAssertionCoverage:
         coverage = PslAssertionCoverage(monitors)
         coverage.detach()
         assert all(not m.sample_observers for m in monitors)
+
+
+class _ObservedCoverage:
+    """The per-sample reference for counted coverage: one observer per
+    monitor evaluates the monitor's activation guards on every sample."""
+
+    def __init__(self, monitors, namespace="assert.psl"):
+        self.namespace = namespace
+        self.monitors = list(monitors)
+        self.activations = {m.name: 0 for m in self.monitors}
+        self._observers = []
+        self.attach()
+
+    def attach(self):
+        if self._observers:
+            return
+        for monitor in self.monitors:
+            guards, always = activation_guards(monitor.prop)
+
+            def observe(valuation, name=monitor.name, guards=guards,
+                        always=always):
+                if always or any(g.evaluate(valuation) for g in guards):
+                    self.activations[name] += 1
+
+            monitor.sample_observers.append(observe)
+            self._observers.append((monitor, observe))
+
+    def detach(self):
+        for monitor, observe in self._observers:
+            monitor.sample_observers.remove(observe)
+        self._observers.clear()
+
+    harvest = PslAssertionCoverage.harvest
+
+
+def _counted_coverage_run(collector, scenario):
+    """Drive random values on ``a``, ``b`` and ``c`` under compiled and
+    uncompiled monitors sampled on K#, with ``collector`` attached and
+    harvested as ``scenario`` says.  Returns each harvest's points and
+    activations, and the monitors."""
+    from repro.abv import AssertionMonitor, FailureAction
+    from repro.psl import ModelingLayer
+    from repro.psl import builder as B
+    from repro.sysc import ClockPair, MethodProcess, Signal, Simulator
+
+    sim = Simulator()
+    clocks = ClockPair(sim, "K")
+    signals = {atom: Signal(sim, atom, False) for atom in "abc"}
+    rng = random.Random(2004)
+
+    def drive():
+        for signal in signals.values():
+            signal.write(rng.random() < 0.5)
+
+    MethodProcess(sim, "drive", drive).make_sensitive(clocks.posedge_k)
+    layer = ModelingLayer()
+    either = layer.define("either", B.atom("b") | B.atom("c"))
+    stop = ((FailureAction.REPORT, FailureAction.STOP)
+            if scenario == "stop" else (FailureAction.REPORT,))
+    monitors = [
+        AssertionMonitor("always (a -> next b)", "implies", signals),
+        # not a safety property: uncompiled
+        AssertionMonitor("always (b -> eventually! c)", "eventually",
+                         signals),
+        AssertionMonitor("always (!(a & b & c))", "stopper", signals,
+                         actions=stop),
+        # modeling layer: uncompiled
+        AssertionMonitor(B.always(B.implies(B.atom("a"), either)),
+                         "modeling", signals, modeling=layer),
+        AssertionMonitor("always (a | !a)", "invariant", signals),
+        AssertionMonitor("never {a; c}", "late", signals),
+    ]
+    for monitor in monitors[:-1]:
+        monitor.attach(sim, clocks.posedge_k_bar)
+    if scenario == "attached_late":
+        sim.run(20)
+    coverage = collector(monitors)
+    harvests = []
+
+    def harvest():
+        db = coverage.harvest()
+        harvests.append(({k: (p.hits, p.goal) for k, p in db.points.items()},
+                         dict(coverage.activations)))
+
+    if scenario == "late_monitor":
+        sim.run(20)
+    monitors[-1].attach(sim, clocks.posedge_k_bar)
+    sim.run(30)
+    if scenario == "detached_mid_run":
+        coverage.detach()
+    if scenario == "second_harvest":
+        harvest()
+    sim.run(200 if scenario == "stop" else 30)
+    coverage.detach()
+    harvest()
+    return harvests, monitors
+
+
+class TestCountedAssertionCoverage:
+    """Activations derived from the samplers' value counts equal those of
+    a per-sample observer, for compiled and uncompiled monitors."""
+
+    @pytest.mark.parametrize("scenario", [
+        "attached_late", "detached_mid_run", "second_harvest",
+        "late_monitor", "stop"])
+    def test_matches_per_sample_observers(self, scenario):
+        counted, monitors = _counted_coverage_run(PslAssertionCoverage,
+                                                  scenario)
+        observed, __ = _counted_coverage_run(_ObservedCoverage, scenario)
+        assert counted == observed
+        assert len(counted) == (2 if scenario == "second_harvest" else 1)
+        samples = {m.name: m.samples for m in monitors}
+        activations = counted[-1][1]
+        assert 0 < activations["implies"] < activations["invariant"]
+        assert 0 < activations["eventually"] < activations["invariant"]
+        assert 0 < activations["modeling"] < activations["invariant"]
+        if scenario == "attached_late":
+            assert activations["invariant"] == samples["invariant"] - 10
+        elif scenario == "detached_mid_run":
+            assert activations["invariant"] == 15 < samples["invariant"]
+        elif scenario == "late_monitor":
+            assert samples["late"] < samples["implies"]
+        elif scenario == "stop":
+            stopper = monitors[2]
+            assert stopper.verdict is Verdict.FAILS
+            # the stop ends the sample before the later monitors take it
+            assert samples["invariant"] == samples["stopper"] - 1
+            assert activations["invariant"] == samples["invariant"]
+
+    def test_registers_no_sample_observer(self):
+        sim, clocks, device, host = build_la1_system(CONFIG)
+        monitors = attach_read_mode_monitors(sim, device, clocks)
+        coverage = PslAssertionCoverage(monitors)
+        assert all(not m.sample_observers for m in monitors)
+        host.read(0, 1)
+        sim.run(100)
+        assert sum(coverage.activations.values()) > 0
 
 
 class TestOvlAssertionCoverage:

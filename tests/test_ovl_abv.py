@@ -1,6 +1,7 @@
 """Unit tests for the OVL checker library and the ABV monitor framework."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.abv import AssertionMonitor, FailureAction, bind_atom, summarize
 from repro.ovl import (
@@ -16,8 +17,9 @@ from repro.ovl import (
     assert_unchanged,
 )
 from repro.psl import Verdict
+from repro.psl.automata import CheckerAutomaton, PropertyBank
 from repro.rtl import AssertionFailure, Mux, RtlModule, RtlSimulator
-from repro.sysc import ClockPair, Signal, Simulator
+from repro.sysc import ClockPair, Event, Signal, Simulator
 
 
 def _sim_with(builder):
@@ -508,3 +510,225 @@ class TestSharedSampler:
         assert (stopper.samples, later.samples) == (1, 0)
         # unstepped, ``later`` has no strong obligation pending
         assert later.finish() is Verdict.HOLDS
+
+
+# ----------------------------------------------------------------------
+# the sampler against the settle-every-monitor-every-sample reference
+# ----------------------------------------------------------------------
+class _Feeder:
+    """The atom values of the current sample; every binding reads it."""
+
+    def __init__(self):
+        self.current = dict.fromkeys("abc", False)
+        self.bindings = {atom: (lambda atom=atom: self.current[atom])
+                         for atom in "abc"}
+
+
+class _WarningLog:
+    """Stands in for a warning signal and records every write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, value):
+        self.writes.append(value)
+
+
+class _ReferenceSampler:
+    """The reference sampler: every sample steps a property bank over the
+    compiled monitors, then settles every monitor in attach order; a STOP
+    ends the sample for the monitors after it."""
+
+    def __init__(self):
+        self.monitors = []
+        self.samples = {}
+        self.bank = PropertyBank(())
+        self.states = ()
+
+    def add(self, monitor):
+        self.monitors.append(monitor)
+        self.samples[monitor.name] = 0
+        if monitor._checker is not None:
+            self.bank = PropertyBank([m.prop for m in self.monitors
+                                      if m._checker is not None])
+            self.states += (0,)
+
+    def sample(self, current):
+        before = self.states
+        self.states = self.bank.step(
+            before, tuple(current[atom] for atom in self.bank.atoms))
+        slot = 0
+        for n, monitor in enumerate(self.monitors, 1):
+            if self._settle(monitor, slot, current):
+                done = sum(m._checker is not None
+                           for m in self.monitors[:n])
+                self.states = self.states[:done] + before[done:]
+                return
+            slot += monitor._checker is not None
+
+    def _settle(self, monitor, slot, current):
+        self.samples[monitor.name] += 1
+        checker = monitor._checker
+        reads = monitor._bindings if checker is None else checker.atoms
+        valuation = {atom: current[atom] for atom in reads}
+        for observer in monitor.sample_observers:
+            observer(valuation)
+        psl = monitor.monitor
+        if checker is None:
+            before = psl.verdict
+            verdict = psl.step(valuation)
+            return (verdict is Verdict.FAILS and before is not Verdict.FAILS
+                    and monitor._fire(valuation))
+        if psl.verdict is not Verdict.PENDING:
+            return False
+        state = self.states[slot]
+        if state == CheckerAutomaton.FAIL_STATE:
+            psl.verdict = Verdict.FAILS
+            psl.failed_at = self.samples[monitor.name] - 1
+            return monitor._fire(valuation)
+        if checker.is_accepting_sink(state):
+            psl.verdict = Verdict.HOLDS
+        return False
+
+
+def _pool_monitor(index, name, actions, bindings):
+    from repro.psl import ModelingLayer
+    from repro.psl import builder as B
+
+    if index == len(_POOL):
+        # a modeling-layer monitor is never compiled
+        layer = ModelingLayer()
+        either = layer.define("either", B.atom("a") | B.atom("b"))
+        return AssertionMonitor(B.always(B.implies(either, B.atom("c"))),
+                                name, bindings, actions, modeling=layer)
+    return AssertionMonitor(_POOL[index], name, bindings, actions)
+
+
+_POOL = [
+    "always (a -> next b)",
+    "always (!c)",
+    "next a",  # accepting sink: HOLDS latches
+    "never {a; b}",
+    "always (b -> within![2] c)",
+    "a until b",
+    "always (a -> eventually! b)",  # not a safety property: uncompiled
+]
+_ACTIONS = (FailureAction.REPORT, FailureAction.STOP, FailureAction.WARN)
+
+
+def _run_sampling(specs, trace, toggles, reference):
+    """Sample ``trace`` with one monitor per ``(pool index, action mask,
+    join sample)`` spec; ``toggles`` adds or removes monitor ``n``'s
+    observer before sample ``k``.  Returns what each monitor did."""
+    feeder = _Feeder()
+    sim = Simulator()
+    trigger = Event(sim, "sample")
+    monitors, warnings, observers, log = [], [], [], []
+    for n, (index, mask, __) in enumerate(specs):
+        actions = tuple(a for bit, a in enumerate(_ACTIONS) if mask >> bit & 1)
+        monitors.append(_pool_monitor(index, f"m{n}", actions,
+                                      feeder.bindings))
+        warnings.append(_WarningLog())
+        observers.append(lambda valuation, name=f"m{n}":
+                         log.append((name, dict(valuation))))
+    reference_sampler = _ReferenceSampler()
+    sampler = None  # sampling starts when the first monitor joins
+    states = []
+    for k, current in enumerate(trace):
+        for n, (__, __, join) in enumerate(specs):
+            if join != k:
+                continue
+            if reference:
+                monitors[n]._sim = sim
+                monitors[n].warning = warnings[n]
+                sampler = reference_sampler
+                sampler.add(monitors[n])
+            else:
+                monitors[n].attach(sim, trigger, warning_signal=warnings[n])
+                sampler = monitors[n]._sampler
+        for at, n in toggles:
+            if at == k:
+                hooks = monitors[n % len(specs)].sample_observers
+                observer = observers[n % len(specs)]
+                if observer in hooks:
+                    hooks.remove(observer)
+                else:
+                    hooks.append(observer)
+        feeder.current = current
+        if sampler is None:
+            continue
+        if reference:
+            sampler.sample(current)
+        else:
+            sampler.sample()
+        states.append(sampler.states)
+        if sim._stop_requested:
+            break
+    return {
+        "monitors": [(m.name,
+                      reference_sampler.samples.get(m.name, 0) if reference
+                      else m.samples,
+                      m.verdict, m.monitor.failed_at, m.reports)
+                     for m in monitors],
+        "warnings": [w.writes for w in warnings],
+        "observed": log,
+        "states": states,
+        "stopped": sim.stop_reason,
+    }
+
+
+class TestSamplerAgainstReference:
+    """Settling only uncompiled, observed and latching monitors decides,
+    counts, reports and observes exactly as settling every monitor on
+    every sample."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, len(_POOL)), st.integers(0, 7),
+                           st.integers(0, 4)), min_size=1, max_size=6),
+        st.lists(st.fixed_dictionaries({a: st.booleans() for a in "abc"}),
+                 max_size=14),
+        st.lists(st.tuples(st.integers(0, 13), st.integers(0, 5)),
+                 max_size=6),
+    )
+    # a STOP in the middle of a sample, with uncompiled monitors after it
+    @example([(0, 1, 0), (1, 3, 0), (6, 5, 0), (7, 5, 0)],
+             [{"a": True, "b": False, "c": False},
+              {"a": False, "b": False, "c": True}], [])
+    # ``next a`` latches HOLDS at its sink; a monitor joins late
+    @example([(2, 1, 0), (4, 4, 2)],
+             [{"a": False, "b": True, "c": False},
+              {"a": True, "b": False, "c": False},
+              {"a": False, "b": True, "c": False},
+              {"a": False, "b": False, "c": False},
+              {"a": False, "b": False, "c": False}], [(1, 0), (3, 0)])
+    def test_same_outcomes(self, specs, trace, toggles):
+        assert _run_sampling(specs, trace, toggles, reference=False) == \
+            _run_sampling(specs, trace, toggles, reference=True)
+
+    def test_a_passing_run_settles_no_compiled_monitor(self, monkeypatch):
+        """The read-mode monitors watch 20 transactions on one bank: no
+        verdict latches, so no monitor is settled; an observer makes its
+        monitor settle on every sample."""
+        from repro.core import La1Config, build_la1_system
+        from repro.core.monitors import attach_read_mode_monitors
+        from repro.core.traffic import queue_traffic
+
+        settled = []
+        settle = AssertionMonitor._settle
+        monkeypatch.setattr(AssertionMonitor, "_settle",
+                            lambda self, values: settled.append(self.name)
+                            or settle(self, values))
+        config = La1Config(banks=1)
+        sim, clocks, device, host = build_la1_system(config)
+        monitors = attach_read_mode_monitors(sim, device, clocks)
+        queue_traffic(host, config, 20, 2004)
+        sim.run(300)
+        assert settled == []
+        assert all(m.samples == 300 for m in monitors)
+        seen = []
+        monitors[1].sample_observers.append(seen.append)
+        sim.run(10)
+        assert len(seen) == 10
+        assert settled == [monitors[1].name] * 10
+        assert summarize(monitors).finish().passed

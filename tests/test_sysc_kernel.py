@@ -162,6 +162,58 @@ class TestThreadProcesses:
         with pytest.raises(ValueError):
             wait_for()
 
+    def test_clocked_run_builds_no_event_after_the_first_wait(
+            self, monkeypatch):
+        """A thread reuses one timeout event for every ``wait_time``: a
+        clock pair's 10,000-unit run constructs no event at all."""
+        from repro.sysc import ClockPair
+
+        sim = Simulator()
+        clocks = ClockPair(sim, "K")
+        edges = []
+        edge = MethodProcess(sim, "edge", lambda: edges.append(sim.time))
+        edge.make_sensitive(clocks.posedge_k)
+        sim.initialize()  # the clock thread's first wait
+        built = []
+        init = Event.__init__
+        monkeypatch.setattr(
+            Event, "__init__",
+            lambda self, *args, **kwargs: built.append(args)
+            or init(self, *args, **kwargs))
+        sim.run(10_000)
+        assert built == []
+        # K rises every other time unit; the init run logs time 0 too
+        assert edges == [0] + list(range(2, 10_001, 2))
+
+    def test_successive_waits_keep_time_and_order(self):
+        """A thread's successive waits interleave with other timed
+        notifications by time, then by the order they were requested."""
+        sim = Simulator()
+        event = Event(sim, "e")
+        log = []
+
+        def thread():
+            for delay in (3, 2, 4):
+                yield wait_time(delay)
+                log.append(("thread", sim.time))
+
+        def on_event():
+            if process.trigger is None:
+                return
+            log.append(("event", sim.time))
+            if sim.time == 8:
+                event.notify(1)  # requested after the thread's wait to 9
+
+        process = MethodProcess(sim, "m", on_event)
+        process.make_sensitive(event)
+        for at in (3, 5, 8):
+            event.notify(at)  # requested before any of the thread's waits
+        ThreadProcess(sim, "t", thread)
+        sim.run(20)
+        assert log == [("event", 3), ("thread", 3), ("event", 5),
+                       ("thread", 5), ("event", 8), ("thread", 9),
+                       ("event", 9)]
+
 
 class TestScheduler:
     def test_run_without_duration_stops_at_quiescence(self):
