@@ -90,7 +90,7 @@ def bench_design(name: str, smoke: bool) -> dict:
             start = time.perf_counter()
             bdd = SymbolicModelChecker(
                 SymbolicModel(elab.flat, coi_roots=roots)
-            ).check_property(prop, labels, name=pname, deadline_s=120.0)
+            ).check_property(prop, labels, name=pname)
             entry["bdd_s"] = round(time.perf_counter() - start, 4)
             entry["bdd_holds"] = bdd.holds
         point["properties"].append(entry)

@@ -25,6 +25,7 @@ workload -- so it gets its own measurement below
 as the machine-readable perf trajectory.
 """
 
+import gc
 import random
 import time
 
@@ -76,6 +77,7 @@ def _run_sysc(banks: int) -> float:
         else:
             host.write(bank, addr, word)
     sim.initialize()
+    gc.collect()  # no collector pause from the set-up inside the timing
     start = time.perf_counter()
     sim.run(2 * CYCLES)  # two time units per clock cycle
     elapsed = time.perf_counter() - start
@@ -95,6 +97,7 @@ def _run_rtl_ovl(banks: int, backend: str = "interp") -> float:
             host.read(bank, addr)
         else:
             host.write(bank, addr, word)
+    gc.collect()
     start = time.perf_counter()
     host.run_cycles(CYCLES)
     elapsed = time.perf_counter() - start

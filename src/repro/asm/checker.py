@@ -84,7 +84,7 @@ class ModelCheckResult:
         cpu_time: float,
         failures: Optional[dict] = None,
         property_name: str = "property",
-        truncated_reason: str = "",
+        truncated: bool = False,
     ):
         self.holds = holds
         self.num_nodes = num_nodes
@@ -92,10 +92,9 @@ class ModelCheckResult:
         self.cpu_time = cpu_time
         self.failures: dict = failures or {}
         self.property_name = property_name
-        #: "" when every property is decided; "bounds" / "deadline" when
-        #: the search was truncated before the ones not in ``failures``
-        #: were proved
-        self.truncated_reason = truncated_reason
+        #: True when a bound cut the search before the properties not
+        #: in ``failures`` were proved
+        self.truncated = truncated
 
     @property
     def counterexample(self) -> Optional[list]:
@@ -228,17 +227,17 @@ class AsmModelChecker:
                 False, 1, 0, time.perf_counter() - start,
                 failures=_counterexamples({}, failed), property_name=name,
             )
-        parents, transitions, reason = search(
+        parents, transitions, truncated = search(
             machine, self.config, initial, step, retire,
             assumption_violated if num_assumptions else None)
         # the last property to fail ended the search on its failing
         # successor, which counts as a node
         ended = bool(failed) and len(failed) == len(props)
         return ModelCheckResult(
-            False if failed else None if reason else True,
+            False if failed else None if truncated else True,
             len(parents) + ended, transitions, time.perf_counter() - start,
             failures=_counterexamples(parents, failed), property_name=name,
-            truncated_reason="" if ended else reason,
+            truncated=truncated and not ended,
         )
 
     # ------------------------------------------------------------------
@@ -269,13 +268,13 @@ class AsmModelChecker:
             match.append((src, action, machine.snapshot()))
             return True
 
-        parents, transitions, reason = search(machine, self.config,
-                                              initial_runs, step, matched)
+        parents, transitions, truncated = search(machine, self.config,
+                                                 initial_runs, step, matched)
         elapsed = time.perf_counter() - start
         if match:
             return CoverResult(True, len(parents) + 1, transitions, elapsed,
                                witness=_path(parents, *match[0]), name=name)
-        return CoverResult(None if reason else False, len(parents),
+        return CoverResult(None if truncated else False, len(parents),
                            transitions, elapsed, name=name)
 
 

@@ -45,10 +45,9 @@ class ExplorationConfig:
     action_filter:
         Optional predicate over :class:`Action`; actions rejected by the
         filter are not explored (the configuration's "methods/actions").
-    deadline_s:
-        Wall-clock budget in seconds; ``None`` means unlimited.  A run
-        that exceeds it stops cleanly with ``truncated=True`` (reason
-        ``"deadline"``) instead of hanging a campaign.
+
+    The bounds count work, never time, so a search gives the same
+    result on any host.
     """
 
     def __init__(
@@ -58,7 +57,6 @@ class ExplorationConfig:
         max_depth: Optional[int] = None,
         state_projection: Optional[Sequence[str]] = None,
         action_filter: Optional[Callable[[Action], bool]] = None,
-        deadline_s: Optional[float] = None,
     ):
         self.max_states = max_states
         self.max_transitions = max_transitions
@@ -67,23 +65,18 @@ class ExplorationConfig:
             tuple(state_projection) if state_projection is not None else None
         )
         self.action_filter = action_filter
-        self.deadline_s = deadline_s
 
 
 class ExplorationResult:
     """The FSM plus the accounting reported in Table 1.
 
-    ``truncated_reason`` is ``""`` for a complete run, ``"bounds"`` when
-    a state/transition/depth bound was hit, and ``"deadline"`` when the
-    wall-clock budget expired.
+    ``truncated`` is True when a state/transition/depth bound was hit.
     """
 
-    def __init__(self, fsm: Fsm, cpu_time: float, truncated: bool,
-                 truncated_reason: str = ""):
+    def __init__(self, fsm: Fsm, cpu_time: float, truncated: bool):
         self.fsm = fsm
         self.cpu_time = cpu_time
         self.truncated = truncated
-        self.truncated_reason = truncated_reason
 
     @property
     def num_nodes(self) -> int:
@@ -120,8 +113,9 @@ class Explorer:
         def record(src, action, dst, __) -> None:
             moves.append((src, action, dst))
 
-        parents, __, reason = search(self.machine, self.config, None,
-                                     lambda component, action: None, record)
+        parents, __, truncated = search(self.machine, self.config, None,
+                                        lambda component, action: None,
+                                        record)
         fsm = Fsm()
         ids = {}
         for key, (__, __, snapshot) in parents.items():
@@ -129,9 +123,9 @@ class Explorer:
         for src, action, dst in moves:
             if dst in ids:  # else the state cap refused the successor
                 fsm.add_transition(ids[src], action, ids[dst])
-        fsm.complete = not reason
+        fsm.complete = not truncated
         elapsed = time.perf_counter() - start
-        return ExplorationResult(fsm, elapsed, bool(reason), reason)
+        return ExplorationResult(fsm, elapsed, truncated)
 
 
 def search(
@@ -158,23 +152,21 @@ def search(
     before the successor is admitted: ``src`` and ``dst`` are node keys,
     and a truthy return ends the search.
 
-    Only this function reads ``config``: its bounds, deadline, state
-    projection and action filter, which sees each expanded state's
+    Only this function reads ``config``: its bounds, state projection
+    and action filter, which sees each expanded state's
     enabled actions with that state live.  A new successor past
     ``max_states`` is not admitted; ``max_transitions`` counts every
     transition fired, pruned ones included.
 
-    Returns ``(parents, transitions, reason)``: ``parents`` maps every
-    admitted node key, in BFS order, to ``(parent key, action,
+    Returns ``(parents, transitions, truncated)``: ``parents`` maps
+    every admitted node key, in BFS order, to ``(parent key, action,
     snapshot)`` (``(None, None, snapshot)`` for the initial node), so
     ``len(parents)`` is the node count; ``transitions`` counts the
-    transitions fired; ``reason`` is "" for a complete search, else
-    "deadline" or "bounds" (a bound was hit).  A search that ``visit``
-    ended keeps the reason found so far.  The machine is reset first and
-    left reset.
+    transitions fired; ``truncated`` is True when a bound was hit.  A
+    search that ``visit`` ended reports the bounds hit so far.  The
+    machine is reset first and left reset.  Nothing here reads a clock:
+    the same machine and config give the same search on any host.
     """
-    start = time.perf_counter()
-    deadline = None if config.deadline_s is None else start + config.deadline_s
     projection = config.state_projection
     action_filter = config.action_filter
 
@@ -190,14 +182,11 @@ def search(
     parents: dict = {root: (None, None, snapshot)}
     queue: deque = deque([(snapshot, initial, root, 0)])
     transitions = 0
-    reason = ""
+    truncated = False
     while queue:
-        if deadline is not None and time.perf_counter() > deadline:
-            reason = "deadline"
-            break
         snapshot, component, key, depth = queue.popleft()
         if config.max_depth is not None and depth >= config.max_depth:
-            reason = reason or "bounds"
+            truncated = True
             continue
         machine.restore(snapshot)
         actions = machine.enabled_actions()
@@ -208,7 +197,7 @@ def search(
                 config.max_transitions is not None
                 and transitions >= config.max_transitions
             ):
-                reason = reason or "bounds"
+                truncated = True
                 break
             machine.restore(snapshot)
             machine.fire(action)
@@ -220,13 +209,13 @@ def search(
             dst = key_of(succ_snapshot, succ)
             if visit is not None and visit(key, action, dst, succ):
                 machine.reset()
-                return parents, transitions, reason
+                return parents, transitions, truncated
             if dst in parents:
                 continue
             if config.max_states is not None and len(parents) >= config.max_states:
-                reason = reason or "bounds"
+                truncated = True
                 continue
             parents[dst] = (key, action, succ_snapshot)
             queue.append((succ_snapshot, succ, dst, depth + 1))
     machine.reset()
-    return parents, transitions, reason
+    return parents, transitions, truncated

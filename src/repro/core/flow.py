@@ -342,7 +342,7 @@ def _rtl_model_checking(config: FlowConfig) -> Outcome:
             f"{'full datapath' if datapath else 'control'} model, "
             + size_label + cache
             + (" [STATE EXPLOSION]" if mc.exploded else "")
-            + (" [DEADLINE]" if mc.truncated else "")
+            + (" [TRUNCATED]" if mc.truncated else "")
             + (f" [DEGRADED: {'; '.join(notes)}]" if notes else ""),
             mc)
 

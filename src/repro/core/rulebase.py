@@ -52,7 +52,6 @@ def check_read_mode_rtl(
     datapath: bool = True,
     config: Optional[La1Config] = None,
     property_name: Optional[str] = None,
-    deadline_s: Optional[float] = None,
     coi: bool = True,
 ) -> SymbolicCheckResult:
     """Model check the Read-Mode property on the N-bank RTL.
@@ -61,10 +60,9 @@ def check_read_mode_rtl(
     run that ran out of BDD capacity (transient allocation within one
     image step, or live size after garbage collection), and
     ``truncated=True`` a run stopped short of a fixpoint by the
-    ``deadline_s`` wall-clock budget or the checker's image-step limit;
-    either way ``bdd_stats["budget"]`` names the budget
-    (``"transient_node_budget"``, ``"live_node_budget"``,
-    ``"deadline_s"`` or ``"max_iterations"``).
+    checker's image-step limit; either way ``bdd_stats["budget"]`` names
+    the budget (``"transient_node_budget"``, ``"live_node_budget"`` or
+    ``"max_iterations"``).
 
     ``coi`` (default on) restricts the symbolic encoding to the cone of
     influence of the label nets the property reads, via
@@ -83,4 +81,4 @@ def check_read_mode_rtl(
         property_name or f"read_mode[{banks}banks]", "bdd", datapath, config,
         transient_node_budget=transient_node_budget,
         live_node_budget=live_node_budget, gc_threshold=gc_threshold,
-        deadline_s=deadline_s, coi=coi)
+        coi=coi)

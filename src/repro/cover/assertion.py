@@ -116,8 +116,11 @@ class PslAssertionCoverage:
     tuples of source values it reads (:meth:`AssertionMonitor.value_counts`),
     so a monitor's activations between :meth:`attach` and :meth:`detach`
     are the samples of the tuples on which one of its guards holds, each
-    distinct tuple evaluated once.  Harvest is a snapshot of the run so
-    far (harvest once per collection run).
+    distinct tuple evaluated once.  A guard may name a modeling-layer
+    auxiliary: :meth:`~repro.psl.ast.ModelingLayer.extend` reads only the
+    sample's own valuation, so the tuple's extended valuation is the one
+    the monitor saw.  Harvest is a snapshot of the run so far (harvest
+    once per collection run).
     """
 
     def __init__(self, monitors: Sequence[AssertionMonitor],
@@ -159,6 +162,7 @@ class PslAssertionCoverage:
             folded = self._folded[n]
             active = self._active[n]
             guards, always = self._guards[n]
+            modeling = monitor.monitor.modeling
             for values, count in counts.items():
                 count -= folded.get(values, 0)
                 if not count:
@@ -166,6 +170,8 @@ class PslAssertionCoverage:
                 hit = active.get(values)
                 if hit is None:
                     valuation = monitor.valuation(values)
+                    if modeling is not None:
+                        valuation = modeling.extend(valuation)
                     hit = active[values] = always or any(
                         g.evaluate(valuation) for g in guards)
                 if hit:

@@ -44,10 +44,9 @@ DSL_STAGES = ("lint", "conformance", "model_checking", "coverage",
 
 #: the RTL backend of the conformance, coverage and campaign stages
 RTL_BACKEND = "interp"
-#: SAT induction depth bound and per-property wall-clock budget of the
-#: model-checking stage (the BDD engine runs without a node budget)
+#: SAT induction depth bound of the model-checking stage (the BDD
+#: engine runs under check_property's default node budgets)
 MC_MAX_K = 40
-MC_DEADLINE_S = 120.0
 #: seeded RTL cycles of the coverage run, and the fraction of the
 #: covergroup's bins it must hit
 COVERAGE_CYCLES = 64
@@ -94,9 +93,7 @@ def _conformance(name: str, elab):
 def _model_checking(name: str, elab, engine: str):
     results = [
         (pname, check_property(elab.flat, prop, labels, pname, engine,
-                               max_k=MC_MAX_K, deadline_s=MC_DEADLINE_S,
-                               transient_node_budget=None,
-                               live_node_budget=None))
+                               max_k=MC_MAX_K))
         for pname, prop, labels in zoo_properties(name, elab)
     ]
     outcomes = "; ".join(f"{pname}: {_verdict(r)}" for pname, r in results)

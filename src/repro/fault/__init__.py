@@ -7,11 +7,12 @@ environments actually catch a broken implementation?*  It injects
 faults at each layer (netlist stuck-ats/SEUs, LA-1 protocol mutations,
 guarded-rule perturbations), sweeps them under the Table-3 workload
 shape, and reports detection coverage per monitor -- with hardened
-engines underneath (wall-clock deadlines, exploration bounds,
-checkpoint/resume, exception containment) so a campaign always ends in
-a structured report.  An ASM perturbation costs one exploration: the
-model checker retires each bank property at its first failure and
-steps the rest.
+engines underneath (work budgets that read no clock, a whole-campaign
+deadline that stops work only between batches or by reaping forked
+workers, checkpoint/resume, exception containment) so a campaign always
+ends in a structured report, and a decided verdict is the same on any
+host.  An ASM perturbation costs one exploration: the model checker
+retires each bank property at its first failure and steps the rest.
 """
 
 from .campaign import (

@@ -14,20 +14,23 @@ silent     the fault corrupted observable behaviour (transaction log
            no monitor fired -- an assertion-coverage gap
 masked     the fault was injected but never perturbed observable
            behaviour under this workload
-truncated  a wall-clock deadline expired, or an ASM exploration hit
-           its bounds, before the verdict
+truncated  the campaign's wall-clock deadline came before the fault's
+           verdict was collected, or an ASM exploration hit its state or
+           transition bounds before the verdict
 error      the engine itself raised; campaigns contain the exception
            and keep sweeping (the diagnostic lands in ``detail``)
 ========== ==========================================================
 
 Robustness contract: a campaign never crashes (per-fault exception
-containment), honours per-fault and whole-campaign wall-clock deadlines
-with structured ``truncated`` verdicts, and checkpoints every decided
-verdict (``detected``, ``silent``, ``masked``) to a JSON state file --
-written atomically (temp file + ``os.replace`` + fsync) after every
-collected batch or shard -- so a killed campaign resumes at any
-``jobs``, skipping completed faults and re-running every fault no
-engine decided, to the same final report
+containment), decides each fault within work budgets that read no clock
+(``rtl_cycles``, the ASM exploration bounds), honours a whole-campaign
+wall-clock deadline -- between batches inline, by reaping the workers
+under ``jobs > 1`` -- with structured ``truncated`` verdicts, and
+checkpoints every decided verdict (``detected``, ``silent``,
+``masked``) to a JSON state file -- written atomically (temp file +
+``os.replace`` + fsync) after every collected batch or shard -- so a
+killed campaign resumes at any ``jobs``, skipping completed faults and
+re-running every fault no engine decided, to the same final report
 (:meth:`CampaignReport.signature`).  The checkpoint is the campaign's
 one resume record.  Under ``jobs > 1`` the sweep runs on the supervised
 pool (:func:`repro.par.run_supervised`): crashed or hung workers are
@@ -146,7 +149,6 @@ class CampaignConfig:
         seed: int = 2004,
         backend: str = "compiled",
         rtl_cycles: int = 160,
-        fault_deadline_s: Optional[float] = 30.0,
         campaign_deadline_s: Optional[float] = None,
         checkpoint_path: Optional[str] = None,
         max_faults: Optional[int] = None,
@@ -165,7 +167,6 @@ class CampaignConfig:
         self.seed = seed
         self.backend = backend
         self.rtl_cycles = rtl_cycles
-        self.fault_deadline_s = fault_deadline_s
         self.campaign_deadline_s = campaign_deadline_s
         self.checkpoint_path = checkpoint_path
         self.max_faults = max_faults
@@ -854,8 +855,7 @@ class FaultCampaign:
         # observer sees every transition the checker takes
         asm_cov = AsmCoverage(machine, la1_state_predicates(self.config.banks))
         suite = self._asm_suite(fault.bank)
-        config = ExplorationConfig(max_states=50_000, max_transitions=500_000,
-                                   deadline_s=self.config.fault_deadline_s)
+        config = ExplorationConfig(max_states=50_000, max_transitions=500_000)
         # one exploration checks the whole bank suite: a failed property
         # retires and the search steps the rest
         result = AsmModelChecker(
@@ -865,9 +865,7 @@ class FaultCampaign:
         detected_by = [suite[index][0] for index in sorted(result.failures)]
         if detected_by:
             outcome, detail = "detected", ""
-        elif result.truncated_reason == "deadline":
-            outcome, detail = "truncated", "per-fault deadline expired"
-        elif result.truncated_reason:
+        elif result.truncated:
             outcome = "truncated"
             detail = (f"exploration bounds hit (max_states="
                       f"{config.max_states}, max_transitions="

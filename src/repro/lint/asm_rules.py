@@ -66,13 +66,13 @@ def sweep_states(machine: AsmMachine, cap: int,
         return not isinstance(updates, AsmError)
 
     saved = machine.snapshot()
-    parents, __, reason = search(
+    parents, __, capped = search(
         machine,
         ExplorationConfig(max_states=cap, max_transitions=None,
                           action_filter=consistent),
         None, lambda component, action: None)
     machine.restore(saved)
-    return [snapshot for __, __, snapshot in parents.values()], bool(reason)
+    return [snapshot for __, __, snapshot in parents.values()], capped
 
 
 class AsmRulesPass(Pass):

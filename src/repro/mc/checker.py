@@ -44,13 +44,16 @@ class SymbolicCheckResult:
     ``holds`` is True / False / None; None means the run did not decide:
     either it aborted with *state explosion* (BDD node budget exhausted,
     the 4-bank outcome of Table 2, ``exploded=True``) or it stopped
-    short of a fixpoint at its wall-clock deadline or its image-step
-    limit (``truncated=True``).  ``bdd_stats`` carries the manager's
-    node/computed-table counters (:meth:`repro.bdd.BddManager.stats`)
-    so degradation triggers are observable in campaign and flow
-    reports; an undecided run also names the budget that ran out in
-    ``bdd_stats["budget"]``: ``"transient_node_budget"``,
-    ``"live_node_budget"``, ``"deadline_s"`` or ``"max_iterations"``.
+    short of a fixpoint at its image-step limit (``truncated=True``).
+    ``bdd_stats`` carries the manager's node/computed-table counters
+    (:meth:`repro.bdd.BddManager.stats`) so degradation triggers are
+    observable in campaign and flow reports; an undecided run also
+    names the budget that ran out in ``bdd_stats["budget"]``:
+    ``"transient_node_budget"``, ``"live_node_budget"`` or
+    ``"max_iterations"``.  The engine counts these budgets itself and
+    reads no clock, so a verdict is the same on any host; a property
+    sweep's wall-clock ``deadline_s`` stays outside it
+    (:func:`repro.mc.sweep.sweep_rtl_properties`).
 
     ``memory_mb`` is Table 2's memory column, ``peak_nodes`` x 88 bytes
     (:meth:`repro.bdd.BddManager.estimated_memory_bytes`).  It
@@ -234,16 +237,14 @@ class SymbolicModelChecker:
         labels: dict[str, Union[tuple, int]],
         name: str = "property",
         max_iterations: int = 10000,
-        deadline_s: Optional[float] = None,
     ) -> SymbolicCheckResult:
         """Check a PSL safety property against the design.
 
         ``labels`` maps every atom of the property to either a
         ``("net.path", bit_index)`` pair or a pre-built BDD over the
-        model's variables.  ``deadline_s`` is a wall-clock budget: a run
-        that exceeds it returns cleanly with ``truncated=True`` instead
-        of spinning.  ``max_iterations`` bounds the image steps the same
-        way: a run that reaches it before a fixpoint is inconclusive.
+        model's variables.  ``max_iterations`` bounds the image steps: a
+        run that reaches it before a fixpoint returns cleanly with
+        ``truncated=True``, inconclusive.
         """
         if not prop.is_safety():
             raise PslError(f"{prop!r} is not a safety property")
@@ -254,21 +255,18 @@ class SymbolicModelChecker:
             checker = compiled_checker(prop)
             atom_bdds = self._resolve_labels(checker, labels)
             bad = self._embed_automaton(checker, atom_bdds, name)
-            return self._reachability(bad, start, name, max_iterations,
-                                      deadline_s)
+            return self._reachability(bad, start, name, max_iterations)
         except BddBudgetExceeded:
             return _budget_exhausted(m, start, name)
 
     def check_invariant(
         self, bad: int, name: str = "invariant", max_iterations: int = 10000,
-        deadline_s: Optional[float] = None,
     ) -> SymbolicCheckResult:
         """Check that the ``bad`` BDD (over current vars/inputs) is
         unreachable."""
         start = time.perf_counter()
         try:
-            return self._reachability(bad, start, name, max_iterations,
-                                      deadline_s)
+            return self._reachability(bad, start, name, max_iterations)
         except BddBudgetExceeded:
             return _budget_exhausted(self.model.manager, start, name)
 
@@ -312,11 +310,9 @@ class SymbolicModelChecker:
     # ------------------------------------------------------------------
     def _reachability(
         self, bad: int, start: float, name: str, max_iterations: int,
-        deadline_s: Optional[float] = None,
     ) -> SymbolicCheckResult:
         model = self.model
         m = model.manager
-        deadline = None if deadline_s is None else start + deadline_s
         state_vars = model.state_bits
         input_vars = model.input_bits
         next_names = [v + NEXT_SUFFIX for v in state_vars]
@@ -363,9 +359,6 @@ class SymbolicModelChecker:
                 if iterations >= max_iterations:
                     # no fixpoint yet: stopping here must not read as a pass
                     return finish(None, m.size(reached), "max_iterations",
-                                  truncated=True)
-                if deadline is not None and time.perf_counter() > deadline:
-                    return finish(None, m.size(reached), "deadline_s",
                                   truncated=True)
                 iterations += 1
                 # image of the frontier as a chain of relational products:

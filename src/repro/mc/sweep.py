@@ -40,7 +40,6 @@ def check_property(
     engine: str = "bdd",
     *,
     coi: bool = True,
-    deadline_s: Optional[float] = None,
     transient_node_budget: Optional[int] = 12_000_000,
     live_node_budget: Optional[int] = 1_500_000,
     gc_threshold: int = 2_000_000,
@@ -58,7 +57,9 @@ def check_property(
     ``max_k`` or, with ``method="bmc"``, only refutes up to
     ``max_depth``, and its statistics travel in ``bdd_stats``
     (``engine="sat"``, ``peak_nodes`` is the clause count).  An
-    undecided result names its budget in ``bdd_stats["budget"]``.
+    undecided result names its budget in ``bdd_stats["budget"]``.  Every
+    budget counts work, none time, so the result is the same on any
+    host.
     """
     check_mc_choice(engine)
     start = time.perf_counter()
@@ -67,18 +68,18 @@ def check_property(
 
         checker = SatModelChecker(design, prop, labels, name=name, coi=coi)
         if method == "bmc":
-            run = checker.bmc(max_depth, check_proofs=check_proofs,
-                              deadline_s=deadline_s)
+            run = checker.bmc(max_depth, check_proofs=check_proofs)
             cex, replayed = run.failed_at, run.replayed
             depth = {"clean_depth": run.clean_depth}
             iterations = run.clean_depth if cex is None else cex
+            truncated = False  # clean to max_depth is BMC's answer
         else:
-            run = checker.prove(max_k=max_k, check_proofs=check_proofs,
-                                deadline_s=deadline_s)
+            run = checker.prove(max_k=max_k, check_proofs=check_proofs)
             cex = run.cex.failed_at if run.cex is not None else None
             replayed = run.cex.replayed if run.cex is not None else None
             depth = {"k": run.k}
             iterations = run.k if run.k is not None else run.stats["frames"]
+            truncated = run.truncated
         stats = {"method": "bmc" if method == "bmc" else "k-induction",
                  **run.stats, **depth, "replayed": replayed,
                  "proof_checked": "proof_lemmas" in run.stats,
@@ -86,7 +87,7 @@ def check_property(
         return SymbolicCheckResult(
             run.holds, time.perf_counter() - start, stats["clauses"], 0,
             max(iterations, 0), 0.0, counterexample_depth=cex,
-            property_name=name, truncated=run.truncated, bdd_stats=stats,
+            property_name=name, truncated=truncated, bdd_stats=stats,
         )
     roots = None
     if coi:
@@ -106,7 +107,7 @@ def check_property(
         )
     checker = SymbolicModelChecker(model, live_node_budget=live_node_budget,
                                    gc_threshold=gc_threshold)
-    return checker.check_property(prop, labels, name, deadline_s=deadline_s)
+    return checker.check_property(prop, labels, name)
 
 
 def check_la1_property(banks: int, prop: Property, name: str,
@@ -133,7 +134,7 @@ def host_cut(budget: Optional[str]) -> bool:
 
 def _undecided(name: str, budget: str,
                truncated: bool = False) -> SymbolicCheckResult:
-    """A property the sweep never started, or quarantined."""
+    """A property the sweep's deadline cut off, or quarantined."""
     return SymbolicCheckResult(None, 0.0, 0, 0, 0, 0.0, property_name=name,
                                truncated=truncated,
                                bdd_stats={"budget": budget})
@@ -245,6 +246,7 @@ def sweep_rtl_properties(
     shard_attempts: int = 2,
     shard_deadline_s: Optional[float] = None,
     engine: str = "bdd",
+    deadline_s: Optional[float] = None,
     **options,
 ) -> PropertySweepReport:
     """Check every named property of ``properties`` (e.g.
@@ -253,15 +255,15 @@ def sweep_rtl_properties(
     ``options`` (budgets, ``coi``, ``method``, ``config``) through.
     ``jobs`` only sets the process count; the report is the same.
 
-    ``deadline_s`` bounds the whole sweep: each property gets what is
-    left of it when it starts, even nothing, and once one comes back
-    undecided on ``deadline_s`` no further property starts (forked
-    shards already running stop at the same instant).  A crashed or hung
-    worker is retried up to ``shard_attempts`` times
+    ``deadline_s`` bounds the whole sweep from outside the engines, as
+    the ``timeout_s`` of :func:`repro.par.run_supervised`: inline, no
+    property starts after it and a property already running finishes;
+    forked, the workers still running at it are killed.  A crashed or
+    hung worker is retried up to ``shard_attempts`` times
     (``shard_deadline_s`` bounds one forked property), then quarantined.
-    A property never started or quarantined is undecided, naming
-    ``deadline_s`` or ``shard_attempts``, so the suite degrades to
-    inconclusive.  An unknown ``engine``, and a property that is not a
+    A property the deadline cut off or a quarantined one is undecided,
+    naming ``deadline_s`` or ``shard_attempts``, so the suite degrades
+    to inconclusive.  An unknown ``engine``, and a property that is not a
     safety property or reads an atom the LA-1 labels do not map, raise
     (a :class:`~repro.psl.PslError` naming the property) before any
     property starts: a spec error is no crash to retry.
@@ -280,17 +282,7 @@ def sweep_rtl_properties(
         if unmapped:
             raise PslError(
                 f"{name}: no label mapping for atom {unmapped[0]!r}")
-    deadline_s = options.pop("deadline_s", None)
-    clock = {"deadline": None if deadline_s is None
-             else time.perf_counter() + deadline_s, "spent": False}
-
-    def on_result(index: int, result: Optional[dict]) -> None:
-        # read by every property that starts after this one
-        if result is not None and (
-                result["bdd_stats"].get("budget") == "deadline_s"):
-            clock["spent"] = True
-
-    shard_args = [(banks, datapath, name, prop, engine, options, clock)
+    shard_args = [(banks, datapath, name, prop, engine, options)
                   for name, prop in properties]
     try:
         mc_design(options.get("config") or MC_SCALE_CONFIG(banks), datapath)
@@ -300,9 +292,9 @@ def sweep_rtl_properties(
         mc_check_shard,
         shard_args,
         jobs=jobs,
+        timeout_s=deadline_s,
         max_attempts=shard_attempts,
         shard_deadline_s=shard_deadline_s,
-        on_result=on_result,
     )
     paired, quarantined = [], []
     for (name, __), result in zip(properties, results):

@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import importlib
 import json
-import time
 from typing import Optional
 
 __all__ = [
@@ -137,14 +136,13 @@ def campaign_shard(config, faults, lanes: int = 1,
 
     # the shard never checkpoints (the coordinator owns the state file)
     # and never enforces the whole-campaign deadline (the coordinator
-    # owns the clock); per-fault deadlines still apply locally
+    # owns the clock)
     campaign = FaultCampaign(CampaignConfig(
         banks=config.banks,
         traffic=config.traffic,
         seed=config.seed,
         backend=config.backend,
         rtl_cycles=config.rtl_cycles,
-        fault_deadline_s=config.fault_deadline_s,
         design=config.design,
         patterns=config.patterns,
     ))
@@ -192,22 +190,11 @@ def cover_collect_shard(kwargs: dict) -> dict:
 # symbolic model checking sweeps
 # ----------------------------------------------------------------------
 def mc_check_shard(banks: int, datapath: bool, name: str, prop, engine: str,
-                   options: dict, clock: dict) -> Optional[dict]:
+                   options: dict) -> dict:
     """Check one property of a :func:`repro.mc.sweep_rtl_properties`
     suite with ``engine`` against the netlist of
-    :func:`repro.core.rulebase.mc_design`.
-
-    ``clock`` is the sweep's: ``deadline`` (a ``perf_counter`` instant
-    or None) hands the property what is left of the sweep's budget, and
-    ``spent`` -- set by the coordinator once a property ran out of it,
-    and seen by every property started afterwards -- means the property
-    never starts (None)."""
+    :func:`repro.core.rulebase.mc_design`."""
     from ..mc.sweep import check_la1_property
 
-    if clock["spent"]:
-        return None
-    if clock["deadline"] is not None:
-        options = {**options,
-                   "deadline_s": clock["deadline"] - time.perf_counter()}
     return check_la1_property(banks, prop, name, engine, datapath,
                               **options).to_dict()

@@ -38,7 +38,6 @@ from .simulator import (
     design_kernel,
 )
 from .verilog_emit import emit_expr, emit_verilog
-from .trace import RtlTracer
 
 __all__ = [
     "Expr",
@@ -74,6 +73,5 @@ __all__ = [
     "AssertionFailure",
     "MonitorRecord",
     "emit_verilog",
-    "RtlTracer",
     "emit_expr",
 ]

@@ -146,9 +146,9 @@ def main(argv=None) -> int:
                        help="RUP-certify every UNSAT answer")
     prove.add_argument("--deadline", type=float, default=None,
                        help="wall-clock budget of the whole suite "
-                            "(seconds): a property started after it ran "
-                            "out is undecided, and none starts after a "
-                            "property ran out of it")
+                            "(seconds), checked between properties: a "
+                            "property running at it finishes, and every "
+                            "later one is undecided")
     prove.add_argument("--smoke", action="store_true",
                        help="CI shape: 2 banks, defaults")
     prove.add_argument("--json", dest="json_path", default=None,

@@ -27,6 +27,11 @@ failing frame, matching ``SymbolicCheckResult.counterexample_depth``).
 * every UNSAT answer can be certified: ``check_proofs=True`` replays
   the solver's clause log through :func:`repro.sat.drat.check_proof`.
 
+Both stop only on budgets they count -- BMC at ``max_depth``, k-induction
+at ``max_k`` -- and read no clock, so a verdict is the same on any host;
+a wall-clock limit stays outside the engine, in the property sweep
+(:func:`repro.mc.sweep.sweep_rtl_properties`).
+
 Dual-clock (DDR) designs need no phase variable: the phase of frame
 ``t`` is statically ``(t + start_phase) % 2``, so each frame clocks one
 domain and passes the other through (init runs start at phase 0, K
@@ -67,14 +72,13 @@ class BmcResult:
     """
 
     def __init__(self, holds, failed_at, clean_depth, counterexample,
-                 replayed, stats, truncated=False):
+                 replayed, stats):
         self.holds: Optional[bool] = holds
         self.failed_at: Optional[int] = failed_at
         self.clean_depth: int = clean_depth
         self.counterexample: Optional[List[Dict[str, int]]] = counterexample
         self.replayed: Optional[bool] = replayed
         self.stats: dict = stats
-        self.truncated = truncated
 
     def __repr__(self):
         if self.failed_at is not None:
@@ -90,7 +94,7 @@ class KInductionResult:
 
     ``proved`` with ``k`` on success; a base-case counterexample
     surfaces as ``cex`` (a :class:`BmcResult`); neither means the engine
-    ran out of ``max_k`` or deadline (``truncated``).
+    ran out of ``max_k`` (``truncated``).
     """
 
     def __init__(self, proved, k, cex, stats, truncated=False):
@@ -338,39 +342,19 @@ class SatModelChecker:
     # ------------------------------------------------------------------
     # BMC
     # ------------------------------------------------------------------
-    def bmc(
-        self,
-        max_depth: int,
-        check_proofs: bool = False,
-        deadline_s: Optional[float] = None,
-    ) -> BmcResult:
+    def bmc(self, max_depth: int, check_proofs: bool = False) -> BmcResult:
         """Search for a violation up to ``max_depth`` frames (inclusive),
         incrementally on one solver.  Counterexamples are replayed on the
-        simulator before being reported.  ``deadline_s`` bounds the
-        search, each solve included; running out of it truncates the
-        result (``stats["budget"] == "deadline_s"``)."""
+        simulator before being reported."""
         start = time.perf_counter()
-        deadline = None if deadline_s is None else start + deadline_s
         run = _Unrolling(self, free_start=False, start_phase=0)
         clean = -1
-
-        def undecided() -> BmcResult:
-            stats = self._stats(run, start)
-            stats["budget"] = "deadline_s"
-            return BmcResult(None, None, clean, None, None, stats,
-                             truncated=True)
-
         for depth in range(max_depth + 1):
-            if deadline is not None and time.perf_counter() > deadline:
-                return undecided()
             fail = run.extend()
             if fail == run.t.FALSE:
                 clean = depth
                 continue
-            answer = run.solver.solve([fail], deadline)
-            if answer is None:
-                return undecided()
-            if answer:
+            if run.solver.solve([fail]):
                 inputs = run.decode_inputs(depth)
                 verdict, frame = self.replay(inputs)
                 replay_ok = verdict == "fails" and frame == depth
@@ -389,22 +373,15 @@ class SatModelChecker:
     # ------------------------------------------------------------------
     # k-induction
     # ------------------------------------------------------------------
-    def prove(
-        self,
-        max_k: int = 40,
-        check_proofs: bool = False,
-        deadline_s: Optional[float] = None,
-    ) -> KInductionResult:
+    def prove(self, max_k: int = 40,
+              check_proofs: bool = False) -> KInductionResult:
         """Interleaved BMC base case and k-induction step case.
 
         Returns ``proved`` with the inductive depth ``k``, a replayed
-        base-case counterexample, or undecided when a budget runs out
-        first; ``stats["budget"]`` then names it: ``"max_k"``, or
-        ``"deadline_s"``, which bounds the whole proof, each solve
-        included.
+        base-case counterexample, or undecided when no ``k`` up to
+        ``max_k`` decides; ``stats["budget"]`` then names ``"max_k"``.
         """
         start = time.perf_counter()
-        deadline = None if deadline_s is None else start + deadline_s
         base = _Unrolling(self, free_start=False, start_phase=0)
         phases = [0, 1] if base.enc.multi_clock else [None]
         steps = [
@@ -412,27 +389,14 @@ class SatModelChecker:
             for p in phases
         ]
 
-        def out_of_time() -> bool:
-            return deadline is not None and time.perf_counter() > deadline
-
-        def undecided(budget: str) -> KInductionResult:
-            stats = self._stats(base, start, steps)
-            stats["budget"] = budget
-            return KInductionResult(False, None, None, stats, truncated=True)
-
         for k in range(1, max_k + 1):
             # base: no counterexample of depth k-1 from init
             while base.depth < k:
-                if out_of_time():
-                    return undecided("deadline_s")
                 depth = base.depth
                 fail = base.extend()
                 if fail == base.t.FALSE:
                     continue
-                answer = base.solver.solve([fail], deadline)
-                if answer is None:
-                    return undecided("deadline_s")
-                if answer:
+                if base.solver.solve([fail]):
                     inputs = base.decode_inputs(depth)
                     verdict, frame = self.replay(inputs)
                     cex = BmcResult(
@@ -447,8 +411,6 @@ class SatModelChecker:
             # frame k clean too, at either starting parity
             inductive = True
             for run in steps:
-                if out_of_time():
-                    return undecided("deadline_s")
                 while run.depth < k + 1:
                     run.extend(unique_states=self.unique_states)
                 fail_k = run.fails[k]
@@ -458,10 +420,7 @@ class SatModelChecker:
                 assumptions = [
                     a for a in assumptions if a != run.t.TRUE
                 ]
-                answer = run.solver.solve(assumptions, deadline)
-                if answer is None:
-                    return undecided("deadline_s")
-                if answer:
+                if run.solver.solve(assumptions):
                     inductive = False
                     break
             if inductive:
@@ -475,7 +434,9 @@ class SatModelChecker:
                             )
                     stats["proof_lemmas"] = lemmas
                 return KInductionResult(True, k, None, stats)
-        return undecided("max_k")
+        stats = self._stats(base, start, steps)
+        stats["budget"] = "max_k"
+        return KInductionResult(False, None, None, stats, truncated=True)
 
     # ------------------------------------------------------------------
     def _stats(self, run: _Unrolling, start: float,
@@ -513,7 +474,6 @@ def check_read_mode_sat(
     max_k: int = 40,
     max_depth: int = 60,
     check_proofs: bool = False,
-    deadline_s: Optional[float] = None,
     method: str = "prove",
 ) -> SymbolicCheckResult:
     """SAT-engine counterpart of
@@ -524,8 +484,7 @@ def check_read_mode_sat(
     ``holds=True`` means *proved by k-induction* (``bdd_stats["k"]``
     holds the inductive depth); ``holds=False`` carries a replayed
     counterexample depth; ``holds=None`` with ``truncated=True`` means
-    a budget ran out, and ``bdd_stats["budget"]`` names it:
-    ``"max_k"``, or ``"deadline_s"``, which bounds the whole call.  SAT
+    ``max_k`` ran out, and ``bdd_stats["budget"]`` names it.  SAT
     statistics travel in ``bdd_stats`` (``engine="sat"``);
     ``peak_nodes`` reports the clause count as the size proxy.
 
@@ -544,8 +503,7 @@ def check_read_mode_sat(
 
     name = property_name or f"read_mode[{banks}banks]"
     options = dict(coi=coi, max_k=max_k, max_depth=max_depth,
-                   check_proofs=check_proofs, deadline_s=deadline_s,
-                   method=method)
+                   check_proofs=check_proofs, method=method)
     if prop is not None:
         return check_la1_property(banks, prop, name, "sat", datapath,
                                   config, **options)

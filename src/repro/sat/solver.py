@@ -17,7 +17,6 @@ contract of the whole subsystem: no UNSAT verdict is trusted unchecked.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from time import perf_counter
 from typing import Iterable, Optional, Sequence
 
 __all__ = ["Solver", "luby"]
@@ -431,17 +430,12 @@ class Solver:
     # ------------------------------------------------------------------
     # search
     # ------------------------------------------------------------------
-    def solve(self, assumptions: Sequence[int] = (),
-              deadline: Optional[float] = None) -> Optional[bool]:
+    def solve(self, assumptions: Sequence[int] = ()) -> bool:
         """Decide satisfiability under ``assumptions``.
 
         On True, :attr:`model` holds a full assignment; on False,
         :attr:`final_conflict` is the subset of assumptions (negated)
         responsible -- empty when the formula itself is UNSAT.
-        ``deadline`` is an absolute :func:`time.perf_counter` instant,
-        checked at each conflict: once it has passed, the solver
-        backtracks to level 0 and returns None (undecided).  What it
-        learned so far stays attached and in the proof log.
         """
         self.final_conflict = []
         if not self.ok:
@@ -461,9 +455,6 @@ class Solver:
                         self.proof.append(())
                     self.final_conflict = []
                     return False
-                if deadline is not None and perf_counter() > deadline:
-                    self._cancel_until(0)
-                    return None
                 learnt, bt_level = self._analyze(conflict)
                 self._cancel_until(bt_level)
                 if self.proof is not None:

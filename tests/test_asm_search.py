@@ -92,8 +92,7 @@ def _assert_matches_standalone(machine, labeling, props, config=None):
             _replays_to_failure(machine, labeling, prop, trace)
         else:
             assert index not in combined.failures
-            assert alone.holds is (None if combined.truncated_reason
-                                   else True)
+            assert alone.holds is (None if combined.truncated else True)
     return combined
 
 
@@ -110,7 +109,7 @@ class TestCheckCombinedRetires:
             ["initial", "inc", "inc"]
         # a holding property keeps the search going to the end: n = 0..6
         # once more with both failures retired, until n == 4 repeats
-        assert combined.truncated_reason == ""
+        assert not combined.truncated
         assert (combined.num_nodes, combined.num_transitions) == (11, 11)
 
     def test_every_property_failing_ends_the_search(self):
@@ -154,14 +153,14 @@ class TestStateCap:
         combined = checker.check_combined(_COUNTER_PROPS[:2])
         assert sorted(combined.failures) == [0]
         assert combined.holds is False
-        assert combined.truncated_reason == "bounds"
+        assert combined.truncated
 
     @pytest.mark.parametrize("cap", [1, 5, 40])
     def test_explorer_records_no_state_past_the_cap(self, cap):
         machine = build_la1_asm(La1AsmConfig(banks=2))
         full = Explorer(machine).explore().fsm
         capped = Explorer(machine, ExplorationConfig(max_states=cap)).explore()
-        assert capped.truncated and capped.truncated_reason == "bounds"
+        assert capped.truncated and not capped.fsm.complete
         fsm = capped.fsm
         assert fsm.states == full.states[:cap]
         assert all(t.dst < cap for t in fsm.transitions)

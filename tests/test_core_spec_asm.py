@@ -228,7 +228,7 @@ class TestTable1Pins:
         assert result.holds is True
         assert (result.num_nodes, result.num_transitions) == \
             (nodes, transitions)
-        assert result.truncated_reason == ""
+        assert not result.truncated
 
     def test_wrong_latency_counterexample(self):
         """The too-fast latency property fails on the shortest read: a

@@ -237,6 +237,35 @@ class TestCountedAssertionCoverage:
             assert samples["invariant"] == samples["stopper"] - 1
             assert activations["invariant"] == samples["invariant"]
 
+    def test_guard_on_a_modeling_layer_auxiliary(self):
+        # the guard `either` exists only in the extended valuation: the
+        # count must match a PslMonitor stepped by hand over the samples
+        from repro.abv import AssertionMonitor
+        from repro.psl import ModelingLayer, PslMonitor
+        from repro.psl import builder as B
+
+        layer = ModelingLayer()
+        layer.define("either", B.atom("a") | B.atom("b"))
+        prop = B.always(B.implies(B.atom("either"), B.atom("c")))
+        values = {}
+        monitor = AssertionMonitor(
+            prop, "aux",
+            {atom: lambda atom=atom: values[atom] for atom in "abc"},
+            modeling=layer)
+        coverage = PslAssertionCoverage([monitor])
+        reference = PslMonitor(prop, "aux", modeling=layer)
+        rng = random.Random(2004)
+        for __ in range(64):
+            a, b = rng.random() < 0.3, rng.random() < 0.3
+            values.update(a=a, b=b, c=a or b or rng.random() < 0.5)
+            monitor.sample()
+            reference.step(dict(values))
+        coverage.detach()
+        expected = sum(v["either"] for v in reference.trace)
+        assert coverage.activations == {"aux": expected}
+        assert 0 < expected < len(reference.trace) == monitor.samples == 64
+        assert monitor.verdict is reference.verdict is Verdict.PENDING
+
     def test_registers_no_sample_observer(self):
         sim, clocks, device, host = build_la1_system(CONFIG)
         monitors = attach_read_mode_monitors(sim, device, clocks)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.asm import ExplorationConfig
 from repro.fault import (
     AsmPerturbation,
     CampaignConfig,
@@ -162,13 +163,18 @@ class TestDeadlinesAndContainment:
             assert "deadline" in verdict.detail
         assert report.engine_stats["par"]["timed_out"] == [0, 1]
 
-    def test_fault_deadline_truncates_asm_check(self):
-        report = FaultCampaign(
-            CampaignConfig(fault_deadline_s=0.0)).run(
-                faults=[AsmPerturbation("stall_read", 0)], resume=False)
+    def test_exploration_bounds_truncate_asm_check(self, monkeypatch):
+        # the state and transition bounds are an ASM fault's only budget
+        monkeypatch.setattr(
+            "repro.fault.campaign.ExplorationConfig",
+            lambda max_states, max_transitions: ExplorationConfig(
+                max_states=1, max_transitions=max_transitions))
+        report = FaultCampaign(CampaignConfig()).run(
+            faults=[AsmPerturbation("stall_read", 0)], resume=False)
         (verdict,) = report.verdicts
         assert verdict.outcome == "truncated"
-        assert "deadline" in verdict.detail
+        assert verdict.detail.startswith(
+            "exploration bounds hit (max_states=1, max_transitions=500000)")
 
     def test_bad_fault_contained_as_error_verdict(self):
         faults = [

@@ -139,7 +139,7 @@ class TestGoldenMemo:
         assert calls == [1, 2]
         # budgets and paths are no part of a golden run's workload
         FaultCampaign(CampaignConfig(
-            seed=1, fault_deadline_s=1.0, shard_attempts=5,
+            seed=1, campaign_deadline_s=1.0, shard_attempts=5,
             **SMALL))._sysc_golden_run()
         assert calls == [1, 2]
 

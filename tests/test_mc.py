@@ -2,6 +2,7 @@
 step's quantification schedule, and reachability."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -462,10 +463,42 @@ class TestBudgetNaming:
         assert result.exploded and result.holds is None
         assert result.bdd_stats["budget"] == "live_node_budget"
 
-    def test_deadline(self):
-        result = self._read_mode(deadline_s=0.0)
-        assert result.truncated and result.holds is None
-        assert result.bdd_stats["budget"] == "deadline_s"
+    def test_deadline(self, monkeypatch):
+        # a sweep's deadline never reaches an engine: inline, the
+        # property running at it finishes and decides, and no later one
+        # starts; forked, the properties running at it are killed
+        from repro.core.properties import read_mode_suite
+        from repro.mc import sweep, sweep_rtl_properties
+
+        check = sweep.check_la1_property
+
+        def overrun(*args, **kwargs):
+            time.sleep(1.0)
+            return check(*args, **kwargs)
+
+        def hang(*args, **kwargs):
+            time.sleep(60)
+
+        def cut(report, ran):
+            for name, result in report.results[ran:]:
+                assert result.property_name == name
+                assert result.holds is None and result.truncated
+                assert result.bdd_stats == {"budget": "deadline_s"}
+
+        suite = read_mode_suite(1)
+        monkeypatch.setattr(sweep, "check_la1_property", overrun)
+        inline = sweep_rtl_properties(1, suite, datapath=False,
+                                      deadline_s=0.5)
+        __, first = inline.results[0]
+        assert first.holds is True and "budget" not in first.bdd_stats
+        cut(inline, 1)
+        assert inline.par_stats["timed_out"] == [1, 2]
+        monkeypatch.setattr(sweep, "check_la1_property", hang)
+        forked = sweep_rtl_properties(1, suite, datapath=False, jobs=2,
+                                      deadline_s=1.0)
+        cut(forked, 0)
+        assert forked.par_stats["killed_workers"] == 2
+        assert forked.par_stats["timed_out"] == [0, 1, 2]
 
     def test_decided_runs_name_no_budget(self):
         result = self._read_mode()
@@ -488,19 +521,20 @@ class TestBudgetNaming:
         assert "budget" not in enough.bdd_stats
 
     def test_property_never_started_folds_undecided(self):
-        # the first property spends the sweep's deadline; the second is
-        # never started, yet stays in the conjunction as undecided
+        # a sweep whose deadline passed as it began starts no property,
+        # yet each stays in the conjunction as undecided
         from repro.core.properties import read_mode_suite
         from repro.mc import sweep_rtl_properties
 
-        report = sweep_rtl_properties(1, read_mode_suite(1)[:2],
-                                      datapath=False, deadline_s=0.0)
-        (__, ran), (second, skipped) = report.results
-        assert ran.truncated and ran.bdd_stats["budget"] == "deadline_s"
-        assert ran.bdd_stats["nodes"] > 0
-        assert skipped.property_name == second
-        assert skipped.holds is None and skipped.truncated
-        assert skipped.bdd_stats == {"budget": "deadline_s"}
+        suite = read_mode_suite(1)[:2]
+        report = sweep_rtl_properties(1, suite, datapath=False,
+                                      deadline_s=0.0)
+        assert [name for name, __ in report.results] == \
+            [name for name, __ in suite]
+        for name, skipped in report.results:
+            assert skipped.property_name == name
+            assert skipped.holds is None and skipped.truncated
+            assert skipped.bdd_stats == {"budget": "deadline_s"}
         folded = report.combined()
         assert folded.holds is None and folded.truncated
         assert folded.bdd_stats["budget"] == "deadline_s"

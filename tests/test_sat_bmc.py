@@ -1,6 +1,7 @@
 """Tests for SAT-based bounded model checking and k-induction, and
 their integration with the sweep/flow layers."""
 
+import json
 import time
 
 import pytest
@@ -151,40 +152,36 @@ class TestBudgetNaming:
                                name=name).prove(max_k=1)
         assert kres.truncated and kres.stats["budget"] == "max_k"
 
-    @pytest.mark.parametrize("method", ["prove", "bmc"])
-    def test_deadline_reaches_the_solver(self, method, monkeypatch):
-        # the solver's clock runs past any deadline, the frame loop's does
-        # not: only the check inside Solver.solve can stop this run
-        monkeypatch.setattr("repro.sat.solver.perf_counter",
-                            lambda: float("inf"))
-        result = check_read_mode_sat(1, method=method, max_depth=8,
-                                     deadline_s=3600.0)
-        assert result.holds is None and result.truncated
-        assert result.bdd_stats["budget"] == "deadline_s"
-        assert result.bdd_stats["conflicts"] == 1
+    def test_deadline_bounds_the_whole_call(self, monkeypatch, tmp_path):
+        # `python -m repro.sat prove --deadline` checks its budget between
+        # properties: the first one overruns it and still proves, and no
+        # later one starts
+        from repro.sat.__main__ import main
 
-    def test_deadline_bounds_the_whole_call(self, monkeypatch):
-        # the first conjunct spends the whole budget; the next one must
-        # not get a fresh one, and the last one must not run at all
-        budgets = []
+        proved = []
         prove = SatModelChecker.prove
 
-        def prove_then_spend(self, max_k, check_proofs, deadline_s):
-            budgets.append(deadline_s)
-            result = prove(self, max_k=max_k, check_proofs=check_proofs,
-                           deadline_s=deadline_s)
-            if len(budgets) == 1:
-                time.sleep(deadline_s)
+        def prove_then_spend(self, max_k, check_proofs):
+            result = prove(self, max_k=max_k, check_proofs=check_proofs)
+            proved.append(result.k)
+            time.sleep(1.0)
             return result
 
         monkeypatch.setattr(SatModelChecker, "prove", prove_then_spend)
-        result = check_read_mode_sat(1, max_k=20, deadline_s=1.0)
-        assert result.holds is None and result.truncated
-        assert result.bdd_stats["budget"] == "deadline_s"
-        assert len(budgets) == 2 and budgets[1] < 0
+        out = tmp_path / "prove.json"
+        assert main(["prove", "--banks", "1", "--max-k", "20",
+                     "--deadline", "0.5", "--json", str(out)]) == 1
+        first, *rest = json.loads(out.read_text())["properties"]
+        assert len(proved) == 1
+        assert first["holds"] is True
+        assert first["bdd_stats"]["k"] == proved[0]
+        assert len(rest) == 2
+        for row in rest:
+            assert row["holds"] is None and row["truncated"]
+            assert row["bdd_stats"] == {"budget": "deadline_s"}
 
     def test_decided_runs_name_no_budget(self):
-        result = check_read_mode_sat(1, max_k=20, deadline_s=3600.0)
+        result = check_read_mode_sat(1, max_k=20)
         assert result.holds is True
         assert "budget" not in result.bdd_stats
 
