@@ -58,11 +58,8 @@ import zlib
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.fault.campaign import (  # noqa: E402
-    CampaignConfig,
-    FaultCampaign,
-    la1_design,
-)
+from repro.core.rtl_model import la1_netlist  # noqa: E402
+from repro.fault.campaign import CampaignConfig, FaultCampaign  # noqa: E402
 from repro.fault.models import STIM_KINDS, RtlStuckAt, StimulusMutation  # noqa: E402
 
 #: ISSUE acceptance: lanes=64 faults/sec over the per-fault baseline
@@ -148,7 +145,7 @@ def control_fault_list(banks: int):
     """Both stuck-ats on every bit of the control state the host polls:
     each bank's read- and write-pipeline status registers and the DDR
     phase tracker, in netlist order."""
-    design = la1_design(CampaignConfig(banks=banks).la1())
+    design = la1_netlist(CampaignConfig(banks=banks).la1(), ovl=True)
     return [
         RtlStuckAt(reg.path, bit, value)
         for reg in design.regs
@@ -178,7 +175,7 @@ def run_point(banks: int, traffic: int, faults, lanes: int,
         # start as in a fresh process: campaigns share the memoised
         # design and its compiled kernels, which would let a later shape
         # skip the elaboration and codegen an earlier one paid
-        la1_design.cache_clear()
+        la1_netlist.cache_clear()
     start = time.perf_counter()
     report = FaultCampaign(config).run(
         faults=list(faults), lanes=lanes,
@@ -310,7 +307,7 @@ def control_scenario(smoke: bool) -> dict:
     # warm up both shapes on two faults: the design, the compiled and
     # bitpar kernels and the golden runs are built before the timed
     # window, so the points time the faults, not the compile
-    la1_design.cache_clear()
+    la1_netlist.cache_clear()
     for lanes in (1, 64):
         FaultCampaign(CampaignConfig(banks=banks, traffic=traffic)).run(
             faults=faults[:2], lanes=lanes)

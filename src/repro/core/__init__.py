@@ -57,6 +57,7 @@ from .rtl_model import (
     build_read_port_rtl,
     build_sram_rtl,
     build_write_port_rtl,
+    la1_netlist,
 )
 from .rtl_testbench import RtlHost
 from .rulebase import MC_SCALE_CONFIG, check_read_mode_rtl
@@ -119,6 +120,7 @@ __all__ = [
     "build_write_port_rtl",
     "build_bank_rtl",
     "build_la1_top_rtl",
+    "la1_netlist",
     "RtlHost",
     "check_read_mode_rtl",
     "MC_SCALE_CONFIG",

@@ -36,12 +36,12 @@ from ..abv import summarize
 from ..asm import AsmModelChecker, ExplorationConfig
 from ..cli import check_mc_choice
 from ..mc import sweep_rtl_properties
-from ..rtl import RtlSimulator, elaborate, emit_verilog
+from ..rtl import RtlSimulator, emit_verilog
 from .asm_model import La1AsmConfig, build_la1_asm
 from .conformance import check_la1_conformance
 from .monitors import attach_read_mode_monitors
-from .ovl_bindings import build_la1_top_with_ovl
 from .properties import asm_labeling, device_property_suite, read_mode_suite
+from .rtl_model import build_la1_top_rtl, la1_netlist
 from .rtl_testbench import RtlHost
 from .spec import La1Config, la1_config
 from .sysc_model import build_la1_system
@@ -281,11 +281,8 @@ def _systemc_abv(la1: La1Config, config: FlowConfig, db) -> Outcome:
 
 
 def _rtl_refinement(la1: La1Config, report: FlowReport) -> Outcome:
-    from .rtl_model import build_la1_top_rtl
-
-    top = build_la1_top_rtl(la1)
-    report.verilog = emit_verilog(top)
-    stats = elaborate(top).stats()
+    report.verilog = emit_verilog(build_la1_top_rtl(la1))
+    stats = la1_netlist(la1).stats()
     return (True,
             f"{stats['regs']} regs, {stats['nets']} nets, "
             f"{len(report.verilog.splitlines())} Verilog lines",
@@ -349,8 +346,7 @@ def _rtl_model_checking(config: FlowConfig) -> Outcome:
 
 def _rtl_ovl_simulation(la1: La1Config, config: FlowConfig,
                         db) -> Outcome:
-    sim = RtlSimulator(elaborate(build_la1_top_with_ovl(la1)),
-                       backend="compiled")
+    sim = RtlSimulator(la1_netlist(la1, ovl=True), backend="compiled")
     host = run_ovl(sim, la1, config.traffic, config.seed, db)
     return (sim.ok,
             f"{sim.backend} backend, {len(sim.design.monitors)} OVL "

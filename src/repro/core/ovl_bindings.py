@@ -31,11 +31,7 @@ from .spec import La1Config
 __all__ = ["build_la1_top_with_ovl", "attach_read_mode_ovl"]
 
 
-def attach_read_mode_ovl(
-    top: RtlModule,
-    config: La1Config,
-    parity_checks: bool = True,
-) -> int:
+def attach_read_mode_ovl(top: RtlModule, config: La1Config) -> int:
     """Attach the read-mode OVL checker set to an LA-1 top module.
 
     Returns the number of checker instances added.
@@ -84,24 +80,23 @@ def attach_read_mode_ovl(
             clock="K",
         )
         count += 1
-    if parity_checks:
-        data_bus = top.net("data_bus")
-        par_bus = top.net("par_bus")
-        valid = top.net("read_valid")
-        lane_bits = max(1, config.beat_bits // max(1, config.byte_lanes))
-        for lane in range(config.byte_lanes):
-            lo = lane * lane_bits
-            for clock in ("K", "K#"):
-                assert_even_parity(
-                    top,
-                    data_bus.ref().slice(lo, lo + lane_bits - 1),
-                    par_bus.ref().bit(lane),
-                    valid.ref(),
-                    name=f"ovl_parity_l{lane}_{clock.replace('#', 's')}",
-                    message=f"parity error on data bus lane {lane}",
-                    clock=clock,
-                )
-                count += 1
+    data_bus = top.net("data_bus")
+    par_bus = top.net("par_bus")
+    valid = top.net("read_valid")
+    lane_bits = max(1, config.beat_bits // max(1, config.byte_lanes))
+    for lane in range(config.byte_lanes):
+        lo = lane * lane_bits
+        for clock in ("K", "K#"):
+            assert_even_parity(
+                top,
+                data_bus.ref().slice(lo, lo + lane_bits - 1),
+                par_bus.ref().bit(lane),
+                valid.ref(),
+                name=f"ovl_parity_l{lane}_{clock.replace('#', 's')}",
+                message=f"parity error on data bus lane {lane}",
+                clock=clock,
+            )
+            count += 1
     for b1 in range(config.banks):
         for b2 in range(b1 + 1, config.banks):
             d1 = top.net(f"bank{b1}_drive_en")
@@ -117,12 +112,9 @@ def attach_read_mode_ovl(
     return count
 
 
-def build_la1_top_with_ovl(
-    config: La1Config,
-    name: str = "la1_top",
-    parity_checks: bool = True,
-) -> RtlModule:
+def build_la1_top_with_ovl(config: La1Config,
+                           name: str = "la1_top") -> RtlModule:
     """Build the LA-1 RTL top with the full read-mode OVL assertion set."""
     top = build_la1_top_rtl(config, name)
-    attach_read_mode_ovl(top, config, parity_checks=parity_checks)
+    attach_read_mode_ovl(top, config)
     return top

@@ -24,10 +24,10 @@ from __future__ import annotations
 from typing import Optional
 
 from ..asm.conformance import ConformanceResult, Implementation, check_conformance
-from ..rtl import RtlSimulator, elaborate
+from ..rtl import RtlSimulator
 from .asm_model import La1AsmConfig, build_la1_asm
 from .conformance import observables_for
-from .rtl_model import build_la1_top_rtl
+from .rtl_model import la1_netlist
 from .spec import La1Config
 
 __all__ = ["La1RtlImplementation", "check_asm_rtl_refinement"]
@@ -51,8 +51,7 @@ class La1RtlImplementation(Implementation):
             beat_bits=max(1, data_max.bit_length()),
             addr_bits=max(1, (addr_count - 1).bit_length()),
         )
-        self._design = elaborate(build_la1_top_rtl(self.la1_config))
-        self.sim = RtlSimulator(self._design)
+        self.sim = RtlSimulator(la1_netlist(self.la1_config))
         self._phase = 0
 
     # ------------------------------------------------------------------

@@ -16,7 +16,10 @@ Modules:
 * :func:`build_bank_rtl` -- one bank instantiating the three;
 * :func:`build_la1_top_rtl` -- the N-bank device: a phase tracker (two
   cross-domain toggles), shared address/write-data buses, and the shared
-  read bus driven through per-bank **tristate buffers**.
+  read bus driven through per-bank **tristate buffers**;
+* :func:`la1_netlist` -- the one elaborated netlist per shape that every
+  LA-1 consumer (model checking, lint, CEC, simulation, fault
+  campaigns, coverage) shares.
 
 Status nets: each bank exposes ``stat_*`` wires gated by the phase net so
 each strobe is true for exactly the half-cycle its ASM atom is -- the
@@ -25,8 +28,10 @@ labeling contract of :func:`repro.core.properties.rtl_labels`.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
+from ..rtl import FlatDesign, elaborate
 from ..rtl.hdl import C, Concat, Expr, Mux, RtlModule, Wire
 from .spec import BEATS_PER_WORD, La1Config
 
@@ -36,6 +41,7 @@ __all__ = [
     "build_write_port_rtl",
     "build_bank_rtl",
     "build_la1_top_rtl",
+    "la1_netlist",
 ]
 
 
@@ -423,3 +429,41 @@ def build_la1_top_rtl(
         any_drive = any_drive | den
     m.assign(read_valid, any_drive)
     return m
+
+
+# ----------------------------------------------------------------------
+# the shared netlist
+# ----------------------------------------------------------------------
+# one flow task cycles through nine shapes (the control model-checking
+# netlist, the plain and the OVL netlist, each at 1, 2 and 4 banks) and
+# a serve process sees any bank count, so the memo holds a few more
+@functools.lru_cache(maxsize=12)
+def _netlist(config: La1Config, datapath: bool, ovl: bool) -> FlatDesign:
+    if ovl:
+        from .ovl_bindings import build_la1_top_with_ovl
+
+        return elaborate(build_la1_top_with_ovl(config))
+    return elaborate(build_la1_top_rtl(config, datapath=datapath))
+
+
+def la1_netlist(config: La1Config, datapath: bool = True,
+                ovl: bool = False) -> FlatDesign:
+    """The elaborated LA-1 device of ``config``, one object per shape
+    per process.
+
+    ``datapath=False`` is the control-only abstraction the model
+    checkers use; ``ovl=True`` is the full device with the read-mode
+    OVL checker set of :func:`~repro.core.ovl_bindings.build_la1_top_with_ovl`
+    (``datapath`` is then ignored).  A netlist is immutable after
+    elaboration (:class:`~repro.rtl.netlist.FlatDesign`), so every
+    consumer of one shape -- and every shard worker forked after it --
+    shares the object and the simulator kernels compiled for it.  The
+    memo is a bounded ``functools.lru_cache`` (``cache_info()``,
+    ``cache_clear()``) keyed on the normalised shape, so keyword and
+    positional calls share an entry.
+    """
+    return _netlist(config, datapath or ovl, ovl)
+
+
+la1_netlist.cache_info = _netlist.cache_info
+la1_netlist.cache_clear = _netlist.cache_clear

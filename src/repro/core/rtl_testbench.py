@@ -12,12 +12,9 @@ cross-level equivalence tests rely on this.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Optional
-
 from ..rtl.simulator import RtlSimulator
-from .spec import BEATS_PER_WORD, La1Config
-from .sysc_model import ReadResult
+from .spec import La1Config
+from .sysc_model import HostQueue, ReadResult
 
 __all__ = ["LaneVec", "RtlHost"]
 
@@ -74,15 +71,14 @@ def _lane0(value) -> int:
     return value.lane(0) if isinstance(value, LaneVec) else value
 
 
-class RtlHost:
+class RtlHost(HostQueue):
     """Transaction driver + monitor for the RTL model."""
 
     def __init__(self, sim: RtlSimulator, config: La1Config,
                  top_name: str = "la1_top", concurrent: bool = False):
+        super().__init__(config, concurrent)
         self.sim = sim
-        self.config = config
         self.top = top_name
-        self.concurrent = concurrent
         # the issue/collect logic polls a handful of nets many times per
         # cycle; pre-render their hierarchical paths once instead of
         # formatting f-strings on every poll
@@ -101,37 +97,7 @@ class RtlHost:
         }
         self._data_bus = f"{top_name}.data_bus"
         self._par_bus = f"{top_name}.par_bus"
-        self._seq = 0
-        self._reads: deque = deque()
-        self._writes: deque = deque()
-        self._pending_write: Optional[tuple] = None
-        self._read_watch: deque = deque()
-        self._collecting: Optional[list] = None
-        self.results: list[ReadResult] = []
         self.half_cycles = 0
-
-    # -- transaction API -------------------------------------------------
-    def read(self, bank: int, addr: int) -> None:
-        """Queue a read."""
-        self._reads.append((self._seq, bank, addr))
-        self._seq += 1
-
-    def write(self, bank: int, addr: int, word: int,
-              byte_enables: Optional[int] = None) -> None:
-        """Queue a write."""
-        lanes = self.config.byte_lanes * BEATS_PER_WORD
-        if byte_enables is None:
-            byte_enables = (1 << lanes) - 1
-        self._writes.append((self._seq, bank, addr, word, byte_enables))
-        self._seq += 1
-
-    @property
-    def idle(self) -> bool:
-        """True when nothing is queued or in flight."""
-        return (
-            not self._reads and not self._writes
-            and self._pending_write is None and not self._read_watch
-        )
 
     # -- helpers -----------------------------------------------------------
     def _in(self, name: str, value) -> None:
@@ -142,11 +108,6 @@ class RtlHost:
 
     def _stat(self, bank: int, name: str) -> int:
         return self.sim.read(self._stat_paths[bank, name])
-
-    def _beat_of(self, word: int, index: int) -> int:
-        return (word >> (index * self.config.beat_bits)) & (
-            (1 << self.config.beat_bits) - 1
-        )
 
     def _sample_bus(self) -> list:
         """Sample the shared data/parity buses at a collection point.
@@ -167,20 +128,6 @@ class RtlHost:
             ReadResult(bank, _lane0(addr), word, (beat0, beat1),
                        (par0, par1), issued, self.half_cycles)
         )
-
-    def _read_is_head(self) -> bool:
-        if not self._reads:
-            return False
-        if self.concurrent or not self._writes:
-            return True
-        return self._reads[0][0] < self._writes[0][0]
-
-    def _write_is_head(self) -> bool:
-        if not self._writes:
-            return False
-        if self.concurrent or not self._reads:
-            return True
-        return self._writes[0][0] < self._reads[0][0]
 
     def _any_read_busy(self) -> bool:
         return any(

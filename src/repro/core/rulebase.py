@@ -10,18 +10,15 @@ the 4-bank configuration.
 
 from __future__ import annotations
 
-import functools
 from typing import Optional
 
 from ..mc.checker import SymbolicCheckResult
 from ..mc.sweep import check_la1_property
 from ..psl.ast import Property
-from ..rtl import FlatDesign, elaborate
 from .properties import read_mode_property
-from .rtl_model import build_la1_top_rtl
 from .spec import La1Config
 
-__all__ = ["check_read_mode_rtl", "mc_design", "MC_SCALE_CONFIG"]
+__all__ = ["check_read_mode_rtl", "MC_SCALE_CONFIG"]
 
 
 def MC_SCALE_CONFIG(banks: int) -> La1Config:
@@ -32,15 +29,6 @@ def MC_SCALE_CONFIG(banks: int) -> La1Config:
     keeps the bit-level control and timing exact.
     """
     return La1Config(banks=banks, beat_bits=1, addr_bits=1)
-
-
-# a serve process sees any bank count, so the memo is bounded
-@functools.lru_cache(maxsize=8)
-def mc_design(config: La1Config, datapath: bool) -> FlatDesign:
-    """The elaborated LA-1 RTL of ``config``, cached per process and
-    shared by every BDD and SAT check of that shape (a check never
-    writes to it: the symbolic encoding is rebuilt per check)."""
-    return elaborate(build_la1_top_rtl(config, datapath=datapath))
 
 
 def check_read_mode_rtl(
@@ -74,7 +62,8 @@ def check_read_mode_rtl(
 
     One check of the conjunction (or of ``prop``) through the engine
     dispatch :func:`repro.mc.sweep.check_property`, on the netlist of
-    :func:`mc_design`, so checks of one shape elaborate once per process.
+    :func:`repro.core.rtl_model.la1_netlist`, so checks of one shape
+    elaborate once per process.
     """
     return check_la1_property(
         banks, read_mode_property(0) if prop is None else prop,

@@ -14,10 +14,11 @@ triggering conditions for the SystemC methods."  Accordingly:
   pair, a single shared address bus, unidirectional write and read data
   paths, per-bank select lines, and a read-bus multiplexer standing in
   for the RTL tristate buffers (with single-driver checking);
-* :class:`La1Host` -- the host-side driver: a transaction queue that
-  presents selects/addresses/data on the correct edges (read address on
-  K, write address and first beat on the following K#, second beat on the
-  next K) and collects completed read words.
+* :class:`La1Host` -- the host-side driver: a transaction queue
+  (:class:`HostQueue`, shared with the RTL host) that presents
+  selects/addresses/data on the correct edges (read address on K, write
+  address and first beat on the following K#, second beat on the next
+  K) and collects completed read words.
 
 Data here is concrete (16-bit beats by default, with even byte parity),
 unlike the ASM model's abstract words -- this level refines the data
@@ -47,6 +48,7 @@ __all__ = [
     "WritePort",
     "La1Bank",
     "La1Device",
+    "HostQueue",
     "La1Host",
     "ReadResult",
     "build_la1_system",
@@ -339,27 +341,83 @@ class ReadResult:
         )
 
 
-class La1Host(Module):
+class HostQueue:
+    """The host's transaction queue, shared by the kernel-level
+    :class:`La1Host` and the RTL :class:`~repro.core.rtl_testbench.RtlHost`.
+
+    Reads and writes wait in program order (``_seq`` numbers them); a
+    selected write sits in ``_pending_write`` through its select and
+    data phases; an issued read waits in ``_read_watch`` for its beats,
+    the first one held in ``_collecting``; completed reads land in
+    ``results``.  ``concurrent=True`` lets a read and a write issue in
+    the same cycle (LA-1's concurrent read/write feature); the default
+    keeps program order, so reads observe earlier writes.
+    """
+
+    def __init__(self, config: La1Config, concurrent: bool = False):
+        self.config = config
+        self.concurrent = concurrent
+        self._seq = 0
+        self._reads: deque = deque()  # (seq, bank, addr)
+        self._writes: deque = deque()  # (seq, bank, addr, word, bw)
+        self._pending_write: Optional[tuple] = None  # (bank, addr, word, bw, phase)
+        self._read_watch: deque = deque()  # (bank, addr, issued_at)
+        self._collecting: Optional[list] = None
+        self.results: list[ReadResult] = []
+
+    def read(self, bank: int, addr: int) -> None:
+        """Queue a read of ``addr`` from ``bank``."""
+        self._reads.append((self._seq, bank, addr))
+        self._seq += 1
+
+    def write(self, bank: int, addr: int, word: int,
+              byte_enables: Optional[int] = None) -> None:
+        """Queue a write of ``word`` to ``addr`` of ``bank``."""
+        lanes = self.config.byte_lanes * BEATS_PER_WORD
+        if byte_enables is None:
+            byte_enables = (1 << lanes) - 1
+        self._writes.append((self._seq, bank, addr, word, byte_enables))
+        self._seq += 1
+
+    @property
+    def idle(self) -> bool:
+        """True when no transaction is queued or in flight."""
+        return (
+            not self._reads
+            and not self._writes
+            and self._pending_write is None
+            and not self._read_watch
+        )
+
+    def _read_is_head(self) -> bool:
+        if not self._reads:
+            return False
+        if self.concurrent or not self._writes:
+            return True
+        return self._reads[0][0] < self._writes[0][0]
+
+    def _write_is_head(self) -> bool:
+        if not self._writes:
+            return False
+        if self.concurrent or not self._reads:
+            return True
+        return self._writes[0][0] < self._reads[0][0]
+
+    def _beat_of(self, word: int, index: int) -> int:
+        return (word >> (index * self.config.beat_bits)) & (
+            (1 << self.config.beat_bits) - 1
+        )
+
+
+class La1Host(Module, HostQueue):
     """The host (network processor) side: queues transactions and drives
     the interface pins on the correct edges."""
 
     def __init__(self, sim: Simulator, device: La1Device,
                  name: str = "host", concurrent: bool = False):
-        """``concurrent=True`` lets a read and a write issue in the same
-        cycle (LA-1's concurrent read/write feature); the default keeps
-        program order, so reads observe earlier writes."""
-        super().__init__(sim, name)
+        Module.__init__(self, sim, name)
+        HostQueue.__init__(self, device.config, concurrent)
         self.device = device
-        self.config = device.config
-        self.concurrent = concurrent
-        self._seq = 0
-        self._reads: deque = deque()
-        self._writes: deque = deque()
-        # in-flight bookkeeping
-        self._pending_write: Optional[tuple] = None  # (addr, word, bw, stage)
-        self._read_watch: deque = deque()  # (bank, addr, issued_at)
-        self._collecting: Optional[list] = None
-        self.results: list[ReadResult] = []
         self._proc_k = self.method_process(
             self._on_k, (device.clocks.posedge_k,), "host_k")
         self._proc_ks = self.method_process(
@@ -412,51 +470,7 @@ class La1Host(Module):
                 )
         return collect
 
-    # -- transaction API -------------------------------------------------
-    def read(self, bank: int, addr: int) -> None:
-        """Queue a read of ``addr`` from ``bank``."""
-        self._reads.append((self._seq, bank, addr))
-        self._seq += 1
-
-    def write(self, bank: int, addr: int, word: int,
-              byte_enables: Optional[int] = None) -> None:
-        """Queue a write of ``word`` to ``addr`` of ``bank``."""
-        lanes = self.config.byte_lanes * BEATS_PER_WORD
-        if byte_enables is None:
-            byte_enables = (1 << lanes) - 1
-        self._writes.append((self._seq, bank, addr, word, byte_enables))
-        self._seq += 1
-
-    def _read_is_head(self) -> bool:
-        if not self._reads:
-            return False
-        if self.concurrent or not self._writes:
-            return True
-        return self._reads[0][0] < self._writes[0][0]
-
-    def _write_is_head(self) -> bool:
-        if not self._writes:
-            return False
-        if self.concurrent or not self._reads:
-            return True
-        return self._writes[0][0] < self._reads[0][0]
-
-    @property
-    def idle(self) -> bool:
-        """True when no transaction is queued or in flight."""
-        return (
-            not self._reads
-            and not self._writes
-            and self._pending_write is None
-            and not self._read_watch
-        )
-
     # -- pin driving -------------------------------------------------------
-    def _beat_of(self, word: int, index: int) -> int:
-        return (word >> (index * self.config.beat_bits)) & (
-            (1 << self.config.beat_bits) - 1
-        )
-
     def _on_k(self) -> None:
         """After a rising K: deassert selects, present write addr/beat0."""
         if self._proc_k.trigger is None:

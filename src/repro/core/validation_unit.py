@@ -245,14 +245,11 @@ class RtlDut(DutInterface):
     """
 
     def __init__(self, config: Optional[La1Config] = None):
-        from ..rtl import RtlSimulator, elaborate
-        from .rtl_model import build_la1_top_rtl
+        from ..rtl import RtlSimulator
+        from .rtl_model import la1_netlist
 
         self.config = config or La1Config(banks=1)
-        self._build = lambda: RtlSimulator(
-            elaborate(build_la1_top_rtl(self.config))
-        )
-        self.sim = self._build()
+        self.sim = RtlSimulator(la1_netlist(self.config))
 
     def reset(self) -> None:
         self.sim.reset()

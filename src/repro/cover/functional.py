@@ -134,10 +134,11 @@ _BURST_BINS = ("1", "2", "3", "4plus")
 class La1FunctionalCoverage:
     """LA-1 transaction coverage bound at the host transactor.
 
-    Wraps ``host.read`` / ``host.write`` (works on both
-    :class:`~repro.core.sysc_model.La1Host` and
-    :class:`~repro.core.rtl_testbench.RtlHost` -- they share the
-    transaction API) and samples the covergroup on every queued command.
+    Wraps ``host.read`` / ``host.write`` of any
+    :class:`~repro.core.sysc_model.HostQueue` (the kernel-level
+    :class:`~repro.core.sysc_model.La1Host` and the RTL
+    :class:`~repro.core.rtl_testbench.RtlHost`) and samples the
+    covergroup on every queued command.
     :meth:`detach` restores the original methods.
     """
 

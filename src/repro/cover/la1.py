@@ -32,9 +32,9 @@ from typing import Optional
 from ..asm.machine import AsmMachine
 from ..core.asm_model import La1AsmConfig, build_la1_asm
 from ..core.flow import la1_config, run_abv, run_ovl
-from ..core.ovl_bindings import build_la1_top_with_ovl
+from ..core.rtl_model import la1_netlist
 from ..core.traffic import queue_traffic
-from ..rtl import RtlSimulator, elaborate
+from ..rtl import RtlSimulator
 from .asm_cov import AsmCoverage, la1_state_predicates
 from .db import CoverageDB
 
@@ -91,7 +91,7 @@ def collect_rtl_coverage(banks: int = 2, traffic: int = 24,
     freely underneath the coverage arithmetic."""
     db = db if db is not None else CoverageDB()
     config = la1_config(banks)
-    design = elaborate(build_la1_top_with_ovl(config))
+    design = la1_netlist(config, ovl=True)
     if lanes > 1:
         sim = RtlSimulator(design, backend="bitpar", lanes=lanes)
     else:

@@ -27,9 +27,9 @@ from __future__ import annotations
 import random
 from typing import List
 
-from ..core.ovl_bindings import build_la1_top_with_ovl
+from ..core.rtl_model import la1_netlist
 from ..core.spec import La1Config
-from ..rtl import RtlSimulator, elaborate
+from ..rtl import RtlSimulator
 from .db import CoverageDB
 from .rtl_cov import ToggleCollector
 
@@ -76,7 +76,7 @@ class LaneWalkModel:
     def __init__(self, banks: int, addr_bits: int):
         self.config = La1Config(banks=banks, beat_bits=16,
                                 addr_bits=addr_bits)
-        self.design = elaborate(build_la1_top_with_ovl(self.config))
+        self.design = la1_netlist(self.config, ovl=True)
         self._engines: dict = {}
 
     def _drive(self, sim: RtlSimulator, seeds: List[int], walk_steps: int,

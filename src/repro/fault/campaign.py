@@ -54,19 +54,13 @@ from typing import Callable, List, Optional
 from ..asm import AsmModelChecker, ExplorationConfig
 from ..core.asm_model import La1AsmConfig
 from ..core.monitors import attach_read_mode_monitors
-from ..core.ovl_bindings import build_la1_top_with_ovl
 from ..core.properties import asm_labeling, device_property_suite
+from ..core.rtl_model import la1_netlist
 from ..core.rtl_testbench import RtlHost
 from ..core.spec import La1Config, la1_config
 from ..core.sysc_model import build_la1_system
 from ..psl.monitor import Verdict
-from ..rtl import (
-    BusConflict,
-    FlatDesign,
-    RtlSimulator,
-    design_kernel,
-    elaborate,
-)
+from ..rtl import BusConflict, RtlSimulator, design_kernel
 from .asm_perturb import build_perturbed_la1_asm
 from .models import (
     PROTOCOL_KINDS,
@@ -89,7 +83,6 @@ __all__ = [
     "default_fault_list",
     "golden_logs",
     "judge",
-    "la1_design",
     "log_signature",
     "merge_pattern_verdicts",
 ]
@@ -586,20 +579,6 @@ def default_fault_list(banks: int = 2, include_gap_probes: bool = True,
     return faults
 
 
-# ----------------------------------------------------------------------
-# the shared LA-1 netlist
-# ----------------------------------------------------------------------
-# serve specs may carry any bank count, so the memo is bounded
-@functools.lru_cache(maxsize=4)
-def la1_design(la1: La1Config) -> FlatDesign:
-    """The elaborated LA-1-with-OVL netlist of ``la1``, cached per
-    process like the zoo's :func:`repro.dsl.zoo.build_elaborated`.
-    Designs are immutable after elaboration, so every campaign of one
-    shape -- and every shard worker forked after it -- shares the object
-    and the simulator kernels compiled for it."""
-    return elaborate(build_la1_top_with_ovl(la1))
-
-
 # one entry per workload a process has run: a serve process sees a new
 # seed per job, so the memo is bounded
 @functools.lru_cache(maxsize=16)
@@ -699,9 +678,10 @@ class FaultCampaign:
     # -- RTL layer -----------------------------------------------------
     def _design(self):
         """The flattened LA-1-with-OVL netlist every RTL engine of this
-        campaign shares.  Both sources are per-process caches, so every
-        campaign of one shape shares one design object -- and with it
-        the simulator kernels compiled for that design."""
+        campaign shares.  Both sources are per-process caches (the zoo's
+        ``build_elaborated`` and :func:`repro.core.rtl_model.la1_netlist`),
+        so every campaign of one shape shares one design object -- and
+        with it the simulator kernels compiled for that design."""
         if self._flat_design is None:
             if self.config.design:
                 from ..dsl.zoo import build_elaborated
@@ -709,7 +689,7 @@ class FaultCampaign:
                 self._flat_design = build_elaborated(
                     self.config.design).flat
             else:
-                self._flat_design = la1_design(self.config.la1())
+                self._flat_design = la1_netlist(self.config.la1(), ovl=True)
         return self._flat_design
 
     def _zoo_stimulus(self):

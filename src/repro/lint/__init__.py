@@ -208,7 +208,6 @@ def lint_machine(
 def lint_la1(
     banks: int = 2,
     config: Optional[LintConfig] = None,
-    parity_checks: bool = True,
     semantic: bool = False,
 ) -> LintReport:
     """Lint the full shipped LA-1 stack at one bank count.
@@ -221,10 +220,11 @@ def lint_la1(
     from ..core.asm_model import La1AsmConfig, build_la1_asm
     from ..core.ovl_bindings import build_la1_top_with_ovl
     from ..core.properties import device_property_suite, rtl_labels
+    from ..core.rtl_model import la1_netlist
     from ..core.spec import la1_config
 
-    top = build_la1_top_with_ovl(la1_config(banks),
-                                 parity_checks=parity_checks)
+    la1 = la1_config(banks)
+    top = build_la1_top_with_ovl(la1)
     sinks = tuple(
         path for path, __ in rtl_labels(top.name, banks).values()
     )
@@ -236,6 +236,7 @@ def lint_la1(
         asm_state_cap=base.asm_state_cap,
     )
     report = lint_design(top, config=rtl_config,
+                         design=la1_netlist(la1, ovl=True),
                          subject=f"la1[{banks} banks]",
                          semantic=semantic)
     report.extend(

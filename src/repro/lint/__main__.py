@@ -47,10 +47,6 @@ def main(argv=None) -> int:
         help="hide waived findings in the text report",
     )
     parser.add_argument(
-        "--no-parity", action="store_true",
-        help="lint the OVL top without the parity checker set",
-    )
-    parser.add_argument(
         "--disable", action="append", default=[], metavar="RULE",
         help="disable a rule id (repeatable)",
     )
@@ -67,9 +63,7 @@ def main(argv=None) -> int:
         asm_state_cap=args.asm_state_cap,
     )
     report = lint_la1(
-        banks=args.banks, config=config,
-        parity_checks=not args.no_parity,
-        semantic=args.semantic,
+        banks=args.banks, config=config, semantic=args.semantic,
     )
     if args.sarif:
         from .sarif import write_sarif

@@ -114,12 +114,13 @@ def check_la1_property(banks: int, prop: Property, name: str,
                        engine: str = "bdd", datapath: bool = True,
                        config=None, **budgets) -> SymbolicCheckResult:
     """:func:`check_property` on the N-bank LA-1 RTL of
-    :func:`repro.core.rulebase.mc_design` (``config`` defaults to the
+    :func:`repro.core.rtl_model.la1_netlist` (``config`` defaults to the
     model-checking scale), with the LA-1 atom labels."""
     from ..core.properties import rtl_labels
-    from ..core.rulebase import MC_SCALE_CONFIG, mc_design
+    from ..core.rtl_model import la1_netlist
+    from ..core.rulebase import MC_SCALE_CONFIG
 
-    design = mc_design(config or MC_SCALE_CONFIG(banks), datapath)
+    design = la1_netlist(config or MC_SCALE_CONFIG(banks), datapath)
     return check_property(design, prop, rtl_labels("la1_top", banks), name,
                           engine, **budgets)
 
@@ -269,7 +270,8 @@ def sweep_rtl_properties(
     property starts: a spec error is no crash to retry.
     """
     from ..core.properties import rtl_labels
-    from ..core.rulebase import MC_SCALE_CONFIG, mc_design
+    from ..core.rtl_model import la1_netlist
+    from ..core.rulebase import MC_SCALE_CONFIG
     from ..par import ShardError, run_supervised
     from ..par.workers import mc_check_shard
 
@@ -285,7 +287,7 @@ def sweep_rtl_properties(
     shard_args = [(banks, datapath, name, prop, engine, options)
                   for name, prop in properties]
     try:
-        mc_design(options.get("config") or MC_SCALE_CONFIG(banks), datapath)
+        la1_netlist(options.get("config") or MC_SCALE_CONFIG(banks), datapath)
     except Exception:  # noqa: BLE001 - an optimisation, not a verdict
         pass  # each shard meets the failure again and is quarantined
     results, stats = run_supervised(

@@ -193,7 +193,7 @@ def mc_check_shard(banks: int, datapath: bool, name: str, prop, engine: str,
                    options: dict) -> dict:
     """Check one property of a :func:`repro.mc.sweep_rtl_properties`
     suite with ``engine`` against the netlist of
-    :func:`repro.core.rulebase.mc_design`."""
+    :func:`repro.core.rtl_model.la1_netlist`."""
     from ..mc.sweep import check_la1_property
 
     return check_la1_property(banks, prop, name, engine, datapath,

@@ -86,13 +86,11 @@ def _cmd_cec(args) -> int:
 
     banks = 1 if args.smoke else args.banks
     if args.ovl:
-        from ..core.ovl_bindings import build_la1_top_with_ovl
+        from ..core.rtl_model import la1_netlist
         from ..core.spec import la1_config
-        from ..rtl import elaborate
 
-        design = elaborate(build_la1_top_with_ovl(
-            la1_config(banks), parity_checks=True))
-        report = check_equivalence(design, check_proofs=args.check_proofs)
+        report = check_equivalence(la1_netlist(la1_config(banks), ovl=True),
+                                   check_proofs=args.check_proofs)
     else:
         report = check_la1_equivalence(
             banks, check_proofs=args.check_proofs,

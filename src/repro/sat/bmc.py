@@ -125,9 +125,10 @@ class _Unrolling:
 
     def __init__(self, mc: "SatModelChecker", free_start: bool,
                  start_phase: Optional[int]):
-        self.solver = Solver(proof_log=mc.proof_log)
+        self.solver = Solver()
         self.t = Tseitin(self.solver)
         self.enc = NetlistEncoder(mc.enc_design, self.t)
+        self.free_start = free_start
         self.start_phase = start_phase
         self.fails: List[int] = []
         self.input_frames: List[Dict[str, List[int]]] = []
@@ -166,11 +167,13 @@ class _Unrolling:
             return None
         return (self.start_phase + index) % 2
 
-    def extend(self, unique_states: bool = False) -> int:
-        """Encode one more frame; returns its fail literal."""
+    def extend(self) -> int:
+        """Encode one more frame; returns its fail literal.  A run from
+        a free state (an induction step) keeps its frames pairwise
+        distinct."""
         mc = self.mc
         index = self.depth
-        if unique_states:
+        if self.free_start:
             self._add_uniqueness(index)
         inputs = self.enc.free_inputs()
         frame = self.enc.frame(self.state, inputs, self.phase(index))
@@ -248,17 +251,12 @@ class SatModelChecker:
         labels: Dict[str, Tuple[str, int]],
         name: str = "property",
         coi: bool = True,
-        invariants: bool = True,
-        unique_states: bool = True,
-        proof_log: bool = True,
     ):
         if not prop.is_safety():
             raise PslError(f"{prop!r} is not a safety property")
         self.design = design
         self.prop = prop
         self.name = name
-        self.proof_log = proof_log
-        self.unique_states = unique_states
         self.checker = compiled_checker(prop)
         for atom in self.checker.atoms:
             if atom not in labels:
@@ -283,9 +281,7 @@ class SatModelChecker:
             reg for reg in self.enc_design.regs if reg.path in cone
         ]
         self.aut_reachable = self.checker.reachable()
-        self.invariant_values: Dict[str, int] = {}
-        if invariants:
-            self.invariant_values = self._stuck_registers()
+        self.invariant_values = self._stuck_registers()
 
     # ------------------------------------------------------------------
     # preprocessing
@@ -364,7 +360,7 @@ class SatModelChecker:
                 )
             clean = depth
         stats = self._stats(run, start)
-        if check_proofs and self.proof_log:
+        if check_proofs:
             stats["proof_lemmas"] = check_proof(
                 run.solver.clauses, run.solver.proof,
             )
@@ -412,7 +408,7 @@ class SatModelChecker:
             inductive = True
             for run in steps:
                 while run.depth < k + 1:
-                    run.extend(unique_states=self.unique_states)
+                    run.extend()
                 fail_k = run.fails[k]
                 if fail_k == run.t.FALSE:
                     continue
@@ -425,7 +421,7 @@ class SatModelChecker:
                     break
             if inductive:
                 stats = self._stats(base, start, steps)
-                if check_proofs and self.proof_log:
+                if check_proofs:
                     lemmas = 0
                     for run in [base] + steps:
                         if run.solver.proof:

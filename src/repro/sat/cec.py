@@ -386,10 +386,8 @@ def check_la1_equivalence(
     check_proofs: bool = False,
 ) -> CecReport:
     """CEC over a shipped LA-1 top model at the given bank count."""
-    from ..core.rtl_model import build_la1_top_rtl
+    from ..core.rtl_model import la1_netlist
     from ..core.rulebase import MC_SCALE_CONFIG
-    from ..rtl import elaborate
 
-    config = config or MC_SCALE_CONFIG(banks)
-    design = elaborate(build_la1_top_rtl(config, datapath=datapath))
+    design = la1_netlist(config or MC_SCALE_CONFIG(banks), datapath)
     return check_equivalence(design, check_proofs=check_proofs)

@@ -4,6 +4,7 @@ fault identities, validation, and seeded campaign reproducibility."""
 import pytest
 
 from repro.core.ovl_bindings import build_la1_top_with_ovl
+from repro.core.rtl_model import la1_netlist
 from repro.core.rtl_testbench import RtlHost
 from repro.core.spec import La1Config
 from repro.fault import (
@@ -17,7 +18,6 @@ from repro.fault import (
     build_perturbed_la1_asm,
 )
 from repro.core.asm_model import La1AsmConfig, build_la1_asm
-from repro.fault.campaign import la1_design
 from repro.rtl import RtlSimulator, elaborate
 from repro.rtl.hdl import HdlError
 
@@ -137,7 +137,8 @@ class TestStuckAtInTheStep:
 
     def test_both_polarities_on_one_bit_share_one_entry(self):
         la1 = CampaignConfig(banks=1).la1()
-        sim = RtlSimulator(la1_design(la1), backend="bitpar", lanes=4)
+        sim = RtlSimulator(la1_netlist(la1, ovl=True), backend="bitpar",
+                           lanes=4)
         path = "la1_top.bank0.read_port.word_reg"
         injector = RtlFaultInjector(
             sim, [RtlStuckAt(path, 2, 0), RtlStuckAt(path, 2, 1)],
@@ -152,7 +153,8 @@ class TestStuckAtInTheStep:
 
     def test_one_settle_per_faulty_edge(self):
         la1 = CampaignConfig(banks=1).la1()
-        sim = RtlSimulator(la1_design(la1), backend="bitpar", lanes=64)
+        sim = RtlSimulator(la1_netlist(la1, ovl=True), backend="bitpar",
+                           lanes=64)
         injector = RtlFaultInjector(
             sim, [RtlStuckAt("la1_top.tk", 0, 0)], lane_map=[1])
         injector.attach()

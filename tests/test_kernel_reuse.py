@@ -1,22 +1,27 @@
 """Compiled simulator kernels are built once per elaborated design.
 
 ``RtlSimulator`` takes its compiled/bitpar kernel from the cache on the
-:class:`FlatDesign`; ``FaultCampaign`` shares one LA-1 elaboration per
-shape through the bounded :func:`la1_design` memo; and a parallel
-campaign compiles before its pool forks, so shard workers inherit the
-kernels instead of compiling their own.  None of it may change a
-verdict.
+:class:`FlatDesign`; every LA-1 consumer -- the flow's stages, lint,
+model checking, coverage and ``FaultCampaign`` -- shares one
+elaboration per shape through the bounded :func:`la1_netlist` memo; and
+a parallel campaign compiles before its pool forks, so shard workers
+inherit the kernels instead of compiling their own.  None of it may
+change a verdict.
 """
 
 import os
+import sys
 
 import pytest
 
-from repro.core import La1Config, build_la1_top_with_ovl
-from repro.core.rulebase import mc_design
-from repro.fault.campaign import CampaignConfig, FaultCampaign, golden_logs, la1_design
+import repro.cover.la1 as cover_la1
+from repro.core import La1Config, build_la1_top_with_ovl, la1_netlist
+from repro.core.flow import FlowConfig, run_flow
+from repro.core.spec import la1_config
+from repro.fault.campaign import CampaignConfig, FaultCampaign, golden_logs
 from repro.fault.models import ProtocolMutation, RtlStuckAt, StimulusMutation
 from repro.rtl import RtlSimulator, compile_bitpar, compile_design, elaborate
+from repro.rtl import netlist as netlist_mod
 from repro.rtl import simulator as simulator_mod
 
 CONFIG = dict(banks=1, traffic=8, rtl_cycles=80)
@@ -36,14 +41,33 @@ def _faults():
 
 @pytest.fixture
 def fresh_memo():
-    """Empty design and golden memos, so this test's campaigns elaborate
-    (and compile) from scratch and run their own golden runs whatever
-    ran before."""
-    la1_design.cache_clear()
+    """Empty netlist and golden memos, so this test's campaigns
+    elaborate (and compile) from scratch and run their own golden runs
+    whatever ran before."""
+    la1_netlist.cache_clear()
     golden_logs.cache_clear()
     yield
-    la1_design.cache_clear()
+    la1_netlist.cache_clear()
     golden_logs.cache_clear()
+
+
+def _count_elaborations(monkeypatch):
+    """Wrap ``elaborate`` under every name a loaded ``repro`` module
+    holds it by; returns the list the wrapper appends to per call."""
+    calls = []
+    original = netlist_mod.elaborate
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if not getattr(module, "__name__", "").startswith("repro"):
+            continue
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def _count_compiles(monkeypatch, log=None):
@@ -154,40 +178,66 @@ class TestCampaignReuse:
 class TestDesignMemo:
     def test_one_design_object_per_shape(self, fresh_memo):
         la1 = La1Config(banks=1, beat_bits=8, addr_bits=2)
-        assert la1_design(la1) is la1_design(La1Config(
-            banks=1, beat_bits=8, addr_bits=2))
+        ovl = la1_netlist(la1, ovl=True)
+        # keyword and positional calls share one entry
+        assert la1_netlist(La1Config(
+            banks=1, beat_bits=8, addr_bits=2), True, True) is ovl
+        assert la1_netlist(la1) is la1_netlist(la1, datapath=True)
+        assert la1_netlist(la1) is not ovl
+        assert la1_netlist(la1, False) is not la1_netlist(la1)
+        assert la1_netlist.cache_info().currsize == 3
         campaign = FaultCampaign(CampaignConfig(**CONFIG))
         assert campaign._design() is FaultCampaign(
             CampaignConfig(**CONFIG))._design()
+        assert campaign._design() is la1_netlist(
+            CampaignConfig(**CONFIG).la1(), ovl=True)
+
+    def test_bound_holds_a_flow_task(self):
+        # one flow task cycles through the control, plain and OVL
+        # netlists at 1, 2 and 4 banks; a smaller bound misses on each
+        assert la1_netlist.cache_info().maxsize >= 9
 
     def test_memo_evicts_the_oldest_at_its_bound(self, fresh_memo):
-        bound = la1_design.cache_info().maxsize
-        shapes = [La1Config(banks=1, beat_bits=8, addr_bits=a)
+        bound = la1_netlist.cache_info().maxsize
+        shapes = [La1Config(banks=1, beat_bits=1, addr_bits=a)
                   for a in range(1, bound + 2)]
-        designs = [la1_design(shape) for shape in shapes[:bound]]
+        designs = [la1_netlist(shape, False) for shape in shapes[:bound]]
         # a hit makes the first shape the most recently used, so the
         # second is the oldest when one more shape arrives
-        assert la1_design(shapes[0]) is designs[0]
-        la1_design(shapes[bound])
-        assert la1_design.cache_info().currsize == bound
-        assert la1_design(shapes[0]) is designs[0]
+        assert la1_netlist(shapes[0], False) is designs[0]
+        la1_netlist(shapes[bound], False)
+        assert la1_netlist.cache_info().currsize == bound
+        assert la1_netlist(shapes[0], False) is designs[0]
         # an evicted shape elaborates again, into a new object
-        assert la1_design(shapes[1]) is not designs[1]
-        assert la1_design.cache_info().currsize == bound
+        assert la1_netlist(shapes[1], False) is not designs[1]
+        assert la1_netlist.cache_info().currsize == bound
 
-    def test_mc_design_memo_is_bounded(self):
-        mc_design.cache_clear()
-        try:
-            bound = mc_design.cache_info().maxsize
-            shapes = [La1Config(banks=1, beat_bits=1, addr_bits=a)
-                      for a in range(1, bound + 2)]
-            first = mc_design(shapes[0], False)
-            for shape in shapes[1:]:
-                mc_design(shape, False)
-            assert mc_design.cache_info().currsize == bound
-            assert mc_design(shapes[-1], False) is mc_design(
-                shapes[-1], False)
-            # the least recently used shape went, and elaborates anew
-            assert mc_design(shapes[0], False) is not first
-        finally:
-            mc_design.cache_clear()
+
+class TestSharedNetlist:
+    def test_second_flow_elaborates_and_compiles_nothing(
+            self, monkeypatch):
+        run_flow(FlowConfig(banks=2))
+        elaborations = _count_elaborations(monkeypatch)
+        compiles = _count_compiles(monkeypatch)
+        report = run_flow(FlowConfig(banks=2))
+        assert report.ok
+        assert elaborations == []
+        assert compiles == []
+
+    def test_coverage_reuses_the_campaign_netlist(self, monkeypatch,
+                                                  fresh_memo):
+        design = FaultCampaign(CampaignConfig(banks=1))._design()
+        elaborations = _count_elaborations(monkeypatch)
+        seen = []
+
+        class Recording(RtlSimulator):
+            def __init__(self, design, *args, **kwargs):
+                seen.append(design)
+                super().__init__(design, *args, **kwargs)
+
+        monkeypatch.setattr(cover_la1, "RtlSimulator", Recording)
+        db = cover_la1.collect_rtl_coverage(banks=1)
+        assert elaborations == []
+        assert seen == [design]
+        assert seen[0] is design is la1_netlist(la1_config(1), ovl=True)
+        assert db.counts()[0] > 0

@@ -244,9 +244,10 @@ class TestQuantificationSchedule:
         assert orders[0] == orders[1]
 
     def test_la1_control_model_schedule(self):
-        from repro.core.rulebase import MC_SCALE_CONFIG, mc_design
+        from repro.core.rtl_model import la1_netlist
+        from repro.core.rulebase import MC_SCALE_CONFIG
 
-        model = SymbolicModel(mc_design(MC_SCALE_CONFIG(2), False))
+        model = SymbolicModel(la1_netlist(MC_SCALE_CONFIG(2), False))
         m, partitions, quantifiable = _relation(model)
         ordered, release_at, unused = quantification_schedule(
             m, partitions, quantifiable)

@@ -10,7 +10,7 @@ import os
 import pytest
 
 import repro.rtl
-from repro.core import rulebase
+from repro.core import rtl_model
 from repro.core.properties import read_mode_suite
 from repro.fault.campaign import CampaignConfig, FaultCampaign
 from repro.mc import sweep_rtl_properties
@@ -148,10 +148,10 @@ class TestMcSweepDeterminism:
 
     @pytest.fixture
     def fresh_design(self):
-        """An empty MC design memo before and after the test."""
-        rulebase.mc_design.cache_clear()
+        """An empty netlist memo before and after the test."""
+        rtl_model.la1_netlist.cache_clear()
         yield
-        rulebase.mc_design.cache_clear()
+        rtl_model.la1_netlist.cache_clear()
 
     def test_forked_shards_inherit_the_design(self, fresh_design,
                                               monkeypatch, tmp_path):
@@ -164,7 +164,7 @@ class TestMcSweepDeterminism:
             return original(*args, **kwargs)
 
         # both bindings the MC path can elaborate through
-        monkeypatch.setattr(rulebase, "elaborate", logged)
+        monkeypatch.setattr(rtl_model, "elaborate", logged)
         monkeypatch.setattr(repro.rtl, "elaborate", logged)
         sweep = sweep_rtl_properties(1, read_mode_suite(1),
                                      datapath=False, jobs=2)
@@ -177,7 +177,7 @@ class TestMcSweepDeterminism:
         def refuse(*args, **kwargs):
             raise RuntimeError("netlist build failed")
 
-        monkeypatch.setattr(rulebase, "build_la1_top_rtl", refuse)
+        monkeypatch.setattr(rtl_model, "build_la1_top_rtl", refuse)
         names = [name for name, __ in read_mode_suite(1)]
         for jobs in (1, 2):
             sweep = sweep_rtl_properties(
