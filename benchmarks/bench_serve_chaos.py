@@ -48,9 +48,9 @@ import zlib
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.cover.asm_cov import build_la1_testgen_model  # noqa: E402
 from repro.cover.testgen import undirected_suite  # noqa: E402
 from repro.fault.campaign import CampaignConfig, FaultCampaign  # noqa: E402
-from repro.par.workers import la1_model_spec  # noqa: E402
 from repro.serve.__main__ import strike_first_shard  # noqa: E402
 
 
@@ -170,14 +170,12 @@ def chaos_campaign(banks: int, traffic: int, rtl_cycles: int,
 
 def testgen_parity(banks: int, jobs: int) -> dict:
     print(f"testgen banks={banks}: jobs=1 vs jobs={jobs} ...", flush=True)
-    spec = la1_model_spec(banks)
-    machine, predicates = spec.build()
+    machine, predicates = build_la1_testgen_model(banks)
 
     def run(n):
         start = time.perf_counter()
         result = undirected_suite(machine, predicates, num_tests=6,
-                                  walk_steps=16, seed=11, jobs=n,
-                                  model_spec=spec)
+                                  walk_steps=16, seed=11, jobs=n)
         return result, round(time.perf_counter() - start, 3)
 
     golden, base_wall = run(1)

@@ -111,35 +111,29 @@ def main(argv=None) -> int:
     # ---------------------------------------------- collection modes
     banks = 2 if args.smoke else args.banks
     seeds = [args.seed, args.seed + 1] if args.smoke else [args.seed]
-    shard_kwargs = [
-        dict(banks=banks, traffic=args.traffic, seed=seed,
-             backend=args.backend, asm_steps=args.asm_steps,
-             lanes=args.lanes)
+    shard_args = [
+        (banks, args.traffic, seed, args.backend, args.asm_steps, args.lanes)
         for seed in seeds
     ]
-    for kwargs in shard_kwargs:
+    for seed in seeds:
         print(f"collecting: {banks} banks, traffic={args.traffic}, "
-              f"seed={kwargs['seed']}, backend={args.backend}")
-    if args.jobs > 1 and len(shard_kwargs) > 1:
+              f"seed={seed}, backend={args.backend}")
+    if args.jobs > 1 and len(shard_args) > 1:
         from ..par import ShardError, run_supervised
-        from ..par.workers import cover_collect_shard
 
         results, stats = run_supervised(
-            cover_collect_shard,
-            [(kwargs,) for kwargs in shard_kwargs],
-            jobs=args.jobs,
-        )
+            collect_la1_coverage, shard_args, jobs=args.jobs)
         # a quarantined shard is collected again inline: the same
         # answer, or the same exception, a --jobs 1 run would give
         shards = [
-            collect_la1_coverage(**kwargs) if isinstance(result, ShardError)
-            else CoverageDB.from_dict(result)
-            for kwargs, result in zip(shard_kwargs, results)
+            collect_la1_coverage(*shard) if isinstance(result, ShardError)
+            else result
+            for shard, result in zip(shard_args, results)
         ]
         print(f"par: jobs={stats.jobs} mode={stats.mode} "
               f"wall={stats.wall_s:.2f}s")
     else:
-        shards = [collect_la1_coverage(**kwargs) for kwargs in shard_kwargs]
+        shards = [collect_la1_coverage(*shard) for shard in shard_args]
     merged = CoverageDB.merged(shards)
 
     if len(shards) > 1:

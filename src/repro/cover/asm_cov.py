@@ -17,7 +17,8 @@ write-port stages (``sel`` / ``data``), the commit strobe, and the
 concurrency predicates (read+write in flight at once, the LA-1 selling
 point) -- the states the paper's guided exploration is designed to
 reach.  These give coverage-driven test generation
-(:mod:`repro.cover.testgen`) a gradient to climb.
+(:mod:`repro.cover.testgen`) a gradient to climb;
+:func:`build_la1_testgen_model` pairs them with the machine they read.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from __future__ import annotations
 from typing import Callable, Mapping, Optional
 
 from ..asm.machine import Action, AsmMachine
+from ..core.asm_model import La1AsmConfig, build_la1_asm
 from .db import CoverageDB
 
-__all__ = ["AsmCoverage", "la1_state_predicates"]
+__all__ = ["AsmCoverage", "build_la1_testgen_model", "la1_state_predicates"]
 
 #: predicate signature: ``fn(state) -> bool`` over the post-firing state
 Predicate = Callable[[dict], bool]
@@ -65,6 +67,14 @@ def la1_state_predicates(banks: int) -> dict[str, Predicate]:
     predicates["read_write_concurrent"] = (
         lambda s: any_read(s) and any_write(s))
     return predicates
+
+
+def build_la1_testgen_model(banks: int = 2):
+    """The ASM testgen vehicle: the ``banks``-bank LA-1 machine and its
+    :func:`la1_state_predicates`, as
+    :func:`~repro.cover.testgen.coverage_driven_suite` takes them."""
+    machine = build_la1_asm(La1AsmConfig(banks=banks))
+    return machine, la1_state_predicates(banks)
 
 
 class AsmCoverage:

@@ -28,8 +28,8 @@ its own DB (the ASM model has no lane encoding, so it ignores
 merged into a clone of the accumulated DB, and admitting the winner
 merges its walk DB into the accumulated one -- one arithmetic for every
 vehicle, which is why the selected suite is independent of the lane
-count and of how walks are sharded over processes
-(:func:`_map_walks`).
+count and of how walks are sharded over forked workers, each walking
+the caller's own vehicle (:func:`_map_walks`).
 """
 
 from __future__ import annotations
@@ -149,8 +149,8 @@ def walk_model(machine, predicates: Mapping[str, Predicate]):
 
 
 class _Gain:
-    """Picklable reducer of a directed round: the points a walk DB newly
-    covers on top of the accumulated DB."""
+    """Reducer of a directed round: the points a walk DB newly covers on
+    top of the accumulated DB."""
 
     def __init__(self, db: CoverageDB):
         self.db = db
@@ -166,36 +166,34 @@ def _whole(walk_db: CoverageDB) -> CoverageDB:
 
 
 def _map_walks(model, walk_seeds: list[int], walk_steps: int, lanes: int,
-               jobs: int, model_spec, fn) -> list:
+               jobs: int, fn) -> list:
     """``fn`` of each seed's walk DB, in seed order.
 
-    Inline by default.  With ``jobs > 1`` and a ``model_spec`` the seeds
-    are sharded over the supervised process pool, where
-    :func:`repro.par.workers.testgen_walk_shard` rebuilds the vehicle
+    Inline at ``jobs=1``.  With ``jobs > 1`` and at least two seeds the
+    seeds are sharded over the supervised process pool: each forked
+    worker walks its seeds on ``model`` -- the caller's own vehicle --
     and applies ``fn`` itself, so only its values cross the pipe.  A
     worker that crashes or hangs is retried; a shard quarantined after
     its attempt budget is re-run on ``model``.  A walk DB depends on its
     seed alone, so the values equal the inline ones under any sharding
     and any fault the supervisor can contain.
     """
-    if jobs <= 1 or model_spec is None or len(walk_seeds) <= 1:
-        return [fn(db) for db in model.walk_dbs(walk_seeds, walk_steps,
-                                                lanes)]
+
+    def walk(seeds: list[int]) -> list:
+        return [fn(db) for db in model.walk_dbs(seeds, walk_steps, lanes)]
+
+    if jobs <= 1 or len(walk_seeds) <= 1:
+        return walk(walk_seeds)
     from ..par import ShardError, plan_shards, run_supervised
-    from ..par.workers import testgen_walk_shard
 
     shards = plan_shards(list(enumerate(walk_seeds)), jobs)
     shard_seeds = [[seed for __, seed in shard] for shard in shards]
     results, __ = run_supervised(
-        testgen_walk_shard,
-        [(model_spec, seeds, walk_steps, lanes, fn) for seeds in shard_seeds],
-        jobs=jobs,
-    )
+        walk, [(seeds,) for seeds in shard_seeds], jobs=jobs)
     values = [None] * len(walk_seeds)
     for shard, seeds, shard_values in zip(shards, shard_seeds, results):
-        if shard_values is None or isinstance(shard_values, ShardError):
-            shard_values = [fn(db) for db in model.walk_dbs(
-                seeds, walk_steps, lanes)]
+        if isinstance(shard_values, ShardError):
+            shard_values = walk(seeds)
         for (index, __), value in zip(shard, shard_values):
             values[index] = value
     return values
@@ -211,7 +209,6 @@ def coverage_driven_suite(
     seed: int = 0,
     plateau_rounds: int = 3,
     jobs: int = 1,
-    model_spec=None,
     lanes: int = 1,
 ) -> CoverageDrivenResult:
     """Greedy coverage-feedback selection of random-walk tests.
@@ -225,12 +222,10 @@ def coverage_driven_suite(
     rounds with zero gain, or at ``max_tests``.
 
     ``jobs > 1`` parallelizes the candidate scoring of each round across
-    a process pool; the greedy selection itself stays serial (each round
-    depends on the previous round's DB).  Because candidates are seeded
-    individually, the selected suite, DB and history are identical to a
-    ``jobs=1`` run.  Parallel scoring needs a picklable ``model_spec``
-    (e.g. :func:`repro.par.workers.la1_model_spec`) so workers can
-    rebuild the machine; without one, scoring stays inline.
+    forked workers that walk ``machine`` itself; the greedy selection
+    stays serial (each round depends on the previous round's DB).
+    Because candidates are seeded individually, the selected suite, DB
+    and history are identical to a ``jobs=1`` run.
 
     ``lanes > 1`` asks a lane-parallel vehicle
     (:class:`repro.cover.rtl_walk.LaneWalkModel`) to pack that many
@@ -253,7 +248,7 @@ def coverage_driven_suite(
         ]
         round_index += 1
         gains = _map_walks(model, walk_seeds, walk_steps, lanes, jobs,
-                           model_spec, _Gain(db))
+                           _Gain(db))
         scored += len(gains)
         if not gains:
             break
@@ -281,14 +276,13 @@ def undirected_suite(
     walk_steps: int = 16,
     seed: int = 0,
     jobs: int = 1,
-    model_spec=None,
     lanes: int = 1,
 ) -> CoverageDrivenResult:
     """The unranked baseline: ``num_tests`` random walks merged in
     generation order with no coverage feedback.
 
-    With ``jobs > 1`` and a ``model_spec`` the walks fan out over the
-    process pool; each worker returns its per-walk DBs and the
+    With ``jobs > 1`` the walks fan out over forked workers that walk
+    ``machine`` itself; each returns its per-walk DBs and the
     coordinator merges them in walk order, which -- DB merge being
     lossless -- reproduces the sequential accumulation exactly.  A
     lane-parallel vehicle collects up to ``lanes`` per-walk DBs from
@@ -301,7 +295,7 @@ def undirected_suite(
     ]
     history: list[float] = []
     for walk_db in _map_walks(model, walk_seeds, walk_steps, lanes, jobs,
-                              model_spec, _whole):
+                              _whole):
         db.merge(walk_db)
         history.append(db.coverage())
     walks = [model.walk_case(walk_seed, walk_steps)

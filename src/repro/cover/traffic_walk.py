@@ -29,9 +29,8 @@ pass chunking (``tests/test_cover_traffic_walk.py`` pins lane-N walk
 DBs bit-identical to scalar runs).  Like :class:`RtlWalkModel` it is a
 :class:`~repro.cover.rtl_walk.LaneWalkModel` and supplies only its
 stimulus, so :func:`repro.cover.testgen.coverage_driven_suite` drives
-it through the same two-method walk protocol -- including sharded
-through the process pool via
-:func:`repro.par.workers.la1_traffic_model_spec`.
+it through the same two-method walk protocol -- including sharded over
+forked workers, which walk the caller's model (``jobs > 1``).
 """
 
 from __future__ import annotations

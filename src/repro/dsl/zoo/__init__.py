@@ -2,10 +2,10 @@
 standing cross-level stress test.
 
 Every entry elaborates to all three model levels, ships a PSL property
-set over its probe nets, declares covergroup points, and is registered
-as a :class:`repro.par.workers.ModelSpec` so process-pool workers
-warm-start it by name and the service layer fingerprints it by
-elaborated-netlist content."""
+set over its probe nets and declares covergroup points.  Its
+default-parameter elaboration is cached per process
+(:func:`build_elaborated`), so forked workers inherit it, and the
+service layer fingerprints it by elaborated-netlist content."""
 
 from __future__ import annotations
 
@@ -23,8 +23,6 @@ __all__ = [
     "build_elaborated",
     "zoo_properties",
     "conformance_budget",
-    "zoo_model_spec",
-    "build_model",
     "zoo_state_predicates",
 ]
 
@@ -85,18 +83,3 @@ def zoo_state_predicates(elab: ElaboratedDesign):
             predicates[f"{var}_nz"] = (
                 lambda state, v=var: state[v] != 0)
     return predicates
-
-
-def build_model(design: str):
-    """ModelSpec factory: ``(machine, predicates)`` like the LA-1
-    testgen factory, built from the cached elaboration."""
-    elab = build_elaborated(design)
-    return elab.asm, zoo_state_predicates(elab)
-
-
-def zoo_model_spec(name: str):
-    """The picklable worker recipe for a zoo design."""
-    from ...par.workers import ModelSpec
-
-    _entry(name)
-    return ModelSpec("repro.dsl.zoo:build_model", {"design": name})

@@ -147,7 +147,6 @@ class CampaignConfig:
         max_faults: Optional[int] = None,
         shard_attempts: int = 2,
         shard_deadline_s: Optional[float] = None,
-        retry_backoff_s: float = 0.05,
         design: Optional[str] = None,
         patterns: int = 1,
     ):
@@ -164,11 +163,10 @@ class CampaignConfig:
         self.checkpoint_path = checkpoint_path
         self.max_faults = max_faults
         #: supervised execution budget (jobs > 1): attempts per shard
-        #: before quarantine, per-shard wall-clock before the worker is
-        #: killed, and the retry backoff base (repro.par.supervise)
+        #: before quarantine and per-shard wall-clock before the worker
+        #: is killed (repro.par.supervise)
         self.shard_attempts = shard_attempts
         self.shard_deadline_s = shard_deadline_s
-        self.retry_backoff_s = retry_backoff_s
         #: PPSFP's second axis: sweep each stimulus-sensitive fault
         #: (RTL state faults, stimulus mutations) under this many
         #: stimulus patterns -- pattern 0 is the base stream, pattern
@@ -191,7 +189,10 @@ class CampaignConfig:
     def fingerprint(self) -> dict:
         """The workload identity a checkpoint must match to be resumed
         (budgets and paths excluded: they may differ between the killed
-        and the resuming invocation without changing any verdict)."""
+        and the resuming invocation without changing any verdict).  Its
+        keys are constructor arguments: a shard's campaign is
+        ``CampaignConfig(**fingerprint)``
+        (:func:`repro.par.workers.campaign_shard`)."""
         fingerprint = {
             "banks": self.banks,
             "traffic": self.traffic,
@@ -1174,7 +1175,6 @@ class FaultCampaign:
             timeout_s=timeout,
             shard_deadline_s=config.shard_deadline_s,
             max_attempts=config.shard_attempts,
-            backoff_base_s=config.retry_backoff_s,
             seed=config.seed,
             on_result=lambda index, report: collect(
                 [FaultVerdict.from_dict(v) for v in report["faults"]]),

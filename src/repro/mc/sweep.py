@@ -273,7 +273,6 @@ def sweep_rtl_properties(
     from ..core.rtl_model import la1_netlist
     from ..core.rulebase import MC_SCALE_CONFIG
     from ..par import ShardError, run_supervised
-    from ..par.workers import mc_check_shard
 
     check_mc_choice(engine)
     labels = rtl_labels("la1_top", banks)
@@ -284,15 +283,20 @@ def sweep_rtl_properties(
         if unmapped:
             raise PslError(
                 f"{name}: no label mapping for atom {unmapped[0]!r}")
-    shard_args = [(banks, datapath, name, prop, engine, options)
-                  for name, prop in properties]
     try:
         la1_netlist(options.get("config") or MC_SCALE_CONFIG(banks), datapath)
     except Exception:  # noqa: BLE001 - an optimisation, not a verdict
         pass  # each shard meets the failure again and is quarantined
+
+    def check(name: str, prop: Property) -> dict:
+        # a dict at every jobs, so inline and forked sweeps fold the
+        # same (rounded) numbers
+        return check_la1_property(banks, prop, name, engine, datapath,
+                                  **options).to_dict()
+
     results, stats = run_supervised(
-        mc_check_shard,
-        shard_args,
+        check,
+        properties,
         jobs=jobs,
         timeout_s=deadline_s,
         max_attempts=shard_attempts,

@@ -15,9 +15,11 @@ the execution layer that exploits that:
   into at most ``jobs`` shards (equal inputs always produce equal plans);
 * :func:`run_supervised` -- the one fan-out runner
   (:mod:`repro.par.supervise`): one killable worker process per
-  in-flight shard, forked after the caller's warm-up, per-shard
-  wall-clock accounting (:class:`ParStats`), retry with exponential
-  backoff and deterministic jitter, poison-shard quarantine
+  in-flight shard, forked after the caller's warm-up (so a task may be
+  any callable over the caller's own objects: only each shard's result
+  crosses the pipe), per-shard wall-clock accounting
+  (:class:`ParStats`), retry with exponential backoff and
+  deterministic jitter, poison-shard quarantine
   (:class:`ShardError` results instead of aborted runs), hung-worker
   reaping on a per-shard deadline, an overall timeout, out-of-order
   collection (the caller's ``on_result`` checkpoints each shard the
@@ -34,7 +36,6 @@ timing fields differ.  Every caller in :mod:`repro.fault`,
 from .pool import ParStats, plan_shards
 from .seeds import derive_seed
 from .supervise import ShardError, backoff_delay, run_supervised
-from .workers import ModelSpec, la1_model_spec
 
 __all__ = [
     "ParStats",
@@ -43,6 +44,4 @@ __all__ = [
     "ShardError",
     "backoff_delay",
     "derive_seed",
-    "ModelSpec",
-    "la1_model_spec",
 ]

@@ -8,7 +8,8 @@ always produce equal plans, and within a shard the original submission
 order is preserved -- both facts the determinism tests rely on.
 
 The shards run on :func:`repro.par.supervise.run_supervised`, which
-reports through :class:`ParStats`.  Per-shard wall-clock is measured
+reports through :class:`ParStats`, in workers started by fork alone
+(:func:`_mp_context`).  Per-shard wall-clock is measured
 *inside* the worker (:func:`_timed_call`), so the stats report honest
 compute times: ``critical_path_s`` is the longest shard and
 ``speedup_estimate`` the speedup the plan would deliver given at least
@@ -131,11 +132,11 @@ def _timed_call(task, args) -> tuple[float, object]:
 
 
 def _mp_context():
-    """Fork when the platform has it (cheap warm-start: workers inherit
-    loaded modules), otherwise the platform default."""
+    """The fork context: a forked worker inherits the coordinator's
+    memos and objects, so neither the task nor its arguments are
+    pickled.  On a platform that cannot fork this raises, and
+    :func:`~repro.par.supervise.run_supervised` finishes the run inline
+    (``mode="pool+inline"``)."""
     import multiprocessing  # only a pool needs it, not inline runs
 
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
+    return multiprocessing.get_context("fork")

@@ -14,7 +14,8 @@ campaign saves its checkpoint.
 :class:`multiprocessing.Process` per in-flight shard (a shard plan has
 at most ``jobs`` shards, so this costs one process per job, while
 making per-shard kill possible -- a pool executor cannot terminate one
-task):
+task).  Workers are forked, so a task runs on the coordinator's own
+objects and only its result is pickled:
 
 * **retry with backoff** -- a shard whose worker raises, crashes, or
   exceeds ``shard_deadline_s`` is re-attempted up to ``max_attempts``
@@ -35,10 +36,11 @@ task):
   killed (``stats.killed_workers``) and every unresolved shard yields
   ``None`` (``stats.timed_out``);
 * **infrastructure fallback** -- a failure of the process machinery
-  itself (fork refusal, queue teardown) finishes the unresolved shards
-  inline (``mode="pool+inline"``).  An exception from the caller's
-  ``on_result`` is the caller's, not the pool's: it propagates once
-  the workers are reaped, and no shard is recomputed.
+  itself (a platform that cannot fork, fork refusal, queue teardown)
+  finishes the unresolved shards inline (``mode="pool+inline"``).  An
+  exception from the caller's ``on_result`` is the caller's, not the
+  pool's: it propagates once the workers are reaped, and no shard is
+  recomputed.
 
 Retries never change *what* is computed -- a shard's task and args are
 immutable across attempts -- so verdict content is attempt-count
@@ -65,6 +67,9 @@ _CRASH_GRACE_S = 0.25
 
 #: coordinator poll quantum (queue waits and liveness checks)
 _POLL_S = 0.02
+
+#: the cap on one retry's backoff sleep
+_BACKOFF_MAX_S = 2.0
 
 
 class ShardError:
@@ -119,15 +124,13 @@ class _Supervisor:
     """Coordinator state of one :func:`run_supervised` call."""
 
     def __init__(self, task, shard_args, jobs, timeout_s, shard_deadline_s,
-                 max_attempts, backoff_base_s, backoff_max_s, seed,
-                 on_result):
+                 max_attempts, backoff_base_s, seed, on_result):
         self.task = task
         self.shard_args = [tuple(args) for args in shard_args]
         self.jobs = jobs
         self.shard_deadline_s = shard_deadline_s
         self.max_attempts = max(1, max_attempts)
         self.backoff_base_s = backoff_base_s
-        self.backoff_max_s = backoff_max_s
         self.seed = seed
         self.on_result = on_result
         self.stats = ParStats(jobs, len(self.shard_args))
@@ -182,7 +185,7 @@ class _Supervisor:
                     self.stats.retries += 1
                     time.sleep(backoff_delay(
                         self.seed, index, self.attempts[index] + 1,
-                        self.backoff_base_s, self.backoff_max_s))
+                        self.backoff_base_s, _BACKOFF_MAX_S))
                 else:
                     self._collect(index, wall, value)
                     break
@@ -227,7 +230,7 @@ class _Supervisor:
             self.stats.retries += 1
             eligible = time.perf_counter() + backoff_delay(
                 self.seed, index, self.attempts[index] + 1,
-                self.backoff_base_s, self.backoff_max_s)
+                self.backoff_base_s, _BACKOFF_MAX_S)
             pending.append((index, eligible))
 
         def drain(block_s: float = 0.0) -> bool:
@@ -334,7 +337,6 @@ def run_supervised(
     shard_deadline_s: Optional[float] = None,
     max_attempts: int = 2,
     backoff_base_s: float = 0.05,
-    backoff_max_s: float = 2.0,
     seed: int = 0,
     on_result: Optional[Callable[[int, object], None]] = None,
 ) -> tuple[list, ParStats]:
@@ -349,7 +351,7 @@ def run_supervised(
     """
     supervisor = _Supervisor(
         task, shard_args, jobs, timeout_s, shard_deadline_s, max_attempts,
-        backoff_base_s, backoff_max_s, seed, on_result,
+        backoff_base_s, seed, on_result,
     )
     if jobs <= 1 or len(supervisor.shard_args) <= 1:
         supervisor.run_inline()
@@ -359,10 +361,11 @@ def run_supervised(
         except Exception as exc:
             if supervisor.in_caller:
                 raise  # run_pool's finally has reaped the workers
-            # a failure of the pool *infrastructure* (fork refusal,
-            # queue teardown, pickling trouble) finishes the unresolved
-            # shards inline instead of aborting -- worker failures never
-            # get here, they are contained per-shard by the supervision
+            # a failure of the pool *infrastructure* (no fork on this
+            # platform, fork refusal, queue teardown) finishes the
+            # unresolved shards inline instead of aborting -- worker
+            # failures never get here, they are contained per-shard by
+            # the supervision
             supervisor.stats.mode = "pool+inline"
             supervisor.stats.fallback_reason = f"{type(exc).__name__}: {exc}"
             supervisor.run_inline()

@@ -101,8 +101,8 @@ def strike_first_shard(marker: str, strike: Callable[[], None]):
 
 
 def smoke() -> int:
+    from ..cover.asm_cov import build_la1_testgen_model
     from ..fault.campaign import CampaignConfig, FaultCampaign
-    from ..par.workers import la1_model_spec
     from .server import serve_in_thread
 
     print("serve smoke: computing inline goldens (jobs=1, no chaos)")
@@ -114,8 +114,7 @@ def smoke() -> int:
     from ..cover.testgen import undirected_suite
     cover_spec = {"banks": 1, "mode": "undirected", "seed": 7,
                   "max_tests": 4, "walk_steps": 12}
-    spec = la1_model_spec(1)
-    machine, predicates = spec.build()
+    machine, predicates = build_la1_testgen_model(1)
     golden_cover = undirected_suite(machine, predicates, num_tests=4,
                                     walk_steps=12, seed=7, jobs=1)
 

@@ -266,14 +266,14 @@ class CoverJob(Job):
         return fingerprint
 
     def run(self, emit: Emit, workdir: Optional[str] = None) -> dict:
+        from ..cover.asm_cov import build_la1_testgen_model
         from ..cover.testgen import coverage_driven_suite, undirected_suite
-        from ..par.workers import la1_model_spec, la1_traffic_model_spec
+        from ..cover.traffic_walk import La1TrafficModel
 
         if self.vehicle == "traffic":
-            spec = la1_traffic_model_spec(self.banks, seed=self.seed)
+            machine, predicates = La1TrafficModel(self.banks, self.seed), None
         else:
-            spec = la1_model_spec(self.banks)
-        machine, predicates = spec.build()
+            machine, predicates = build_la1_testgen_model(self.banks)
         if self.mode == "directed":
             result = coverage_driven_suite(
                 machine, predicates,
@@ -284,7 +284,6 @@ class CoverJob(Job):
                 seed=self.seed,
                 plateau_rounds=self.plateau_rounds,
                 jobs=self.jobs,
-                model_spec=spec,
                 lanes=self.lanes,
             )
         else:
@@ -294,7 +293,6 @@ class CoverJob(Job):
                 walk_steps=self.walk_steps,
                 seed=self.seed,
                 jobs=self.jobs,
-                model_spec=spec,
                 lanes=self.lanes,
             )
         for index, coverage in enumerate(result.history):

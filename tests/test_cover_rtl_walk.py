@@ -128,8 +128,8 @@ def test_walk_db_independent_of_neighbours(model):
 def test_score_walks_matches_scalar_arithmetic(model):
     seeds = list(range(60, 68))
     base = model.walk_dbs([99], walk_steps=4, lanes=1)[0]
-    wide = _map_walks(model, seeds, 4, 8, 1, None, _Gain(base))
-    narrow = _map_walks(model, seeds, 4, 1, 1, None, _Gain(base))
+    wide = _map_walks(model, seeds, 4, 8, 1, _Gain(base))
+    narrow = _map_walks(model, seeds, 4, 1, 1, _Gain(base))
     assert wide == narrow
     assert len(wide) == len(seeds)
 
@@ -186,7 +186,7 @@ def test_gains_and_admission_come_from_walk_dbs(vehicle):
     covered = base.counts()[0]
     manual = [base.clone().merge(db).counts()[0] - covered
               for db in walks.walk_dbs(seeds, steps, 1)]
-    assert _map_walks(walks, seeds, steps, 8, 1, None, _Gain(base)) == manual
+    assert _map_walks(walks, seeds, steps, 8, 1, _Gain(base)) == manual
     assert len(manual) == len(seeds)
 
 

@@ -7,6 +7,8 @@ builds from them, and the sharded ``jobs x lanes`` path must all be
 bit-identical to the scalar one-walk-at-a-time sweep.
 """
 
+import os
+
 import repro.par
 from repro.cover import CoverageDB
 from repro.cover.rtl_walk import WalkCase
@@ -18,7 +20,6 @@ from repro.cover.testgen import (
 )
 from repro.cover.traffic_walk import La1TrafficModel
 from repro.par import ShardError
-from repro.par.workers import la1_traffic_model_spec
 
 WALK_STEPS = 8
 SEEDS = [3, 11, 19, 27, 35, 43]
@@ -26,10 +27,6 @@ SEEDS = [3, 11, 19, 27, 35, 43]
 
 def _model():
     return La1TrafficModel(banks=1, seed=7)
-
-
-def _always_raises(*args):
-    raise RuntimeError("induced testgen worker failure")
 
 
 class TestWalkDbs:
@@ -50,8 +47,7 @@ class TestWalkDbs:
         model = _model()
         dbs = model.walk_dbs(SEEDS, WALK_STEPS, lanes=64)
         base = dbs[0].clone()
-        gains = _map_walks(model, SEEDS[1:], WALK_STEPS, 64, 1, None,
-                           _Gain(base))
+        gains = _map_walks(model, SEEDS[1:], WALK_STEPS, 64, 1, _Gain(base))
         want = [base.clone().merge(db).counts()[0] - base.counts()[0]
                 for db in dbs[1:]]
         assert gains == want
@@ -92,24 +88,22 @@ class TestSuites:
         assert lanes.db.to_dict() == scalar.db.to_dict()
 
     def test_jobs_sharded_scoring_matches_inline(self):
-        spec = la1_traffic_model_spec(banks=1, seed=7)
         inline = coverage_driven_suite(
             _model(), {}, max_tests=3, candidates_per_round=4,
             walk_steps=WALK_STEPS, seed=5, plateau_rounds=2, lanes=8)
         sharded = coverage_driven_suite(
             _model(), {}, max_tests=3, candidates_per_round=4,
             walk_steps=WALK_STEPS, seed=5, plateau_rounds=2,
-            jobs=2, model_spec=spec, lanes=8)
+            jobs=2, lanes=8)
         assert sharded.history == inline.history
         assert sharded.db.to_dict() == inline.db.to_dict()
 
     def test_jobs_sharded_undirected_matches_inline(self):
-        spec = la1_traffic_model_spec(banks=1, seed=7)
         inline = undirected_suite(_model(), {}, num_tests=4,
                                   walk_steps=WALK_STEPS, seed=5, lanes=8)
         sharded = undirected_suite(_model(), {}, num_tests=4,
                                    walk_steps=WALK_STEPS, seed=5, jobs=2,
-                                   model_spec=spec, lanes=8)
+                                   lanes=8)
         assert sharded.history == inline.history
         assert sharded.db.to_dict() == inline.db.to_dict()
 
@@ -123,30 +117,31 @@ class TestSuites:
             outcomes.extend(results)
             return results, stats
 
-        monkeypatch.setattr(repro.par, "run_supervised", recording)
-        monkeypatch.setattr(repro.par.workers, "testgen_walk_shard",
-                            _always_raises)
-        spec = la1_traffic_model_spec(banks=1, seed=7)
         inline = coverage_driven_suite(
             _model(), {}, max_tests=3, candidates_per_round=4,
             walk_steps=WALK_STEPS, seed=5, plateau_rounds=2, lanes=8)
+        # every forked shard fails; the coordinator's walks do not
+        coordinator = os.getpid()
+        walk_dbs = La1TrafficModel.walk_dbs
+
+        def poisoned(self, *args):
+            if os.getpid() != coordinator:
+                raise RuntimeError("induced testgen worker failure")
+            return walk_dbs(self, *args)
+
+        monkeypatch.setattr(repro.par, "run_supervised", recording)
+        monkeypatch.setattr(La1TrafficModel, "walk_dbs", poisoned)
         sharded = coverage_driven_suite(
             _model(), {}, max_tests=3, candidates_per_round=4,
             walk_steps=WALK_STEPS, seed=5, plateau_rounds=2,
-            jobs=2, model_spec=spec, lanes=8)
+            jobs=2, lanes=8)
         assert outcomes
         assert all(isinstance(outcome, ShardError) for outcome in outcomes)
         assert sharded.history == inline.history
         assert sharded.db.to_dict() == inline.db.to_dict()
 
 
-class TestModelSpec:
-    def test_spec_round_trips(self):
-        spec = la1_traffic_model_spec(banks=1, seed=7)
-        machine, predicates = spec.build()
-        assert isinstance(machine, La1TrafficModel)
-        assert predicates is None
-
+class TestWalkCase:
     def test_walk_case_round_trip(self):
         case = WalkCase(9, WALK_STEPS)
         assert case == WalkCase(9, WALK_STEPS)

@@ -14,9 +14,9 @@ from repro.dsl.zoo import (
     build_design,
     build_elaborated,
     conformance_budget,
-    zoo_model_spec,
     zoo_names,
     zoo_properties,
+    zoo_state_predicates,
 )
 from repro.rtl import emit_verilog
 
@@ -152,12 +152,12 @@ def test_verilog_roundtrip_keeps_monitor_count(name):
 
 
 # ---------------------------------------------------------------------------
-# worker integration: zoo designs as ModelSpecs
+# the zoo as a testgen vehicle: the cached machine and its predicates
 # ---------------------------------------------------------------------------
 
-def test_zoo_model_spec_builds_machine_and_predicates():
-    spec = zoo_model_spec("fifo")
-    machine, predicates = spec.build()
+def test_zoo_state_predicates_read_the_asm_state():
+    elab = build_elaborated("fifo")
+    machine, predicates = elab.asm, zoo_state_predicates(elab)
     assert any(rule.name == "step" for rule in machine.rules)
     assert predicates  # one bin per state variable
     state = dict(machine.state)
@@ -165,8 +165,8 @@ def test_zoo_model_spec_builds_machine_and_predicates():
         assert predicate(state) in (True, False)
 
 
-def test_zoo_model_spec_rejects_unknown_design():
+def test_unknown_design_is_rejected():
     from repro.dsl import DslError
 
     with pytest.raises(DslError, match="unknown zoo design"):
-        zoo_model_spec("nonesuch")
+        build_design("nonesuch")

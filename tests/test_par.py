@@ -1,13 +1,14 @@
 """Unit tests for repro.par: seed streams, shard planning, run
-accounting, and the CampaignReport merge protocol (the fault-side
-mirror of tests/test_cover_db.py's TestMerge).  The runner itself is
-tested in tests/test_par_supervise.py."""
+accounting, the fork-only start method, and the CampaignReport merge
+protocol (the fault-side mirror of tests/test_cover_db.py's TestMerge).
+The runner itself is tested in tests/test_par_supervise.py."""
+
+import multiprocessing
 
 import pytest
 
 from repro.fault.campaign import CampaignReport, FaultVerdict
-from repro.par import ParStats, derive_seed, plan_shards
-from repro.par.workers import ModelSpec, la1_model_spec
+from repro.par import ParStats, derive_seed, plan_shards, run_supervised
 
 
 # ----------------------------------------------------------------------
@@ -99,21 +100,26 @@ class TestParStats:
 
 
 # ----------------------------------------------------------------------
-# ModelSpec
+# the start method: fork, or the inline fallback
 # ----------------------------------------------------------------------
-class TestModelSpec:
-    def test_build_la1(self):
-        machine, predicates = la1_model_spec(2).build()
-        assert machine.rules and predicates
+def _square(x):
+    return x * x
 
-    def test_key_stable(self):
-        a = ModelSpec("m:f", {"x": 1, "y": 2})
-        b = ModelSpec("m:f", {"y": 2, "x": 1})
-        assert a.key() == b.key()
 
-    def test_bad_factory(self):
-        with pytest.raises(ValueError):
-            ModelSpec("not_a_dotted_path").build()
+class TestForkOnly:
+    def test_a_platform_without_fork_finishes_inline(self, monkeypatch):
+        get_context = multiprocessing.get_context
+
+        def no_fork(method=None):
+            if method == "fork":
+                raise ValueError("cannot find context for 'fork'")
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        results, stats = run_supervised(_square, [(2,), (3,), (4,)], jobs=2)
+        assert results == [4, 9, 16]
+        assert stats.mode == "pool+inline"
+        assert "fork" in stats.fallback_reason
 
 
 # ----------------------------------------------------------------------

@@ -82,17 +82,11 @@ class TestCampaignDeterminism:
 class TestTestgenDeterminism:
     @pytest.fixture(scope="class")
     def model(self):
-        from repro.par.workers import build_la1_testgen_model
+        from repro.cover.asm_cov import build_la1_testgen_model
 
         return build_la1_testgen_model(2)
 
-    @pytest.fixture(scope="class")
-    def spec(self):
-        from repro.par.workers import la1_model_spec
-
-        return la1_model_spec(2)
-
-    def test_directed_jobs2_matches_serial(self, model, spec):
+    def test_directed_jobs2_matches_serial(self, model):
         from repro.cover.testgen import coverage_driven_suite
 
         machine, predicates = model
@@ -101,22 +95,58 @@ class TestTestgenDeterminism:
             seed=11)
         parallel = coverage_driven_suite(
             machine, predicates, max_tests=4, candidates_per_round=6,
-            seed=11, jobs=2, model_spec=spec)
+            seed=11, jobs=2)
         assert serial.history == parallel.history
         assert serial.db.to_dict() == parallel.db.to_dict()
         assert len(serial.selected) == len(parallel.selected)
         for a, b in zip(serial.selected, parallel.selected):
             assert [str(x) for x in a] == [str(x) for x in b]
 
-    def test_undirected_jobs2_matches_serial(self, model, spec):
+    def test_undirected_jobs2_matches_serial(self, model):
         from repro.cover.testgen import undirected_suite
 
         machine, predicates = model
         serial = undirected_suite(machine, predicates, 5, seed=11)
         parallel = undirected_suite(machine, predicates, 5, seed=11,
-                                    jobs=2, model_spec=spec)
+                                    jobs=2)
         assert serial.history == parallel.history
         assert serial.db.to_dict() == parallel.db.to_dict()
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_suites_fork_over_the_callers_vehicle(self, directed,
+                                                  monkeypatch):
+        # a vehicle built here, no recipe: jobs=2 alone shards the walks
+        # onto the pool, and the suite equals its jobs=1 run
+        import repro.par
+        from repro.cover.testgen import coverage_driven_suite, undirected_suite
+        from repro.cover.traffic_walk import La1TrafficModel
+
+        model = La1TrafficModel(banks=1, seed=7)
+
+        def suite(jobs):
+            if directed:
+                return coverage_driven_suite(
+                    model, {}, max_tests=3, candidates_per_round=4,
+                    walk_steps=8, seed=5, plateau_rounds=2, jobs=jobs,
+                    lanes=8)
+            return undirected_suite(model, {}, num_tests=4, walk_steps=8,
+                                    seed=5, jobs=jobs, lanes=8)
+
+        serial = suite(1)
+        modes = []
+        run_supervised = repro.par.run_supervised
+
+        def recording(*args, **kwargs):
+            results, stats = run_supervised(*args, **kwargs)
+            modes.append(stats.mode)
+            return results, stats
+
+        monkeypatch.setattr(repro.par, "run_supervised", recording)
+        sharded = suite(2)
+        assert modes and set(modes) == {"pool"}
+        assert sharded.selected == serial.selected
+        assert sharded.history == serial.history
+        assert sharded.db.to_dict() == serial.db.to_dict()
 
     def test_walk_seeds_are_batch_independent(self):
         # the hash stream makes each walk's seed a pure function of

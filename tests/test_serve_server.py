@@ -123,7 +123,7 @@ class TestHTTP:
                                                 kind, spec, stage):
         # shard_attempts is not part of the content key either, so a
         # stored inconclusive sweep would answer the same spec later
-        from repro.par import workers
+        from repro.mc import sweep
 
         __, base, ___ = server
 
@@ -131,7 +131,7 @@ class TestHTTP:
             raise RuntimeError("worker lost")
 
         with monkeypatch.context() as patch:
-            patch.setattr(workers, "mc_check_shard", crash)
+            patch.setattr(sweep, "check_la1_property", crash)
             partial = _http("POST", f"{base}/jobs", {
                 "kind": kind, "spec": {**spec, "shard_attempts": 1}})
             record = _wait(base, partial["id"])
